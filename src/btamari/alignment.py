@@ -270,10 +270,6 @@ def find_312_pattern(
     return _find_pattern(alpha, pi, "312", first_only=True)
 
 
-def find_all_312_patterns(alpha, pi) -> list[PatternWitness]:
-    return _find_pattern(alpha, pi, "312", first_only=False)
-
-
 def is_aligned(alpha: Composition, pi: SignedPermutation) -> bool:
     """Pattern-based alignment test; the fastest of the three characterizations."""
     return find_231_pattern(alpha, pi) is None

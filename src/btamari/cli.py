@@ -19,7 +19,13 @@ from .enumeration import (
     cover_enumerator,
     t_sequence,
 )
-from .errors import CapExceededError, CompositionError, NotAPermutationError
+from .errors import (
+    CapExceededError,
+    CompositionError,
+    NotACongruenceError,
+    NotALatticeError,
+    NotAPermutationError,
+)
 from .parabolic import Composition, enumerate_quotient, is_member
 from .projection import project_down, project_up, theta_classes
 from .signed_perm import SignedPermutation
@@ -242,6 +248,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("conjecture needs --t or --type-d")
     if args.command == "project" and not args.classes and not (args.perm and args.dir):
         parser.error("project needs --perm and --dir (or --classes)")
+    if args.command == "lattice" and not (args.check or args.export):
+        parser.error("lattice needs --check or --export")
     try:
         set_debug_crosschecks(args.debug_crosschecks)
         args.cap = resolve_cap(args.cap)
@@ -250,6 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (NotALatticeError, NotACongruenceError, AssertionError) as exc:
+        # Both lattice errors subclass ValueError, so they must come first.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (CompositionError, NotAPermutationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

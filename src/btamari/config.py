@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 DEFAULT_CAP = 2_000_000
 CAP_ENV_VAR = "TAMARI_B_CAP"
@@ -19,37 +18,27 @@ def set_debug_crosschecks(value: bool):
     debug_crosschecks = bool(value)
 
 
-@dataclass
-class Config:
-    enumeration_cap: int = DEFAULT_CAP
-    threads: int = 1
-    output_format: str = "text"
-    debug_crosschecks: bool = False
-
-    def __post_init__(self):
-        if self.enumeration_cap < 1:
-            raise ValueError("enumeration cap must be at least 1")
-        if self.threads < 1:
-            raise ValueError("thread count must be at least 1")
-
-
 def resolve_cap(cap: int | None = None) -> int:
     """Explicit cap if given, else the environment override, else the default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
-    return DEFAULT_CAP
+    if cap < 1:
+        raise ValueError(f"enumeration cap must be at least 1, got {cap}")
+    return cap
 
 
 def resolve_threads(threads: int | str | None) -> int:
+    """Worker count: 'auto' or None means every core, and no more than that."""
+    cores = os.cpu_count() or 1
     if threads in (None, "auto"):
-        return os.cpu_count() or 1
+        return cores
     value = int(threads)
     if value < 1:
         raise ValueError("thread count must be at least 1")
-    return value
+    return min(value, cores)

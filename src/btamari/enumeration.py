@@ -85,7 +85,7 @@ def t_sequence(
     for n in range(1, max_n + 1):
         compositions = all_compositions(n)
         if threads > 1:
-            with Pool(threads) as pool:
+            with Pool(min(threads, len(compositions))) as pool:
                 counts = pool.map(_count_for, [(a, cap) for a in compositions])
         else:
             counts = [count_aligned(a, cap) for a in compositions]

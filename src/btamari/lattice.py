@@ -10,13 +10,11 @@ extremality, left modularity and trimness, plus JSON and DOT exports.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import NotACongruenceError, NotALatticeError, NotAPartialOrderError
-
-TABLE_THRESHOLD = 20_000
 
 
 class FinitePoset:
@@ -91,21 +89,14 @@ class FinitePoset:
     def length(self) -> int:
         return int(self.heights.max()) if self.n else 0
 
-    def index_of(self, label) -> int:
-        return self.labels.index(label)
-
-
-def poset_from_leq(labels, leq, validate: bool = True) -> FinitePoset:
-    return FinitePoset.from_leq(labels, leq, validate)
-
 
 class FiniteLattice:
-    def __init__(self, poset: FinitePoset, meet: Optional[np.ndarray], join: Optional[np.ndarray]):
+    """A poset together with its dense meet and join tables."""
+
+    def __init__(self, poset: FinitePoset, meet: np.ndarray, join: np.ndarray):
         self.poset = poset
         self._meet = meet
         self._join = join
-        self._meet_cache: dict[tuple[int, int], int] = {}
-        self._join_cache: dict[tuple[int, int], int] = {}
 
     @property
     def n(self) -> int:
@@ -128,39 +119,16 @@ class FiniteLattice:
         return int(np.flatnonzero(self.leq.all(axis=0))[0])
 
     def meet_table(self) -> np.ndarray:
-        if self._meet is None:
-            raise NotALatticeError((0, 0), "meet table not materialized at this size")
         return self._meet
 
     def join_table(self) -> np.ndarray:
-        if self._join is None:
-            raise NotALatticeError((0, 0), "join table not materialized at this size")
         return self._join
 
     def meet(self, a: int, b: int) -> int:
-        if self._meet is not None:
-            return int(self._meet[a, b])
-        return self._bound_on_demand(a, b, join=False)
+        return int(self._meet[a, b])
 
     def join(self, a: int, b: int) -> int:
-        if self._join is not None:
-            return int(self._join[a, b])
-        return self._bound_on_demand(a, b, join=True)
-
-    def _bound_on_demand(self, a: int, b: int, join: bool) -> int:
-        cache = self._join_cache if join else self._meet_cache
-        key = (a, b) if a <= b else (b, a)
-        if key in cache:
-            return cache[key]
-        leq = self.leq
-        common = (leq[a] & leq[b]) if join else (leq[:, a] & leq[:, b])
-        sizes = leq.sum(axis=1) if join else leq.sum(axis=0)
-        cand = int(np.where(common, sizes, -1).argmax())
-        row = leq[cand] if join else leq[:, cand]
-        if not np.array_equal(row, common):
-            raise NotALatticeError((a, b), "no-lub" if join else "no-glb")
-        cache[key] = cand
-        return cand
+        return int(self._join[a, b])
 
     def dual(self) -> "FiniteLattice":
         dual_poset = FinitePoset(self.labels, self.leq.T)
@@ -168,18 +136,8 @@ class FiniteLattice:
 
 
 def try_lattice(poset: FinitePoset) -> FiniteLattice:
-    """Build meet and join tables, or raise NotALatticeError with a witness pair.
-
-    Above TABLE_THRESHOLD elements the tables stay lazy and bounds are found
-    per pair on demand.
-    """
+    """Build meet and join tables, or raise NotALatticeError with a witness pair."""
     m = poset.n
-    if m > TABLE_THRESHOLD:
-        if not poset.leq.all(axis=1).any():
-            raise NotALatticeError((0, 0), "no-glb")
-        if not poset.leq.all(axis=0).any():
-            raise NotALatticeError((0, 0), "no-lub")
-        return FiniteLattice(poset, None, None)
     leq = poset.leq
     up_sizes = leq.sum(axis=1)
     down_sizes = leq.sum(axis=0)
@@ -222,13 +180,6 @@ def lower_cover(lat: FiniteLattice, j: int) -> int:
     if below.size != 1:
         raise ValueError(f"element {j} is not join-irreducible")
     return int(below[0])
-
-
-def upper_cover(lat: FiniteLattice, m: int) -> int:
-    above = np.flatnonzero(lat.poset.covers[m])
-    if above.size != 1:
-        raise ValueError(f"element {m} is not meet-irreducible")
-    return int(above[0])
 
 
 def length(obj) -> int:

@@ -5,6 +5,13 @@ be built directly as a subposet, or as the quotient of the weak order on the
 whole parabolic quotient by the projection fibers; the two agree.  The module
 also builds each join-irreducible element directly from the inversion it
 covers, and bundles every structural claim into a verification report.
+
+Verification builds each structure once per composition (the weak order, its
+projection-fiber partition and the subposet lattice) and every check reads
+from those builds.  The subposet and quotient constructions stay as two
+independent routes to the same lattice, so that each confirms the other.
+Order matrices and lattice tables are dense, m x m for m elements, so no
+structure above TABLE_THRESHOLD elements is built.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 
 from . import lattice as lat
 from .alignment import enumerate_aligned
+from .errors import CapExceededError, NotACongruenceError
 from .parabolic import (
     Composition,
     InversionTableau,
@@ -28,6 +36,10 @@ from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 SUBPOSET, QUOTIENT = "subposet", "quotient"
 
+# Largest element count for which dense m x m order matrices and lattice
+# tables are allocated.
+TABLE_THRESHOLD = 20_000
+
 
 @dataclass(frozen=True)
 class TamariLattice:
@@ -37,7 +49,13 @@ class TamariLattice:
 
 
 def _weak_leq_matrix(members: list[SignedPermutation]) -> np.ndarray:
-    """Containment matrix of inversion sets, chunked to keep temporaries small."""
+    """Containment matrix of inversion sets, chunked to keep temporaries small.
+
+    Raises CapExceededError before allocating when the m x m matrix would
+    exceed TABLE_THRESHOLD elements on a side.
+    """
+    if len(members) > TABLE_THRESHOLD:
+        raise CapExceededError(len(members), TABLE_THRESHOLD)
     universe = {t: idx for idx, t in enumerate(sorted(
         set().union(*(pi.inversion_set() for pi in members))
     ))}
@@ -203,18 +221,29 @@ def irreducible_pairs(alpha: Composition) -> list[tuple[int, int]]:
 
 def not_sublattice_witness(alpha: Composition, cap: int | None = None):
     """Aligned pair whose weak-order meet differs from the Tamari meet, if any."""
-    weak = weak_order_lattice(alpha, cap)
+    return _meet_mismatch(
+        weak_order_lattice(alpha, cap), build_tamari(alpha, SUBPOSET, cap).lattice
+    )
+
+
+def _meet_mismatch(weak: lat.FiniteLattice, tam: lat.FiniteLattice):
+    """First pair a < b, row-major over Tamari indices, whose two meets differ.
+
+    Returns (label b, label a, weak-order meet, Tamari meet), or None.
+    """
     index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
-    tam = build_tamari(alpha, SUBPOSET, cap).lattice
-    t_index = {pi.right: idx for idx, pi in enumerate(tam.labels)}
-    for a, pa in enumerate(tam.labels):
-        for b in range(a + 1, tam.n):
-            pb = tam.labels[b]
-            weak_meet = weak.labels[weak.meet(index[pa.right], index[pb.right])]
-            tam_meet = tam.labels[tam.meet(a, b)]
-            if weak_meet.right != tam_meet.right:
-                return pb, pa, weak_meet, tam_meet
-    return None
+    into_weak = np.array([index[pi.right] for pi in tam.labels], dtype=np.int64)
+    weak_meet = weak.meet_table()[np.ix_(into_weak, into_weak)]
+    differs = np.triu(weak_meet != into_weak[tam.meet_table()], k=1)
+    if not differs.any():
+        return None
+    a, b = map(int, np.argwhere(differs)[0])
+    return (
+        tam.labels[b],
+        tam.labels[a],
+        weak.labels[int(weak_meet[a, b])],
+        tam.labels[tam.meet(a, b)],
+    )
 
 
 @dataclass
@@ -258,20 +287,26 @@ class VerificationReport:
 def verify_theorems(
     alpha: Composition, cap: int | None = None, verify_chain: bool = False
 ) -> VerificationReport:
-    """Run every structural check for one composition and collect the outcome."""
+    """Run every structural check for one composition and collect the outcome.
+
+    The weak order, its projection-fiber partition and the subposet lattice
+    are each built once; every check, the quotient lattice and the
+    not-a-sublattice witness read from those builds.
+    """
     checks: dict[str, bool] = {}
     weak = weak_order_lattice(alpha, cap)
     theta = _theta_partition(alpha, weak, cap)
-    ok, _why = lat.check_congruence(weak, theta)
-    checks["congruence_valid"] = ok
+    try:
+        quot = lat.quotient_lattice(weak, theta)
+    except NotACongruenceError:
+        quot = None
+    checks["congruence_valid"] = quot is not None
 
-    sub = build_tamari(alpha, SUBPOSET, cap)
-    checks["lattice_subposet"] = True  # build_tamari would have raised otherwise
-    quot = build_tamari(alpha, QUOTIENT, cap)
-    checks["lattice_quotient"] = True
-    checks["quotient_isomorphic_subposet"] = _isomorphic(sub.lattice, quot.lattice)
+    L = build_tamari(alpha, SUBPOSET, cap).lattice
+    checks["lattice_subposet"] = True  # try_lattice would have raised otherwise
+    checks["lattice_quotient"] = quot is not None
+    checks["quotient_isomorphic_subposet"] = quot is not None and _isomorphic(L, quot)
 
-    L = sub.lattice
     checks["congruence_uniform"] = lat.is_congruence_uniform(L)
     checks["semidistributive"] = lat.is_semidistributive(L)
     checks["extremal"] = lat.is_extremal(L)
@@ -290,17 +325,15 @@ def verify_theorems(
         "length": ln,
         "join_irreducibles": n_join,
     }
-    witness = not_sublattice_witness(alpha, cap)
-    return VerificationReport(alpha, checks, stats, witness)
+    return VerificationReport(alpha, checks, stats, _meet_mismatch(weak, L))
 
 
 def _isomorphic(a: lat.FiniteLattice, b: lat.FiniteLattice) -> bool:
     """Label-preserving isomorphism between two lattices on signed permutations."""
-    rights_a = [pi.right for pi in a.labels]
-    rights_b = [pi.right for pi in b.labels]
-    if sorted(rights_a) != sorted(rights_b):
+    where = {pi.right: idx for idx, pi in enumerate(b.labels)}
+    order = [where.get(pi.right) for pi in a.labels]
+    if a.n != b.n or None in order:
         return False
-    order = [rights_b.index(r) for r in rights_a]
     return bool(np.array_equal(a.leq, b.leq[np.ix_(order, order)]))
 
 

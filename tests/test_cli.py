@@ -1,8 +1,12 @@
 import json
+import os
 
 import pytest
 
+from btamari import tamari
 from btamari.cli import main
+from btamari.config import resolve_threads
+from btamari.errors import NotACongruenceError, NotALatticeError
 
 
 def run(capsys, *argv):
@@ -143,6 +147,37 @@ class TestLattice:
         data = json.loads((tmp_path / "mylattice.json").read_text(encoding="utf-8"))
         assert len(data["elements"]) == 2
 
+    def test_neither_check_nor_export_is_usage_error(self):
+        with pytest.raises(SystemExit) as info:
+            main(["lattice", "--alpha", "0,1"])
+        assert info.value.code == 2
+
+    def test_above_table_bound_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 4)
+        code, out, err = run(capsys, "lattice", "--alpha", "0,1,1", "--check", "all")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+class TestCheckFailures:
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            NotALatticeError((0, 1), "no-lub"),
+            NotACongruenceError("class 0 is not an interval"),
+            AssertionError("iota cross-check failed"),
+        ],
+    )
+    def test_failure_exit_one(self, capsys, monkeypatch, exc):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("btamari.cli.verify_theorems", failing)
+        code, _, err = run(capsys, "lattice", "--alpha", "0,1", "--check", "all")
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestTables:
     def test_sequence(self, capsys):
@@ -185,6 +220,21 @@ class TestEnvironment:
         monkeypatch.setenv("TAMARI_B_CAP", "10")
         code, _, _ = run(capsys, "enumerate", "--alpha", "0,1,1,1")
         assert code == 3
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_cap_flag_exit_two(self, capsys, cap):
+        code, _, err = run(capsys, "--cap", cap, "enumerate", "--alpha", "0,1")
+        assert code == 2
+        assert "cap must be at least 1" in err
+
+    def test_nonpositive_cap_env_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("TAMARI_B_CAP", "-1")
+        code, _, err = run(capsys, "enumerate", "--alpha", "0,1")
+        assert code == 2
+        assert "cap must be at least 1" in err
+
+    def test_threads_clamped_to_cores(self):
+        assert resolve_threads("100000") == os.cpu_count()
 
     def test_threads_auto(self, capsys):
         code, out, _ = run(capsys, "--threads", "auto", "sequence", "--max-n", "2")

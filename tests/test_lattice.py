@@ -23,7 +23,6 @@ from btamari.lattice import (
     length,
     lower_cover,
     meet_irreducibles,
-    poset_from_leq,
     principal_congruence,
     quotient_lattice,
     semidistributivity_witness,
@@ -34,7 +33,7 @@ from conftest import full_group
 
 
 def chain(n):
-    return try_lattice(poset_from_leq(list(range(n)), lambda a, b: a <= b))
+    return try_lattice(FinitePoset.from_leq(list(range(n)), lambda a, b: a <= b))
 
 
 def from_covers(labels, cover_list):
@@ -68,37 +67,37 @@ def n5():
 def boolean(rank):
     labels = list(range(1 << rank))
     return try_lattice(
-        poset_from_leq(labels, lambda a, b: a & b == a)
+        FinitePoset.from_leq(labels, lambda a, b: a & b == a)
     )
 
 
 def weak_order_lattice_raw(n):
     group = sorted(full_group(n), key=lambda p: p.right)
     return try_lattice(
-        poset_from_leq(group, lambda u, v: u.weak_leq(v))
+        FinitePoset.from_leq(group, lambda u, v: u.weak_leq(v))
     )
 
 
 class TestPosets:
     def test_chain_covers(self):
-        poset = poset_from_leq([0, 1, 2], lambda a, b: a <= b)
+        poset = FinitePoset.from_leq([0, 1, 2], lambda a, b: a <= b)
         assert poset.cover_pairs() == [(0, 1), (1, 2)]
 
     def test_antichain(self):
-        poset = poset_from_leq([0, 1], lambda a, b: a == b)
+        poset = FinitePoset.from_leq([0, 1], lambda a, b: a == b)
         assert poset.cover_pairs() == []
 
     def test_weak_order_octagon(self):
         group = full_group(2)
-        poset = poset_from_leq(group, lambda u, v: u.weak_leq(v))
+        poset = FinitePoset.from_leq(group, lambda u, v: u.weak_leq(v))
         assert poset.n == 8
         assert len(poset.cover_pairs()) == 8
 
     def test_not_partial_order(self):
         with pytest.raises(NotAPartialOrderError):
-            poset_from_leq([0, 1], lambda a, b: True)  # not antisymmetric
+            FinitePoset.from_leq([0, 1], lambda a, b: True)  # not antisymmetric
         with pytest.raises(NotAPartialOrderError):
-            poset_from_leq([0, 1], lambda a, b: a != b)  # not reflexive
+            FinitePoset.from_leq([0, 1], lambda a, b: a != b)  # not reflexive
 
 
 class TestTryLattice:
@@ -107,7 +106,7 @@ class TestTryLattice:
         assert lat.meet(0, 2) == 0 and lat.join(0, 2) == 2
 
     def test_antichain_fails(self):
-        poset = poset_from_leq([0, 1], lambda a, b: a == b)
+        poset = FinitePoset.from_leq([0, 1], lambda a, b: a == b)
         with pytest.raises(NotALatticeError) as info:
             try_lattice(poset)
         assert info.value.reason in ("no-lub", "no-glb")

@@ -1,5 +1,10 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
+from btamari import lattice, tamari
+from btamari.errors import CapExceededError
 from btamari.lattice import join_irreducibles, length
 from btamari.parabolic import (
     Composition,
@@ -129,6 +134,24 @@ class TestNotSublattice:
         for n in (2, 3, 4):
             assert not_sublattice_witness(Composition((1,) * n, split=True)) is None
 
+    def test_matches_pairwise_scan(self, all_small_compositions):
+        from btamari.tamari import _meet_mismatch
+
+        for n in (2, 3, 4):
+            for alpha in all_small_compositions[n]:
+                weak = weak_order_lattice(alpha)
+                tam = build_tamari(alpha).lattice
+                index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
+                expected = None
+                for a, b in combinations(range(tam.n), 2):
+                    pa, pb = tam.labels[a], tam.labels[b]
+                    wm = weak.labels[weak.meet(index[pa.right], index[pb.right])]
+                    tm = tam.labels[tam.meet(a, b)]
+                    if wm != tm:
+                        expected = (pb, pa, wm, tm)
+                        break
+                assert _meet_mismatch(weak, tam) == expected, alpha.format()
+
 
 class TestVerifyTheorems:
     def test_small_split(self):
@@ -176,7 +199,52 @@ class TestVerifyTheorems:
             assert report.ok, (alpha.format(), report.checks)
 
 
+class TestVerifyBuildsOnce:
+    def test_each_structure_built_once(self, monkeypatch):
+        calls = Counter()
+        for module, name in [
+            (tamari, "weak_order_lattice"),
+            (tamari, "theta_classes"),
+            (lattice, "check_congruence"),
+            (lattice, "try_lattice"),
+        ]:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert verify_theorems(A021).ok
+        # the weak order, the subposet lattice and the quotient lattice
+        assert calls == {
+            "weak_order_lattice": 1,
+            "theta_classes": 1,
+            "check_congruence": 1,
+            "try_lattice": 3,
+        }
+
+    def test_failed_congruence_is_reported(self, monkeypatch):
+        monkeypatch.setattr(
+            lattice, "check_congruence", lambda lat, theta: (False, "not an interval")
+        )
+        report = verify_theorems(A021)
+        assert not report.ok
+        failed = [name for name, value in report.checks.items() if not value]
+        assert failed == [
+            "congruence_valid", "lattice_quotient", "quotient_isomorphic_subposet"
+        ]
+
+
 class TestWeakOrderLattice:
     def test_sizes(self):
         assert weak_order_lattice(Composition((1, 1), split=True)).n == 8
         assert weak_order_lattice(Composition.parse("1,2")).n == 12
+
+    def test_refused_above_table_bound_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 4)
+        # any numpy call in tamari would fail with AttributeError instead
+        monkeypatch.setattr(tamari, "np", None)
+        with pytest.raises(CapExceededError) as info:
+            weak_order_lattice(Composition.parse("0,1,1"))
+        assert (info.value.required, info.value.cap) == (8, 4)
