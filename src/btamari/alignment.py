@@ -10,7 +10,6 @@ patterns used by the upward projection.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -279,8 +278,17 @@ def is_aligned(alpha: Composition, pi: SignedPermutation) -> bool:
 
 
 def _long_array(rows) -> np.ndarray:
-    r = np.asarray(rows, dtype=np.int16)
-    return np.concatenate([-r[:, ::-1], r], axis=1)
+    """Long one-line notation, transposed: row t holds position -n..-1, 1..n.
+
+    One column per element.  Accepts an array or a sequence of right parts
+    and keeps their dtype.
+    """
+    right = np.asarray(rows)
+    n = right.shape[1]
+    long = np.empty((2 * n, len(right)), dtype=right.dtype)
+    long[n:] = right.T
+    np.negative(long[n:][::-1], out=long[:n])
+    return long
 
 
 @lru_cache(maxsize=None)
@@ -313,35 +321,48 @@ def _scan_plan(alpha: Composition):
 
 
 def aligned_mask(alpha: Composition, rows) -> np.ndarray:
-    """Boolean mask over right-part rows: True where the element avoids 231 patterns."""
+    """Boolean mask over right-part rows: True where the element avoids 231 patterns.
+
+    ``rows`` is a (m, n) integer array or a sequence of right parts.  For each
+    outer pair (i, k) of the scan plan, the cover test pi(i) = succ(pi(k)) is
+    evaluated on every row; the middle-entry max/min is then evaluated only on
+    the covered rows, gathered into a smaller array.
+    """
     long = _long_array(rows)
-    viol = np.zeros(len(long), dtype=bool)
+    succ = long + 1
+    succ[long == -1] = 1
+    viol = np.zeros(long.shape[1], dtype=bool)
     for ii, kk, js_low, js_high in _scan_plan(alpha):
-        vk = long[:, kk]
-        cov = long[:, ii] == np.where(vk == -1, 1, vk + 1)
-        if not cov.any():
+        hit = np.flatnonzero(long[ii] == succ[kk])
+        if not len(hit):
             continue
-        cond = np.zeros(len(long), dtype=bool)
+        sub = np.take(long, hit, axis=1)
+        cond = np.zeros(len(hit), dtype=bool)
         if js_high:
-            cond |= long[:, list(js_high)].max(axis=1) > long[:, ii]
+            cond |= sub[list(js_high)].max(axis=0) > sub[ii]
         if js_low:
-            cond |= long[:, list(js_low)].min(axis=1) < vk
-        viol |= cov & cond
+            cond |= sub[list(js_low)].min(axis=0) < sub[kk]
+        viol[hit[cond]] = True
     return ~viol
 
 
 def cover_counts(rows) -> np.ndarray:
-    """Number of cover inversions for each right-part row."""
-    long = _long_array(rows)
-    m, width = long.shape
-    n = width // 2
-    positions = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)]).astype(np.int16)
-    pos_of_value = np.zeros((m, 2 * n + 1), dtype=np.int16)
-    pos_of_value[np.arange(m)[:, None], long + n] = positions[None, :]
-    counts = np.zeros(m, dtype=np.int64)
-    for v in itertools.chain([-1], range(1, n)):
-        w = 1 if v == -1 else v + 1
-        counts += pos_of_value[:, w + n] < pos_of_value[:, v + n]
+    """Number of cover inversions for each right-part row.
+
+    These are the values v in {-1, 1, ..., n - 1} whose successor (1 after -1,
+    v + 1 otherwise) sits left of v in long one-line notation.
+    """
+    right = np.asarray(rows)
+    m, n = right.shape
+    # pos[x - 1] is the signed position of the value x: j where x sits at
+    # position j, -j where -x does.
+    pos = np.empty((n, m), dtype=right.dtype)
+    cols = np.arange(m)
+    for j in range(n):
+        col = right[:, j]
+        pos[np.abs(col) - 1, cols] = np.sign(col) * (j + 1)
+    counts = (pos[0] < 0).astype(np.int64)
+    counts += (pos[1:] < pos[:-1]).sum(axis=0)
     return counts
 
 
@@ -355,5 +376,4 @@ def enumerate_aligned(
 ) -> list[SignedPermutation]:
     """Members of the quotient avoiding 231 patterns, in right-part order."""
     rows = quotient_rows(alpha, cap)
-    mask = aligned_mask(alpha, rows)
-    return [SignedPermutation(r) for r, keep in zip(rows, mask) if keep]
+    return [SignedPermutation(r) for r in rows[aligned_mask(alpha, rows)].tolist()]

@@ -32,6 +32,7 @@ from .signed_perm import SignedPermutation
 from .tamari import build_tamari, verify_theorems
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
+FORMATS = ["text", "json", "csv"]
 
 
 def _alpha_values(args) -> list[Composition]:
@@ -189,23 +190,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cap", type=int, default=None, help="enumeration cap")
     parser.add_argument("--threads", default=1, help="worker count or 'auto'")
-    parser.add_argument(
-        "--format", choices=["text", "json", "csv"], default="text"
-    )
+    parser.add_argument("--format", choices=FORMATS, default="text")
     parser.add_argument(
         "--debug-crosschecks",
         action="store_true",
         help="recompute key objects a second way and assert agreement",
     )
+    # --format is accepted after the subcommand too; there it overrides the
+    # top-level value, and when absent it leaves that value (and default) alone.
+    late_format = argparse.ArgumentParser(add_help=False)
+    late_format.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="list quotient members")
+    p = sub.add_parser("enumerate", parents=[late_format], help="list quotient members")
     p.add_argument("--alpha")
     p.add_argument("--batch", help="file with one composition per line")
     p.add_argument("--aligned", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("project", help="project onto pattern-avoiding representatives")
+    p = sub.add_parser(
+        "project",
+        parents=[late_format],
+        help="project onto pattern-avoiding representatives",
+    )
     p.add_argument("--alpha", required=True)
     p.add_argument("--perm")
     p.add_argument("--dir", choices=["down", "up"])
@@ -214,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("lattice", help="verify or export a Tamari lattice")
+    p = sub.add_parser(
+        "lattice", parents=[late_format], help="verify or export a Tamari lattice"
+    )
     p.add_argument("--alpha")
     p.add_argument("--batch")
     p.add_argument("--check", help="'all' or comma-separated check names")
@@ -222,16 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path stem for exports")
     p.set_defaults(func=_cmd_lattice)
 
-    p = sub.add_parser("sequence", help="aligned-count totals per degree")
+    p = sub.add_parser(
+        "sequence", parents=[late_format], help="aligned-count totals per degree"
+    )
     p.add_argument("--max-n", type=int, required=True)
     p.set_defaults(func=_cmd_sequence)
 
-    p = sub.add_parser("cover-enum", help="cover enumerator polynomial")
+    p = sub.add_parser(
+        "cover-enum", parents=[late_format], help="cover enumerator polynomial"
+    )
     p.add_argument("--alpha")
     p.add_argument("--batch")
     p.set_defaults(func=_cmd_cover_enum)
 
-    p = sub.add_parser("conjecture", help="compare counts against closed forms")
+    p = sub.add_parser(
+        "conjecture", parents=[late_format], help="compare counts against closed forms"
+    )
     p.add_argument("--t", type=int)
     p.add_argument("--type-d", action="store_true")
     p.add_argument("--min-n", type=int, default=1)

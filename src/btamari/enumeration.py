@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from multiprocessing import Pool
+from multiprocessing import get_context
+
+import numpy as np
 
 from .alignment import aligned_mask, cover_counts, count_aligned
 from .config import resolve_cap
@@ -51,10 +53,7 @@ def cover_enumerator(alpha: Composition, cap: int | None = None) -> Polynomial:
     rows = quotient_rows(alpha, cap, sort=False)
     mask = aligned_mask(alpha, rows)
     counts = cover_counts(rows)[mask]
-    coeffs = [0] * (int(counts.max()) + 1 if len(counts) else 1)
-    for c in counts:
-        coeffs[int(c)] += 1
-    return Polynomial(tuple(coeffs))
+    return Polynomial(tuple(np.bincount(counts, minlength=1).tolist()))
 
 
 def narayana_polynomial(n: int) -> Polynomial:
@@ -81,16 +80,14 @@ def t_sequence(
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     cap = resolve_cap(cap)
-    out = []
-    for n in range(1, max_n + 1):
-        compositions = all_compositions(n)
-        if threads > 1:
-            with Pool(min(threads, len(compositions))) as pool:
-                counts = pool.map(_count_for, [(a, cap) for a in compositions])
-        else:
-            counts = [count_aligned(a, cap) for a in compositions]
-        out.append(sum(counts))
-    return out
+    degrees = [all_compositions(n) for n in range(1, max_n + 1)]
+    if threads <= 1:
+        return [sum(count_aligned(a, cap) for a in comps) for comps in degrees]
+    # One pool serves every degree; no degree has more compositions than the last.
+    with get_context("spawn").Pool(min(threads, len(degrees[-1]))) as pool:
+        return [
+            sum(pool.map(_count_for, [(a, cap) for a in comps])) for comps in degrees
+        ]
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,15 @@ class CompositionError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration would produce more elements than the configured cap."""
+    """An enumeration would produce more elements than the configured cap.
 
-    def __init__(self, required: int, cap: int):
-        super().__init__(f"enumeration needs {required} elements, cap is {cap}")
+    A refused dense table raises it too, with its own message.
+    """
+
+    def __init__(self, required: int, cap: int, message: str | None = None):
+        super().__init__(
+            message or f"enumeration needs {required} elements, cap is {cap}"
+        )
         self.required = required
         self.cap = cap
 

@@ -18,8 +18,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, factorial
+
+import numpy as np
 
 from . import config
 from .config import resolve_cap
@@ -160,54 +162,94 @@ def quotient_size(alpha: Composition) -> int:
     return size << (n - (alpha.first_part if alpha.join else 0))
 
 
-def _ordered_partitions(values: tuple[int, ...], sizes: tuple[int, ...]):
-    """Ordered set partitions of ``values`` into blocks of the given sizes."""
-    if not sizes:
-        yield ()
-        return
-    head, *rest = sizes
-    for block in itertools.combinations(values, head):
-        taken = set(block)
-        remaining = tuple(v for v in values if v not in taken)
-        for tail in _ordered_partitions(remaining, tuple(rest)):
-            yield (block,) + tail
+@lru_cache(maxsize=None)
+def _split_slots(free: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every way to take p of ``free`` sorted slots: taken and left slots, by row."""
+    taken = np.array(
+        list(itertools.combinations(range(free), p)), dtype=np.intp
+    ).reshape(-1, p)
+    keep = np.ones((len(taken), free), dtype=bool)
+    keep[np.arange(len(taken))[:, None], taken] = False
+    left = np.nonzero(keep)[1].reshape(len(taken), free - p)
+    return taken, left
 
 
-def _signed_sorted_variants(block: tuple[int, ...], allow_negative: bool):
-    if not allow_negative:
-        yield block
-        return
-    m = len(block)
-    for mask in range(1 << m):
-        yield tuple(
-            sorted(-v if mask >> t & 1 else v for t, v in enumerate(block))
-        )
+@lru_cache(maxsize=None)
+def _sign_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots and signs that sort each signing of an ascending positive block.
+
+    Row ``mask`` negates the slots whose bit is set: the negated values come
+    first by decreasing absolute value, then the others in increasing order.
+    """
+    slot = np.arange(p)
+    negated = (np.arange(1 << p)[:, None] >> slot & 1).astype(bool)
+    slots = np.argsort(np.where(negated, -1 - slot, slot), axis=1)
+    signs = np.where(np.take_along_axis(negated, slots, axis=1), -1, 1)
+    return slots, signs.astype(np.int8)
 
 
-def quotient_rows(alpha: Composition, cap: int | None = None, sort: bool = True):
-    """Right parts of all quotient members, generated blockwise."""
+def _table(build, size: int, *key):
+    """``build(*key)``, taken from its cache when the table has at most 256 rows.
+
+    A larger table costs little next to the rows it indexes, and caching it
+    would hold its memory for the life of the process, so it is rebuilt.
+    """
+    return build(*key) if size <= 256 else build.__wrapped__(*key)
+
+
+def quotient_rows(
+    alpha: Composition, cap: int | None = None, sort: bool = True
+) -> np.ndarray:
+    """Right parts of all quotient members, as a (quotient_size, n) integer array.
+
+    The cap is checked before anything is allocated.  The dtype is int8, or
+    int16 when n + 1 does not fit in int8.  Rows are built by broadcasting,
+    block by block: first the ordered set partitions of 1..n into the blocks,
+    each block ascending, then the signings of every block that may carry
+    signs, each re-sorted through a per-size table.
+
+    With ``sort=True`` the rows are in lexicographic order, the order of the
+    members' right-part tuples.  With ``sort=False`` they come in build order:
+    the set partitions lexicographically by the first block's values, then
+    the second block's and so on; within one partition, by the sign masks of
+    the blocks (first block slowest), bit t of a block's mask negating its
+    t-th smallest value.
+    """
     size = quotient_size(alpha)
     cap = resolve_cap(cap)
     if size > cap:
         raise CapExceededError(size, cap)
     n = alpha.n
-    rows = []
-    for blocks in _ordered_partitions(tuple(range(1, n + 1)), alpha.parts):
-        variant_lists = [
-            list(_signed_sorted_variants(block, alpha.split or idx > 0))
-            for idx, block in enumerate(blocks)
-        ]
-        for combo in itertools.product(*variant_lists):
-            rows.append(tuple(itertools.chain.from_iterable(combo)))
+    dtype = np.int8 if n + 1 <= np.iinfo(np.int8).max else np.int16
+    rows = np.empty((1, 0), dtype=dtype)
+    free = np.arange(1, n + 1, dtype=dtype)[None, :]
+    for p in alpha.parts:
+        width = free.shape[1]
+        taken, left = _table(_split_slots, comb(width, p), width, p)
+        rows = np.concatenate(
+            [np.repeat(rows, len(taken), axis=0), free[:, taken].reshape(-1, p)],
+            axis=1,
+        )
+        free = free[:, left].reshape(len(rows), width - p)
+    for b, p in enumerate(alpha.parts):
+        if alpha.join and b == 0:
+            continue
+        lo, hi = alpha.prefix[b], alpha.prefix[b + 1]
+        slots, signs = _table(_sign_table, 1 << p, p)
+        widened = np.repeat(rows, len(slots), axis=0)
+        widened.reshape(len(rows), len(slots), n)[:, :, lo:hi] = (
+            rows[:, lo:hi][:, slots] * signs
+        )
+        rows = widened
     if sort:
-        rows.sort()
+        rows = rows[np.lexsort(rows.T[::-1])]
     return rows
 
 
 def enumerate_quotient(
     alpha: Composition, cap: int | None = None
 ) -> list[SignedPermutation]:
-    return [SignedPermutation(r) for r in quotient_rows(alpha, cap)]
+    return [SignedPermutation(r) for r in quotient_rows(alpha, cap).tolist()]
 
 
 def enumerate_quotient_by_filter(alpha: Composition) -> list[SignedPermutation]:

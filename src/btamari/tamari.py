@@ -30,6 +30,7 @@ from .parabolic import (
     enumerate_quotient,
     longest_element,
     parabolic_length,
+    quotient_size,
 )
 from .projection import theta_classes
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
@@ -48,14 +49,23 @@ class TamariLattice:
     provenance: str
 
 
+def _check_table_bound(m: int):
+    """Refuse an m x m table above TABLE_THRESHOLD elements on a side."""
+    if m > TABLE_THRESHOLD:
+        raise CapExceededError(
+            m,
+            TABLE_THRESHOLD,
+            f"weak-order table needs {m} elements, bound is {TABLE_THRESHOLD}",
+        )
+
+
 def _weak_leq_matrix(members: list[SignedPermutation]) -> np.ndarray:
     """Containment matrix of inversion sets, chunked to keep temporaries small.
 
     Raises CapExceededError before allocating when the m x m matrix would
     exceed TABLE_THRESHOLD elements on a side.
     """
-    if len(members) > TABLE_THRESHOLD:
-        raise CapExceededError(len(members), TABLE_THRESHOLD)
+    _check_table_bound(len(members))
     universe = {t: idx for idx, t in enumerate(sorted(
         set().union(*(pi.inversion_set() for pi in members))
     ))}
@@ -73,7 +83,11 @@ def _weak_leq_matrix(members: list[SignedPermutation]) -> np.ndarray:
 
 
 def weak_order_lattice(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
-    """The weak order on the full parabolic quotient, as a lattice."""
+    """The weak order on the full parabolic quotient, as a lattice.
+
+    The table bound is checked on the quotient size before enumerating.
+    """
+    _check_table_bound(quotient_size(alpha))
     members = enumerate_quotient(alpha, cap)
     poset = lat.FinitePoset(members, _weak_leq_matrix(members))
     return lat.try_lattice(poset)

@@ -17,7 +17,13 @@ from btamari.alignment import (
     is_aligned_root,
     root_vector,
 )
-from btamari.parabolic import Composition, enumerate_quotient, inversion_order
+from btamari.parabolic import (
+    Composition,
+    all_compositions,
+    enumerate_quotient,
+    inversion_order,
+    quotient_rows,
+)
 from btamari.signed_perm import Reflection, SignedPermutation
 
 from conftest import compositions, perm
@@ -168,6 +174,37 @@ class TestEnumerateAligned:
                     if is_aligned(alpha, pi)
                 ]
                 assert by_mask == by_scalar
+
+
+class TestBatchInputs:
+    def test_tuples_and_array_agree(self):
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                rows = quotient_rows(alpha, sort=False)
+                tuples = [tuple(r) for r in rows.tolist()]
+                assert np.array_equal(
+                    aligned_mask(alpha, rows), aligned_mask(alpha, tuples)
+                )
+                assert np.array_equal(cover_counts(rows), cover_counts(tuples))
+
+    @pytest.mark.parametrize("parts", [(125, 1), (126, 1)])
+    def test_large_degree_rows(self, parts):
+        # The widest int8 rows (n = 126) and the narrowest int16 ones (n = 127):
+        # no successor or index arithmetic may wrap.
+        alpha = Composition(parts)
+        rows = quotient_rows(alpha)
+        members = enumerate_quotient(alpha)
+        counts = cover_counts(rows)
+        mask = aligned_mask(alpha, rows)
+        assert [len(pi.cover_inversions()) for pi in members] == counts.tolist()
+        for pi, keep in list(zip(members, mask))[::25]:
+            assert is_aligned(alpha, pi) == bool(keep)
+
+    def test_members_hold_python_ints(self):
+        for alpha in (Composition.parse("0,2,1"), Composition.parse("2,1,1")):
+            for members in (enumerate_quotient(alpha), enumerate_aligned(alpha)):
+                assert members
+                assert all(type(v) is int for pi in members for v in pi.right)
 
 
 class TestCoverCounts:

@@ -160,6 +160,19 @@ class TestLattice:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+    def test_table_bound_message_without_enumerating(self, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("enumerate_quotient called")
+
+        monkeypatch.setattr(tamari, "enumerate_quotient", not_called)
+        code, out, err = run(
+            capsys, "lattice", "--alpha", "0,1,1,1,1,1,1,1", "--check", "all"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: weak-order table needs 645120 elements, bound is 20000\n"
+
+
 class TestCheckFailures:
     @pytest.mark.parametrize(
         "exc",
@@ -197,6 +210,17 @@ class TestTables:
     def test_cover_enum_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "cover-enum", "--alpha", "0,1")
         assert out.strip() == "0,1,2,1,1"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["cover-enum", "--alpha", "0,1,2"], ["sequence", "--max-n", "3"]],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_format_before_or_after_subcommand(self, capsys, command, fmt):
+        before = run(capsys, "--format", fmt, *command)
+        after = run(capsys, *command, "--format", fmt)
+        assert before[0] == after[0] == 0
+        assert before[1] == after[1] != ""
 
     def test_conjecture_match(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--t", "1", "--max-n", "4")

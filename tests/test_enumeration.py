@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from btamari.alignment import aligned_mask, cover_counts
 from btamari.enumeration import (
     Polynomial,
     check_conjecture_t,
@@ -12,7 +13,7 @@ from btamari.enumeration import (
     type_d_catalan,
 )
 from btamari.errors import CapExceededError, CompositionError
-from btamari.parabolic import Composition, all_compositions
+from btamari.parabolic import Composition, all_compositions, quotient_rows
 
 
 class TestPolynomial:
@@ -34,6 +35,18 @@ class TestCoverEnumerator:
         assert cover_enumerator(Composition((1, 1, 1), split=True)) == Polynomial(
             (1, 9, 9, 1)
         )
+
+    def test_histogram_matches_loop(self, all_small_compositions):
+        for n in (1, 2, 3, 4):
+            for alpha in all_small_compositions[n]:
+                rows = quotient_rows(alpha, sort=False)
+                counts = cover_counts(rows)[aligned_mask(alpha, rows)]
+                coeffs = [0] * (int(counts.max()) + 1)
+                for c in counts:
+                    coeffs[int(c)] += 1
+                poly = cover_enumerator(alpha)
+                assert poly.coefficients == tuple(coeffs)
+                assert all(type(c) is int for c in poly.coefficients)
 
     def test_narayana_match(self):
         for n in range(1, 6):
@@ -77,7 +90,7 @@ class TestSequence:
             t_sequence(0)
 
     def test_threads_do_not_change_output(self):
-        assert t_sequence(3, threads=2) == t_sequence(3, threads=1)
+        assert t_sequence(5, threads=2) == t_sequence(5, threads=1)
 
 
 class TestConjectures:

@@ -1,5 +1,7 @@
+from collections import Counter
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -16,6 +18,7 @@ from btamari.parabolic import (
     is_member,
     longest_element,
     parabolic_length,
+    quotient_rows,
     quotient_size,
     skew_shape,
     sorting_word_longest,
@@ -149,6 +152,56 @@ class TestEnumeration:
                                 new.append(nxt)
                     frontier = new
                 assert quotient_size(alpha) * len(seen) == (1 << n) * factorial(n)
+
+
+class TestQuotientRows:
+    def test_integer_array_of_quotient_size(self):
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                rows = quotient_rows(alpha)
+                assert isinstance(rows, np.ndarray)
+                assert rows.dtype == np.int8
+                assert rows.shape == (quotient_size(alpha), n)
+
+    def test_sorted_rows_match_filter_oracle(self):
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                rows = [tuple(r) for r in quotient_rows(alpha).tolist()]
+                assert rows == [pi.right for pi in enumerate_quotient_by_filter(alpha)]
+
+    def test_unsorted_rows_same_multiset(self):
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                rows = quotient_rows(alpha, sort=False).tolist()
+                unsorted = Counter(map(tuple, rows))
+                assert unsorted == Counter(map(tuple, quotient_rows(alpha).tolist()))
+
+    def test_cap_one_below_size(self):
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                size = quotient_size(alpha)
+                if size < 2:
+                    continue
+                with pytest.raises(CapExceededError) as info:
+                    quotient_rows(alpha, cap=size - 1)
+                assert (info.value.required, info.value.cap) == (size, size - 1)
+
+    @pytest.mark.parametrize("text", ["0,9", "7,5"])
+    def test_uncached_index_tables(self, text):
+        # 512 sign masks, and C(12, 7) = 792 slot choices: tables too big to cache.
+        alpha = Composition.parse(text)
+        members = enumerate_quotient(alpha)
+        rights = [pi.right for pi in members]
+        assert len(set(rights)) == len(rights) == quotient_size(alpha)
+        assert rights == sorted(rights)
+        assert all(is_member(alpha, pi) for pi in members)
+
+    def test_wider_dtype_past_int8(self):
+        # n + 1 must fit: int8 up to n = 126, int16 from n = 127.
+        for n, dtype in ((126, np.int8), (127, np.int16)):
+            rows = quotient_rows(Composition((n,)))
+            assert rows.dtype == dtype
+            assert rows.tolist() == [list(range(1, n + 1))]
 
 
 class TestLongestElement:

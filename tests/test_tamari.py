@@ -241,6 +241,17 @@ class TestWeakOrderLattice:
         assert weak_order_lattice(Composition((1, 1), split=True)).n == 8
         assert weak_order_lattice(Composition.parse("1,2")).n == 12
 
+    def test_refused_before_enumerating(self, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("enumerate_quotient called")
+
+        monkeypatch.setattr(tamari, "enumerate_quotient", not_called)
+        with pytest.raises(CapExceededError) as info:
+            weak_order_lattice(Composition.parse("0,1,1,1,1,1,1,1"))
+        assert str(info.value) == (
+            "weak-order table needs 645120 elements, bound is 20000"
+        )
+
     def test_refused_above_table_bound_before_allocating(self, monkeypatch):
         monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 4)
         # any numpy call in tamari would fail with AttributeError instead
