@@ -26,6 +26,7 @@ from .errors import (
     NotALatticeError,
     NotAPartialOrderError,
     NotAPermutationError,
+    TableBoundError,
 )
 from .parabolic import (
     Composition,

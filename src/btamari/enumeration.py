@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from multiprocessing import get_context
+from multiprocessing import Pool
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def t_sequence(
     if threads <= 1:
         return [sum(count_aligned(a, cap) for a in comps) for comps in degrees]
     # One pool serves every degree; no degree has more compositions than the last.
-    with get_context("spawn").Pool(min(threads, len(degrees[-1]))) as pool:
+    with Pool(min(threads, len(degrees[-1]))) as pool:
         return [
             sum(pool.map(_count_for, [(a, cap) for a in comps])) for comps in degrees
         ]

@@ -12,17 +12,24 @@ class CompositionError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration would produce more elements than the configured cap.
+    """An enumeration would produce more elements than the configured cap."""
 
-    A refused dense table raises it too, with its own message.
-    """
-
-    def __init__(self, required: int, cap: int, message: str | None = None):
-        super().__init__(
-            message or f"enumeration needs {required} elements, cap is {cap}"
-        )
+    def __init__(self, required: int, cap: int):
+        super().__init__(self._message(required, cap))
         self.required = required
         self.cap = cap
+
+    @staticmethod
+    def _message(required: int, cap: int) -> str:
+        return f"enumeration needs {required} elements, cap is {cap}"
+
+
+class TableBoundError(CapExceededError):
+    """A dense m x m table would exceed the table bound, held in ``cap``."""
+
+    @staticmethod
+    def _message(required: int, cap: int) -> str:
+        return f"weak-order table needs {required} elements, bound is {cap}"
 
 
 class NotAPartialOrderError(ValueError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, factorial
 
 import numpy as np
@@ -162,7 +162,6 @@ def quotient_size(alpha: Composition) -> int:
     return size << (n - (alpha.first_part if alpha.join else 0))
 
 
-@lru_cache(maxsize=None)
 def _split_slots(free: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Every way to take p of ``free`` sorted slots: taken and left slots, by row."""
     taken = np.array(
@@ -174,7 +173,6 @@ def _split_slots(free: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return taken, left
 
 
-@lru_cache(maxsize=None)
 def _sign_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots and signs that sort each signing of an ascending positive block.
 
@@ -186,15 +184,6 @@ def _sign_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     slots = np.argsort(np.where(negated, -1 - slot, slot), axis=1)
     signs = np.where(np.take_along_axis(negated, slots, axis=1), -1, 1)
     return slots, signs.astype(np.int8)
-
-
-def _table(build, size: int, *key):
-    """``build(*key)``, taken from its cache when the table has at most 256 rows.
-
-    A larger table costs little next to the rows it indexes, and caching it
-    would hold its memory for the life of the process, so it is rebuilt.
-    """
-    return build(*key) if size <= 256 else build.__wrapped__(*key)
 
 
 def quotient_rows(
@@ -225,7 +214,7 @@ def quotient_rows(
     free = np.arange(1, n + 1, dtype=dtype)[None, :]
     for p in alpha.parts:
         width = free.shape[1]
-        taken, left = _table(_split_slots, comb(width, p), width, p)
+        taken, left = _split_slots(width, p)
         rows = np.concatenate(
             [np.repeat(rows, len(taken), axis=0), free[:, taken].reshape(-1, p)],
             axis=1,
@@ -235,7 +224,7 @@ def quotient_rows(
         if alpha.join and b == 0:
             continue
         lo, hi = alpha.prefix[b], alpha.prefix[b + 1]
-        slots, signs = _table(_sign_table, 1 << p, p)
+        slots, signs = _sign_table(p)
         widened = np.repeat(rows, len(slots), axis=0)
         widened.reshape(len(rows), len(slots), n)[:, :, lo:hi] = (
             rows[:, lo:hi][:, slots] * signs

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lattice as lat
 from .alignment import enumerate_aligned
-from .errors import CapExceededError, NotACongruenceError
+from .errors import NotACongruenceError, TableBoundError
 from .parabolic import (
     Composition,
     InversionTableau,
@@ -52,17 +52,13 @@ class TamariLattice:
 def _check_table_bound(m: int):
     """Refuse an m x m table above TABLE_THRESHOLD elements on a side."""
     if m > TABLE_THRESHOLD:
-        raise CapExceededError(
-            m,
-            TABLE_THRESHOLD,
-            f"weak-order table needs {m} elements, bound is {TABLE_THRESHOLD}",
-        )
+        raise TableBoundError(m, TABLE_THRESHOLD)
 
 
 def _weak_leq_matrix(members: list[SignedPermutation]) -> np.ndarray:
     """Containment matrix of inversion sets, chunked to keep temporaries small.
 
-    Raises CapExceededError before allocating when the m x m matrix would
+    Raises TableBoundError before allocating when the m x m matrix would
     exceed TABLE_THRESHOLD elements on a side.
     """
     _check_table_bound(len(members))

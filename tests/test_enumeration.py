@@ -1,6 +1,13 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
+
+import btamari
 
 from btamari.alignment import aligned_mask, cover_counts
 from btamari.enumeration import (
@@ -91,6 +98,28 @@ class TestSequence:
 
     def test_threads_do_not_change_output(self):
         assert t_sequence(5, threads=2) == t_sequence(5, threads=1)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers run a script without a __main__ guard",
+    )
+    def test_threads_from_script_without_main_guard(self, tmp_path):
+        script = tmp_path / "seq.py"
+        script.write_text(
+            "from btamari.enumeration import t_sequence\n"
+            "print(t_sequence(3, threads=2))\n",
+            encoding="utf-8",
+        )
+        src = str(Path(btamari.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[3, 15, 91]\n"
 
 
 class TestConjectures:

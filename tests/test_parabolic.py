@@ -184,11 +184,12 @@ class TestQuotientRows:
                     continue
                 with pytest.raises(CapExceededError) as info:
                     quotient_rows(alpha, cap=size - 1)
+                assert type(info.value) is CapExceededError
                 assert (info.value.required, info.value.cap) == (size, size - 1)
 
     @pytest.mark.parametrize("text", ["0,9", "7,5"])
-    def test_uncached_index_tables(self, text):
-        # 512 sign masks, and C(12, 7) = 792 slot choices: tables too big to cache.
+    def test_large_index_tables(self, text):
+        # 512 sign masks, and C(12, 7) = 792 slot choices.
         alpha = Composition.parse(text)
         members = enumerate_quotient(alpha)
         rights = [pi.right for pi in members]

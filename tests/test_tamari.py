@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from btamari import lattice, tamari
-from btamari.errors import CapExceededError
+from btamari.errors import CapExceededError, TableBoundError
 from btamari.lattice import join_irreducibles, length
 from btamari.parabolic import (
     Composition,
@@ -246,11 +246,12 @@ class TestWeakOrderLattice:
             raise AssertionError("enumerate_quotient called")
 
         monkeypatch.setattr(tamari, "enumerate_quotient", not_called)
-        with pytest.raises(CapExceededError) as info:
+        with pytest.raises(TableBoundError) as info:
             weak_order_lattice(Composition.parse("0,1,1,1,1,1,1,1"))
         assert str(info.value) == (
             "weak-order table needs 645120 elements, bound is 20000"
         )
+        assert (info.value.required, info.value.cap) == (645120, 20000)
 
     def test_refused_above_table_bound_before_allocating(self, monkeypatch):
         monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 4)
