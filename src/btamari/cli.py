@@ -188,21 +188,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="btamari",
         description="Type-B parabolic quotients, aligned elements, and Tamari lattices",
     )
-    parser.add_argument("--cap", type=int, default=None, help="enumeration cap")
-    parser.add_argument("--threads", default=1, help="worker count or 'auto'")
-    parser.add_argument("--format", choices=FORMATS, default="text")
-    parser.add_argument(
-        "--debug-crosschecks",
-        action="store_true",
-        help="recompute key objects a second way and assert agreement",
-    )
-    # --format is accepted after the subcommand too; there it overrides the
-    # top-level value, and when absent it leaves that value (and default) alone.
-    late_format = argparse.ArgumentParser(add_help=False)
-    late_format.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
+    # Global flags are accepted after the subcommand too; there they override
+    # the top-level value, and when absent they leave that value (and default)
+    # alone.
+    late = argparse.ArgumentParser(add_help=False)
+    for flag, options in (
+        ("--cap", dict(type=int, default=None, help="enumeration cap")),
+        ("--threads", dict(default=1, help="worker count or 'auto'")),
+        ("--format", dict(choices=FORMATS, default="text")),
+        (
+            "--debug-crosschecks",
+            dict(
+                action="store_true",
+                default=False,
+                help="recompute key objects a second way and assert agreement",
+            ),
+        ),
+    ):
+        parser.add_argument(flag, **options)
+        late.add_argument(flag, **{**options, "default": argparse.SUPPRESS})
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[late_format], help="list quotient members")
+    p = sub.add_parser("enumerate", parents=[late], help="list quotient members")
     p.add_argument("--alpha")
     p.add_argument("--batch", help="file with one composition per line")
     p.add_argument("--aligned", action="store_true")
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "project",
-        parents=[late_format],
+        parents=[late],
         help="project onto pattern-avoiding representatives",
     )
     p.add_argument("--alpha", required=True)
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser(
-        "lattice", parents=[late_format], help="verify or export a Tamari lattice"
+        "lattice", parents=[late], help="verify or export a Tamari lattice"
     )
     p.add_argument("--alpha")
     p.add_argument("--batch")
@@ -232,20 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser(
-        "sequence", parents=[late_format], help="aligned-count totals per degree"
+        "sequence", parents=[late], help="aligned-count totals per degree"
     )
     p.add_argument("--max-n", type=int, required=True)
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser(
-        "cover-enum", parents=[late_format], help="cover enumerator polynomial"
+        "cover-enum", parents=[late], help="cover enumerator polynomial"
     )
     p.add_argument("--alpha")
     p.add_argument("--batch")
     p.set_defaults(func=_cmd_cover_enum)
 
     p = sub.add_parser(
-        "conjecture", parents=[late_format], help="compare counts against closed forms"
+        "conjecture", parents=[late], help="compare counts against closed forms"
     )
     p.add_argument("--t", type=int)
     p.add_argument("--type-d", action="store_true")

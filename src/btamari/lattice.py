@@ -1,9 +1,10 @@
 """Finite poset and lattice toolkit.
 
 Posets store a boolean order matrix plus opaque element labels; lattices add
-meet and join tables.  On top of that sit the structural checks used by the
-verification harness: irreducibles, length, semidistributivity, principal
-congruences and congruence uniformity, congruence verification, quotients,
+meet and join tables, both built by one bit-packed join kernel.  On top of that
+sit the structural checks used by the verification harness: irreducibles,
+length, semidistributivity, principal congruences, congruence uniformity (by
+Day's join-dependency criterion), congruence verification, quotients,
 extremality, left modularity and trimness, plus JSON and DOT exports.
 """
 
@@ -57,7 +58,7 @@ class FinitePoset:
         if sym.any():
             a, b = map(int, np.argwhere(sym)[0])
             raise NotAPartialOrderError("relation is not antisymmetric", (a, b))
-        closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+        closure = leq @ leq
         gaps = closure & ~leq
         if gaps.any():
             a, c = map(int, np.argwhere(gaps)[0])
@@ -68,8 +69,9 @@ class FinitePoset:
     def covers(self) -> np.ndarray:
         """covers[a, b] is True when b covers a."""
         lt = self.leq & ~np.eye(self.n, dtype=bool)
-        via = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-        return lt & ~via
+        # float32 counts paths exactly (below 2**24 elements) and runs on BLAS.
+        paths = lt.astype(np.float32)
+        return lt & ~((paths @ paths) > 0)
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         return [tuple(map(int, ab)) for ab in np.argwhere(self.covers)]
@@ -135,31 +137,53 @@ class FiniteLattice:
         return FiniteLattice(dual_poset, self._join, self._meet)
 
 
+# Each block of the join kernel keeps its temporaries near this many bytes.
+_JOIN_BLOCK_BYTES = 2**18
+# Leading zero bits of each byte; 0 for an empty byte, whose candidate then fails.
+_LEADING_ZEROS = np.array([(8 - v.bit_length()) % 8 for v in range(256)], dtype=np.intp)
+
+
+def _join_kernel(leq: np.ndarray, order: np.ndarray):
+    """Join table of ``leq``, or None and the first pair, row-major, with no join.
+
+    Up-sets are bit rows over the linear extension ``order``, so the join of a
+    and b is the first set bit of up[a] & up[b] when its own row equals the AND.
+    """
+    m = len(order)
+    bits = np.pad(leq[:, order], ((0, 0), (0, -m % 64)))
+    up = np.ascontiguousarray(np.packbits(bits, axis=1)).view(np.uint64)
+    table = np.empty((m, m), dtype=np.int32)
+    step = max(1, _JOIN_BLOCK_BYTES // (up.nbytes + 1))
+    for lo in range(0, m, step):
+        common = up[lo:lo + step, None, :] & up[None, :, :]
+        word = (common != 0).argmax(axis=2)
+        first = np.take_along_axis(common, word[..., None], axis=2).view(np.uint8)
+        byte = (first != 0).argmax(axis=2)
+        bit = _LEADING_ZEROS[np.take_along_axis(first, byte[..., None], axis=2)[..., 0]]
+        cand = order[64 * word + 8 * byte + bit]
+        bad = (up[cand] != common).any(axis=2)
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            return None, (lo + int(a), int(b))
+        table[lo:lo + step] = cand
+    return table, None
+
+
 def try_lattice(poset: FinitePoset) -> FiniteLattice:
-    """Build meet and join tables, or raise NotALatticeError with a witness pair."""
-    m = poset.n
-    leq = poset.leq
-    up_sizes = leq.sum(axis=1)
-    down_sizes = leq.sum(axis=0)
-    join = np.empty((m, m), dtype=np.int32)
-    meet = np.empty((m, m), dtype=np.int32)
-    for a in range(m):
-        # common_up[b, x]: a <= x and b <= x
-        common_up = leq[a][None, :] & leq
-        cand = np.where(common_up, up_sizes[None, :], -1).argmax(axis=1)
-        ok = (leq[cand] == common_up).all(axis=1)
-        if not ok.all():
-            b = int(np.flatnonzero(~ok)[0])
-            raise NotALatticeError((a, b), "no-lub")
-        join[a] = cand
-        # common_down[x, b]: x <= a and x <= b
-        common_down = leq[:, a][:, None] & leq
-        cand_m = np.where(common_down, down_sizes[:, None], -1).argmax(axis=0)
-        ok_m = (leq[:, cand_m] == common_down).all(axis=0)
-        if not ok_m.all():
-            b = int(np.flatnonzero(~ok_m)[0])
-            raise NotALatticeError((a, b), "no-glb")
-        meet[a] = cand_m
+    """Build meet and join tables, or raise NotALatticeError with a witness pair.
+
+    Meets are joins of the dual order.  The witness has the smallest failing
+    element first, joins before meets, then its smallest partner.
+    """
+    # x < y makes up(x) larger than up(y): larger up-sets first is a linear
+    # extension, and its reverse extends the dual.
+    order = np.argsort(-poset.leq.sum(axis=1), kind="stable")
+    join, no_lub = _join_kernel(poset.leq, order)
+    meet, no_glb = _join_kernel(poset.leq.T, order[::-1])
+    if no_lub and not (no_glb and no_glb[0] < no_lub[0]):
+        raise NotALatticeError(no_lub, "no-lub")
+    if no_glb:
+        raise NotALatticeError(no_glb, "no-glb")
     return FiniteLattice(poset, meet, join)
 
 
@@ -363,19 +387,27 @@ def quotient_lattice(lat: FiniteLattice, partition: Partition) -> FiniteLattice:
     return try_lattice(poset)
 
 
-def _cg_map_injective(lat: FiniteLattice) -> bool:
-    seen = set()
-    for j in join_irreducibles(lat):
-        theta = principal_congruence(lat, lower_cover(lat, j), j)
-        if theta in seen:
-            return False
-        seen.add(theta)
-    return True
+def _lower_bounded(lat: FiniteLattice) -> bool:
+    """No cycle of join dependencies: j D k if j != k, j <= k v x, j !<= k_* v x."""
+    irr = join_irreducibles(lat)
+    join, below = lat.join_table(), lat.leq[irr]
+    dep = np.zeros((len(irr), len(irr)), dtype=bool)
+    for col, k in enumerate(irr):
+        low = join[lower_cover(lat, k)]
+        dep[:, col] = (below[:, join[k]] & ~below[:, low]).any(axis=1)
+    np.fill_diagonal(dep, False)
+    alive = np.ones(len(irr), dtype=bool)
+    while (sinks := alive & ~dep[:, alive].any(axis=1)).any():
+        alive &= ~sinks
+    return not alive.any()
 
 
 def is_congruence_uniform(lat: FiniteLattice) -> bool:
-    """Join-irreducibles biject onto join-irreducible congruences, on both sides."""
-    return _cg_map_injective(lat) and _cg_map_injective(lat.dual())
+    """Day's criterion: congruence uniform exactly when lower and upper bounded.
+
+    A. Day, Canad. J. Math. 31 (1979); Freese, Ježek, Nation, Free Lattices, ch. II.
+    """
+    return _lower_bounded(lat) and _lower_bounded(lat.dual())
 
 
 # -- extremality, left modularity, trimness -------------------------------------

@@ -260,6 +260,32 @@ class TestEnvironment:
     def test_threads_clamped_to_cores(self):
         assert resolve_threads("100000") == os.cpu_count()
 
+    @pytest.mark.parametrize(
+        "flag, command, expected",
+        [
+            (["--cap", "10"], ["sequence", "--max-n", "2"], (0, "3,15\n")),
+            (["--cap", "10"], ["enumerate", "--alpha", "0,1,1,1"], (3, "")),
+            (["--threads", "2"], ["cover-enum", "--alpha", "0,1"], (0, "1,1\n")),
+            (
+                ["--debug-crosschecks"],
+                ["project", "--alpha", "0,2,1", "--perm", " -3,1,-2", "--dir", "down"],
+                (0, "-3,2,1\n"),
+            ),
+        ],
+    )
+    def test_global_flags_before_or_after_subcommand(
+        self, capsys, flag, command, expected
+    ):
+        assert run(capsys, *flag, *command)[:2] == expected
+        assert run(capsys, *command, *flag)[:2] == expected
+
+    def test_flag_after_subcommand_overrides(self, capsys):
+        code, _, err = run(
+            capsys, "--cap", "1000", "enumerate", "--alpha", "0,1,1,1", "--cap", "10"
+        )
+        assert code == 3
+        assert "cap is 10" in err
+
     def test_threads_auto(self, capsys):
         code, out, _ = run(capsys, "--threads", "auto", "sequence", "--max-n", "2")
         assert code == 0

@@ -12,6 +12,7 @@ from btamari.lattice import (
     all_congruences,
     check_congruence,
     has_left_modular_chain,
+    _lower_bounded,
     is_congruence_uniform,
     is_extremal,
     is_left_modular_element,
@@ -29,6 +30,8 @@ from btamari.lattice import (
     try_lattice,
 )
 
+from btamari.parabolic import all_compositions
+from btamari.tamari import SUBPOSET, build_tamari, weak_order_lattice
 from conftest import full_group
 
 
@@ -71,6 +74,77 @@ def boolean(rank):
     )
 
 
+def dense_try_lattice(poset):
+    """The dense kernel that preceded the packed one, kept as an oracle."""
+    m = poset.n
+    leq = poset.leq
+    up_sizes = leq.sum(axis=1)
+    down_sizes = leq.sum(axis=0)
+    join = np.empty((m, m), dtype=np.int32)
+    meet = np.empty((m, m), dtype=np.int32)
+    for a in range(m):
+        # common_up[b, x]: a <= x and b <= x
+        common_up = leq[a][None, :] & leq
+        cand = np.where(common_up, up_sizes[None, :], -1).argmax(axis=1)
+        ok = (leq[cand] == common_up).all(axis=1)
+        if not ok.all():
+            b = int(np.flatnonzero(~ok)[0])
+            raise NotALatticeError((a, b), "no-lub")
+        join[a] = cand
+        # common_down[x, b]: x <= a and x <= b
+        common_down = leq[:, a][:, None] & leq
+        cand_m = np.where(common_down, down_sizes[:, None], -1).argmax(axis=0)
+        ok_m = (leq[:, cand_m] == common_down).all(axis=0)
+        if not ok_m.all():
+            b = int(np.flatnonzero(~ok_m)[0])
+            raise NotALatticeError((a, b), "no-glb")
+        meet[a] = cand_m
+    return meet, join
+
+
+def closure_cg_map_injective(lat):
+    """Lower boundedness by principal-congruence closure, kept as an oracle.
+
+    Each join-irreducible j must generate its own congruence con(j_*, j).
+    """
+    seen = set()
+    for j in join_irreducibles(lat):
+        theta = principal_congruence(lat, lower_cover(lat, j), j)
+        if theta in seen:
+            return False
+        seen.add(theta)
+    return True
+
+
+def random_poset(rng, m):
+    """A random order on m elements, relabelled so indices are not a linear extension."""
+    leq = np.eye(m, dtype=bool) | np.triu(rng.random((m, m)) < rng.random(), 1)
+    for _ in range(m):
+        leq |= (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
+    perm = rng.permutation(m)
+    return FinitePoset(list(range(m)), leq[np.ix_(perm, perm)])
+
+
+def intersection_closed_lattice(rng, k=4):
+    """Random subsets of a k-set plus the whole set, closed under intersection."""
+    size = int(rng.integers(1, 9))
+    family = {(1 << k) - 1} | {int(s) for s in rng.integers(0, 1 << k, size=size)}
+    while (closed := family | {a & b for a in family for b in family}) != family:
+        family = closed
+    return try_lattice(FinitePoset.from_leq(sorted(family), lambda a, b: a & b == a))
+
+
+@pytest.fixture(scope="module")
+def small_lattices():
+    """Weak order and Tamari lattice of every composition with n <= 4."""
+    built = {}
+    for n in (1, 2, 3, 4):
+        for alpha in all_compositions(n):
+            built[f"weak {alpha.format()}"] = weak_order_lattice(alpha)
+            built[f"tamari {alpha.format()}"] = build_tamari(alpha, SUBPOSET).lattice
+    return built
+
+
 def weak_order_lattice_raw(n):
     group = sorted(full_group(n), key=lambda p: p.right)
     return try_lattice(
@@ -92,6 +166,18 @@ class TestPosets:
         poset = FinitePoset.from_leq(group, lambda u, v: u.weak_leq(v))
         assert poset.n == 8
         assert len(poset.cover_pairs()) == 8
+
+    def test_interval_with_256_inner_elements(self):
+        # 0 < each of 256 atoms < top: counting the atoms in uint8 wrapped to 0
+        m = 258
+        leq = np.eye(m, dtype=bool)
+        leq[0, :] = leq[:, m - 1] = True
+        poset = FinitePoset(list(range(m)), leq)
+        assert (0, m - 1) not in poset.cover_pairs()
+        assert len(poset.cover_pairs()) == 2 * 256
+        leq[0, m - 1] = False
+        with pytest.raises(NotAPartialOrderError):
+            FinitePoset.from_leq(list(range(m)), leq)
 
     def test_not_partial_order(self):
         with pytest.raises(NotAPartialOrderError):
@@ -122,6 +208,36 @@ class TestTryLattice:
                 assert lat.leq[a, j] and lat.leq[b, j]
                 assert (lat.meet(a, j), lat.join(a, m)) == (a, a)
                 assert lat.leq[a, b] == (m == a) == (j == b)
+
+    def test_tables_match_dense_oracle(self, small_lattices):
+        assert "weak 0,1,1,1,1" in small_lattices
+        for name, lat in small_lattices.items():
+            rebuilt = try_lattice(lat.poset)
+            meet, join = dense_try_lattice(lat.poset)
+            assert rebuilt.meet_table().dtype == rebuilt.join_table().dtype == np.int32
+            assert np.array_equal(rebuilt.meet_table(), meet), name
+            assert np.array_equal(rebuilt.join_table(), join), name
+
+    def test_witness_matches_dense_oracle(self):
+        rng = np.random.default_rng(4)
+        posets = [
+            FinitePoset.from_leq([0, 1], lambda a, b: a == b),
+            from_covers(list("0ab"), [(0, 1), (0, 2)]),
+        ] + [random_poset(rng, int(rng.integers(2, 12))) for _ in range(300)]
+        failures = 0
+        for poset in posets:
+            try:
+                expected = dense_try_lattice(poset)
+            except NotALatticeError as exc:
+                failures += 1
+                with pytest.raises(NotALatticeError) as info:
+                    try_lattice(poset)
+                assert (info.value.pair, info.value.reason) == (exc.pair, exc.reason)
+            else:
+                lat = try_lattice(poset)
+                assert np.array_equal(lat.meet_table(), expected[0])
+                assert np.array_equal(lat.join_table(), expected[1])
+        assert failures > 100
 
     def test_missing_bound_witness(self):
         # two incomparable tops
@@ -255,6 +371,26 @@ class TestCongruenceUniformity:
     def test_weak_orders(self):
         assert is_congruence_uniform(weak_order_lattice_raw(2))
         assert is_congruence_uniform(weak_order_lattice_raw(3))
+
+    def test_agrees_with_closure_oracle(self, small_lattices):
+        named = dict(small_lattices)
+        named.update(chain=chain(4), m3=m3(), n5=n5(), boolean=boolean(2))
+        for name, lat in named.items():
+            for side, half in (("", lat), ("dual ", lat.dual())):
+                assert _lower_bounded(half) == closure_cg_map_injective(half), side + name
+
+    def test_random_lattices_agree_with_closure_oracle(self):
+        rng = np.random.default_rng(1)
+        seen = set()
+        for _ in range(200):
+            lat = intersection_closed_lattice(rng)
+            halves = (_lower_bounded(lat), _lower_bounded(lat.dual()))
+            expected = (closure_cg_map_injective(lat), closure_cg_map_injective(lat.dual()))
+            assert halves == expected
+            assert is_congruence_uniform(lat) == all(expected)
+            seen.add(halves)
+        # lower bounded only, upper bounded only, both and neither all occur
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_uniform_implies_semidistributive_crosscheck(self):
         for lat in (chain(4), n5(), weak_order_lattice_raw(2), m3(), boolean(2)):
