@@ -188,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="btamari",
         description="Type-B parabolic quotients, aligned elements, and Tamari lattices",
     )
-    # Global flags are accepted after the subcommand too; there they override
-    # the top-level value, and when absent they leave that value (and default)
-    # alone.
+    # Global flags also parse after the subcommand, overriding the top-level
+    # value there; absent there, they leave that value (and default) alone.
     late = argparse.ArgumentParser(add_help=False)
     for flag, options in (
         ("--cap", dict(type=int, default=None, help="enumeration cap")),
