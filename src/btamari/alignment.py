@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .parabolic import Composition, quotient_rows
+from .parabolic import Composition, _build_rows
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation, predecessor
 
 
@@ -278,26 +278,30 @@ def is_aligned(alpha: Composition, pi: SignedPermutation) -> bool:
 
 
 def _long_array(rows) -> np.ndarray:
-    """Long one-line notation, transposed: row t holds position -n..-1, 1..n.
+    """Long one-line notation, transposed, one column per element.
 
-    One column per element.  Accepts an array or a sequence of right parts
-    and keeps their dtype.
+    Row 2p - 2 holds position p and row 2p - 1 position -p, so a position's
+    row does not depend on the degree: the rows of a partial row's first w
+    positions are the first 2w rows of the full array.  Accepts an array or
+    a sequence of right parts and keeps their dtype.
     """
     right = np.asarray(rows)
-    n = right.shape[1]
-    long = np.empty((2 * n, len(right)), dtype=right.dtype)
-    long[n:] = right.T
-    np.negative(long[n:][::-1], out=long[:n])
+    long = np.empty((2 * right.shape[1], len(right)), dtype=right.dtype)
+    long[0::2] = right.T
+    np.negative(right.T, out=long[1::2])
     return long
+
+
+def _long_row(p: int) -> int:
+    return 2 * p - 2 if p > 0 else -2 * p - 1
 
 
 @lru_cache(maxsize=None)
 def _scan_plan(alpha: Composition):
-    """Per-composition pair/middle index plan for the vectorized pattern scan."""
+    """Per-composition pair/middle row plan for the vectorized pattern scan."""
     n = alpha.n
     a1 = alpha.first_part
     positions = list(range(-n, 0)) + list(range(1, n + 1))
-    idx = {p: t for t, p in enumerate(positions)}
     plan = []
     for k in range(1, n + 1):
         bk = alpha.block_id(k)
@@ -312,27 +316,39 @@ def _scan_plan(alpha: Composition):
                 bj = alpha.block_id(j)
                 if bj == bi or bj == bk:
                     continue
-                (js_high if alpha.split or j > a1 else js_low).append(idx[j])
+                (js_high if alpha.split or j > a1 else js_low).append(_long_row(j))
             if js_low or js_high:
                 plan.append(
-                    (idx[i], idx[k], tuple(js_low), tuple(js_high))
+                    (_long_row(i), _long_row(k), tuple(js_low), tuple(js_high))
                 )
     return tuple(plan)
 
 
-def aligned_mask(alpha: Composition, rows) -> np.ndarray:
-    """Boolean mask over right-part rows: True where the element avoids 231 patterns.
+@lru_cache(maxsize=None)
+def _block_plans(alpha: Composition):
+    """The scan plan grouped by the block of each entry's last read position.
 
-    ``rows`` is a (m, n) integer array or a sequence of right parts.  For each
-    outer pair (i, k) of the scan plan, the cover test pi(i) = succ(pi(k)) is
-    evaluated on every row; the middle-entry max/min is then evaluated only on
-    the covered rows, gathered into a smaller array.
+    That position is max(|i|, k); once its block is placed, the entry reads
+    only filled positions.
     """
-    long = _long_array(rows)
+    plans = [[] for _ in alpha.parts]
+    for entry in _scan_plan(alpha):
+        last = max(entry[0], entry[1]) // 2 + 1
+        plans[alpha.region_of(last) - 1].append(entry)
+    return tuple(map(tuple, plans))
+
+
+def _violations(long: np.ndarray, plan) -> np.ndarray:
+    """Columns of a long array that hold a 231 pattern of some plan entry.
+
+    For each outer pair (i, k), the cover test pi(i) = succ(pi(k)) runs on
+    every column; the middle-entry max/min then runs only on the covered
+    columns, gathered into a smaller array.
+    """
     succ = long + 1
     succ[long == -1] = 1
     viol = np.zeros(long.shape[1], dtype=bool)
-    for ii, kk, js_low, js_high in _scan_plan(alpha):
+    for ii, kk, js_low, js_high in plan:
         hit = np.flatnonzero(long[ii] == succ[kk])
         if not len(hit):
             continue
@@ -343,7 +359,32 @@ def aligned_mask(alpha: Composition, rows) -> np.ndarray:
         if js_low:
             cond |= sub[list(js_low)].min(axis=0) < sub[kk]
         viol[hit[cond]] = True
-    return ~viol
+    return viol
+
+
+def aligned_mask(alpha: Composition, rows) -> np.ndarray:
+    """Boolean mask over right-part rows: True where the element avoids 231 patterns.
+
+    ``rows`` is a (m, n) integer array or a sequence of right parts; every
+    entry of the scan plan is tested on every row.
+    """
+    return ~_violations(_long_array(rows), _scan_plan(alpha))
+
+
+def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
+    """Right parts of the quotient's 231-avoiding members, in build order.
+
+    The rows are built block by block as in ``quotient_rows``, and once a
+    block is placed a row whose filled positions hold a 231 pattern is
+    dropped: every completion keeps that pattern.  After the last block every
+    scan-plan entry has run, so the rows left are those ``aligned_mask``
+    keeps.  The cap bounds the quotient size and is checked before anything
+    is allocated.
+    """
+    plans = _block_plans(alpha)
+    return _build_rows(
+        alpha, cap, lambda b, rows: ~_violations(_long_array(rows), plans[b])
+    )
 
 
 def cover_counts(rows) -> np.ndarray:
@@ -367,13 +408,13 @@ def cover_counts(rows) -> np.ndarray:
 
 
 def count_aligned(alpha: Composition, cap: int | None = None) -> int:
-    rows = quotient_rows(alpha, cap, sort=False)
-    return int(aligned_mask(alpha, rows).sum())
+    return len(aligned_rows(alpha, cap))
 
 
 def enumerate_aligned(
     alpha: Composition, cap: int | None = None
 ) -> list[SignedPermutation]:
     """Members of the quotient avoiding 231 patterns, in right-part order."""
-    rows = quotient_rows(alpha, cap)
-    return [SignedPermutation(r) for r in rows[aligned_mask(alpha, rows)].tolist()]
+    rows = aligned_rows(alpha, cap)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return [SignedPermutation(r) for r in rows.tolist()]

@@ -13,10 +13,10 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .alignment import aligned_mask, cover_counts, count_aligned
+from .alignment import aligned_rows, count_aligned, cover_counts
 from .config import resolve_cap
 from .errors import CompositionError
-from .parabolic import Composition, all_compositions, quotient_rows
+from .parabolic import Composition, all_compositions
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ class Polynomial:
 
 def cover_enumerator(alpha: Composition, cap: int | None = None) -> Polynomial:
     """Generating polynomial of aligned elements by number of cover inversions."""
-    rows = quotient_rows(alpha, cap, sort=False)
-    mask = aligned_mask(alpha, rows)
-    counts = cover_counts(rows)[mask]
+    counts = cover_counts(aligned_rows(alpha, cap))
     return Polynomial(tuple(np.bincount(counts, minlength=1).tolist()))
 
 

@@ -134,7 +134,12 @@ class FiniteLattice:
 
     def dual(self) -> "FiniteLattice":
         dual_poset = FinitePoset(self.labels, self.leq.T)
+        dual_poset.covers = self.poset.covers.T
         return FiniteLattice(dual_poset, self._join, self._meet)
+
+    @cached_property
+    def _semidistributivity_witness(self):
+        return _semidistributivity_scan(self)
 
 
 # Each block of the join kernel keeps its temporaries near this many bytes.
@@ -215,7 +220,14 @@ def length(obj) -> int:
 
 
 def semidistributivity_witness(lat: FiniteLattice):
-    """A triple violating one of the semidistributive laws, or None."""
+    """A triple violating one of the semidistributive laws, or None.
+
+    The scan runs once per lattice; later calls read the kept result.
+    """
+    return lat._semidistributivity_witness
+
+
+def _semidistributivity_scan(lat: FiniteLattice):
     meet = lat.meet_table()
     join = lat.join_table()
     for table, other, name in ((join, meet, "join"), (meet, join, "meet")):

@@ -20,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial
+from typing import Callable
 
 import numpy as np
 
@@ -186,23 +187,18 @@ def _sign_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     return slots, signs.astype(np.int8)
 
 
-def quotient_rows(
-    alpha: Composition, cap: int | None = None, sort: bool = True
+def _build_rows(
+    alpha: Composition,
+    cap: int | None,
+    keep: Callable[[int, np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Right parts of all quotient members, as a (quotient_size, n) integer array.
+    """Rows of quotient members, block by block, optionally pruned per block.
 
-    The cap is checked before anything is allocated.  The dtype is int8, or
-    int16 when n + 1 does not fit in int8.  Rows are built by broadcasting,
-    block by block: first the ordered set partitions of 1..n into the blocks,
-    each block ascending, then the signings of every block that may carry
-    signs, each re-sorted through a per-size table.
-
-    With ``sort=True`` the rows are in lexicographic order, the order of the
-    members' right-part tuples.  With ``sort=False`` they come in build order:
-    the set partitions lexicographically by the first block's values, then
-    the second block's and so on; within one partition, by the sign masks of
-    the blocks (first block slowest), bit t of a block's mask negating its
-    t-th smallest value.
+    The cap is checked on ``quotient_size`` before anything is allocated.
+    Each block takes its ascending values from the ones left free, then, if
+    it may carry signs, every signing of them, re-sorted through a per-size
+    table.  ``keep(b, rows)``, when given, returns a boolean mask over the
+    rows whose first b + 1 blocks are placed; only the rows it keeps grow on.
     """
     size = quotient_size(alpha)
     cap = resolve_cap(cap)
@@ -212,7 +208,7 @@ def quotient_rows(
     dtype = np.int8 if n + 1 <= np.iinfo(np.int8).max else np.int16
     rows = np.empty((1, 0), dtype=dtype)
     free = np.arange(1, n + 1, dtype=dtype)[None, :]
-    for p in alpha.parts:
+    for b, p in enumerate(alpha.parts):
         width = free.shape[1]
         taken, left = _split_slots(width, p)
         rows = np.concatenate(
@@ -220,16 +216,38 @@ def quotient_rows(
             axis=1,
         )
         free = free[:, left].reshape(len(rows), width - p)
-    for b, p in enumerate(alpha.parts):
-        if alpha.join and b == 0:
-            continue
-        lo, hi = alpha.prefix[b], alpha.prefix[b + 1]
-        slots, signs = _sign_table(p)
-        widened = np.repeat(rows, len(slots), axis=0)
-        widened.reshape(len(rows), len(slots), n)[:, :, lo:hi] = (
-            rows[:, lo:hi][:, slots] * signs
-        )
-        rows = widened
+        if alpha.split or b > 0:
+            lo = alpha.prefix[b]
+            slots, signs = _sign_table(p)
+            widened = np.repeat(rows, len(slots), axis=0)
+            widened.reshape(len(rows), len(slots), -1)[:, :, lo:] = (
+                rows[:, lo:][:, slots] * signs
+            )
+            rows = widened
+            free = np.repeat(free, len(slots), axis=0)
+        if keep is not None:
+            kept = keep(b, rows)
+            rows, free = rows[kept], free[kept]
+    return rows
+
+
+def quotient_rows(
+    alpha: Composition, cap: int | None = None, sort: bool = True
+) -> np.ndarray:
+    """Right parts of all quotient members, as a (quotient_size, n) integer array.
+
+    The cap is checked before anything is allocated.  The dtype is int8, or
+    int16 when n + 1 does not fit in int8.  Rows are built by broadcasting,
+    block by block: each block's ascending values out of those left, then
+    the block's signings.
+
+    With ``sort=True`` the rows are in lexicographic order, the order of the
+    members' right-part tuples.  With ``sort=False`` they come in build order:
+    by the first block's values, then its sign mask, then the second block's
+    values, then its sign mask, and so on; bit t of a block's mask negates
+    its t-th smallest value.
+    """
+    rows = _build_rows(alpha, cap)
     if sort:
         rows = rows[np.lexsort(rows.T[::-1])]
     return rows

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from btamari.alignment import (
     aligned_mask,
+    aligned_rows,
     count_aligned,
     cover_counts,
     decompositions,
@@ -17,12 +18,15 @@ from btamari.alignment import (
     is_aligned_root,
     root_vector,
 )
+from btamari.enumeration import cover_enumerator
+from btamari.errors import CapExceededError
 from btamari.parabolic import (
     Composition,
     all_compositions,
     enumerate_quotient,
     inversion_order,
     quotient_rows,
+    quotient_size,
 )
 from btamari.signed_perm import Reflection, SignedPermutation
 
@@ -199,12 +203,51 @@ class TestBatchInputs:
         assert [len(pi.cover_inversions()) for pi in members] == counts.tolist()
         for pi, keep in list(zip(members, mask))[::25]:
             assert is_aligned(alpha, pi) == bool(keep)
+        assert np.array_equal(_sorted(aligned_rows(alpha)), rows[mask])
 
     def test_members_hold_python_ints(self):
         for alpha in (Composition.parse("0,2,1"), Composition.parse("2,1,1")):
             for members in (enumerate_quotient(alpha), enumerate_aligned(alpha)):
                 assert members
                 assert all(type(v) is int for pi in members for v in pi.right)
+
+
+def _sorted(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+class TestAlignedRows:
+    """The pruned block build against the filter oracle: every quotient row,
+    then ``aligned_mask``."""
+
+    @staticmethod
+    def assert_matches_filter(alpha):
+        rows = quotient_rows(alpha)
+        pruned = aligned_rows(alpha)
+        assert pruned.dtype == rows.dtype
+        assert np.array_equal(_sorted(pruned), rows[aligned_mask(alpha, rows)])
+
+    def test_matches_filter_up_to_degree_six(self):
+        for n in range(1, 7):
+            for alpha in all_compositions(n):
+                self.assert_matches_filter(alpha)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0,1,1,1,1,1,1,1", "1,1,1,1,1,1,1", "2,1,1,1,1,1", "3,1,1,1,1", "0,1,1,1,1,1,2"],
+    )
+    def test_matches_filter_at_degree_seven(self, text):
+        self.assert_matches_filter(Composition.parse(text))
+
+    @pytest.mark.parametrize("count", [count_aligned, cover_enumerator])
+    def test_cap_one_below_quotient_size(self, count):
+        for alpha in all_compositions(4):
+            size = quotient_size(alpha)
+            if size < 2:
+                continue
+            with pytest.raises(CapExceededError) as info:
+                count(alpha, cap=size - 1)
+            assert (info.value.required, info.value.cap) == (size, size - 1)
 
 
 class TestCoverCounts:

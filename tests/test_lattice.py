@@ -30,7 +30,7 @@ from btamari.lattice import (
     try_lattice,
 )
 
-from btamari.parabolic import all_compositions
+from btamari.parabolic import Composition, all_compositions
 from btamari.tamari import SUBPOSET, build_tamari, weak_order_lattice
 from conftest import full_group
 
@@ -184,6 +184,15 @@ class TestPosets:
             FinitePoset.from_leq([0, 1], lambda a, b: True)  # not antisymmetric
         with pytest.raises(NotAPartialOrderError):
             FinitePoset.from_leq([0, 1], lambda a, b: a != b)  # not reflexive
+
+    def test_dual_covers_are_the_transpose(self):
+        lat = weak_order_lattice(Composition.parse("0,1,2"))
+        dual = lat.dual()
+        assert np.shares_memory(dual.poset.covers, lat.poset.covers)
+        assert np.array_equal(dual.poset.covers, lat.poset.covers.T)
+        assert np.array_equal(
+            dual.poset.covers, FinitePoset(lat.labels, lat.leq.T).covers
+        )
 
 
 class TestTryLattice:

@@ -224,6 +224,17 @@ class TestVerifyBuildsOnce:
             "try_lattice": 3,
         }
 
+    def test_semidistributivity_scanned_once(self, monkeypatch):
+        # is_trim asks again after the semidistributive check; both read one scan.
+        scans = []
+        original = lattice._semidistributivity_scan
+        monkeypatch.setattr(
+            lattice, "_semidistributivity_scan",
+            lambda lat: scans.append(lat) or original(lat),
+        )
+        assert verify_theorems(A021).ok
+        assert len(scans) == 1
+
     def test_failed_congruence_is_reported(self, monkeypatch):
         monkeypatch.setattr(
             lattice, "check_congruence", lambda lat, theta: (False, "not an interval")
