@@ -38,7 +38,6 @@ from .parabolic import (
     is_member,
     longest_element,
     parabolic_length,
-    skew_shape,
     sorting_word_longest,
 )
 from .projection import (

@@ -3,15 +3,15 @@
 Posets store a boolean order matrix plus opaque element labels; lattices add
 meet and join tables, both built by one bit-packed join kernel.  On top of that
 sit the structural checks used by the verification harness: irreducibles,
-length, semidistributivity, principal congruences, congruence uniformity (by
-Day's join-dependency criterion), congruence verification, quotients,
-extremality, left modularity and trimness, plus JSON and DOT exports.
+length, semidistributivity, congruence uniformity (by Day's join-dependency
+criterion), congruence verification, quotients, extremality, left modularity
+and trimness, plus JSON and DOT exports.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -250,10 +250,15 @@ def is_semidistributive(lat: FiniteLattice) -> bool:
 
 
 class Partition:
-    """A partition of lattice indices, hashable up to block order."""
+    """A partition of lattice indices, hashable up to block order.
 
-    def __init__(self, block_of: Sequence[int]):
-        relabel: dict[int, int] = {}
+    ``block_of[x]`` is any hashable key naming the block of element x; keys
+    are relabelled 0, 1, ... in order of first appearance, so two labellings
+    of one partition compare equal.
+    """
+
+    def __init__(self, block_of: Sequence[Hashable]):
+        relabel: dict[Hashable, int] = {}
         canon = []
         for b in block_of:
             relabel.setdefault(b, len(relabel))
@@ -264,22 +269,6 @@ class Partition:
             blocks.setdefault(b, []).append(x)
         self.blocks = tuple(tuple(members) for _, members in sorted(blocks.items()))
 
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
-        block_of = [-1] * n
-        for b, members in enumerate(blocks):
-            for x in members:
-                if block_of[x] != -1:
-                    raise ValueError(f"element {x} listed twice")
-                block_of[x] = b
-        if any(b == -1 for b in block_of):
-            raise ValueError("partition does not cover all elements")
-        return cls(block_of)
-
-    @classmethod
-    def discrete(cls, n: int) -> "Partition":
-        return cls(range(n))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.block_of == other.block_of
 
@@ -288,71 +277,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def refines(self, other: "Partition") -> bool:
-        seen = {}
-        for x, b in enumerate(self.block_of):
-            o = other.block_of[x]
-            if seen.setdefault(b, o) != o:
-                return False
-        return True
-
-
-def congruence_closure(
-    lat: FiniteLattice, pairs: Iterable[tuple[int, int]]
-) -> Partition:
-    """Finest congruence identifying all the given pairs, by closure."""
-    meet = lat.meet_table()
-    join = lat.join_table()
-    parent = list(range(lat.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = list(pairs)
-    while queue:
-        x, y = queue.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[rx] = ry
-        for z in range(lat.n):
-            jx, jy = int(join[x, z]), int(join[y, z])
-            if find(jx) != find(jy):
-                queue.append((jx, jy))
-            mx, my = int(meet[x, z]), int(meet[y, z])
-            if find(mx) != find(my):
-                queue.append((mx, my))
-    return Partition([find(x) for x in range(lat.n)])
-
-
-def principal_congruence(lat: FiniteLattice, a: int, b: int) -> Partition:
-    """Finest congruence in which a and b are congruent."""
-    return congruence_closure(lat, [(a, b)])
-
-
-def all_congruences(lat: FiniteLattice) -> list[Partition]:
-    """Every congruence, generated by joining principal cover congruences."""
-    principals = {
-        congruence_closure(lat, [pair]) for pair in lat.poset.cover_pairs()
-    }
-    found = {Partition.discrete(lat.n)} | principals
-    frontier = list(found)
-    while frontier:
-        theta = frontier.pop()
-        for gen in principals:
-            merged = congruence_closure(
-                lat,
-                [(blk[0], x) for blk in theta.blocks for x in blk[1:]]
-                + [(blk[0], x) for blk in gen.blocks for x in blk[1:]],
-            )
-            if merged not in found:
-                found.add(merged)
-                frontier.append(merged)
-    return sorted(found, key=lambda p: (len(p.blocks), p.block_of), reverse=True)
 
 
 def check_congruence(lat: FiniteLattice, partition: Partition):

@@ -392,10 +392,6 @@ class InversionTableau:
         return "\n".join(lines)
 
 
-def skew_shape(alpha: Composition) -> InversionTableau:
-    return InversionTableau(alpha)
-
-
 def sorting_word_longest(alpha: Composition) -> tuple[int, ...]:
     """The sorting word of the quotient's longest element, off the skew shape."""
     return InversionTableau(alpha).generator_word()

@@ -10,6 +10,7 @@ fibers partition the quotient into intervals, one per aligned element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import config
 from .alignment import (
@@ -97,9 +98,14 @@ class ThetaClass:
         }
 
 
-def theta_classes(alpha: Composition, cap: int | None = None) -> list[ThetaClass]:
-    """The fibers of the downward projection, ordered by their bottom element."""
-    members = enumerate_quotient(alpha, cap)
+def fiber_bottoms(
+    alpha: Composition, members: Sequence[SignedPermutation]
+) -> list[tuple[int, ...]]:
+    """Right part of each member's downward projection, in member order.
+
+    Members with equal bottoms share a fiber, so the list labels the
+    partition of ``members`` into fibers.
+    """
     cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def down(pi: SignedPermutation) -> tuple[int, ...]:
@@ -112,9 +118,15 @@ def theta_classes(alpha: Composition, cap: int | None = None) -> list[ThetaClass
         cache[key] = result
         return result
 
+    return [down(pi) for pi in members]
+
+
+def theta_classes(alpha: Composition, cap: int | None = None) -> list[ThetaClass]:
+    """The fibers of the downward projection, ordered by their bottom element."""
+    members = enumerate_quotient(alpha, cap)
     groups: dict[tuple[int, ...], list[SignedPermutation]] = {}
-    for pi in members:
-        groups.setdefault(down(pi), []).append(pi)
+    for pi, bottom_right in zip(members, fiber_bottoms(alpha, members)):
+        groups.setdefault(bottom_right, []).append(pi)
     classes = []
     for bottom_right in sorted(groups):
         block = sorted(groups[bottom_right], key=lambda pi: pi.right)

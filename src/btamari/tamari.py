@@ -32,7 +32,7 @@ from .parabolic import (
     parabolic_length,
     quotient_size,
 )
-from .projection import theta_classes
+from .projection import fiber_bottoms
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 SUBPOSET, QUOTIENT = "subposet", "quotient"
@@ -58,18 +58,19 @@ def _check_table_bound(m: int):
 def _weak_leq_matrix(members: list[SignedPermutation]) -> np.ndarray:
     """Containment matrix of inversion sets, chunked to keep temporaries small.
 
+    The n^2 inversion columns come from the right parts r by the rules of
+    ``SignedPermutation.inversion_set``: sign i when r_i < 0, and for i < j
+    positive (i, j) when r_i > r_j, mixed (i, j) when r_i + r_j < 0.
     Raises TableBoundError before allocating when the m x m matrix would
     exceed TABLE_THRESHOLD elements on a side.
     """
     _check_table_bound(len(members))
-    universe = {t: idx for idx, t in enumerate(sorted(
-        set().union(*(pi.inversion_set() for pi in members))
-    ))}
-    m, width = len(members), max(len(universe), 1)
-    table = np.zeros((m, width), dtype=bool)
-    for row, pi in enumerate(members):
-        for t in pi.inversion_set():
-            table[row, universe[t]] = True
+    right = np.array([pi.right for pi in members], dtype=np.int64)
+    i, j = np.triu_indices(right.shape[1], k=1)
+    table = np.concatenate(
+        [right < 0, right[:, i] > right[:, j], right[:, i] + right[:, j] < 0], axis=1
+    )
+    m, width = table.shape
     leq = np.empty((m, m), dtype=bool)
     step = max(1, 2**22 // (m * width + 1))
     for lo in range(0, m, step):
@@ -98,17 +99,9 @@ def build_tamari(
         return TamariLattice(alpha, lat.try_lattice(poset), SUBPOSET)
     if route == QUOTIENT:
         weak = weak_order_lattice(alpha, cap)
-        theta = _theta_partition(alpha, weak, cap)
+        theta = lat.Partition(fiber_bottoms(alpha, weak.labels))
         return TamariLattice(alpha, lat.quotient_lattice(weak, theta), QUOTIENT)
     raise ValueError(f"unknown construction route {route!r}")
-
-
-def _theta_partition(alpha, weak, cap) -> lat.Partition:
-    index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
-    blocks = [
-        [index[m.right] for m in cls.members] for cls in theta_classes(alpha, cap)
-    ]
-    return lat.Partition.from_blocks(blocks, weak.n)
 
 
 # -- join-irreducible constructor ---------------------------------------------
@@ -305,7 +298,7 @@ def verify_theorems(
     """
     checks: dict[str, bool] = {}
     weak = weak_order_lattice(alpha, cap)
-    theta = _theta_partition(alpha, weak, cap)
+    theta = lat.Partition(fiber_bottoms(alpha, weak.labels))
     try:
         quot = lat.quotient_lattice(weak, theta)
     except NotACongruenceError:

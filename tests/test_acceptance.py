@@ -23,6 +23,7 @@ from btamari.enumeration import (
     type_d_catalan,
 )
 from btamari.lattice import (
+    Partition,
     check_congruence,
     is_congruence_uniform,
     is_semidistributive,
@@ -41,12 +42,11 @@ from btamari.parabolic import (
     parabolic_length,
     sorting_word_longest,
 )
-from btamari.projection import eliminate_pattern, project_down
+from btamari.projection import eliminate_pattern, fiber_bottoms, project_down
 from btamari.tamari import (
     QUOTIENT,
     SUBPOSET,
     _isomorphic,
-    _theta_partition,
     build_tamari,
     join_irreducible_for,
     not_sublattice_witness,
@@ -96,7 +96,7 @@ def test_criterion_03_theorem_one():
     for n in (1, 2, 3, 4):
         for alpha in all_compositions(n):
             weak = weak_order_lattice(alpha)
-            theta = _theta_partition(alpha, weak, None)
+            theta = Partition(fiber_bottoms(alpha, weak.labels))
             ok, why = check_congruence(weak, theta)
             sub = build_tamari(alpha, SUBPOSET)
             quot = build_tamari(alpha, QUOTIENT)

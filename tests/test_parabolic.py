@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from btamari.errors import CapExceededError, CompositionError
 from btamari.parabolic import (
     Composition,
+    InversionTableau,
     all_compositions,
     c_sorting_word,
     enumerate_quotient,
@@ -20,7 +21,6 @@ from btamari.parabolic import (
     parabolic_length,
     quotient_rows,
     quotient_size,
-    skew_shape,
     sorting_word_longest,
     word_suffix_chain,
 )
@@ -249,21 +249,21 @@ class TestLongestElement:
 
 class TestSkewShape:
     def test_shapes(self):
-        t = skew_shape(A3121)
+        t = InversionTableau(A3121)
         assert t.mu == (7, 7, 7, 4, 3, 3, 1)
         assert t.lam == (14, 13, 12, 11, 10, 9, 8)
-        t2 = skew_shape(A422)
+        t2 = InversionTableau(A422)
         assert t2.mu == (8, 8, 8, 8, 4, 4, 2, 2)
         assert t2.lam == (12, 12, 12, 12, 12, 11, 10, 9)
-        assert skew_shape(staircase(4)).cell_count == 16
+        assert InversionTableau(staircase(4)).cell_count == 16
 
     def test_cell_count_is_length(self, all_small_compositions):
         for n in (1, 2, 3, 4):
             for alpha in all_small_compositions[n]:
-                assert skew_shape(alpha).cell_count == parabolic_length(alpha)
+                assert InversionTableau(alpha).cell_count == parabolic_length(alpha)
 
     def test_ascii_dump_dimensions(self):
-        text = skew_shape(Composition.parse("0,1,1")).ascii()
+        text = InversionTableau(Composition.parse("0,1,1")).ascii()
         assert len(text.splitlines()) == 2
 
 

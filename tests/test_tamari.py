@@ -1,13 +1,15 @@
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from btamari import lattice, tamari
+from btamari import lattice, parabolic, projection, tamari
 from btamari.errors import CapExceededError, TableBoundError
 from btamari.lattice import join_irreducibles, length
 from btamari.parabolic import (
     Composition,
+    enumerate_quotient,
     parabolic_length,
     sorting_word_longest,
     word_suffix_chain,
@@ -24,7 +26,7 @@ from btamari.tamari import (
     weak_order_lattice,
 )
 
-from conftest import perm
+from conftest import full_group, perm
 
 A021 = Composition.parse("0,2,1")
 
@@ -204,9 +206,13 @@ class TestVerifyBuildsOnce:
         calls = Counter()
         for module, name in [
             (tamari, "weak_order_lattice"),
-            (tamari, "theta_classes"),
+            (tamari, "fiber_bottoms"),
+            (parabolic, "quotient_rows"),
             (lattice, "check_congruence"),
             (lattice, "try_lattice"),
+            (projection, "theta_classes"),
+            (projection, "project_up"),
+            (projection, "find_312_pattern"),
         ]:
             original = getattr(module, name)
 
@@ -216,10 +222,12 @@ class TestVerifyBuildsOnce:
 
             monkeypatch.setattr(module, name, counted)
         assert verify_theorems(A021).ok
-        # the weak order, the subposet lattice and the quotient lattice
+        # one quotient enumeration; the weak order, the subposet lattice and
+        # the quotient lattice; fibers read off the weak order's labels
         assert calls == {
             "weak_order_lattice": 1,
-            "theta_classes": 1,
+            "fiber_bottoms": 1,
+            "quotient_rows": 1,
             "check_congruence": 1,
             "try_lattice": 3,
         }
@@ -251,6 +259,19 @@ class TestWeakOrderLattice:
     def test_sizes(self):
         assert weak_order_lattice(Composition((1, 1), split=True)).n == 8
         assert weak_order_lattice(Composition.parse("1,2")).n == 12
+
+    def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
+        inputs = [
+            enumerate_quotient(alpha)
+            for n in (1, 2, 3)
+            for alpha in all_small_compositions[n]
+        ]
+        inputs.append(full_group(4))
+        for members in inputs:
+            expected = np.array(
+                [[a.weak_leq(b) for b in members] for a in members], dtype=bool
+            )
+            assert np.array_equal(tamari._weak_leq_matrix(members), expected)
 
     def test_refused_before_enumerating(self, monkeypatch):
         def not_called(*args, **kwargs):
