@@ -99,9 +99,15 @@ def build_tamari(
         return TamariLattice(alpha, lat.try_lattice(poset), SUBPOSET)
     if route == QUOTIENT:
         weak = weak_order_lattice(alpha, cap)
-        theta = lat.Partition(fiber_bottoms(alpha, weak.labels))
+        theta = _fiber_partition(alpha, weak)
         return TamariLattice(alpha, lat.quotient_lattice(weak, theta), QUOTIENT)
     raise ValueError(f"unknown construction route {route!r}")
+
+
+def _fiber_partition(alpha: Composition, weak: lat.FiniteLattice) -> lat.Partition:
+    """The weak order's elements grouped by their downward projection."""
+    rows = np.array([pi.right for pi in weak.labels])
+    return lat.Partition(fiber_bottoms(alpha, rows).tolist())
 
 
 # -- join-irreducible constructor ---------------------------------------------
@@ -255,6 +261,7 @@ class VerificationReport:
     checks: dict[str, bool]
     stats: dict[str, int]
     witness: Optional[tuple] = None
+    semidistributivity_witness: Optional[tuple] = None
 
     @property
     def ok(self) -> bool:
@@ -268,6 +275,11 @@ class VerificationReport:
         }
         if self.witness is not None:
             data["not_a_sublattice_witness"] = [p.format() for p in self.witness]
+        if self.semidistributivity_witness is not None:
+            law, *triple = self.semidistributivity_witness
+            data["semidistributivity_witness"] = {
+                "law": law, "triple": [p.format() for p in triple]
+            }
         return data
 
     def summary(self) -> str:
@@ -284,6 +296,13 @@ class VerificationReport:
                 f"  not a sublattice: meet({pa}, {pb}) is {wm} in the weak order"
                 f" but {tm} in the Tamari lattice"
             )
+        if self.semidistributivity_witness is not None:
+            law, p, q, r = self.semidistributivity_witness
+            dual = "join" if law == "meet" else "meet"
+            lines.append(
+                f"  not semidistributive: {law}({p}, {q}) = {law}({p}, {r})"
+                f" but {law}({p}, {dual}({q}, {r})) differs"
+            )
         return "\n".join(lines)
 
 
@@ -298,7 +317,7 @@ def verify_theorems(
     """
     checks: dict[str, bool] = {}
     weak = weak_order_lattice(alpha, cap)
-    theta = lat.Partition(fiber_bottoms(alpha, weak.labels))
+    theta = _fiber_partition(alpha, weak)
     try:
         quot = lat.quotient_lattice(weak, theta)
     except NotACongruenceError:
@@ -328,7 +347,14 @@ def verify_theorems(
         "length": ln,
         "join_irreducibles": n_join,
     }
-    return VerificationReport(alpha, checks, stats, _meet_mismatch(weak, L))
+    # The semidistributive check above kept its witness; this reads it.
+    sd_witness = lat.semidistributivity_witness(L)
+    if sd_witness is not None:
+        law, *triple = sd_witness
+        sd_witness = (law, *(L.labels[x] for x in triple))
+    return VerificationReport(
+        alpha, checks, stats, _meet_mismatch(weak, L), sd_witness
+    )
 
 
 def _isomorphic(a: lat.FiniteLattice, b: lat.FiniteLattice) -> bool:

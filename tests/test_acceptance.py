@@ -96,7 +96,7 @@ def test_criterion_03_theorem_one():
     for n in (1, 2, 3, 4):
         for alpha in all_compositions(n):
             weak = weak_order_lattice(alpha)
-            theta = Partition(fiber_bottoms(alpha, weak.labels))
+            theta = Partition(fiber_bottoms(alpha, [pi.right for pi in weak.labels]))
             ok, why = check_congruence(weak, theta)
             sub = build_tamari(alpha, SUBPOSET)
             quot = build_tamari(alpha, QUOTIENT)

@@ -29,6 +29,7 @@ from btamari.lattice import (
 )
 
 from btamari.parabolic import Composition, all_compositions
+from btamari.projection import fiber_bottoms
 from btamari.tamari import SUBPOSET, build_tamari, weak_order_lattice
 from conftest import full_group
 
@@ -98,6 +99,63 @@ def dense_try_lattice(poset):
             raise NotALatticeError((a, b), "no-glb")
         meet[a] = cand_m
     return meet, join
+
+
+def semidistributivity_scan(lat):
+    """The O(m^3) scan that preceded the kappa criterion, kept as an oracle.
+
+    For each law, join first, it returns the first (name, p, q, r) with
+    p * q = p * r != p * (q + r), where * is the law's operation and + the
+    other one.
+    """
+    meet = lat.meet_table()
+    join = lat.join_table()
+    for table, other, name in ((join, meet, "join"), (meet, join, "meet")):
+        for p in range(lat.n):
+            row = table[p]
+            equal = row[:, None] == row[None, :]
+            target = row[other]
+            bad = equal & (row[:, None] != target)
+            if bad.any():
+                q, r = map(int, np.argwhere(bad)[0])
+                return (name, p, q, r)
+    return None
+
+
+def violates_its_law(lat, witness):
+    name, p, q, r = witness
+    table, other = (
+        (lat.join_table(), lat.meet_table()) if name == "join"
+        else (lat.meet_table(), lat.join_table())
+    )
+    return table[p, q] == table[p, r] != table[p, other[q, r]]
+
+
+def loop_check_congruence(lat, partition):
+    """check_congruence as it was, one cover pair at a time; kept as an oracle."""
+    if len(partition.block_of) != lat.n:
+        return False, "partition size does not match the lattice"
+    leq = lat.leq
+    mins = np.empty(len(partition.blocks), dtype=np.int64)
+    maxs = np.empty(len(partition.blocks), dtype=np.int64)
+    for b, members in enumerate(partition.blocks):
+        lo = members[0]
+        hi = members[0]
+        for x in members[1:]:
+            lo = lat.meet(lo, x)
+            hi = lat.join(hi, x)
+        interval = np.flatnonzero(leq[lo] & leq[:, hi])
+        if set(map(int, interval)) != set(members):
+            return False, f"class {b} is not an interval"
+        mins[b] = lo
+        maxs[b] = hi
+    block_of = np.asarray(partition.block_of)
+    for a, b in lat.poset.cover_pairs():
+        if not leq[mins[block_of[a]], mins[block_of[b]]]:
+            return False, "class-minimum map is not order preserving"
+        if not leq[maxs[block_of[a]], maxs[block_of[b]]]:
+            return False, "class-maximum map is not order preserving"
+    return True, None
 
 
 # -- congruences by closure: the oracle for check_congruence -------------------
@@ -368,6 +426,33 @@ class TestSemidistributivity:
     def test_n5(self):
         assert is_semidistributive(n5())
 
+    def test_kappa_agrees_with_scan(self, small_lattices):
+        named = dict(small_lattices)
+        named.update(chain=chain(4), m3=m3(), n5=n5(), boolean=boolean(3))
+        failing = 0
+        for name, lat in named.items():
+            found, expected = semidistributivity_witness(lat), semidistributivity_scan(lat)
+            if expected is None:
+                assert found is None, name
+            else:
+                failing += 1
+                assert found is not None and found[0] == expected[0], name
+                assert violates_its_law(lat, found), name
+        assert failing == 1  # M3; every Tamari lattice and weak order passes
+
+    def test_random_lattices_agree_with_scan(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(200):
+            lat = intersection_closed_lattice(rng)
+            found, expected = semidistributivity_witness(lat), semidistributivity_scan(lat)
+            assert (found is None) == (expected is None)
+            if found is not None:
+                assert found[0] == expected[0]
+                assert violates_its_law(lat, found)
+            seen.add(expected[0] if expected else None)
+        assert seen == {None, "join", "meet"}
+
 
 class TestCongruences:
     def test_principal_trivial(self):
@@ -390,6 +475,36 @@ class TestCongruences:
         assert check_congruence(lat, Partition([0, 0, 0, 0])) == (True, None)
         ok, why = check_congruence(lat, Partition([0, 1, 0, 2]))
         assert not ok and "interval" in why
+
+    def test_matches_loop_on_weak_orders(self, small_lattices):
+        seen = set()
+        for n in (1, 2, 3, 4):
+            for alpha in all_compositions(n):
+                weak = small_lattices[f"weak {alpha.format()}"]
+                fibers = fiber_bottoms(alpha, [pi.right for pi in weak.labels])
+                theta = Partition(fibers.tolist())
+                merged = Partition([max(b - 1, 0) for b in theta.block_of])
+                partitions = [theta, merged]
+                # One cover x < y made a class, where y has a second lower cover
+                # z: z < y while z is not below x, the new minimum of y's class.
+                joined = np.flatnonzero(weak.poset.covers.sum(axis=0) > 1)
+                if joined.size:
+                    y = int(joined[0])
+                    x = int(np.flatnonzero(weak.poset.covers[:, y])[0])
+                    partitions.append(Partition([x if v == y else v for v in range(weak.n)]))
+                for partition in partitions:
+                    result = check_congruence(weak, partition)
+                    assert result == loop_check_congruence(weak, partition), alpha
+                    why = result[1]
+                    seen.add("not an interval" if why and "interval" in why else why)
+                if joined.size:
+                    assert not result[0]
+        assert seen == {
+            None,
+            "not an interval",
+            "class-minimum map is not order preserving",
+            "class-maximum map is not order preserving",
+        }
 
     def test_principal_is_minimal_congruence(self):
         for lat in (chain(4), m3(), n5(), weak_order_lattice_raw(2)):

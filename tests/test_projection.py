@@ -1,15 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 
 from btamari.alignment import find_231_pattern, find_312_pattern, find_all_231_patterns
 from btamari.parabolic import (
     Composition,
+    all_compositions,
     enumerate_quotient,
     longest_element,
+    quotient_rows,
 )
 from btamari.projection import (
     eliminate_pattern,
+    fiber_bottoms,
+    first_231_eliminations,
     iota,
     project_down,
     project_onto_312,
@@ -21,6 +26,38 @@ from btamari.signed_perm import SignedPermutation
 from conftest import perm
 
 A021 = Composition.parse("0,2,1")
+
+
+def recursive_fiber_bottoms(alpha, members):
+    """Right part of each member's downward projection, by memoised recursion.
+
+    The scalar route that preceded the batched ``fiber_bottoms``, kept as an
+    oracle: one ``find_231_pattern`` and one elimination per member.
+    """
+    cache = {}
+
+    def down(pi):
+        key = pi.right
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
+        witness = find_231_pattern(alpha, pi)
+        result = key if witness is None else down(eliminate_pattern(pi, witness))
+        cache[key] = result
+        return result
+
+    return [down(pi) for pi in members]
+
+
+@pytest.fixture(scope="module")
+def quotients_to_five():
+    """Rows and members of every quotient with n <= 5."""
+    out = []
+    for n in range(1, 6):
+        for alpha in all_compositions(n):
+            rows = quotient_rows(alpha)
+            out.append((alpha, rows, [SignedPermutation(r) for r in rows.tolist()]))
+    return out
 
 
 class TestProjectDown:
@@ -162,6 +199,42 @@ class TestProjectUp:
                     if find_312_pattern(alpha, p) is None
                 }
                 assert avoiders == tops
+
+
+class TestBatchedFibers:
+    def test_first_elimination_matches_scalar(self, quotients_to_five):
+        for alpha, rows, members in quotients_to_five:
+            hit, eliminated = first_231_eliminations(alpha, rows)
+            expected = {}
+            for idx, pi in enumerate(members):
+                witness = find_231_pattern(alpha, pi)
+                if witness is not None:
+                    expected[idx] = eliminate_pattern(pi, witness).right
+            assert hit.tolist() == sorted(expected), alpha
+            assert [tuple(r) for r in eliminated.tolist()] == list(expected.values())
+
+    def test_bottoms_match_recursion(self, quotients_to_five):
+        for alpha, rows, members in quotients_to_five:
+            bottoms = fiber_bottoms(alpha, rows)
+            assert [members[b].right for b in bottoms] == recursive_fiber_bottoms(
+                alpha, members
+            ), alpha
+
+    def test_accepts_right_parts_in_any_order(self):
+        rows = quotient_rows(A021)
+        shuffled = rows[np.random.default_rng(3).permutation(len(rows))]
+        members = [SignedPermutation(r) for r in shuffled.tolist()]
+        bottoms = fiber_bottoms(A021, shuffled.astype(np.int64).tolist())
+        assert [members[b].right for b in bottoms] == recursive_fiber_bottoms(
+            A021, members
+        )
+
+    def test_missing_eliminated_row_raises(self):
+        rows = quotient_rows(A021)
+        hit, eliminated = first_231_eliminations(A021, rows)
+        keep = ~(rows == eliminated[0]).all(axis=1)
+        with pytest.raises(ValueError, match="not among the rows"):
+            fiber_bottoms(A021, rows[keep])
 
 
 class TestThetaClasses:

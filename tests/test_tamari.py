@@ -195,6 +195,28 @@ class TestVerifyTheorems:
         assert "PASS" in report.summary()
         assert report.stats["size"] == 1
 
+    def test_semidistributivity_witness_reported(self, monkeypatch):
+        passing = verify_theorems(A021)
+        assert "semidistributivity_witness" not in passing.to_json()
+        assert "not semidistributive" not in passing.summary()
+        monkeypatch.setattr(
+            lattice, "semidistributivity_witness", lambda L: ("meet", 3, 5, 6)
+        )
+        report = verify_theorems(A021)
+        assert [name for name, ok in report.checks.items() if not ok] == [
+            "semidistributive"
+        ]
+        L = build_tamari(A021, SUBPOSET).lattice
+        p, q, r = (L.labels[x].format() for x in (3, 5, 6))
+        assert report.to_json()["semidistributivity_witness"] == {
+            "law": "meet", "triple": [p, q, r]
+        }
+        assert "  FAIL  semidistributive" in report.summary()
+        assert report.summary().endswith(
+            f"  not semidistributive: meet({p}, {q}) = meet({p}, {r})"
+            f" but meet({p}, join({q}, {r})) differs"
+        )
+
     def test_sweep_n3(self, all_small_compositions):
         for alpha in all_small_compositions[3]:
             report = verify_theorems(alpha, verify_chain=True)
@@ -233,15 +255,16 @@ class TestVerifyBuildsOnce:
         }
 
     def test_semidistributivity_scanned_once(self, monkeypatch):
-        # is_trim asks again after the semidistributive check; both read one scan.
-        scans = []
-        original = lattice._semidistributivity_scan
+        # is_trim asks again after the semidistributive check; both read one
+        # test, which runs the kappa criterion once per law.
+        laws = []
+        original = lattice._kappa_witness
         monkeypatch.setattr(
-            lattice, "_semidistributivity_scan",
-            lambda lat: scans.append(lat) or original(lat),
+            lattice, "_kappa_witness",
+            lambda lat, name: laws.append(name) or original(lat, name),
         )
         assert verify_theorems(A021).ok
-        assert len(scans) == 1
+        assert laws == ["join", "meet"]
 
     def test_failed_congruence_is_reported(self, monkeypatch):
         monkeypatch.setattr(
