@@ -339,16 +339,17 @@ def _block_plans(alpha: Composition):
 
 
 def _violations(long: np.ndarray, plan) -> np.ndarray:
-    """Columns of a long array that hold a 231 pattern of some plan entry.
+    """Per column of a long array, the index of a plan entry it holds, or -1.
 
-    For each outer pair (i, k), the cover test pi(i) = succ(pi(k)) runs on
-    every column; the middle-entry max/min then runs only on the covered
-    columns, gathered into a smaller array.
+    A column holds an entry when it has the entry's 231 pattern.  For each
+    outer pair (i, k), the cover test pi(i) = succ(pi(k)) runs on every
+    column; the middle-entry max/min then runs only on the covered columns,
+    gathered into a smaller array.
     """
     succ = long + 1
     succ[long == -1] = 1
-    viol = np.zeros(long.shape[1], dtype=bool)
-    for ii, kk, js_low, js_high in plan:
+    found = np.full(long.shape[1], -1, dtype=np.intp)
+    for t, (ii, kk, js_low, js_high) in enumerate(plan):
         hit = np.flatnonzero(long[ii] == succ[kk])
         if not len(hit):
             continue
@@ -358,8 +359,8 @@ def _violations(long: np.ndarray, plan) -> np.ndarray:
             cond |= sub[list(js_high)].max(axis=0) > sub[ii]
         if js_low:
             cond |= sub[list(js_low)].min(axis=0) < sub[kk]
-        viol[hit[cond]] = True
-    return viol
+        found[hit[cond]] = t
+    return found
 
 
 def aligned_mask(alpha: Composition, rows) -> np.ndarray:
@@ -368,7 +369,7 @@ def aligned_mask(alpha: Composition, rows) -> np.ndarray:
     ``rows`` is a (m, n) integer array or a sequence of right parts; every
     entry of the scan plan is tested on every row.
     """
-    return ~_violations(_long_array(rows), _scan_plan(alpha))
+    return _violations(_long_array(rows), _scan_plan(alpha)) < 0
 
 
 def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
@@ -383,7 +384,7 @@ def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     """
     plans = _block_plans(alpha)
     return _build_rows(
-        alpha, cap, lambda b, rows: ~_violations(_long_array(rows), plans[b])
+        alpha, cap, lambda b, rows: _violations(_long_array(rows), plans[b]) < 0
     )
 
 

@@ -29,7 +29,7 @@ from .errors import (
 from .parabolic import Composition, enumerate_quotient, is_member
 from .projection import project_down, project_up, theta_classes
 from .signed_perm import SignedPermutation
-from .tamari import build_tamari, verify_theorems
+from .tamari import CHECKS, build_tamari, verify_theorems
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
 FORMATS = ["text", "json", "csv"]
@@ -81,6 +81,11 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    names = CHECKS if args.check in (None, "all") else args.check.split(",")
+    unknown = [n for n in names if n not in CHECKS]
+    if unknown:
+        print(f"error: unknown checks {unknown}", file=sys.stderr)
+        return EXIT_USAGE
     status = EXIT_OK
     for alpha in _alpha_values(args):
         if args.export:
@@ -97,20 +102,11 @@ def _cmd_lattice(args) -> int:
             print(f"wrote {path}")
         if args.check:
             report = verify_theorems(alpha, cap=args.cap)
-            if args.check == "all":
-                wanted = report.checks
-            else:
-                names = args.check.split(",")
-                unknown = [n for n in names if n not in report.checks]
-                if unknown:
-                    print(f"error: unknown checks {unknown}", file=sys.stderr)
-                    return EXIT_USAGE
-                wanted = {name: report.checks[name] for name in names}
             if args.format == "json":
                 print(json.dumps(report.to_json()))
             else:
                 print(report.summary())
-            if not all(wanted.values()):
+            if not all(report.checks[name] for name in names):
                 status = EXIT_CHECK_FAILED
     return status
 

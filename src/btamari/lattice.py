@@ -290,25 +290,30 @@ class Partition:
         return len(self.blocks)
 
 
+def _class_bounds(lat: FiniteLattice, partition: Partition):
+    """Per class, the members with the largest up-set and the largest down-set.
+
+    In an interval class these are its bottom and its top.
+    """
+    block_of = np.asarray(partition.block_of)
+    # Where each class starts once the elements are sorted by class.
+    starts = np.searchsorted(np.sort(block_of), np.arange(len(partition.blocks)))
+    up, down = lat.leq.sum(axis=1), lat.leq.sum(axis=0)
+    return np.lexsort((-up, block_of))[starts], np.lexsort((-down, block_of))[starts]
+
+
 def check_congruence(lat: FiniteLattice, partition: Partition):
     """Verify the interval and order-preservation conditions; returns (ok, why)."""
     if len(partition.block_of) != lat.n:
         return False, "partition size does not match the lattice"
     leq = lat.leq
-    mins = np.empty(len(partition.blocks), dtype=np.int64)
-    maxs = np.empty(len(partition.blocks), dtype=np.int64)
-    for b, members in enumerate(partition.blocks):
-        lo = members[0]
-        hi = members[0]
-        for x in members[1:]:
-            lo = lat.meet(lo, x)
-            hi = lat.join(hi, x)
-        interval = np.flatnonzero(leq[lo] & leq[:, hi])
-        if set(map(int, interval)) != set(members):
-            return False, f"class {b} is not an interval"
-        mins[b] = lo
-        maxs[b] = hi
+    mins, maxs = _class_bounds(lat, partition)
     block_of = np.asarray(partition.block_of)
+    # Row b: the elements of [lo, hi] for class b, against the class itself.
+    interval = leq[mins] & leq[:, maxs].T
+    bad_class = (interval != (block_of == np.arange(len(mins))[:, None])).any(axis=1)
+    if bad_class.any():
+        return False, f"class {int(bad_class.argmax())} is not an interval"
     below, above = (block_of[ends] for ends in np.nonzero(lat.poset.covers))
     # The first cover pair, row-major, that breaks either map names the failure.
     bad_min = ~leq[mins[below], mins[above]]
@@ -325,13 +330,7 @@ def quotient_lattice(lat: FiniteLattice, partition: Partition) -> FiniteLattice:
     ok, why = check_congruence(lat, partition)
     if not ok:
         raise NotACongruenceError(why)
-    mins = []
-    for members in partition.blocks:
-        lo = members[0]
-        for x in members[1:]:
-            lo = lat.meet(lo, x)
-        mins.append(lo)
-    mins = sorted(mins)
+    mins = np.sort(_class_bounds(lat, partition)[0])
     leq = lat.leq[np.ix_(mins, mins)]
     poset = FinitePoset([lat.labels[x] for x in mins], leq)
     return try_lattice(poset)

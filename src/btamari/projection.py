@@ -1,28 +1,29 @@
 """Projections onto pattern-avoiding representatives and their fibers.
 
 Eliminating a 231 pattern swaps the consecutive values at its outer positions,
-shortening the element by one; iterating reaches the unique maximal
-231-avoider below the input.  The dual elimination of 312 patterns, conjugated
-by the order-reversing involution iota, climbs to the top of the fiber.  The
-fibers partition the quotient into intervals, one per aligned element.
+shortening the element by one; iterating, whichever pattern goes first,
+reaches the unique maximal 231-avoider below the input.  The dual elimination
+of 312 patterns, conjugated by the order-reversing involution iota, climbs to
+the top of the fiber.  The fibers partition the quotient into intervals, one
+per aligned element; ``fiber_bottoms`` eliminates one of each row's 231
+patterns, named by the scan it shares with ``aligned_mask``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import config
 from .alignment import (
     PatternWitness,
-    _descending_below,
     _long_array,
-    _long_row,
+    _require_member,
+    _scan_plan,
+    _violations,
     find_231_pattern,
     find_312_pattern,
-    _require_member,
 )
 from .parabolic import Composition, longest_element, quotient_rows
 from .signed_perm import SignedPermutation
@@ -103,67 +104,27 @@ class ThetaClass:
         }
 
 
-@lru_cache(maxsize=None)
-def _witness_plan(alpha: Composition):
-    """Every candidate 231 triple, in the order ``find_231_pattern`` tries them.
+def eliminate_231(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows holding a 231 pattern, and each with one of its patterns eliminated.
 
-    That order is j ascending, then i through ``_descending_below``; the last
-    position k is fixed by the row, so at most one k matches each (j, i).
-    Returns long-array rows of i, j and k, whether the middle entry must
-    exceed the outer pair (outside the join region) or undercut it, and the
-    signed positions i and k.
-    """
-    n = alpha.n
-    triples = []
-    for j in range(1, n + 1):
-        bj = alpha.block_id(j)
-        high = alpha.split or j > alpha.first_part
-        for i in _descending_below(j, n):
-            bi = alpha.block_id(i)
-            if bi == bj:
-                continue
-            for k in range(j + 1, n + 1):
-                bk = alpha.block_id(k)
-                if bk != bi and bk != bj:
-                    triples.append((_long_row(i), _long_row(j), _long_row(k), high, i, k))
-    columns = np.array(triples, dtype=np.intp).reshape(-1, 6).T
-    rows_i, rows_j, rows_k, high, pos_i, pos_k = columns
-    return rows_i, rows_j, rows_k, high.astype(bool)[:, None], pos_i, pos_k
-
-
-# Each chunk of the witness scan keeps its temporaries near this many entries.
-_WITNESS_BLOCK = 2**18
-
-
-def first_231_eliminations(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows that hold a 231 pattern, and each with its first pattern eliminated.
-
-    ``rows`` is a (m, n) integer array or a sequence of right parts.  Returns
-    the indices of the rows holding a pattern and, in the same order, the
-    rows ``eliminate_pattern(pi, find_231_pattern(alpha, pi))``: the values
-    at the witness's outer positions i and k, u + 1 and u, trade places.
+    ``rows`` is a (m, n) integer array or a sequence of right parts.  The
+    scan behind ``aligned_mask`` names a plan entry for each such row; the
+    values at the entry's outer positions i and k, u + 1 and u, trade places
+    as in ``eliminate_pattern``.  Returns the row indices and the new rows.
     """
     right = np.asarray(rows)
-    rows_i, rows_j, rows_k, high, pos_i, pos_k = _witness_plan(alpha)
-    if not len(rows_i):
-        return np.empty(0, dtype=np.intp), right[:0]
+    plan = _scan_plan(alpha)
     long = _long_array(right)
-    first = np.full(len(right), -1, dtype=np.intp)
-    step = max(1, _WITNESS_BLOCK // (len(rows_i) + 1))
-    for lo in range(0, len(right), step):
-        part = long[:, lo:lo + step]
-        vi, vj, vk = part[rows_i], part[rows_j], part[rows_k]
-        succ_k = vk + 1
-        succ_k[vk == -1] = 1
-        found = (vi == succ_k) & np.where(high, vj > vi, vj < vk)
-        first[lo:lo + step] = np.where(found.any(axis=0), found.argmax(axis=0), -1)
-    hit = np.flatnonzero(first >= 0)
-    t = first[hit]
-    vi, vk = long[rows_i[t], hit], long[rows_k[t], hit]
+    entry = _violations(long, plan)
+    hit = np.flatnonzero(entry >= 0)
+    outer = np.array([e[:2] for e in plan], dtype=np.intp).reshape(-1, 2)
+    rows_i, rows_k = outer[entry[hit]].T
+    vi, vk = long[rows_i, hit], long[rows_k, hit]
+    # Long row 2p - 2 holds position p and row 2p - 1 position -p; k > 0.
     eliminated = right[hit]
     at = np.arange(len(hit))
-    eliminated[at, pos_k[t] - 1] = vi
-    eliminated[at, np.abs(pos_i[t]) - 1] = np.where(pos_i[t] > 0, vk, -vk)
+    eliminated[at, rows_k // 2] = vi
+    eliminated[at, rows_i // 2] = np.where(rows_i % 2, -vk, vk)
     return hit, eliminated
 
 
@@ -181,13 +142,13 @@ def fiber_bottoms(alpha: Composition, rows) -> np.ndarray:
 
     ``rows`` is a (m, n) integer array or a sequence of right parts, and
     rows with equal bottoms share a fiber.  An aligned row is its own
-    bottom; any other row has the bottom of the row its first 231 pattern
-    eliminates to, which must be among ``rows`` (else ValueError).  That is
-    the recursion of ``project_down``, resolved for all rows at once by
-    pointer jumping.
+    bottom; any other row has the bottom of the row that ``eliminate_231``
+    takes it to, which must be among ``rows`` (else ValueError).  Every
+    elimination stays in the fiber, so this is the recursion of
+    ``project_down``, resolved for all rows at once by pointer jumping.
     """
     right = np.asarray(rows)
-    hit, eliminated = first_231_eliminations(alpha, right)
+    hit, eliminated = eliminate_231(alpha, right)
     codes = _row_codes(right)
     order = np.argsort(codes, kind="stable")
     ranked = codes[order]
@@ -197,7 +158,7 @@ def fiber_bottoms(alpha: Composition, rows) -> np.ndarray:
     if missing.size:
         r = missing[0]
         raise ValueError(
-            f"the first 231 pattern of {','.join(map(str, right[hit[r]]))} eliminates"
+            f"a 231 pattern of {','.join(map(str, right[hit[r]]))} eliminates"
             f" to {','.join(map(str, eliminated[r]))}, which is not among the rows"
         )
     bottoms = np.arange(len(right))

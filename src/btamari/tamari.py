@@ -37,6 +37,14 @@ from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 SUBPOSET, QUOTIENT = "subposet", "quotient"
 
+# The checks of a verification report, in the order verify_theorems runs them.
+CHECKS = (
+    "congruence_valid", "lattice_subposet", "lattice_quotient",
+    "quotient_isomorphic_subposet", "congruence_uniform", "semidistributive",
+    "extremal", "trim", "length_formula", "irreducible_counts",
+    "irreducible_constructor",
+)
+
 # Largest element count for which dense m x m order matrices and lattice
 # tables are allocated.
 TABLE_THRESHOLD = 20_000

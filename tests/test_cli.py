@@ -7,6 +7,7 @@ from btamari import tamari
 from btamari.cli import main
 from btamari.config import resolve_threads
 from btamari.errors import NotACongruenceError, NotALatticeError
+from btamari.parabolic import Composition
 
 
 def run(capsys, *argv):
@@ -146,6 +147,30 @@ class TestLattice:
         assert code == 0
         data = json.loads((tmp_path / "mylattice.json").read_text(encoding="utf-8"))
         assert len(data["elements"]) == 2
+
+    def test_unknown_check_rejected_before_any_work(self, capsys, tmp_path, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("btamari.cli.verify_theorems", not_called)
+        monkeypatch.setattr("btamari.cli.build_tamari", not_called)
+        code, out, err = run(
+            capsys, "lattice", "--alpha", "0,1,1,1,1,1", "--check", "trim,trimm",
+            "--export", "dot",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown checks ['trimm']\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_names_select_the_exit_code(self, capsys, monkeypatch):
+        report = tamari.verify_theorems(Composition.parse("0,1"))
+        report.checks["trim"] = False
+        monkeypatch.setattr("btamari.cli.verify_theorems", lambda *a, **k: report)
+        assert run(capsys, "lattice", "--alpha", "0,1", "--check", "extremal")[0] == 0
+        assert run(capsys, "lattice", "--alpha", "0,1", "--check", "extremal,trim")[0] == 1
+        assert run(capsys, "lattice", "--alpha", "0,1", "--check", "all")[0] == 1
 
     def test_neither_check_nor_export_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

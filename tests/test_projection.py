@@ -12,9 +12,9 @@ from btamari.parabolic import (
     quotient_rows,
 )
 from btamari.projection import (
+    eliminate_231,
     eliminate_pattern,
     fiber_bottoms,
-    first_231_eliminations,
     iota,
     project_down,
     project_onto_312,
@@ -116,6 +116,22 @@ class TestConfluence:
                         cur = eliminate_pattern(cur, rng.choice(ws))
                     assert cur.right == expected[pi.right]
 
+    def test_every_elimination_stays_in_its_fiber(self, all_small_compositions):
+        # The batch scan may name any of a row's patterns; exhaustively, every
+        # single elimination keeps the element's downward projection.
+        count = 0
+        for n in (1, 2, 3, 4):
+            for alpha in all_small_compositions[n]:
+                members = enumerate_quotient(alpha)
+                rights = [pi.right for pi in members]
+                bottoms = dict(zip(rights, recursive_fiber_bottoms(alpha, members)))
+                for pi in members:
+                    for w in find_all_231_patterns(alpha, pi):
+                        down = eliminate_pattern(pi, w).right
+                        assert bottoms[down] == bottoms[pi.right], (alpha, pi, w)
+                        count += 1
+        assert count == 2150
+
 
 class TestIota:
     def test_endpoints(self):
@@ -202,16 +218,24 @@ class TestProjectUp:
 
 
 class TestBatchedFibers:
-    def test_first_elimination_matches_scalar(self, quotients_to_five):
+    def test_hit_rows_are_the_rows_with_a_pattern(self, quotients_to_five):
         for alpha, rows, members in quotients_to_five:
-            hit, eliminated = first_231_eliminations(alpha, rows)
-            expected = {}
-            for idx, pi in enumerate(members):
-                witness = find_231_pattern(alpha, pi)
-                if witness is not None:
-                    expected[idx] = eliminate_pattern(pi, witness).right
-            assert hit.tolist() == sorted(expected), alpha
-            assert [tuple(r) for r in eliminated.tolist()] == list(expected.values())
+            hit, _ = eliminate_231(alpha, rows)
+            expected = [
+                idx for idx, pi in enumerate(members) if find_231_pattern(alpha, pi)
+            ]
+            assert hit.tolist() == expected, alpha
+
+    def test_each_elimination_is_one_of_the_patterns(self, quotients_to_five):
+        for alpha, rows, members in quotients_to_five:
+            hit, eliminated = eliminate_231(alpha, rows)
+            for idx, row in zip(hit.tolist(), eliminated.tolist()):
+                pi = members[idx]
+                options = {
+                    eliminate_pattern(pi, w).right
+                    for w in find_all_231_patterns(alpha, pi)
+                }
+                assert tuple(row) in options, (alpha, pi)
 
     def test_bottoms_match_recursion(self, quotients_to_five):
         for alpha, rows, members in quotients_to_five:
@@ -231,7 +255,7 @@ class TestBatchedFibers:
 
     def test_missing_eliminated_row_raises(self):
         rows = quotient_rows(A021)
-        hit, eliminated = first_231_eliminations(A021, rows)
+        hit, eliminated = eliminate_231(A021, rows)
         keep = ~(rows == eliminated[0]).all(axis=1)
         with pytest.raises(ValueError, match="not among the rows"):
             fiber_bottoms(A021, rows[keep])

@@ -181,6 +181,7 @@ class TestVerifyTheorems:
             "irreducible_counts",
             "irreducible_constructor",
         }
+        assert tuple(data["checks"]) == tamari.CHECKS
         assert all(data["checks"].values())
         assert data["stats"] == {"size": 16, "length": 8, "join_irreducibles": 8}
         assert data["not_a_sublattice_witness"] == [
