@@ -48,12 +48,6 @@ from .projection import (
     theta_classes,
 )
 from .signed_perm import Reflection, SignedPermutation
-from .tamari import (
-    TamariLattice,
-    build_tamari,
-    join_irreducible_for,
-    not_sublattice_witness,
-    verify_theorems,
-)
+from .tamari import build_tamari, join_irreducible_for, verify_theorems
 
 __all__ = [name for name in dir() if not name.startswith("_")]

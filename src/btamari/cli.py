@@ -86,17 +86,24 @@ def _cmd_lattice(args) -> int:
     if unknown:
         print(f"error: unknown checks {unknown}", file=sys.stderr)
         return EXIT_USAGE
+    alphas = _alpha_values(args)
+    if args.export and args.out and len(alphas) > 1:
+        print(
+            f"error: --out names one file but there are {len(alphas)} compositions",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     status = EXIT_OK
-    for alpha in _alpha_values(args):
+    for alpha in alphas:
         if args.export:
             built = build_tamari(alpha, cap=args.cap)
             label = lambda pi: pi.long_one_line()
             stem = args.out or f"tamari_{alpha.format().replace(',', '_')}"
             path = f"{stem}.{args.export}"
             if args.export == "dot":
-                text = lat.lattice_to_dot(built.lattice, label)
+                text = lat.lattice_to_dot(built, label)
             else:
-                text = json.dumps(lat.lattice_to_json(built.lattice, label), indent=2)
+                text = json.dumps(lat.lattice_to_json(built, label), indent=2)
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text if text.endswith("\n") else text + "\n")
             print(f"wrote {path}")

@@ -11,7 +11,7 @@ and trimness, plus JSON and DOT exports.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,10 +31,7 @@ class FinitePoset:
 
     @classmethod
     def from_leq(
-        cls,
-        labels: Sequence,
-        leq: Callable[[object, object], bool] | np.ndarray,
-        validate: bool = True,
+        cls, labels: Sequence, leq: Callable[[object, object], bool] | np.ndarray
     ) -> "FinitePoset":
         if callable(leq):
             m = len(labels)
@@ -45,8 +42,7 @@ class FinitePoset:
         else:
             matrix = np.asarray(leq, dtype=bool)
         poset = cls(labels, matrix)
-        if validate:
-            poset._validate()
+        poset._validate()
         return poset
 
     def _validate(self):
@@ -211,11 +207,6 @@ def lower_cover(lat: FiniteLattice, j: int) -> int:
     return int(below[0])
 
 
-def length(obj) -> int:
-    poset = obj.poset if isinstance(obj, FiniteLattice) else obj
-    return poset.length()
-
-
 # -- semidistributivity --------------------------------------------------------
 
 
@@ -260,77 +251,63 @@ def is_semidistributive(lat: FiniteLattice) -> bool:
 # -- congruences ---------------------------------------------------------------
 
 
-class Partition:
-    """A partition of lattice indices, hashable up to block order.
-
-    ``block_of[x]`` is any hashable key naming the block of element x; keys
-    are relabelled 0, 1, ... in order of first appearance, so two labellings
-    of one partition compare equal.
-    """
-
-    def __init__(self, block_of: Sequence[Hashable]):
-        relabel: dict[Hashable, int] = {}
-        canon = []
-        for b in block_of:
-            relabel.setdefault(b, len(relabel))
-            canon.append(relabel[b])
-        self.block_of = tuple(canon)
-        blocks: dict[int, list[int]] = {}
-        for x, b in enumerate(self.block_of):
-            blocks.setdefault(b, []).append(x)
-        self.blocks = tuple(tuple(members) for _, members in sorted(blocks.items()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.block_of == other.block_of
-
-    def __hash__(self) -> int:
-        return hash(self.block_of)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def _class_bounds(lat: FiniteLattice, partition: Partition):
+def _class_bounds(lat: FiniteLattice, classes: np.ndarray):
     """Per class, the members with the largest up-set and the largest down-set.
 
-    In an interval class these are its bottom and its top.
+    ``classes`` numbers the classes 0, 1, ...  In an interval class these
+    members are its bottom and its top.
     """
-    block_of = np.asarray(partition.block_of)
     # Where each class starts once the elements are sorted by class.
-    starts = np.searchsorted(np.sort(block_of), np.arange(len(partition.blocks)))
+    starts = np.searchsorted(np.sort(classes), np.arange(classes.max() + 1))
     up, down = lat.leq.sum(axis=1), lat.leq.sum(axis=0)
-    return np.lexsort((-up, block_of))[starts], np.lexsort((-down, block_of))[starts]
+    return np.lexsort((-up, classes))[starts], np.lexsort((-down, classes))[starts]
 
 
-def check_congruence(lat: FiniteLattice, partition: Partition):
-    """Verify the interval and order-preservation conditions; returns (ok, why)."""
-    if len(partition.block_of) != lat.n:
-        return False, "partition size does not match the lattice"
+def _congruence_failure(lat: FiniteLattice, block_of):
+    """Why the classes are not a congruence (None when they are), and their minima."""
+    if len(block_of) != lat.n:
+        return "partition size does not match the lattice", None
+    # Number the classes by their first element, as ``why`` reports them.
+    _, first, classes = np.unique(block_of, return_index=True, return_inverse=True)
+    classes = np.argsort(np.argsort(first))[classes]
     leq = lat.leq
-    mins, maxs = _class_bounds(lat, partition)
-    block_of = np.asarray(partition.block_of)
+    mins, maxs = _class_bounds(lat, classes)
     # Row b: the elements of [lo, hi] for class b, against the class itself.
     interval = leq[mins] & leq[:, maxs].T
-    bad_class = (interval != (block_of == np.arange(len(mins))[:, None])).any(axis=1)
+    bad_class = (interval != (classes == np.arange(len(mins))[:, None])).any(axis=1)
     if bad_class.any():
-        return False, f"class {int(bad_class.argmax())} is not an interval"
-    below, above = (block_of[ends] for ends in np.nonzero(lat.poset.covers))
+        return f"class {int(bad_class.argmax())} is not an interval", mins
+    below, above = (classes[ends] for ends in np.nonzero(lat.poset.covers))
     # The first cover pair, row-major, that breaks either map names the failure.
     bad_min = ~leq[mins[below], mins[above]]
     bad = bad_min | ~leq[maxs[below], maxs[above]]
     if bad.any():
         if bad_min[bad.argmax()]:
-            return False, "class-minimum map is not order preserving"
-        return False, "class-maximum map is not order preserving"
-    return True, None
+            return "class-minimum map is not order preserving", mins
+        return "class-maximum map is not order preserving", mins
+    return None, mins
 
 
-def quotient_lattice(lat: FiniteLattice, partition: Partition) -> FiniteLattice:
-    """Lattice on congruence-class minima, ordered as in the original."""
-    ok, why = check_congruence(lat, partition)
-    if not ok:
+def check_congruence(lat: FiniteLattice, block_of):
+    """Verify the interval and order-preservation conditions; returns (ok, why).
+
+    ``block_of[x]`` is any key naming the class of element x, such as the
+    bottoms ``fiber_bottoms`` returns.  ``why`` numbers the classes by their
+    first element.
+    """
+    why, _ = _congruence_failure(lat, block_of)
+    return why is None, why
+
+
+def quotient_lattice(lat: FiniteLattice, block_of) -> FiniteLattice:
+    """Lattice on congruence-class minima, ordered as in the original.
+
+    ``block_of`` names the classes as for ``check_congruence``.
+    """
+    why, mins = _congruence_failure(lat, block_of)
+    if why is not None:
         raise NotACongruenceError(why)
-    mins = np.sort(_class_bounds(lat, partition)[0])
+    mins = np.sort(mins)
     leq = lat.leq[np.ix_(mins, mins)]
     poset = FinitePoset([lat.labels[x] for x in mins], leq)
     return try_lattice(poset)
@@ -393,7 +370,7 @@ def has_left_modular_chain(lat: FiniteLattice) -> bool:
         for y in np.flatnonzero(covers[x]):
             if modular[y]:
                 best[y] = max(best[y], best[x] + 1)
-    return best[lat.top] == lat.poset.length()
+    return bool(best[lat.top] == lat.poset.length())
 
 
 def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
@@ -412,17 +389,18 @@ def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
 # -- exports --------------------------------------------------------------------
 
 
-def lattice_to_json(obj, label_fn: Callable = str) -> dict:
-    poset = obj.poset if isinstance(obj, FiniteLattice) else obj
+def lattice_to_json(lat: FiniteLattice, label_fn: Callable = str) -> dict:
     return {
-        "elements": [label_fn(x) for x in poset.labels],
-        "covers": [list(pair) for pair in sorted(poset.cover_pairs())],
+        "elements": [label_fn(x) for x in lat.labels],
+        "covers": [list(pair) for pair in sorted(lat.poset.cover_pairs())],
     }
 
 
-def lattice_to_dot(obj, label_fn: Callable = str, name: str = "lattice") -> str:
+def lattice_to_dot(
+    lat: FiniteLattice, label_fn: Callable = str, name: str = "lattice"
+) -> str:
     """DOT digraph with edges a -> b for covers, ranked by height from the bottom."""
-    poset = obj.poset if isinstance(obj, FiniteLattice) else obj
+    poset = lat.poset
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for idx, label in enumerate(poset.labels):
         text = label_fn(label).replace('"', '\\"')

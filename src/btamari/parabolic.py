@@ -199,6 +199,10 @@ def _build_rows(
     it may carry signs, every signing of them, re-sorted through a per-size
     table.  ``keep(b, rows)``, when given, returns a boolean mask over the
     rows whose first b + 1 blocks are placed; only the rows it keeps grow on.
+
+    Rows come in build order: by the first block's values, then its sign
+    mask, then the second block's values, then its sign mask, and so on; bit
+    t of a block's mask negates its t-th smallest value.
     """
     size = quotient_size(alpha)
     cap = resolve_cap(cap)
@@ -231,26 +235,17 @@ def _build_rows(
     return rows
 
 
-def quotient_rows(
-    alpha: Composition, cap: int | None = None, sort: bool = True
-) -> np.ndarray:
+def quotient_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     """Right parts of all quotient members, as a (quotient_size, n) integer array.
 
     The cap is checked before anything is allocated.  The dtype is int8, or
     int16 when n + 1 does not fit in int8.  Rows are built by broadcasting,
     block by block: each block's ascending values out of those left, then
-    the block's signings.
-
-    With ``sort=True`` the rows are in lexicographic order, the order of the
-    members' right-part tuples.  With ``sort=False`` they come in build order:
-    by the first block's values, then its sign mask, then the second block's
-    values, then its sign mask, and so on; bit t of a block's mask negates
-    its t-th smallest value.
+    the block's signings.  They are returned in lexicographic order, the
+    order of the members' right-part tuples.
     """
     rows = _build_rows(alpha, cap)
-    if sort:
-        rows = rows[np.lexsort(rows.T[::-1])]
-    return rows
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def enumerate_quotient(

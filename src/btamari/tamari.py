@@ -1,15 +1,16 @@
 """Assembly and verification of the type-B parabolic Tamari lattices.
 
-Tam_B(alpha) is the weak order on the 231-avoiding quotient members.  It can
-be built directly as a subposet, or as the quotient of the weak order on the
-whole parabolic quotient by the projection fibers; the two agree.  The module
-also builds each join-irreducible element directly from the inversion it
-covers, and bundles every structural claim into a verification report.
+Tam_B(alpha) is the weak order on the 231-avoiding quotient members, built
+directly as a subposet by ``build_tamari``.  It is also the quotient of the
+weak order on the whole parabolic quotient by the projection fibers; the two
+agree.  The module also builds each join-irreducible element directly from
+the inversion it covers, and bundles every structural claim into a
+verification report.
 
 Verification builds each structure once per composition (the weak order, its
-projection-fiber partition and the subposet lattice) and every check reads
-from those builds.  The subposet and quotient constructions stay as two
-independent routes to the same lattice, so that each confirms the other.
+projection fibers and the subposet lattice) and every check reads from those
+builds.  The subposet and quotient constructions stay as two independent
+routes to the same lattice, so that each confirms the other.
 Order matrices and lattice tables are dense, m x m for m elements, so no
 structure above TABLE_THRESHOLD elements is built.
 """
@@ -35,8 +36,6 @@ from .parabolic import (
 from .projection import fiber_bottoms
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
-SUBPOSET, QUOTIENT = "subposet", "quotient"
-
 # The checks of a verification report, in the order verify_theorems runs them.
 CHECKS = (
     "congruence_valid", "lattice_subposet", "lattice_quotient",
@@ -48,13 +47,6 @@ CHECKS = (
 # Largest element count for which dense m x m order matrices and lattice
 # tables are allocated.
 TABLE_THRESHOLD = 20_000
-
-
-@dataclass(frozen=True)
-class TamariLattice:
-    alpha: Composition
-    lattice: lat.FiniteLattice
-    provenance: str
 
 
 def _check_table_bound(m: int):
@@ -98,24 +90,10 @@ def weak_order_lattice(alpha: Composition, cap: int | None = None) -> lat.Finite
     return lat.try_lattice(poset)
 
 
-def build_tamari(
-    alpha: Composition, route: str = SUBPOSET, cap: int | None = None
-) -> TamariLattice:
-    if route == SUBPOSET:
-        aligned = enumerate_aligned(alpha, cap)
-        poset = lat.FinitePoset(aligned, _weak_leq_matrix(aligned))
-        return TamariLattice(alpha, lat.try_lattice(poset), SUBPOSET)
-    if route == QUOTIENT:
-        weak = weak_order_lattice(alpha, cap)
-        theta = _fiber_partition(alpha, weak)
-        return TamariLattice(alpha, lat.quotient_lattice(weak, theta), QUOTIENT)
-    raise ValueError(f"unknown construction route {route!r}")
-
-
-def _fiber_partition(alpha: Composition, weak: lat.FiniteLattice) -> lat.Partition:
-    """The weak order's elements grouped by their downward projection."""
-    rows = np.array([pi.right for pi in weak.labels])
-    return lat.Partition(fiber_bottoms(alpha, rows).tolist())
+def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
+    """Tam_B(alpha): the weak order on the aligned members, as a lattice."""
+    aligned = enumerate_aligned(alpha, cap)
+    return lat.try_lattice(lat.FinitePoset(aligned, _weak_leq_matrix(aligned)))
 
 
 # -- join-irreducible constructor ---------------------------------------------
@@ -236,13 +214,6 @@ def irreducible_pairs(alpha: Composition) -> list[tuple[int, int]]:
 # -- structural verification -----------------------------------------------------
 
 
-def not_sublattice_witness(alpha: Composition, cap: int | None = None):
-    """Aligned pair whose weak-order meet differs from the Tamari meet, if any."""
-    return _meet_mismatch(
-        weak_order_lattice(alpha, cap), build_tamari(alpha, SUBPOSET, cap).lattice
-    )
-
-
 def _meet_mismatch(weak: lat.FiniteLattice, tam: lat.FiniteLattice):
     """First pair a < b, row-major over Tamari indices, whose two meets differ.
 
@@ -319,20 +290,20 @@ def verify_theorems(
 ) -> VerificationReport:
     """Run every structural check for one composition and collect the outcome.
 
-    The weak order, its projection-fiber partition and the subposet lattice
-    are each built once; every check, the quotient lattice and the
-    not-a-sublattice witness read from those builds.
+    The weak order, its projection fibers and the subposet lattice are each
+    built once; every check, the quotient lattice and the not-a-sublattice
+    witness read from those builds.
     """
     checks: dict[str, bool] = {}
     weak = weak_order_lattice(alpha, cap)
-    theta = _fiber_partition(alpha, weak)
+    bottoms = fiber_bottoms(alpha, np.array([pi.right for pi in weak.labels]))
     try:
-        quot = lat.quotient_lattice(weak, theta)
+        quot = lat.quotient_lattice(weak, bottoms)
     except NotACongruenceError:
         quot = None
     checks["congruence_valid"] = quot is not None
 
-    L = build_tamari(alpha, SUBPOSET, cap).lattice
+    L = build_tamari(alpha, cap)
     checks["lattice_subposet"] = True  # try_lattice would have raised otherwise
     checks["lattice_quotient"] = quot is not None
     checks["quotient_isomorphic_subposet"] = quot is not None and _isomorphic(L, quot)

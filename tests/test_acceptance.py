@@ -23,14 +23,13 @@ from btamari.enumeration import (
     type_d_catalan,
 )
 from btamari.lattice import (
-    Partition,
     check_congruence,
     is_congruence_uniform,
     is_semidistributive,
     is_trim,
     join_irreducibles,
-    length,
     meet_irreducibles,
+    quotient_lattice,
 )
 from btamari.parabolic import (
     Composition,
@@ -44,12 +43,10 @@ from btamari.parabolic import (
 )
 from btamari.projection import eliminate_pattern, fiber_bottoms, project_down
 from btamari.tamari import (
-    QUOTIENT,
-    SUBPOSET,
     _isomorphic,
     build_tamari,
     join_irreducible_for,
-    not_sublattice_witness,
+    verify_theorems,
     weak_order_lattice,
 )
 
@@ -96,11 +93,10 @@ def test_criterion_03_theorem_one():
     for n in (1, 2, 3, 4):
         for alpha in all_compositions(n):
             weak = weak_order_lattice(alpha)
-            theta = Partition(fiber_bottoms(alpha, [pi.right for pi in weak.labels]))
-            ok, why = check_congruence(weak, theta)
-            sub = build_tamari(alpha, SUBPOSET)
-            quot = build_tamari(alpha, QUOTIENT)
-            if not ok or not _isomorphic(sub.lattice, quot.lattice):
+            bottoms = fiber_bottoms(alpha, [pi.right for pi in weak.labels])
+            ok, why = check_congruence(weak, bottoms)
+            tam = build_tamari(alpha)
+            if not ok or not _isomorphic(tam, quotient_lattice(weak, bottoms)):
                 failures.append(alpha.format())
     assert failures == []
     report(3, "both routes built, congruence valid, quotient iso subposet, all alpha n<=4")
@@ -110,8 +106,8 @@ def test_criterion_04_theorem_two():
     failures = []
     for n in (1, 2, 3, 4):
         for alpha in all_compositions(n):
-            lat = build_tamari(alpha).lattice
-            ln = length(lat)
+            lat = build_tamari(alpha)
+            ln = lat.poset.length()
             good = (
                 is_congruence_uniform(lat)
                 and is_semidistributive(lat)
@@ -158,7 +154,7 @@ def test_criterion_05_paper_examples_bit_exact():
     ]
     for alpha, pair, expected in golden:
         assert join_irreducible_for(alpha, pair) == perm(expected)
-    witness = not_sublattice_witness(Composition.parse("0,2,1"))
+    witness = verify_theorems(Composition.parse("0,2,1")).witness
     assert witness is not None
     pi1, pi2, weak_meet, tamari_meet = witness
     assert (pi1, pi2) == (perm("-2,1,-3"), perm("-3,-1,-2"))

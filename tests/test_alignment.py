@@ -22,6 +22,7 @@ from btamari.enumeration import cover_enumerator
 from btamari.errors import CapExceededError
 from btamari.parabolic import (
     Composition,
+    _build_rows,
     all_compositions,
     enumerate_quotient,
     inversion_order,
@@ -184,7 +185,7 @@ class TestBatchInputs:
     def test_tuples_and_array_agree(self):
         for n in range(1, 6):
             for alpha in all_compositions(n):
-                rows = quotient_rows(alpha, sort=False)
+                rows = _build_rows(alpha, None)
                 tuples = [tuple(r) for r in rows.tolist()]
                 assert np.array_equal(
                     aligned_mask(alpha, rows), aligned_mask(alpha, tuples)

@@ -148,6 +148,22 @@ class TestLattice:
         data = json.loads((tmp_path / "mylattice.json").read_text(encoding="utf-8"))
         assert len(data["elements"]) == 2
 
+    def test_one_out_stem_for_a_batch_is_refused(self, capsys, tmp_path, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr("btamari.cli.build_tamari", not_called)
+        batch = tmp_path / "alphas.txt"
+        batch.write_text("0,1\n0,2\n", encoding="utf-8")
+        stem = str(tmp_path / "out")
+        code, out, err = run(
+            capsys, "lattice", "--batch", str(batch), "--export", "json", "--out", stem
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --out names one file but there are 2 compositions\n"
+        assert list(tmp_path.iterdir()) == [batch]
+
     def test_unknown_check_rejected_before_any_work(self, capsys, tmp_path, monkeypatch):
         def not_called(*args, **kwargs):
             raise AssertionError("called")

@@ -6,9 +6,9 @@ from btamari.errors import (
     NotALatticeError,
     NotAPartialOrderError,
 )
+from btamari import lattice
 from btamari.lattice import (
     FinitePoset,
-    Partition,
     check_congruence,
     has_left_modular_chain,
     _lower_bounded,
@@ -20,7 +20,6 @@ from btamari.lattice import (
     join_irreducibles,
     lattice_to_dot,
     lattice_to_json,
-    length,
     lower_cover,
     meet_irreducibles,
     quotient_lattice,
@@ -28,9 +27,9 @@ from btamari.lattice import (
     try_lattice,
 )
 
-from btamari.parabolic import Composition, all_compositions
+from btamari.parabolic import Composition, all_compositions, quotient_rows
 from btamari.projection import fiber_bottoms
-from btamari.tamari import SUBPOSET, build_tamari, weak_order_lattice
+from btamari.tamari import build_tamari, weak_order_lattice
 from conftest import full_group
 
 
@@ -161,6 +160,36 @@ def loop_check_congruence(lat, partition):
 # -- congruences by closure: the oracle for check_congruence -------------------
 
 
+class Partition:
+    """A partition of lattice indices, hashable up to block order.
+
+    ``block_of[x]`` is any hashable key naming the block of element x; keys
+    are relabelled 0, 1, ... in order of first appearance, so two labellings
+    of one partition compare equal.
+    """
+
+    def __init__(self, block_of):
+        relabel = {}
+        canon = []
+        for b in block_of:
+            relabel.setdefault(b, len(relabel))
+            canon.append(relabel[b])
+        self.block_of = tuple(canon)
+        blocks = {}
+        for x, b in enumerate(self.block_of):
+            blocks.setdefault(b, []).append(x)
+        self.blocks = tuple(tuple(members) for _, members in sorted(blocks.items()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition) and self.block_of == other.block_of
+
+    def __hash__(self) -> int:
+        return hash(self.block_of)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+
 def discrete(n):
     return Partition(range(n))
 
@@ -268,8 +297,34 @@ def small_lattices():
     for n in (1, 2, 3, 4):
         for alpha in all_compositions(n):
             built[f"weak {alpha.format()}"] = weak_order_lattice(alpha)
-            built[f"tamari {alpha.format()}"] = build_tamari(alpha, SUBPOSET).lattice
+            built[f"tamari {alpha.format()}"] = build_tamari(alpha)
     return built
+
+
+def largest_member_keys(partition):
+    """Each element keyed by the largest member of its class: keys with gaps,
+    not in order of first appearance."""
+    return np.array([partition.blocks[b][-1] for b in partition.block_of])
+
+
+def weak_order_partitions(alpha, weak):
+    """Class keys on the weak order of ``alpha``: the raw fiber bottoms, then
+    two broken partitions.
+
+    The first merges the fibers numbered 0 and 1.  The second, when some y
+    has two lower covers, makes one cover x < y a class: the other lower
+    cover z < y is not below x, the new minimum of y's class.
+    """
+    bottoms = fiber_bottoms(alpha, [pi.right for pi in weak.labels])
+    merged = Partition([max(b - 1, 0) for b in Partition(bottoms.tolist()).block_of])
+    keys = [bottoms, largest_member_keys(merged)]
+    joined = np.flatnonzero(weak.poset.covers.sum(axis=0) > 1)
+    if joined.size:
+        y = int(joined[0])
+        x = int(np.flatnonzero(weak.poset.covers[:, y])[0])
+        cover = Partition([x if v == y else v for v in range(weak.n)])
+        keys.append(largest_member_keys(cover))
+    return keys
 
 
 def weak_order_lattice_raw(n):
@@ -408,10 +463,10 @@ class TestIrreducibles:
 
 class TestLength:
     def test_examples(self):
-        assert length(chain(1)) == 0
-        assert length(chain(5)) == 4
+        assert chain(1).poset.length() == 0
+        assert chain(5).poset.length() == 4
         for n in (2, 3):
-            assert length(weak_order_lattice_raw(n)) == n * n
+            assert weak_order_lattice_raw(n).poset.length() == n * n
 
 
 class TestSemidistributivity:
@@ -471,9 +526,9 @@ class TestCongruences:
 
     def test_check_congruence(self):
         lat = chain(4)
-        assert check_congruence(lat, discrete(4)) == (True, None)
-        assert check_congruence(lat, Partition([0, 0, 0, 0])) == (True, None)
-        ok, why = check_congruence(lat, Partition([0, 1, 0, 2]))
+        assert check_congruence(lat, discrete(4).block_of) == (True, None)
+        assert check_congruence(lat, [0, 0, 0, 0]) == (True, None)
+        ok, why = check_congruence(lat, [0, 1, 0, 2])
         assert not ok and "interval" in why
 
     def test_matches_loop_on_weak_orders(self, small_lattices):
@@ -481,23 +536,14 @@ class TestCongruences:
         for n in (1, 2, 3, 4):
             for alpha in all_compositions(n):
                 weak = small_lattices[f"weak {alpha.format()}"]
-                fibers = fiber_bottoms(alpha, [pi.right for pi in weak.labels])
-                theta = Partition(fibers.tolist())
-                merged = Partition([max(b - 1, 0) for b in theta.block_of])
-                partitions = [theta, merged]
-                # One cover x < y made a class, where y has a second lower cover
-                # z: z < y while z is not below x, the new minimum of y's class.
-                joined = np.flatnonzero(weak.poset.covers.sum(axis=0) > 1)
-                if joined.size:
-                    y = int(joined[0])
-                    x = int(np.flatnonzero(weak.poset.covers[:, y])[0])
-                    partitions.append(Partition([x if v == y else v for v in range(weak.n)]))
-                for partition in partitions:
-                    result = check_congruence(weak, partition)
+                keyed = weak_order_partitions(alpha, weak)
+                for keys in keyed:
+                    partition = Partition(keys.tolist())
+                    result = check_congruence(weak, partition.block_of)
                     assert result == loop_check_congruence(weak, partition), alpha
                     why = result[1]
                     seen.add("not an interval" if why and "interval" in why else why)
-                if joined.size:
+                if len(keyed) == 3:
                     assert not result[0]
         assert seen == {
             None,
@@ -505,6 +551,34 @@ class TestCongruences:
             "class-minimum map is not order preserving",
             "class-maximum map is not order preserving",
         }
+
+    def test_raw_keys_match_first_appearance_numbering(self, small_lattices):
+        # Keys with gaps and in any order, such as fiber bottoms, give what the
+        # oracle Partition's first-appearance numbering of them gives.
+        renumbered = 0
+        for n in (1, 2, 3):
+            for alpha in all_compositions(n):
+                weak = small_lattices[f"weak {alpha.format()}"]
+                for keys in weak_order_partitions(alpha, weak):
+                    canon = Partition(keys.tolist()).block_of
+                    by_value = np.unique(keys, return_inverse=True)[1]
+                    renumbered += not np.array_equal(by_value, canon)
+                    result = check_congruence(weak, keys)
+                    assert result == check_congruence(weak, canon), alpha
+                    if not result[0]:
+                        with pytest.raises(NotACongruenceError) as info:
+                            quotient_lattice(weak, keys)
+                        assert str(info.value) == result[1]
+                        continue
+                    quot = quotient_lattice(weak, keys)
+                    expected = quotient_lattice(weak, canon)
+                    assert quot.labels == expected.labels, alpha
+                    assert np.array_equal(quot.leq, expected.leq), alpha
+        assert renumbered > 0
+        # Sorted keys would number the class {0, 2, 3} as 1, after {1}.
+        assert check_congruence(chain(4), [9, 4, 9, 9]) == (
+            False, "class 0 is not an interval"
+        )
 
     def test_principal_is_minimal_congruence(self):
         for lat in (chain(4), m3(), n5(), weak_order_lattice_raw(2)):
@@ -520,7 +594,7 @@ class TestCongruences:
     def test_all_congruences_pass_check(self):
         for lat in (chain(3), n5(), m3()):
             for theta in all_congruences(lat):
-                assert check_congruence(lat, theta)[0]
+                assert check_congruence(lat, theta.block_of)[0]
 
     def test_congruence_count_of_chain(self):
         # congruences of an n-chain are interval partitions: 2^(n-1)
@@ -530,23 +604,35 @@ class TestCongruences:
 class TestQuotient:
     def test_discrete_gives_same(self):
         lat = n5()
-        quot = quotient_lattice(lat, discrete(lat.n))
+        quot = quotient_lattice(lat, discrete(lat.n).block_of)
         assert quot.n == lat.n
         assert np.array_equal(quot.leq, lat.leq)
 
     def test_single_block(self):
         lat = chain(3)
-        quot = quotient_lattice(lat, Partition([0, 0, 0]))
+        quot = quotient_lattice(lat, [0, 0, 0])
         assert quot.n == 1
 
     def test_rejects_non_congruence(self):
         with pytest.raises(NotACongruenceError):
-            quotient_lattice(chain(4), Partition([0, 1, 0, 2]))
+            quotient_lattice(chain(4), [0, 1, 0, 2])
+
+    def test_class_bounds_found_once(self, monkeypatch):
+        calls = []
+        original = lattice._class_bounds
+        monkeypatch.setattr(
+            lattice, "_class_bounds",
+            lambda lat, classes: calls.append(1) or original(lat, classes),
+        )
+        alpha = Composition.parse("0,2,1")
+        weak = weak_order_lattice(alpha)
+        quot = quotient_lattice(weak, fiber_bottoms(alpha, quotient_rows(alpha)))
+        assert (quot.n, len(calls)) == (16, 1)
 
     def test_quotient_covers_are_images(self):
         lat = chain(4)
         theta = principal_congruence(lat, 0, 1)
-        quot = quotient_lattice(lat, theta)
+        quot = quotient_lattice(lat, theta.block_of)
         assert quot.n == 3
         assert quot.poset.cover_pairs() == [(0, 1), (1, 2)]
 

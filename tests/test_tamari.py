@@ -6,22 +6,21 @@ import pytest
 
 from btamari import lattice, parabolic, projection, tamari
 from btamari.errors import CapExceededError, TableBoundError
-from btamari.lattice import join_irreducibles, length
+from btamari.lattice import join_irreducibles
 from btamari.parabolic import (
     Composition,
     enumerate_quotient,
     parabolic_length,
+    quotient_rows,
     sorting_word_longest,
     word_suffix_chain,
 )
 from btamari.alignment import is_aligned
+from btamari.projection import fiber_bottoms
 from btamari.tamari import (
-    QUOTIENT,
-    SUBPOSET,
     build_tamari,
     irreducible_pairs,
     join_irreducible_for,
-    not_sublattice_witness,
     verify_theorems,
     weak_order_lattice,
 )
@@ -33,30 +32,26 @@ A021 = Composition.parse("0,2,1")
 
 class TestBuildTamari:
     def test_two_chain(self):
-        built = build_tamari(Composition((1,), split=True))
-        assert built.lattice.n == 2
-        assert built.provenance == SUBPOSET
+        tam = build_tamari(Composition((1,), split=True))
+        assert isinstance(tam, lattice.FiniteLattice)
+        assert tam.n == 2
 
     def test_staircase_three(self):
-        built = build_tamari(Composition((1, 1, 1), split=True))
-        assert built.lattice.n == 20
+        assert build_tamari(Composition((1, 1, 1), split=True)).n == 20
 
     def test_021_size(self):
-        assert build_tamari(A021).lattice.n == 16
-
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            build_tamari(A021, route="other")
+        assert build_tamari(A021).n == 16
 
     def test_routes_isomorphic(self, all_small_compositions):
         from btamari.tamari import _isomorphic
 
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                sub = build_tamari(alpha, SUBPOSET)
-                quot = build_tamari(alpha, QUOTIENT)
-                assert quot.provenance == QUOTIENT
-                assert _isomorphic(sub.lattice, quot.lattice)
+                weak = weak_order_lattice(alpha)
+                quot = lattice.quotient_lattice(
+                    weak, fiber_bottoms(alpha, quotient_rows(alpha))
+                )
+                assert _isomorphic(build_tamari(alpha), quot)
 
 
 class TestJoinIrreducibles:
@@ -99,7 +94,7 @@ class TestJoinIrreducibles:
                 assert len(pairs) == parabolic_length(alpha)
                 built = {join_irreducible_for(alpha, pair).right for pair in pairs}
                 assert len(built) == len(pairs)
-                lat = build_tamari(alpha).lattice
+                lat = build_tamari(alpha)
                 brute = {lat.labels[j].right for j in join_irreducibles(lat)}
                 assert built == brute
 
@@ -118,13 +113,13 @@ class TestMaximalChain:
     def test_tamari_length(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                lat = build_tamari(alpha).lattice
-                assert length(lat) == parabolic_length(alpha)
+                lat = build_tamari(alpha)
+                assert lat.poset.length() == parabolic_length(alpha)
 
 
 class TestNotSublattice:
     def test_021_witness(self):
-        witness = not_sublattice_witness(A021)
+        witness = verify_theorems(A021).witness
         pi1, pi2, weak_meet, tamari_meet = witness
         assert pi1 == perm("-2,1,-3")
         assert pi2 == perm("-3,-1,-2")
@@ -132,9 +127,9 @@ class TestNotSublattice:
         assert tamari_meet == perm("-3,2,1")
 
     def test_absent_for_tiny_and_full(self):
-        assert not_sublattice_witness(Composition((1,), split=True)) is None
+        assert verify_theorems(Composition((1,), split=True)).witness is None
         for n in (2, 3, 4):
-            assert not_sublattice_witness(Composition((1,) * n, split=True)) is None
+            assert verify_theorems(Composition((1,) * n, split=True)).witness is None
 
     def test_matches_pairwise_scan(self, all_small_compositions):
         from btamari.tamari import _meet_mismatch
@@ -142,7 +137,7 @@ class TestNotSublattice:
         for n in (2, 3, 4):
             for alpha in all_small_compositions[n]:
                 weak = weak_order_lattice(alpha)
-                tam = build_tamari(alpha).lattice
+                tam = build_tamari(alpha)
                 index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
                 expected = None
                 for a, b in combinations(range(tam.n), 2):
@@ -207,7 +202,7 @@ class TestVerifyTheorems:
         assert [name for name, ok in report.checks.items() if not ok] == [
             "semidistributive"
         ]
-        L = build_tamari(A021, SUBPOSET).lattice
+        L = build_tamari(A021)
         p, q, r = (L.labels[x].format() for x in (3, 5, 6))
         assert report.to_json()["semidistributivity_witness"] == {
             "law": "meet", "triple": [p, q, r]
@@ -231,7 +226,7 @@ class TestVerifyBuildsOnce:
             (tamari, "weak_order_lattice"),
             (tamari, "fiber_bottoms"),
             (parabolic, "quotient_rows"),
-            (lattice, "check_congruence"),
+            (lattice, "_class_bounds"),
             (lattice, "try_lattice"),
             (projection, "theta_classes"),
             (projection, "project_up"),
@@ -246,12 +241,13 @@ class TestVerifyBuildsOnce:
             monkeypatch.setattr(module, name, counted)
         assert verify_theorems(A021).ok
         # one quotient enumeration; the weak order, the subposet lattice and
-        # the quotient lattice; fibers read off the weak order's labels
+        # the quotient lattice; fibers read off the weak order's labels; the
+        # class bounds found once for both the congruence test and the quotient
         assert calls == {
             "weak_order_lattice": 1,
             "fiber_bottoms": 1,
             "quotient_rows": 1,
-            "check_congruence": 1,
+            "_class_bounds": 1,
             "try_lattice": 3,
         }
 
@@ -269,7 +265,8 @@ class TestVerifyBuildsOnce:
 
     def test_failed_congruence_is_reported(self, monkeypatch):
         monkeypatch.setattr(
-            lattice, "check_congruence", lambda lat, theta: (False, "not an interval")
+            lattice, "_congruence_failure",
+            lambda lat, block_of: ("class 0 is not an interval", None),
         )
         report = verify_theorems(A021)
         assert not report.ok
