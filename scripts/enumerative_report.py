@@ -3,7 +3,10 @@
 
 Prints the aligned-count totals t_1..t_max, the Narayana cover enumerators of
 the full-group lattices, the (t,1,...,1) closed-form comparison, and the
-type-D count comparison.  Mismatches are reported, never asserted.
+type-D count comparison.  Mismatches are reported, never asserted.  Exit
+status: 0 when the report is complete, 2 on a usage error (such as
+``--max-n 0`` or ``--threads 0``), 3 when a composition exceeds the
+enumeration cap; the last two print one ``error:`` line on stderr.
 """
 
 import argparse
@@ -17,16 +20,30 @@ from btamari.enumeration import (
     narayana_polynomial,
     t_sequence,
 )
+from btamari.errors import CapExceededError
 from btamari.parabolic import Composition
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-t", type=int, default=2)
     parser.add_argument("--threads", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.max_n < 1:
+        parser.error("--max-n must be at least 1")
+    try:
+        report(args)
+    except CapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def report(args):
     start = time.time()
     seq = t_sequence(args.max_n, threads=args.threads)
     print(f"totals over all compositions: {','.join(map(str, seq))}"
@@ -46,7 +63,6 @@ def main() -> int:
     print("\n(0,1,...,1,2) against the type-D count (3n-2)/n C(2n-2,n-1):")
     for n in range(2, args.max_n + 1):
         print(" ", check_type_d_count(n).summary())
-    return 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .errors import (
     CompositionError,
     NotACongruenceError,
     NotALatticeError,
-    NotAPartialOrderError,
     NotAPermutationError,
     TableBoundError,
 )

@@ -14,7 +14,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .alignment import aligned_rows, count_aligned, cover_counts
-from .config import resolve_cap
+from .config import resolve_cap, resolve_threads
 from .errors import CompositionError
 from .parabolic import Composition, all_compositions
 
@@ -74,10 +74,14 @@ def _count_for(args) -> int:
 def t_sequence(
     max_n: int, cap: int | None = None, threads: int = 1
 ) -> list[int]:
-    """Totals of aligned elements over all type-B compositions, degree by degree."""
+    """Totals of aligned elements over all type-B compositions, degree by degree.
+
+    ``threads`` is clamped to the core count; below 1 it raises ValueError.
+    """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     cap = resolve_cap(cap)
+    threads = resolve_threads(threads)
     degrees = [all_compositions(n) for n in range(1, max_n + 1)]
     if threads <= 1:
         return [sum(count_aligned(a, cap) for a in comps) for comps in degrees]

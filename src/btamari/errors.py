@@ -32,15 +32,6 @@ class TableBoundError(CapExceededError):
         return f"weak-order table needs {required} elements, bound is {cap}"
 
 
-class NotAPartialOrderError(ValueError):
-    """The supplied comparison is not a partial order; carries a witness."""
-
-    def __init__(self, reason: str, witness: tuple):
-        super().__init__(f"{reason}, witness {witness}")
-        self.reason = reason
-        self.witness = witness
-
-
 class NotALatticeError(ValueError):
     """A poset misses a bound; carries the offending pair."""
 

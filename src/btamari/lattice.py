@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotACongruenceError, NotALatticeError, NotAPartialOrderError
+from .errors import NotACongruenceError, NotALatticeError
 
 
 class FinitePoset:
@@ -28,38 +28,6 @@ class FinitePoset:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @classmethod
-    def from_leq(
-        cls, labels: Sequence, leq: Callable[[object, object], bool] | np.ndarray
-    ) -> "FinitePoset":
-        if callable(leq):
-            m = len(labels)
-            matrix = np.zeros((m, m), dtype=bool)
-            for a in range(m):
-                for b in range(m):
-                    matrix[a, b] = leq(labels[a], labels[b])
-        else:
-            matrix = np.asarray(leq, dtype=bool)
-        poset = cls(labels, matrix)
-        poset._validate()
-        return poset
-
-    def _validate(self):
-        leq = self.leq
-        if not leq.diagonal().all():
-            a = int(np.flatnonzero(~leq.diagonal())[0])
-            raise NotAPartialOrderError("relation is not reflexive", (a,))
-        sym = leq & leq.T & ~np.eye(self.n, dtype=bool)
-        if sym.any():
-            a, b = map(int, np.argwhere(sym)[0])
-            raise NotAPartialOrderError("relation is not antisymmetric", (a, b))
-        closure = leq @ leq
-        gaps = closure & ~leq
-        if gaps.any():
-            a, c = map(int, np.argwhere(gaps)[0])
-            b = int(np.flatnonzero(leq[a] & leq[:, c])[0])
-            raise NotAPartialOrderError("relation is not transitive", (a, b, c))
 
     @cached_property
     def covers(self) -> np.ndarray:
@@ -88,25 +56,15 @@ class FinitePoset:
         return int(self.heights.max()) if self.n else 0
 
 
-class FiniteLattice:
+class FiniteLattice(FinitePoset):
     """A poset together with its dense meet and join tables."""
 
-    def __init__(self, poset: FinitePoset, meet: np.ndarray, join: np.ndarray):
-        self.poset = poset
+    def __init__(
+        self, labels: Sequence, leq: np.ndarray, meet: np.ndarray, join: np.ndarray
+    ):
+        super().__init__(labels, leq)
         self._meet = meet
         self._join = join
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    @property
-    def labels(self) -> list:
-        return self.poset.labels
-
-    @property
-    def leq(self) -> np.ndarray:
-        return self.poset.leq
 
     @cached_property
     def bottom(self) -> int:
@@ -129,9 +87,9 @@ class FiniteLattice:
         return int(self._join[a, b])
 
     def dual(self) -> "FiniteLattice":
-        dual_poset = FinitePoset(self.labels, self.leq.T)
-        dual_poset.covers = self.poset.covers.T
-        return FiniteLattice(dual_poset, self._join, self._meet)
+        dual = FiniteLattice(self.labels, self.leq.T, self._join, self._meet)
+        dual.covers = self.covers.T
+        return dual
 
     @cached_property
     def _semidistributivity_witness(self):
@@ -185,7 +143,7 @@ def try_lattice(poset: FinitePoset) -> FiniteLattice:
         raise NotALatticeError(no_lub, "no-lub")
     if no_glb:
         raise NotALatticeError(no_glb, "no-glb")
-    return FiniteLattice(poset, meet, join)
+    return FiniteLattice(poset.labels, poset.leq, meet, join)
 
 
 # -- irreducibles and basic statistics ----------------------------------------
@@ -193,15 +151,15 @@ def try_lattice(poset: FinitePoset) -> FiniteLattice:
 
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
     """Indices of elements with exactly one lower cover."""
-    return [int(x) for x in np.flatnonzero(lat.poset.covers.sum(axis=0) == 1)]
+    return [int(x) for x in np.flatnonzero(lat.covers.sum(axis=0) == 1)]
 
 
 def meet_irreducibles(lat: FiniteLattice) -> list[int]:
-    return [int(x) for x in np.flatnonzero(lat.poset.covers.sum(axis=1) == 1)]
+    return [int(x) for x in np.flatnonzero(lat.covers.sum(axis=1) == 1)]
 
 
 def lower_cover(lat: FiniteLattice, j: int) -> int:
-    below = np.flatnonzero(lat.poset.covers[:, j])
+    below = np.flatnonzero(lat.covers[:, j])
     if below.size != 1:
         raise ValueError(f"element {j} is not join-irreducible")
     return int(below[0])
@@ -230,7 +188,7 @@ def _kappa_witness(lat: FiniteLattice, name: str):
     set, and j ^ (x v y) = j.  ``name`` labels the law; the join law is this
     test on the dual.
     """
-    covers = lat.poset.covers
+    covers = lat.covers
     irr = np.flatnonzero(covers.sum(axis=0) == 1)
     inside = lat.meet_table()[irr] == covers[:, irr].argmax(axis=0)[:, None]
     # above[t, x]: upper covers of x inside the set of the t-th irreducible.
@@ -277,7 +235,7 @@ def _congruence_failure(lat: FiniteLattice, block_of):
     bad_class = (interval != (classes == np.arange(len(mins))[:, None])).any(axis=1)
     if bad_class.any():
         return f"class {int(bad_class.argmax())} is not an interval", mins
-    below, above = (classes[ends] for ends in np.nonzero(lat.poset.covers))
+    below, above = (classes[ends] for ends in np.nonzero(lat.covers))
     # The first cover pair, row-major, that breaks either map names the failure.
     bad_min = ~leq[mins[below], mins[above]]
     bad = bad_min | ~leq[maxs[below], maxs[above]]
@@ -309,8 +267,7 @@ def quotient_lattice(lat: FiniteLattice, block_of) -> FiniteLattice:
         raise NotACongruenceError(why)
     mins = np.sort(mins)
     leq = lat.leq[np.ix_(mins, mins)]
-    poset = FinitePoset([lat.labels[x] for x in mins], leq)
-    return try_lattice(poset)
+    return try_lattice(FinitePoset([lat.labels[x] for x in mins], leq))
 
 
 def _lower_bounded(lat: FiniteLattice) -> bool:
@@ -340,7 +297,7 @@ def is_congruence_uniform(lat: FiniteLattice) -> bool:
 
 
 def is_extremal(lat: FiniteLattice) -> bool:
-    ln = lat.poset.length()
+    ln = lat.length()
     return len(join_irreducibles(lat)) == ln == len(meet_irreducibles(lat))
 
 
@@ -360,7 +317,7 @@ def has_left_modular_chain(lat: FiniteLattice) -> bool:
     )
     if not (modular[lat.bottom] and modular[lat.top]):
         return False
-    covers = lat.poset.covers
+    covers = lat.covers
     best = np.full(lat.n, -1, dtype=np.int64)
     best[lat.bottom] = 0
     order = np.argsort(lat.leq.sum(axis=0), kind="stable")
@@ -370,7 +327,7 @@ def has_left_modular_chain(lat: FiniteLattice) -> bool:
         for y in np.flatnonzero(covers[x]):
             if modular[y]:
                 best[y] = max(best[y], best[x] + 1)
-    return bool(best[lat.top] == lat.poset.length())
+    return bool(best[lat.top] == lat.length())
 
 
 def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
@@ -392,23 +349,20 @@ def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
 def lattice_to_json(lat: FiniteLattice, label_fn: Callable = str) -> dict:
     return {
         "elements": [label_fn(x) for x in lat.labels],
-        "covers": [list(pair) for pair in sorted(lat.poset.cover_pairs())],
+        "covers": [list(pair) for pair in sorted(lat.cover_pairs())],
     }
 
 
-def lattice_to_dot(
-    lat: FiniteLattice, label_fn: Callable = str, name: str = "lattice"
-) -> str:
+def lattice_to_dot(lat: FiniteLattice, label_fn: Callable = str) -> str:
     """DOT digraph with edges a -> b for covers, ranked by height from the bottom."""
-    poset = lat.poset
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for idx, label in enumerate(poset.labels):
+    lines = ["digraph lattice {", "  rankdir=BT;"]
+    for idx, label in enumerate(lat.labels):
         text = label_fn(label).replace('"', '\\"')
         lines.append(f'  n{idx} [label="{text}"];')
-    for a, b in sorted(poset.cover_pairs()):
+    for a, b in sorted(lat.cover_pairs()):
         lines.append(f"  n{a} -> n{b};")
-    heights = poset.heights
-    for level in range(poset.length() + 1):
+    heights = lat.heights
+    for level in range(lat.length() + 1):
         group = " ".join(f"n{int(x)};" for x in np.flatnonzero(heights == level))
         if group:
             lines.append(f"  {{ rank=same; {group} }}")

@@ -314,7 +314,7 @@ def verify_theorems(
     checks["trim"] = lat.is_trim(L, verify_chain=verify_chain)
 
     expected_length = parabolic_length(alpha)
-    ln = L.poset.length()
+    ln = L.length()
     checks["length_formula"] = ln == expected_length
     n_join = len(lat.join_irreducibles(L))
     n_meet = len(lat.meet_irreducibles(L))

@@ -107,7 +107,7 @@ def test_criterion_04_theorem_two():
     for n in (1, 2, 3, 4):
         for alpha in all_compositions(n):
             lat = build_tamari(alpha)
-            ln = lat.poset.length()
+            ln = lat.length()
             good = (
                 is_congruence_uniform(lat)
                 and is_semidistributive(lat)

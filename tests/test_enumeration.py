@@ -9,6 +9,7 @@ import pytest
 
 import btamari
 
+from btamari import enumeration
 from btamari.alignment import aligned_mask, cover_counts
 from btamari.enumeration import (
     Polynomial,
@@ -98,6 +99,32 @@ class TestSequence:
 
     def test_threads_do_not_change_output(self):
         assert t_sequence(5, threads=2) == t_sequence(5, threads=1)
+
+    def test_threads_clamped_to_cores(self, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            """Records the worker count asked for and maps in this process."""
+
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "Pool", SerialPool)
+        assert t_sequence(3, threads=1000) == [3, 15, 91]
+        assert requested == [2]
+        with pytest.raises(ValueError):
+            t_sequence(3, threads=0)
+        assert requested == [2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from btamari.errors import (
-    NotACongruenceError,
-    NotALatticeError,
-    NotAPartialOrderError,
-)
+from btamari.errors import NotACongruenceError, NotALatticeError
 from btamari import lattice
 from btamari.lattice import (
     FinitePoset,
@@ -33,8 +29,14 @@ from btamari.tamari import build_tamari, weak_order_lattice
 from conftest import full_group
 
 
+def poset_from(labels, relation):
+    """The order ``relation`` gives on ``labels``, unvalidated."""
+    leq = [[relation(a, b) for b in labels] for a in labels]
+    return FinitePoset(labels, np.array(leq, dtype=bool))
+
+
 def chain(n):
-    return try_lattice(FinitePoset.from_leq(list(range(n)), lambda a, b: a <= b))
+    return try_lattice(poset_from(list(range(n)), lambda a, b: a <= b))
 
 
 def from_covers(labels, cover_list):
@@ -67,9 +69,7 @@ def n5():
 
 def boolean(rank):
     labels = list(range(1 << rank))
-    return try_lattice(
-        FinitePoset.from_leq(labels, lambda a, b: a & b == a)
-    )
+    return try_lattice(poset_from(labels, lambda a, b: a & b == a))
 
 
 def dense_try_lattice(poset):
@@ -149,7 +149,7 @@ def loop_check_congruence(lat, partition):
         mins[b] = lo
         maxs[b] = hi
     block_of = np.asarray(partition.block_of)
-    for a, b in lat.poset.cover_pairs():
+    for a, b in lat.cover_pairs():
         if not leq[mins[block_of[a]], mins[block_of[b]]]:
             return False, "class-minimum map is not order preserving"
         if not leq[maxs[block_of[a]], maxs[block_of[b]]]:
@@ -240,7 +240,7 @@ def principal_congruence(lat, a, b):
 def all_congruences(lat):
     """Every congruence, generated by joining principal cover congruences."""
     principals = {
-        congruence_closure(lat, [pair]) for pair in lat.poset.cover_pairs()
+        congruence_closure(lat, [pair]) for pair in lat.cover_pairs()
     }
     found = {discrete(lat.n)} | principals
     frontier = list(found)
@@ -287,7 +287,7 @@ def intersection_closed_lattice(rng, k=4):
     family = {(1 << k) - 1} | {int(s) for s in rng.integers(0, 1 << k, size=size)}
     while (closed := family | {a & b for a in family for b in family}) != family:
         family = closed
-    return try_lattice(FinitePoset.from_leq(sorted(family), lambda a, b: a & b == a))
+    return try_lattice(poset_from(sorted(family), lambda a, b: a & b == a))
 
 
 @pytest.fixture(scope="module")
@@ -318,10 +318,10 @@ def weak_order_partitions(alpha, weak):
     bottoms = fiber_bottoms(alpha, [pi.right for pi in weak.labels])
     merged = Partition([max(b - 1, 0) for b in Partition(bottoms.tolist()).block_of])
     keys = [bottoms, largest_member_keys(merged)]
-    joined = np.flatnonzero(weak.poset.covers.sum(axis=0) > 1)
+    joined = np.flatnonzero(weak.covers.sum(axis=0) > 1)
     if joined.size:
         y = int(joined[0])
-        x = int(np.flatnonzero(weak.poset.covers[:, y])[0])
+        x = int(np.flatnonzero(weak.covers[:, y])[0])
         cover = Partition([x if v == y else v for v in range(weak.n)])
         keys.append(largest_member_keys(cover))
     return keys
@@ -329,23 +329,21 @@ def weak_order_partitions(alpha, weak):
 
 def weak_order_lattice_raw(n):
     group = sorted(full_group(n), key=lambda p: p.right)
-    return try_lattice(
-        FinitePoset.from_leq(group, lambda u, v: u.weak_leq(v))
-    )
+    return try_lattice(poset_from(group, lambda u, v: u.weak_leq(v)))
 
 
 class TestPosets:
     def test_chain_covers(self):
-        poset = FinitePoset.from_leq([0, 1, 2], lambda a, b: a <= b)
+        poset = poset_from([0, 1, 2], lambda a, b: a <= b)
         assert poset.cover_pairs() == [(0, 1), (1, 2)]
 
     def test_antichain(self):
-        poset = FinitePoset.from_leq([0, 1], lambda a, b: a == b)
+        poset = poset_from([0, 1], lambda a, b: a == b)
         assert poset.cover_pairs() == []
 
     def test_weak_order_octagon(self):
         group = full_group(2)
-        poset = FinitePoset.from_leq(group, lambda u, v: u.weak_leq(v))
+        poset = poset_from(group, lambda u, v: u.weak_leq(v))
         assert poset.n == 8
         assert len(poset.cover_pairs()) == 8
 
@@ -357,24 +355,22 @@ class TestPosets:
         poset = FinitePoset(list(range(m)), leq)
         assert (0, m - 1) not in poset.cover_pairs()
         assert len(poset.cover_pairs()) == 2 * 256
-        leq[0, m - 1] = False
-        with pytest.raises(NotAPartialOrderError):
-            FinitePoset.from_leq(list(range(m)), leq)
-
-    def test_not_partial_order(self):
-        with pytest.raises(NotAPartialOrderError):
-            FinitePoset.from_leq([0, 1], lambda a, b: True)  # not antisymmetric
-        with pytest.raises(NotAPartialOrderError):
-            FinitePoset.from_leq([0, 1], lambda a, b: a != b)  # not reflexive
 
     def test_dual_covers_are_the_transpose(self):
-        lat = weak_order_lattice(Composition.parse("0,1,2"))
-        dual = lat.dual()
-        assert np.shares_memory(dual.poset.covers, lat.poset.covers)
-        assert np.array_equal(dual.poset.covers, lat.poset.covers.T)
-        assert np.array_equal(
-            dual.poset.covers, FinitePoset(lat.labels, lat.leq.T).covers
-        )
+        alpha = Composition.parse("0,1,2")
+        weak = weak_order_lattice(alpha)
+        dual = weak.dual()
+        assert np.shares_memory(dual.covers, weak.covers)
+        assert np.array_equal(dual.covers, weak.covers.T)
+        assert np.array_equal(dual.covers, FinitePoset(weak.labels, weak.leq.T).covers)
+        # Every construction is one order object: a poset with meet and join tables.
+        bottoms = fiber_bottoms(alpha, [pi.right for pi in weak.labels])
+        for lat in (weak, build_tamari(alpha), quotient_lattice(weak, bottoms)):
+            assert isinstance(lat, FinitePoset)
+            twice = lat.dual().dual()
+            assert np.array_equal(twice.leq, lat.leq)
+            assert np.array_equal(twice.meet_table(), lat.meet_table())
+            assert np.array_equal(twice.join_table(), lat.join_table())
 
 
 class TestTryLattice:
@@ -383,7 +379,7 @@ class TestTryLattice:
         assert lat.meet(0, 2) == 0 and lat.join(0, 2) == 2
 
     def test_antichain_fails(self):
-        poset = FinitePoset.from_leq([0, 1], lambda a, b: a == b)
+        poset = poset_from([0, 1], lambda a, b: a == b)
         with pytest.raises(NotALatticeError) as info:
             try_lattice(poset)
         assert info.value.reason in ("no-lub", "no-glb")
@@ -403,8 +399,8 @@ class TestTryLattice:
     def test_tables_match_dense_oracle(self, small_lattices):
         assert "weak 0,1,1,1,1" in small_lattices
         for name, lat in small_lattices.items():
-            rebuilt = try_lattice(lat.poset)
-            meet, join = dense_try_lattice(lat.poset)
+            rebuilt = try_lattice(lat)
+            meet, join = dense_try_lattice(lat)
             assert rebuilt.meet_table().dtype == rebuilt.join_table().dtype == np.int32
             assert np.array_equal(rebuilt.meet_table(), meet), name
             assert np.array_equal(rebuilt.join_table(), join), name
@@ -412,7 +408,7 @@ class TestTryLattice:
     def test_witness_matches_dense_oracle(self):
         rng = np.random.default_rng(4)
         posets = [
-            FinitePoset.from_leq([0, 1], lambda a, b: a == b),
+            poset_from([0, 1], lambda a, b: a == b),
             from_covers(list("0ab"), [(0, 1), (0, 2)]),
         ] + [random_poset(rng, int(rng.integers(2, 12))) for _ in range(300)]
         failures = 0
@@ -463,10 +459,10 @@ class TestIrreducibles:
 
 class TestLength:
     def test_examples(self):
-        assert chain(1).poset.length() == 0
-        assert chain(5).poset.length() == 4
+        assert chain(1).length() == 0
+        assert chain(5).length() == 4
         for n in (2, 3):
-            assert weak_order_lattice_raw(n).poset.length() == n * n
+            assert weak_order_lattice_raw(n).length() == n * n
 
 
 class TestSemidistributivity:
@@ -583,7 +579,7 @@ class TestCongruences:
     def test_principal_is_minimal_congruence(self):
         for lat in (chain(4), m3(), n5(), weak_order_lattice_raw(2)):
             congruences = all_congruences(lat)
-            for a, b in lat.poset.cover_pairs():
+            for a, b in lat.cover_pairs():
                 finest = None
                 for theta in congruences:
                     if theta.block_of[a] == theta.block_of[b]:
@@ -634,7 +630,7 @@ class TestQuotient:
         theta = principal_congruence(lat, 0, 1)
         quot = quotient_lattice(lat, theta.block_of)
         assert quot.n == 3
-        assert quot.poset.cover_pairs() == [(0, 1), (1, 2)]
+        assert quot.cover_pairs() == [(0, 1), (1, 2)]
 
 
 class TestCongruenceUniformity:
@@ -713,8 +709,8 @@ class TestExports:
         assert data == {"elements": ["0", "1", "2"], "covers": [[0, 1], [1, 2]]}
 
     def test_dot(self):
-        text = lattice_to_dot(chain(2), name="two")
-        assert text.startswith("digraph two {")
+        text = lattice_to_dot(chain(2))
+        assert text.startswith("digraph lattice {")
         assert "n0 -> n1;" in text
         assert "rank=same" in text
         assert text.endswith("}\n")

@@ -1,0 +1,40 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "enumerative_report.py"
+
+
+@pytest.fixture(scope="module")
+def report():
+    spec = importlib.util.spec_from_file_location("enumerative_report", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+class TestEnumerativeReport:
+    def test_max_n_below_one_is_usage_error(self, report, capsys):
+        with pytest.raises(SystemExit) as info:
+            report(["--max-n", "0"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_threads_below_one_is_usage_error(self, report, capsys):
+        assert report(["--max-n", "1", "--threads", "0"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: thread count must be at least 1"
+        ]
+
+    def test_cap_refusal_is_one_line_and_exit_three(self, report, capsys, monkeypatch):
+        monkeypatch.setenv("TAMARI_B_CAP", "10")
+        assert report(["--max-n", "3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: enumeration needs")
+
+    def test_small_report_completes(self, report, capsys):
+        assert report(["--max-n", "2", "--max-t", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("totals over all compositions: 3,15")
+        assert "MISMATCH" not in out

@@ -114,7 +114,7 @@ class TestMaximalChain:
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
                 lat = build_tamari(alpha)
-                assert lat.poset.length() == parabolic_length(alpha)
+                assert lat.length() == parabolic_length(alpha)
 
 
 class TestNotSublattice:
