@@ -95,6 +95,7 @@ def _cmd_lattice(args) -> int:
         return EXIT_USAGE
     status = EXIT_OK
     for alpha in alphas:
+        built = None
         if args.export:
             built = build_tamari(alpha, cap=args.cap)
             label = lambda pi: pi.long_one_line()
@@ -108,7 +109,8 @@ def _cmd_lattice(args) -> int:
                 handle.write(text if text.endswith("\n") else text + "\n")
             print(f"wrote {path}")
         if args.check:
-            report = verify_theorems(alpha, cap=args.cap)
+            # An export's lattice is the one the checks need; reuse it.
+            report = verify_theorems(alpha, cap=args.cap, tam=built)
             if args.format == "json":
                 print(json.dumps(report.to_json()))
             else:

@@ -209,7 +209,7 @@ def is_semidistributive(lat: FiniteLattice) -> bool:
 # -- congruences ---------------------------------------------------------------
 
 
-def _class_bounds(lat: FiniteLattice, classes: np.ndarray):
+def _class_bounds(lat: FinitePoset, classes: np.ndarray):
     """Per class, the members with the largest up-set and the largest down-set.
 
     ``classes`` numbers the classes 0, 1, ...  In an interval class these
@@ -221,7 +221,7 @@ def _class_bounds(lat: FiniteLattice, classes: np.ndarray):
     return np.lexsort((-up, classes))[starts], np.lexsort((-down, classes))[starts]
 
 
-def _congruence_failure(lat: FiniteLattice, block_of):
+def _congruence_failure(lat: FinitePoset, block_of):
     """Why the classes are not a congruence (None when they are), and their minima."""
     if len(block_of) != lat.n:
         return "partition size does not match the lattice", None
@@ -246,7 +246,7 @@ def _congruence_failure(lat: FiniteLattice, block_of):
     return None, mins
 
 
-def check_congruence(lat: FiniteLattice, block_of):
+def check_congruence(lat: FinitePoset, block_of):
     """Verify the interval and order-preservation conditions; returns (ok, why).
 
     ``block_of[x]`` is any key naming the class of element x, such as the
@@ -257,7 +257,7 @@ def check_congruence(lat: FiniteLattice, block_of):
     return why is None, why
 
 
-def quotient_lattice(lat: FiniteLattice, block_of) -> FiniteLattice:
+def quotient_lattice(lat: FinitePoset, block_of) -> FiniteLattice:
     """Lattice on congruence-class minima, ordered as in the original.
 
     ``block_of`` names the classes as for ``check_congruence``.

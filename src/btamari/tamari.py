@@ -7,10 +7,13 @@ agree.  The module also builds each join-irreducible element directly from
 the inversion it covers, and bundles every structural claim into a
 verification report.
 
-Verification builds each structure once per composition (the weak order, its
-projection fibers and the subposet lattice) and every check reads from those
-builds.  The subposet and quotient constructions stay as two independent
-routes to the same lattice, so that each confirms the other.
+Verification builds each structure once per composition (the weak order as
+a poset, its projection fibers and the subposet lattice) and every check
+reads from those builds.  The weak order gets no meet or join table: the
+quotient construction reads only its order and covers, and the
+not-a-sublattice test counts common lower bounds.  The subposet and quotient
+constructions stay as two independent routes to the same lattice, so that
+each confirms the other.
 Order matrices and lattice tables are dense, m x m for m elements, so no
 structure above TABLE_THRESHOLD elements is built.
 """
@@ -77,17 +80,6 @@ def _weak_leq_matrix(members: list[SignedPermutation]) -> np.ndarray:
         block = table[lo:lo + step]
         leq[lo:lo + step] = ~(block[:, None, :] & ~table[None, :, :]).any(axis=2)
     return leq
-
-
-def weak_order_lattice(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
-    """The weak order on the full parabolic quotient, as a lattice.
-
-    The table bound is checked on the quotient size before enumerating.
-    """
-    _check_table_bound(quotient_size(alpha))
-    members = enumerate_quotient(alpha, cap)
-    poset = lat.FinitePoset(members, _weak_leq_matrix(members))
-    return lat.try_lattice(poset)
 
 
 def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
@@ -214,22 +206,49 @@ def irreducible_pairs(alpha: Composition) -> list[tuple[int, int]]:
 # -- structural verification -----------------------------------------------------
 
 
-def _meet_mismatch(weak: lat.FiniteLattice, tam: lat.FiniteLattice):
+# Each block of common-lower-bound counts holds about this many float32 entries.
+_MEET_BLOCK_ENTRIES = 2**20
+
+
+def _meet_mismatch(weak: lat.FinitePoset, tam: lat.FiniteLattice):
     """First pair a < b, row-major over Tamari indices, whose two meets differ.
 
     Returns (label b, label a, weak-order meet, Tamari meet), or None.
+
+    The weak order on the quotient is graded by length and is a lattice
+    (A. Björner and M. Wachs, Trans. AMS 308, 1988), so the weak meet w of a
+    and b is their unique longest common lower bound, and every common lower
+    bound lies below w.  Tam_B is a subposet of the weak order, so the Tamari
+    meet t is a common lower bound too, and t <= w.  The two differ exactly
+    when some common lower bound (w itself) is longer than t, hence not
+    below t.  As every element below t is a common lower bound, that is when
+    a and b have more common lower bounds than t has elements below it.  One
+    float32 product per block of rows counts the common lower bounds of
+    every pair, so no weak meet table is built.  The witness's w is then the
+    common lower bound with the largest down-set.
     """
     index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
     into_weak = np.array([index[pi.right] for pi in tam.labels], dtype=np.int64)
-    weak_meet = weak.meet_table()[np.ix_(into_weak, into_weak)]
-    differs = np.triu(weak_meet != into_weak[tam.meet_table()], k=1)
-    if not differs.any():
+    # below[x, a]: x lies under the a-th aligned element; float32 counts exactly.
+    below = weak.leq[:, into_weak].astype(np.float32)
+    down = below.sum(axis=0)
+    meet = tam.meet_table()
+    step = max(1, _MEET_BLOCK_ENTRIES // (tam.n + 1))
+    for lo in range(0, tam.n, step):
+        common = below[:, lo:lo + step].T @ below
+        differs = np.triu(common > down[meet[lo:lo + step]], k=lo + 1)
+        if differs.any():
+            a, b = map(int, np.argwhere(differs)[0])
+            a += lo
+            break
+    else:
         return None
-    a, b = map(int, np.argwhere(differs)[0])
+    lower = np.flatnonzero(weak.leq[:, into_weak[a]] & weak.leq[:, into_weak[b]])
+    weak_meet = lower[weak.leq[:, lower].sum(axis=0).argmax()]
     return (
         tam.labels[b],
         tam.labels[a],
-        weak.labels[int(weak_meet[a, b])],
+        weak.labels[int(weak_meet)],
         tam.labels[tam.meet(a, b)],
     )
 
@@ -286,24 +305,32 @@ class VerificationReport:
 
 
 def verify_theorems(
-    alpha: Composition, cap: int | None = None, verify_chain: bool = False
+    alpha: Composition,
+    cap: int | None = None,
+    verify_chain: bool = False,
+    tam: lat.FiniteLattice | None = None,
 ) -> VerificationReport:
     """Run every structural check for one composition and collect the outcome.
 
-    The weak order, its projection fibers and the subposet lattice are each
-    built once; every check, the quotient lattice and the not-a-sublattice
-    witness read from those builds.
+    The weak order (a poset, with no meet or join table), its projection
+    fibers and the subposet lattice are each built once; every check, the
+    quotient lattice and the not-a-sublattice witness read from those builds.
+    The table bound is checked on the quotient size before enumerating.
+    A caller that already holds ``build_tamari(alpha, cap)`` passes it as
+    ``tam``, and it is not built again.
     """
     checks: dict[str, bool] = {}
-    weak = weak_order_lattice(alpha, cap)
-    bottoms = fiber_bottoms(alpha, np.array([pi.right for pi in weak.labels]))
+    _check_table_bound(quotient_size(alpha))
+    members = enumerate_quotient(alpha, cap)
+    weak = lat.FinitePoset(members, _weak_leq_matrix(members))
+    bottoms = fiber_bottoms(alpha, np.array([pi.right for pi in members]))
     try:
         quot = lat.quotient_lattice(weak, bottoms)
     except NotACongruenceError:
         quot = None
     checks["congruence_valid"] = quot is not None
 
-    L = build_tamari(alpha, cap)
+    L = build_tamari(alpha, cap) if tam is None else tam
     checks["lattice_subposet"] = True  # try_lattice would have raised otherwise
     checks["lattice_quotient"] = quot is not None
     checks["quotient_isomorphic_subposet"] = quot is not None and _isomorphic(L, quot)

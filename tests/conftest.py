@@ -3,12 +3,26 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
-from btamari.parabolic import Composition, all_compositions
+from btamari.lattice import FiniteLattice, FinitePoset, try_lattice
+from btamari.parabolic import Composition, all_compositions, enumerate_quotient
 from btamari.signed_perm import SignedPermutation
+from btamari.tamari import _weak_leq_matrix
 
 
 def perm(text: str) -> SignedPermutation:
     return SignedPermutation.parse(text)
+
+
+def weak_order_lattice(alpha: Composition) -> FiniteLattice:
+    """The weak order on the full parabolic quotient, with dense meet and join tables.
+
+    The oracle for the weak order on a parabolic quotient being a lattice
+    (A. Björner and M. Wachs, Generalized quotients in Coxeter groups, Trans.
+    AMS 308, 1988): ``try_lattice`` raises NotALatticeError otherwise.  The
+    library keeps the weak order as a poset and builds no tables for it.
+    """
+    members = enumerate_quotient(alpha)
+    return try_lattice(FinitePoset(members, _weak_leq_matrix(members)))
 
 
 def full_group(n: int) -> list[SignedPermutation]:

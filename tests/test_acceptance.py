@@ -47,10 +47,9 @@ from btamari.tamari import (
     build_tamari,
     join_irreducible_for,
     verify_theorems,
-    weak_order_lattice,
 )
 
-from conftest import perm
+from conftest import perm, weak_order_lattice
 
 
 def report(number, text):

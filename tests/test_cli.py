@@ -148,6 +148,26 @@ class TestLattice:
         data = json.loads((tmp_path / "mylattice.json").read_text(encoding="utf-8"))
         assert len(data["elements"]) == 2
 
+    def test_check_and_export_build_tamari_once(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        original = tamari.build_tamari
+        counted = lambda *a, **k: calls.append(a) or original(*a, **k)
+        monkeypatch.setattr(tamari, "build_tamari", counted)
+        monkeypatch.setattr("btamari.cli.build_tamari", counted)
+        code, out, _ = run(
+            capsys, "lattice", "--alpha", "0,2,1", "--check", "all", "--export", "json"
+        )
+        assert code == 0
+        assert len(calls) == 1
+        # the export line comes first, then the report, as without --check
+        assert out.startswith("wrote tamari_0_2_1.json\nalpha = 0,2,1\n")
+        # the same bytes as an export on its own
+        run(capsys, "lattice", "--alpha", "0,2,1", "--export", "json", "--out", "alone")
+        exported = (tmp_path / "tamari_0_2_1.json").read_bytes()
+        assert exported == (tmp_path / "alone.json").read_bytes()
+        assert len(json.loads(exported)["elements"]) == 16
+
     def test_one_out_stem_for_a_batch_is_refused(self, capsys, tmp_path, monkeypatch):
         def not_called(*args, **kwargs):
             raise AssertionError("called")

@@ -3,6 +3,9 @@
 ``verify_n4.jsonl`` and ``verify_n4_summary.txt`` hold ``verify_theorems``'s
 ``to_json()`` (one line each) and ``summary()`` for all 30 compositions with
 n <= 4; ``theta_classes_n3.jsonl`` holds the ``theta_classes`` JSON for n <= 3.
+``verify_n5.jsonl`` is the standard output of
+``scripts/run_verification_sweep.py --max-n 5 --json``; CI diffs a fresh
+sweep against it.
 A refactor must leave them as they are.  When a report is meant to change,
 rewrite them with ``PYTHONPATH=src python tests/test_golden.py``.
 """

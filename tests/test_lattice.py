@@ -25,8 +25,8 @@ from btamari.lattice import (
 
 from btamari.parabolic import Composition, all_compositions, quotient_rows
 from btamari.projection import fiber_bottoms
-from btamari.tamari import build_tamari, weak_order_lattice
-from conftest import full_group
+from btamari.tamari import build_tamari
+from conftest import full_group, weak_order_lattice
 
 
 def poset_from(labels, relation):

@@ -12,6 +12,7 @@ from btamari.parabolic import (
     enumerate_quotient,
     parabolic_length,
     quotient_rows,
+    quotient_size,
     sorting_word_longest,
     word_suffix_chain,
 )
@@ -22,10 +23,9 @@ from btamari.tamari import (
     irreducible_pairs,
     join_irreducible_for,
     verify_theorems,
-    weak_order_lattice,
 )
 
-from conftest import full_group, perm
+from conftest import full_group, perm, weak_order_lattice
 
 A021 = Composition.parse("0,2,1")
 
@@ -131,23 +131,31 @@ class TestNotSublattice:
         for n in (2, 3, 4):
             assert verify_theorems(Composition((1,) * n, split=True)).witness is None
 
-    def test_matches_pairwise_scan(self, all_small_compositions):
+    def test_matches_pairwise_scan(self, all_small_compositions, monkeypatch):
+        # The weak meets come from the oracle's dense table; _meet_mismatch
+        # gets the weak order as a plain poset, in one block of rows and in
+        # blocks of one row.  0,2,1,2 and 1,2,1,1 have witnesses.
         from btamari.tamari import _meet_mismatch
 
-        for n in (2, 3, 4):
-            for alpha in all_small_compositions[n]:
-                weak = weak_order_lattice(alpha)
-                tam = build_tamari(alpha)
-                index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
-                expected = None
-                for a, b in combinations(range(tam.n), 2):
-                    pa, pb = tam.labels[a], tam.labels[b]
-                    wm = weak.labels[weak.meet(index[pa.right], index[pb.right])]
-                    tm = tam.labels[tam.meet(a, b)]
-                    if wm != tm:
-                        expected = (pb, pa, wm, tm)
-                        break
-                assert _meet_mismatch(weak, tam) == expected, alpha.format()
+        alphas = [alpha for n in (2, 3, 4) for alpha in all_small_compositions[n]]
+        alphas += map(Composition.parse, ["0,2,1,2", "0,1,1,1,1", "1,2,1,1"])
+        for alpha in alphas:
+            weak = weak_order_lattice(alpha)
+            tam = build_tamari(alpha)
+            index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
+            expected = None
+            for a, b in combinations(range(tam.n), 2):
+                pa, pb = tam.labels[a], tam.labels[b]
+                wm = weak.labels[weak.meet(index[pa.right], index[pb.right])]
+                tm = tam.labels[tam.meet(a, b)]
+                if wm != tm:
+                    expected = (pb, pa, wm, tm)
+                    break
+            poset = lattice.FinitePoset(weak.labels, weak.leq)
+            assert _meet_mismatch(poset, tam) == expected, alpha.format()
+            with monkeypatch.context() as patch:
+                patch.setattr(tamari, "_MEET_BLOCK_ENTRIES", 1)
+                assert _meet_mismatch(poset, tam) == expected, alpha.format()
 
 
 class TestVerifyTheorems:
@@ -223,7 +231,6 @@ class TestVerifyBuildsOnce:
     def test_each_structure_built_once(self, monkeypatch):
         calls = Counter()
         for module, name in [
-            (tamari, "weak_order_lattice"),
             (tamari, "fiber_bottoms"),
             (parabolic, "quotient_rows"),
             (lattice, "_class_bounds"),
@@ -240,15 +247,15 @@ class TestVerifyBuildsOnce:
 
             monkeypatch.setattr(module, name, counted)
         assert verify_theorems(A021).ok
-        # one quotient enumeration; the weak order, the subposet lattice and
-        # the quotient lattice; fibers read off the weak order's labels; the
-        # class bounds found once for both the congruence test and the quotient
+        # one quotient enumeration; tables for the subposet lattice and the
+        # quotient lattice only, none for the weak order; fibers read off the
+        # weak order's labels; the class bounds found once for both the
+        # congruence test and the quotient
         assert calls == {
-            "weak_order_lattice": 1,
             "fiber_bottoms": 1,
             "quotient_rows": 1,
             "_class_bounds": 1,
-            "try_lattice": 3,
+            "try_lattice": 2,
         }
 
     def test_semidistributivity_scanned_once(self, monkeypatch):
@@ -281,6 +288,16 @@ class TestWeakOrderLattice:
         assert weak_order_lattice(Composition((1, 1), split=True)).n == 8
         assert weak_order_lattice(Composition.parse("1,2")).n == 12
 
+    def test_is_a_lattice(self, all_small_compositions):
+        # Björner and Wachs: the weak order on a parabolic quotient is a
+        # lattice.  verify_theorems relies on it and builds no weak tables.
+        alphas = [alpha for n in (1, 2, 3, 4) for alpha in all_small_compositions[n]]
+        alphas += [a for a in parabolic.all_compositions(5) if quotient_size(a) <= 960]
+        assert len(alphas) == 30 + 26
+        for alpha in alphas:
+            weak = weak_order_lattice(alpha)
+            assert (weak.n, weak.length()) == (quotient_size(alpha), parabolic_length(alpha))
+
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
         inputs = [
             enumerate_quotient(alpha)
@@ -300,7 +317,7 @@ class TestWeakOrderLattice:
 
         monkeypatch.setattr(tamari, "enumerate_quotient", not_called)
         with pytest.raises(TableBoundError) as info:
-            weak_order_lattice(Composition.parse("0,1,1,1,1,1,1,1"))
+            verify_theorems(Composition.parse("0,1,1,1,1,1,1,1"))
         assert str(info.value) == (
             "weak-order table needs 645120 elements, bound is 20000"
         )
@@ -311,5 +328,5 @@ class TestWeakOrderLattice:
         # any numpy call in tamari would fail with AttributeError instead
         monkeypatch.setattr(tamari, "np", None)
         with pytest.raises(CapExceededError) as info:
-            weak_order_lattice(Composition.parse("0,1,1"))
+            verify_theorems(Composition.parse("0,1,1"))
         assert (info.value.required, info.value.cap) == (8, 4)
