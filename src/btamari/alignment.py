@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .parabolic import Composition, _build_rows
+from .parabolic import Composition, _build_rows, lex_sorted
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation, predecessor
 
 
@@ -416,6 +416,4 @@ def enumerate_aligned(
     alpha: Composition, cap: int | None = None
 ) -> list[SignedPermutation]:
     """Members of the quotient avoiding 231 patterns, in right-part order."""
-    rows = aligned_rows(alpha, cap)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return [SignedPermutation(r) for r in rows.tolist()]
+    return [SignedPermutation(r) for r in lex_sorted(aligned_rows(alpha, cap)).tolist()]

@@ -26,10 +26,10 @@ from .errors import (
     NotALatticeError,
     NotAPermutationError,
 )
-from .parabolic import Composition, enumerate_quotient, is_member
-from .projection import project_down, project_up, theta_classes
-from .signed_perm import SignedPermutation
-from .tamari import CHECKS, build_tamari, verify_theorems
+from .parabolic import Composition, enumerate_quotient, is_member, quotient_size
+from .projection import iter_theta_classes, project_down, project_up
+from .signed_perm import SignedPermutation, format_long
+from .tamari import CHECKS, build_tamari, check_table_bound, verify_theorems
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
 FORMATS = ["text", "json", "csv"]
@@ -63,10 +63,21 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _write_json_list(items) -> None:
+    """Print ``json.dumps(list(items))`` one item at a time."""
+    write = sys.stdout.write
+    write("[")
+    for k, item in enumerate(items):
+        if k:
+            write(", ")
+        write(json.dumps(item))
+    write("]\n")
+
+
 def _cmd_project(args) -> int:
     alpha = Composition.parse(args.alpha)
     if args.classes:
-        print(json.dumps([c.to_json() for c in theta_classes(alpha, args.cap)]))
+        _write_json_list(c.to_json() for c in iter_theta_classes(alpha, args.cap))
         return EXIT_OK
     pi = SignedPermutation.parse(args.perm)
     if not is_member(alpha, pi):
@@ -96,9 +107,12 @@ def _cmd_lattice(args) -> int:
     status = EXIT_OK
     for alpha in alphas:
         built = None
+        if args.check:
+            # Refuse before an export is written, not after.
+            check_table_bound(quotient_size(alpha))
         if args.export:
             built = build_tamari(alpha, cap=args.cap)
-            label = lambda pi: pi.long_one_line()
+            label = lambda row: format_long(row.tolist())
             stem = args.out or f"tamari_{alpha.format().replace(',', '_')}"
             path = f"{stem}.{args.export}"
             if args.export == "dot":

@@ -1,6 +1,7 @@
 """Finite poset and lattice toolkit.
 
-Posets store a boolean order matrix plus opaque element labels; lattices add
+Posets store a boolean order matrix plus an array of element labels, one
+entry per element (for the type-B orders, a right-part row); lattices add
 meet and join tables, both built by one bit-packed join kernel.  On top of that
 sit the structural checks used by the verification harness: irreducibles,
 length, semidistributivity, congruence uniformity (by Day's join-dependency
@@ -20,7 +21,7 @@ from .errors import NotACongruenceError, NotALatticeError
 
 class FinitePoset:
     def __init__(self, labels: Sequence, leq: np.ndarray):
-        self.labels = list(labels)
+        self.labels = np.asarray(labels)
         self.leq = np.asarray(leq, dtype=bool)
         if self.leq.shape != (len(self.labels), len(self.labels)):
             raise ValueError("order matrix shape does not match element count")
@@ -267,7 +268,7 @@ def quotient_lattice(lat: FinitePoset, block_of) -> FiniteLattice:
         raise NotACongruenceError(why)
     mins = np.sort(mins)
     leq = lat.leq[np.ix_(mins, mins)]
-    return try_lattice(FinitePoset([lat.labels[x] for x in mins], leq))
+    return try_lattice(FinitePoset(lat.labels[mins], leq))
 
 
 def _lower_bounded(lat: FiniteLattice) -> bool:

@@ -235,6 +235,11 @@ def _build_rows(
     return rows
 
 
+def lex_sorted(rows: np.ndarray) -> np.ndarray:
+    """The rows in lexicographic order, the order of their right-part tuples."""
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def quotient_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     """Right parts of all quotient members, as a (quotient_size, n) integer array.
 
@@ -244,8 +249,23 @@ def quotient_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     the block's signings.  They are returned in lexicographic order, the
     order of the members' right-part tuples.
     """
-    rows = _build_rows(alpha, cap)
-    return rows[np.lexsort(rows.T[::-1])]
+    return lex_sorted(_build_rows(alpha, cap))
+
+
+def inversion_columns(rows):
+    """The inversion sets of right-part rows, one boolean column block per position.
+
+    Block i (from 1) marks, for each row r, the inversions whose smaller
+    position is i, by the rules of ``SignedPermutation.inversion_set``: the
+    sign inversion [[i]] when r_i < 0, then for each j > i the positive
+    ((i j)) when r_i > r_j, then the mixed ((-j i)) when r_i < -r_j.  Each
+    block holds at most 2n - 1 columns, so a caller that reduces the blocks
+    one at a time holds O(m n) booleans, not the m n^2 of the whole table.
+    """
+    right = np.asarray(rows)
+    for i in range(right.shape[1]):
+        r_i, later = right[:, i:i + 1], right[:, i + 1:]
+        yield np.concatenate([r_i < 0, r_i > later, r_i < -later], axis=1)
 
 
 def enumerate_quotient(

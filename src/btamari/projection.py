@@ -5,13 +5,20 @@ shortening the element by one; iterating, whichever pattern goes first,
 reaches the unique maximal 231-avoider below the input.  The dual elimination
 of 312 patterns, conjugated by the order-reversing involution iota, climbs to
 the top of the fiber.  The fibers partition the quotient into intervals, one
-per aligned element; ``fiber_bottoms`` eliminates one of each row's 231
-patterns, named by the scan it shares with ``aligned_mask``.
+per aligned element.
+
+The single-element projections take and return ``SignedPermutation``s.  The
+bulk routines work on the quotient as an (m, n) array of right-part rows and
+find rows by ``row_index``: ``fiber_bottoms`` eliminates one of each row's 231
+patterns, named by the scan it shares with ``aligned_mask``, and
+``theta_classes`` groups the rows by bottom and takes each fiber's longest
+member as its top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -25,8 +32,8 @@ from .alignment import (
     find_231_pattern,
     find_312_pattern,
 )
-from .parabolic import Composition, longest_element, quotient_rows
-from .signed_perm import SignedPermutation
+from .parabolic import Composition, inversion_columns, longest_element, quotient_rows
+from .signed_perm import SignedPermutation, format_right
 
 
 def eliminate_pattern(pi: SignedPermutation, witness: PatternWitness) -> SignedPermutation:
@@ -90,17 +97,21 @@ def project_up(alpha: Composition, pi: SignedPermutation) -> SignedPermutation:
 
 @dataclass(frozen=True)
 class ThetaClass:
-    """One fiber of the downward projection: the interval [bottom, top]."""
+    """One fiber of the downward projection, the interval [bottom, top], as rows.
 
-    bottom: SignedPermutation
-    top: SignedPermutation
-    members: tuple[SignedPermutation, ...]
+    ``bottom`` and ``top`` are right parts (1-D arrays); ``members`` holds the
+    fiber's right parts (a 2-D array) in right-part order.
+    """
+
+    bottom: np.ndarray
+    top: np.ndarray
+    members: np.ndarray
 
     def to_json(self) -> dict:
         return {
-            "bottom": self.bottom.format(),
-            "top": self.top.format(),
-            "members": [pi.format() for pi in self.members],
+            "bottom": format_right(self.bottom.tolist()),
+            "top": format_right(self.top.tolist()),
+            "members": [format_right(r) for r in self.members.tolist()],
         }
 
 
@@ -128,13 +139,26 @@ def eliminate_231(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:
     return hit, eliminated
 
 
-def _row_codes(right: np.ndarray) -> np.ndarray:
-    """One integer per row, equal exactly for equal rows: digits base 2n + 1."""
-    n = right.shape[1]
-    base = 2 * n + 1
-    dtype = np.int64 if base**n <= np.iinfo(np.int64).max else object
-    weights = np.array([base**p for p in range(n)], dtype=dtype)
-    return (right.astype(dtype) + n) @ weights
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte string per row, equal exactly for equal rows of one dtype."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
+
+
+def row_index(rows, wanted) -> np.ndarray:
+    """The index of each wanted row among ``rows``, or -1 where it is absent.
+
+    ``rows`` is a (m, n) integer array of distinct rows; ``wanted`` is an
+    array or a sequence of right parts, cast to the dtype of ``rows`` so
+    that equal rows have equal bytes.
+    """
+    right = np.asarray(rows)
+    keys = _row_keys(right)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    want = _row_keys(np.asarray(wanted, dtype=right.dtype).reshape(-1, right.shape[1]))
+    at = np.searchsorted(ranked, want).clip(max=len(ranked) - 1)
+    return np.where(ranked[at] == want, order[at], -1)
 
 
 def fiber_bottoms(alpha: Composition, rows) -> np.ndarray:
@@ -149,34 +173,45 @@ def fiber_bottoms(alpha: Composition, rows) -> np.ndarray:
     """
     right = np.asarray(rows)
     hit, eliminated = eliminate_231(alpha, right)
-    codes = _row_codes(right)
-    order = np.argsort(codes, kind="stable")
-    ranked = codes[order]
-    wanted = _row_codes(eliminated)
-    at = np.searchsorted(ranked, wanted).clip(max=len(ranked) - 1)
-    missing = np.flatnonzero(ranked[at] != wanted)
+    found = row_index(right, eliminated)
+    missing = np.flatnonzero(found < 0)
     if missing.size:
         r = missing[0]
         raise ValueError(
-            f"a 231 pattern of {','.join(map(str, right[hit[r]]))} eliminates"
-            f" to {','.join(map(str, eliminated[r]))}, which is not among the rows"
+            f"a 231 pattern of {format_right(right[hit[r]])} eliminates"
+            f" to {format_right(eliminated[r])}, which is not among the rows"
         )
     bottoms = np.arange(len(right))
-    bottoms[hit] = order[at]
+    bottoms[hit] = found
     while not np.array_equal(jumped := bottoms[bottoms], bottoms):
         bottoms = jumped
     return bottoms
 
 
-def theta_classes(alpha: Composition, cap: int | None = None) -> list[ThetaClass]:
-    """The fibers of the downward projection, ordered by their bottom element."""
+def iter_theta_classes(alpha: Composition, cap: int | None = None) -> Iterator[ThetaClass]:
+    """The fibers of the downward projection, one at a time, ordered by bottom.
+
+    The quotient's rows are grouped by ``fiber_bottoms``.  A fiber is an
+    interval of the weak order, which is graded by length, so its top is
+    its unique longest member; the lengths are the inversion counts of
+    ``inversion_columns``.  Only the rows and a few index arrays are held,
+    O(m n) in all, however many fibers are taken.
+    """
     rows = quotient_rows(alpha, cap)
-    members = [SignedPermutation(r) for r in rows.tolist()]
-    groups: dict[int, list[SignedPermutation]] = {}
-    for pi, bottom in zip(members, fiber_bottoms(alpha, rows).tolist()):
-        groups.setdefault(bottom, []).append(pi)
+    bottoms = fiber_bottoms(alpha, rows)
+    lengths = sum(block.sum(axis=1, dtype=np.int32) for block in inversion_columns(rows))
     # Rows come in right-part order, so bottom indices and each block are sorted.
-    return [
-        ThetaClass(members[b], project_up(alpha, members[b]), tuple(groups[b]))
-        for b in sorted(groups)
-    ]
+    grouped = np.argsort(bottoms, kind="stable")
+    starts = np.flatnonzero(np.diff(bottoms[grouped], prepend=-1))
+    tops = np.lexsort((-lengths, bottoms))[starts]
+    ends = np.append(starts[1:], len(rows))
+    for bottom, top, lo, hi in zip(bottoms[grouped[starts]], tops, starts, ends):
+        yield ThetaClass(rows[bottom], rows[top], rows[grouped[lo:hi]])
+
+
+def theta_classes(alpha: Composition, cap: int | None = None) -> list[ThetaClass]:
+    """The fibers of the downward projection as rows, ordered by their bottom element.
+
+    Each top is its fiber's longest member; see ``iter_theta_classes``.
+    """
+    return list(iter_theta_classes(alpha, cap))

@@ -87,6 +87,16 @@ class Reflection:
         return f"((-{self.j} {self.i}))"
 
 
+def format_right(right) -> str:
+    """A right part in one-line notation: its entries, comma-separated."""
+    return ",".join(map(str, right))
+
+
+def format_long(right) -> str:
+    """Long one-line notation, negatives spelled with '-', halves split by '|'."""
+    return f"{','.join(str(-v) for v in reversed(right))}|{format_right(right)}"
+
+
 def successor(v: int) -> int:
     """v^+, the next value after v: -1 is followed by 1, otherwise v+1."""
     return 1 if v == -1 else v + 1
@@ -136,12 +146,10 @@ class SignedPermutation:
         return cls(values)
 
     def format(self) -> str:
-        return ",".join(str(v) for v in self.right)
+        return format_right(self.right)
 
     def long_one_line(self) -> str:
-        """Long one-line notation, negatives spelled with '-', halves split by '|'."""
-        left = ",".join(str(-v) for v in reversed(self.right))
-        return f"{left}|{self.format()}"
+        return format_long(self.right)
 
     def __str__(self) -> str:
         return self.format()

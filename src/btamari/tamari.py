@@ -7,6 +7,12 @@ agree.  The module also builds each join-irreducible element directly from
 the inversion it covers, and bundles every structural claim into a
 verification report.
 
+Elements travel as right-part rows: the weak order's labels are the
+quotient's (m, n) row array and Tam_B's those of its aligned members, and
+rows are found among each other by ``row_index``.  A ``SignedPermutation``
+is built only for a report's witnesses and by the join-irreducible
+constructor.
+
 Verification builds each structure once per composition (the weak order as
 a poset, its projection fibers and the subposet lattice) and every check
 reads from those builds.  The weak order gets no meet or join table: the
@@ -26,17 +32,19 @@ from typing import Optional
 import numpy as np
 
 from . import lattice as lat
-from .alignment import enumerate_aligned
+from .alignment import aligned_rows
 from .errors import NotACongruenceError, TableBoundError
 from .parabolic import (
     Composition,
     InversionTableau,
-    enumerate_quotient,
+    inversion_columns,
+    lex_sorted,
     longest_element,
     parabolic_length,
+    quotient_rows,
     quotient_size,
 )
-from .projection import fiber_bottoms
+from .projection import fiber_bottoms, row_index
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 # The checks of a verification report, in the order verify_theorems runs them.
@@ -52,27 +60,22 @@ CHECKS = (
 TABLE_THRESHOLD = 20_000
 
 
-def _check_table_bound(m: int):
+def check_table_bound(m: int):
     """Refuse an m x m table above TABLE_THRESHOLD elements on a side."""
     if m > TABLE_THRESHOLD:
         raise TableBoundError(m, TABLE_THRESHOLD)
 
 
-def _weak_leq_matrix(members: list[SignedPermutation]) -> np.ndarray:
-    """Containment matrix of inversion sets, chunked to keep temporaries small.
+def _weak_leq_matrix(rows: np.ndarray) -> np.ndarray:
+    """Containment matrix of the inversion sets of right-part rows.
 
-    The n^2 inversion columns come from the right parts r by the rules of
-    ``SignedPermutation.inversion_set``: sign i when r_i < 0, and for i < j
-    positive (i, j) when r_i > r_j, mixed (i, j) when r_i + r_j < 0.
-    Raises TableBoundError before allocating when the m x m matrix would
-    exceed TABLE_THRESHOLD elements on a side.
+    The n^2 inversion columns are the blocks of ``inversion_columns``; the
+    comparison is chunked to keep temporaries small.  Raises TableBoundError
+    before allocating when the m x m matrix would exceed TABLE_THRESHOLD
+    elements on a side.
     """
-    _check_table_bound(len(members))
-    right = np.array([pi.right for pi in members], dtype=np.int64)
-    i, j = np.triu_indices(right.shape[1], k=1)
-    table = np.concatenate(
-        [right < 0, right[:, i] > right[:, j], right[:, i] + right[:, j] < 0], axis=1
-    )
+    check_table_bound(len(rows))
+    table = np.concatenate(list(inversion_columns(rows)), axis=1)
     m, width = table.shape
     leq = np.empty((m, m), dtype=bool)
     step = max(1, 2**22 // (m * width + 1))
@@ -83,9 +86,12 @@ def _weak_leq_matrix(members: list[SignedPermutation]) -> np.ndarray:
 
 
 def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
-    """Tam_B(alpha): the weak order on the aligned members, as a lattice."""
-    aligned = enumerate_aligned(alpha, cap)
-    return lat.try_lattice(lat.FinitePoset(aligned, _weak_leq_matrix(aligned)))
+    """Tam_B(alpha): the weak order on the aligned members, as a lattice.
+
+    Its labels are the aligned members' right parts, in right-part order.
+    """
+    rows = lex_sorted(aligned_rows(alpha, cap))
+    return lat.try_lattice(lat.FinitePoset(rows, _weak_leq_matrix(rows)))
 
 
 # -- join-irreducible constructor ---------------------------------------------
@@ -213,7 +219,7 @@ _MEET_BLOCK_ENTRIES = 2**20
 def _meet_mismatch(weak: lat.FinitePoset, tam: lat.FiniteLattice):
     """First pair a < b, row-major over Tamari indices, whose two meets differ.
 
-    Returns (label b, label a, weak-order meet, Tamari meet), or None.
+    Returns the rows (label b, label a, weak-order meet, Tamari meet), or None.
 
     The weak order on the quotient is graded by length and is a lattice
     (A. Björner and M. Wachs, Trans. AMS 308, 1988), so the weak meet w of a
@@ -227,8 +233,7 @@ def _meet_mismatch(weak: lat.FinitePoset, tam: lat.FiniteLattice):
     every pair, so no weak meet table is built.  The witness's w is then the
     common lower bound with the largest down-set.
     """
-    index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
-    into_weak = np.array([index[pi.right] for pi in tam.labels], dtype=np.int64)
+    into_weak = row_index(weak.labels, tam.labels)
     # below[x, a]: x lies under the a-th aligned element; float32 counts exactly.
     below = weak.leq[:, into_weak].astype(np.float32)
     down = below.sum(axis=0)
@@ -248,7 +253,7 @@ def _meet_mismatch(weak: lat.FinitePoset, tam: lat.FiniteLattice):
     return (
         tam.labels[b],
         tam.labels[a],
-        weak.labels[int(weak_meet)],
+        weak.labels[weak_meet],
         tam.labels[tam.meet(a, b)],
     )
 
@@ -260,6 +265,7 @@ class VerificationReport:
     stats: dict[str, int]
     witness: Optional[tuple] = None
     semidistributivity_witness: Optional[tuple] = None
+    congruence_failure: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -278,6 +284,8 @@ class VerificationReport:
             data["semidistributivity_witness"] = {
                 "law": law, "triple": [p.format() for p in triple]
             }
+        if self.congruence_failure is not None:
+            data["congruence_failure"] = self.congruence_failure
         return data
 
     def summary(self) -> str:
@@ -288,6 +296,8 @@ class VerificationReport:
             "  stats: "
             + ", ".join(f"{k}={v}" for k, v in self.stats.items())
         )
+        if self.congruence_failure is not None:
+            lines.append(f"  not a congruence: {self.congruence_failure}")
         if self.witness is not None:
             pa, pb, wm, tm = self.witness
             lines.append(
@@ -312,22 +322,24 @@ def verify_theorems(
 ) -> VerificationReport:
     """Run every structural check for one composition and collect the outcome.
 
-    The weak order (a poset, with no meet or join table), its projection
-    fibers and the subposet lattice are each built once; every check, the
-    quotient lattice and the not-a-sublattice witness read from those builds.
-    The table bound is checked on the quotient size before enumerating.
+    The quotient's rows are enumerated once.  The weak order on them (a
+    poset, with no meet or join table), its projection fibers and the
+    subposet lattice are each built once; every check, the quotient lattice
+    and the not-a-sublattice witness read from those builds.  The witnesses
+    become ``SignedPermutation``s only here, for the report.  The table bound
+    is checked on the quotient size before enumerating.
     A caller that already holds ``build_tamari(alpha, cap)`` passes it as
     ``tam``, and it is not built again.
     """
     checks: dict[str, bool] = {}
-    _check_table_bound(quotient_size(alpha))
-    members = enumerate_quotient(alpha, cap)
-    weak = lat.FinitePoset(members, _weak_leq_matrix(members))
-    bottoms = fiber_bottoms(alpha, np.array([pi.right for pi in members]))
+    check_table_bound(quotient_size(alpha))
+    rows = quotient_rows(alpha, cap)
+    weak = lat.FinitePoset(rows, _weak_leq_matrix(rows))
+    quot, failure = None, None
     try:
-        quot = lat.quotient_lattice(weak, bottoms)
-    except NotACongruenceError:
-        quot = None
+        quot = lat.quotient_lattice(weak, fiber_bottoms(alpha, rows))
+    except NotACongruenceError as exc:
+        failure = str(exc)
     checks["congruence_valid"] = quot is not None
 
     L = build_tamari(alpha, cap) if tam is None else tam
@@ -353,34 +365,39 @@ def verify_theorems(
         "length": ln,
         "join_irreducibles": n_join,
     }
+    witness = _meet_mismatch(weak, L)
+    if witness is not None:
+        witness = _perms(witness)
     # The semidistributive check above kept its witness; this reads it.
     sd_witness = lat.semidistributivity_witness(L)
     if sd_witness is not None:
         law, *triple = sd_witness
-        sd_witness = (law, *(L.labels[x] for x in triple))
-    return VerificationReport(
-        alpha, checks, stats, _meet_mismatch(weak, L), sd_witness
-    )
+        sd_witness = (law, *_perms(L.labels[triple]))
+    return VerificationReport(alpha, checks, stats, witness, sd_witness, failure)
+
+
+def _perms(rows) -> tuple[SignedPermutation, ...]:
+    """The signed permutations with the given right-part rows."""
+    return tuple(SignedPermutation(r) for r in np.asarray(rows).tolist())
 
 
 def _isomorphic(a: lat.FiniteLattice, b: lat.FiniteLattice) -> bool:
-    """Label-preserving isomorphism between two lattices on signed permutations."""
-    where = {pi.right: idx for idx, pi in enumerate(b.labels)}
-    order = [where.get(pi.right) for pi in a.labels]
-    if a.n != b.n or None in order:
+    """Label-preserving isomorphism between two lattices on right-part rows."""
+    order = row_index(b.labels, a.labels)
+    if a.n != b.n or (order < 0).any():
         return False
     return bool(np.array_equal(a.leq, b.leq[np.ix_(order, order)]))
 
 
 def _constructor_matches(alpha: Composition, L: lat.FiniteLattice) -> bool:
-    built = {}
+    """The constructor's elements are exactly L's join-irreducibles, one per pair."""
+    built = []
     for pair in irreducible_pairs(alpha):
         pi = join_irreducible_for(alpha, pair)
         covers = pi.cover_inversions()
         if len(covers) != 1 or next(iter(covers)) != _pair_to_reflection(pair):
             return False
-        if pi.right in built:
-            return False
-        built[pi.right] = pair
-    brute = {L.labels[j].right for j in lat.join_irreducibles(L)}
-    return set(built) == brute
+        built.append(pi.right)
+    found = np.sort(row_index(L.labels, built))
+    # Sorted, distinct and equal to the irreducibles' indices.
+    return np.array_equal(found, lat.join_irreducibles(L))

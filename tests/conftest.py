@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from btamari.lattice import FiniteLattice, FinitePoset, try_lattice
-from btamari.parabolic import Composition, all_compositions, enumerate_quotient
+from btamari.parabolic import Composition, all_compositions, quotient_rows
 from btamari.signed_perm import SignedPermutation
 from btamari.tamari import _weak_leq_matrix
 
@@ -20,9 +20,10 @@ def weak_order_lattice(alpha: Composition) -> FiniteLattice:
     (A. Björner and M. Wachs, Generalized quotients in Coxeter groups, Trans.
     AMS 308, 1988): ``try_lattice`` raises NotALatticeError otherwise.  The
     library keeps the weak order as a poset and builds no tables for it.
+    Its labels are the quotient's right-part rows.
     """
-    members = enumerate_quotient(alpha)
-    return try_lattice(FinitePoset(members, _weak_leq_matrix(members)))
+    rows = quotient_rows(alpha)
+    return try_lattice(FinitePoset(rows, _weak_leq_matrix(rows)))
 
 
 def full_group(n: int) -> list[SignedPermutation]:

@@ -92,7 +92,7 @@ def test_criterion_03_theorem_one():
     for n in (1, 2, 3, 4):
         for alpha in all_compositions(n):
             weak = weak_order_lattice(alpha)
-            bottoms = fiber_bottoms(alpha, [pi.right for pi in weak.labels])
+            bottoms = fiber_bottoms(alpha, weak.labels)
             ok, why = check_congruence(weak, bottoms)
             tam = build_tamari(alpha)
             if not ok or not _isomorphic(tam, quotient_lattice(weak, bottoms)):

@@ -8,6 +8,7 @@ from btamari.cli import main
 from btamari.config import resolve_threads
 from btamari.errors import NotACongruenceError, NotALatticeError
 from btamari.parabolic import Composition
+from btamari.projection import theta_classes
 
 
 def run(capsys, *argv):
@@ -87,6 +88,13 @@ class TestProject:
         data = json.loads(out)
         assert len(data) == 6
         assert {"bottom": "2,1", "top": "1,-2", "members": ["1,-2", "2,-1", "2,1"]} in data
+
+    def test_classes_streamed_as_json_dumps_prints(self, capsys):
+        # The listing is written one class at a time, with json.dumps's separators.
+        code, out, _ = run(capsys, "project", "--alpha", "0,2,1", "--classes")
+        assert code == 0
+        classes = theta_classes(Composition.parse("0,2,1"))
+        assert out == json.dumps([c.to_json() for c in classes]) + "\n"
 
     def test_debug_crosschecks_flag(self, capsys):
         code, out, _ = run(
@@ -221,11 +229,22 @@ class TestLattice:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+    def test_above_table_bound_refused_before_export(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 7)
+        code, out, err = run(
+            capsys, "lattice", "--alpha", "0,1,1", "--check", "all", "--export", "json"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: weak-order table needs 8 elements, bound is 7\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_table_bound_message_without_enumerating(self, capsys, monkeypatch):
         def not_called(*args, **kwargs):
-            raise AssertionError("enumerate_quotient called")
+            raise AssertionError("quotient_rows called")
 
-        monkeypatch.setattr(tamari, "enumerate_quotient", not_called)
+        monkeypatch.setattr(tamari, "quotient_rows", not_called)
         code, out, err = run(
             capsys, "lattice", "--alpha", "0,1,1,1,1,1,1,1", "--check", "all"
         )

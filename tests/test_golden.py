@@ -2,7 +2,8 @@
 
 ``verify_n4.jsonl`` and ``verify_n4_summary.txt`` hold ``verify_theorems``'s
 ``to_json()`` (one line each) and ``summary()`` for all 30 compositions with
-n <= 4; ``theta_classes_n3.jsonl`` holds the ``theta_classes`` JSON for n <= 3.
+n <= 4; ``theta_classes_n3.jsonl`` and ``theta_classes_n4.jsonl`` hold the
+``theta_classes`` JSON for n <= 3 and n <= 4.
 ``verify_n5.jsonl`` is the standard output of
 ``scripts/run_verification_sweep.py --max-n 5 --json``; CI diffs a fresh
 sweep against it.
@@ -30,13 +31,13 @@ def render_verify() -> tuple[str, str]:
     return "".join(lines), "".join(summaries)
 
 
-def render_theta() -> str:
+def render_theta(max_n: int) -> str:
     return "".join(
         json.dumps(
             {"alpha": alpha.format(), "classes": [c.to_json() for c in theta_classes(alpha)]}
         )
         + "\n"
-        for n in range(1, 4)
+        for n in range(1, max_n + 1)
         for alpha in all_compositions(n)
     )
 
@@ -48,11 +49,16 @@ def test_verify_reports_unchanged():
 
 
 def test_theta_classes_unchanged():
-    assert render_theta().encode() == (DATA / "theta_classes_n3.jsonl").read_bytes()
+    assert render_theta(3).encode() == (DATA / "theta_classes_n3.jsonl").read_bytes()
+
+
+def test_theta_classes_n4_unchanged():
+    assert render_theta(4).encode() == (DATA / "theta_classes_n4.jsonl").read_bytes()
 
 
 if __name__ == "__main__":
     lines, summaries = render_verify()
     (DATA / "verify_n4.jsonl").write_bytes(lines.encode())
     (DATA / "verify_n4_summary.txt").write_bytes(summaries.encode())
-    (DATA / "theta_classes_n3.jsonl").write_bytes(render_theta().encode())
+    for max_n in (3, 4):
+        (DATA / f"theta_classes_n{max_n}.jsonl").write_bytes(render_theta(max_n).encode())

@@ -19,6 +19,7 @@ from btamari.projection import (
     project_down,
     project_onto_312,
     project_up,
+    row_index,
     theta_classes,
 )
 from btamari.signed_perm import SignedPermutation
@@ -261,6 +262,39 @@ class TestBatchedFibers:
             fiber_bottoms(A021, rows[keep])
 
 
+class TestRowIndex:
+    def test_absent_rows_get_minus_one(self):
+        rows = quotient_rows(A021)
+        absent = [(2, 1, 3), (3, -1, -2)]  # not in 0,2,1: its first block ascends
+        assert row_index(rows, absent).tolist() == [-1, -1]
+        found = row_index(rows, [rows[5], (9, 9, 9), rows[0]])
+        assert found.tolist() == [5, -1, 0]
+        assert row_index(rows, np.empty((0, 3), dtype=np.int8)).tolist() == []
+
+    def test_same_answer_for_any_integer_input(self):
+        rows = quotient_rows(A021)
+        wanted = rows[np.random.default_rng(5).permutation(len(rows))]
+        expected = row_index(rows, wanted)
+        assert np.array_equal(rows[expected], wanted)
+        assert np.array_equal(row_index(rows, wanted.astype(np.int64)), expected)
+        assert np.array_equal(row_index(rows, list(map(tuple, wanted.tolist()))), expected)
+        assert np.array_equal(row_index(rows.astype(np.int64), wanted), expected)
+
+    def test_degree_fourteen(self):
+        # (2n + 1)^n overflows int64 from n = 14 on; byte keys do not care.
+        alpha = Composition.parse("12,1,1")
+        rows = quotient_rows(alpha)
+        members = [SignedPermutation(r) for r in rows.tolist()]
+        bottoms = fiber_bottoms(alpha, rows)
+        assert [members[b] for b in bottoms] == [project_down(alpha, pi) for pi in members]
+        classes = theta_classes(alpha)
+        assert (len(rows), len(classes)) == (728, 378)
+        assert max(len(c.members) for c in classes) == 27
+        for cls in classes:
+            bottom = SignedPermutation(cls.bottom.tolist())
+            assert project_up(alpha, bottom).right == tuple(cls.top.tolist())
+
+
 class TestThetaClasses:
     def test_tiny(self):
         classes = theta_classes(Composition((1,), split=True))
@@ -286,15 +320,18 @@ class TestThetaClasses:
                 classes = theta_classes(alpha)
                 assert sum(len(c.members) for c in classes) == len(members)
                 for cls in classes:
-                    assert find_231_pattern(alpha, cls.bottom) is None
+                    bottom = SignedPermutation(cls.bottom.tolist())
+                    top = SignedPermutation(cls.top.tolist())
+                    assert find_231_pattern(alpha, bottom) is None
+                    assert project_up(alpha, bottom) == top
                     interval = [
                         pi
                         for pi in members
-                        if cls.bottom.weak_leq(pi) and pi.weak_leq(cls.top)
+                        if bottom.weak_leq(pi) and pi.weak_leq(top)
                     ]
-                    assert sorted(p.right for p in interval) == [
-                        p.right for p in cls.members
-                    ]
+                    assert sorted(p.right for p in interval) == list(
+                        map(tuple, cls.members.tolist())
+                    )
 
     def test_projection_order_preserving_on_covers(self, all_small_compositions):
         for n in (1, 2, 3):

@@ -18,6 +18,7 @@ from btamari.parabolic import (
 )
 from btamari.alignment import is_aligned
 from btamari.projection import fiber_bottoms
+from btamari.signed_perm import SignedPermutation, format_right
 from btamari.tamari import (
     build_tamari,
     irreducible_pairs,
@@ -95,7 +96,7 @@ class TestJoinIrreducibles:
                 built = {join_irreducible_for(alpha, pair).right for pair in pairs}
                 assert len(built) == len(pairs)
                 lat = build_tamari(alpha)
-                brute = {lat.labels[j].right for j in join_irreducibles(lat)}
+                brute = set(map(tuple, lat.labels[join_irreducibles(lat)].tolist()))
                 assert built == brute
 
 
@@ -142,20 +143,26 @@ class TestNotSublattice:
         for alpha in alphas:
             weak = weak_order_lattice(alpha)
             tam = build_tamari(alpha)
-            index = {pi.right: idx for idx, pi in enumerate(weak.labels)}
+            index = {row: idx for idx, row in enumerate(map(tuple, weak.labels.tolist()))}
+            tam_rows = list(map(tuple, tam.labels.tolist()))
             expected = None
             for a, b in combinations(range(tam.n), 2):
-                pa, pb = tam.labels[a], tam.labels[b]
-                wm = weak.labels[weak.meet(index[pa.right], index[pb.right])]
-                tm = tam.labels[tam.meet(a, b)]
+                pa, pb = tam_rows[a], tam_rows[b]
+                wm = tuple(weak.labels[weak.meet(index[pa], index[pb])].tolist())
+                tm = tam_rows[tam.meet(a, b)]
                 if wm != tm:
                     expected = (pb, pa, wm, tm)
                     break
             poset = lattice.FinitePoset(weak.labels, weak.leq)
-            assert _meet_mismatch(poset, tam) == expected, alpha.format()
+
+            def mismatch():
+                found = _meet_mismatch(poset, tam)
+                return found if found is None else tuple(tuple(r.tolist()) for r in found)
+
+            assert mismatch() == expected, alpha.format()
             with monkeypatch.context() as patch:
                 patch.setattr(tamari, "_MEET_BLOCK_ENTRIES", 1)
-                assert _meet_mismatch(poset, tam) == expected, alpha.format()
+                assert mismatch() == expected, alpha.format()
 
 
 class TestVerifyTheorems:
@@ -211,7 +218,7 @@ class TestVerifyTheorems:
             "semidistributive"
         ]
         L = build_tamari(A021)
-        p, q, r = (L.labels[x].format() for x in (3, 5, 6))
+        p, q, r = (format_right(L.labels[x].tolist()) for x in (3, 5, 6))
         assert report.to_json()["semidistributivity_witness"] == {
             "law": "meet", "triple": [p, q, r]
         }
@@ -232,7 +239,7 @@ class TestVerifyBuildsOnce:
         calls = Counter()
         for module, name in [
             (tamari, "fiber_bottoms"),
-            (parabolic, "quotient_rows"),
+            (tamari, "quotient_rows"),
             (lattice, "_class_bounds"),
             (lattice, "try_lattice"),
             (projection, "theta_classes"),
@@ -249,7 +256,7 @@ class TestVerifyBuildsOnce:
         assert verify_theorems(A021).ok
         # one quotient enumeration; tables for the subposet lattice and the
         # quotient lattice only, none for the weak order; fibers read off the
-        # weak order's labels; the class bounds found once for both the
+        # quotient's rows; the class bounds found once for both the
         # congruence test and the quotient
         assert calls == {
             "fiber_bottoms": 1,
@@ -283,6 +290,47 @@ class TestVerifyBuildsOnce:
         ]
 
 
+class TestRowsNotObjects:
+    def test_verify_builds_few_signed_permutations(self, monkeypatch):
+        # Rows travel from enumeration to the checks; only the constructor's
+        # elements and the report's witnesses are signed permutations.
+        built = Counter()
+        original = SignedPermutation.__post_init__
+        monkeypatch.setattr(
+            SignedPermutation, "__post_init__",
+            lambda self: built.update(["built"]) or original(self),
+        )
+        assert verify_theorems(Composition.parse("0,1,1,1,1,1")).ok
+        assert 0 < built["built"] < 100
+
+
+class TestCongruenceFailure:
+    @staticmethod
+    def merge_first_and_last(alpha, rows):
+        # The bottom's and the top's fibers: their union is no interval.
+        bottoms = fiber_bottoms(alpha, rows)
+        first, last = np.unique(bottoms)[[0, -1]]
+        return np.where(bottoms == last, first, bottoms)
+
+    def test_why_in_text_and_json(self, monkeypatch):
+        weak = weak_order_lattice(A021)
+        ok, why = lattice.check_congruence(weak, self.merge_first_and_last(A021, weak.labels))
+        assert not ok and why
+        monkeypatch.setattr(tamari, "fiber_bottoms", self.merge_first_and_last)
+        report = verify_theorems(A021)
+        assert not report.checks["congruence_valid"]
+        assert report.to_json()["congruence_failure"] == why
+        summary = report.summary()
+        assert "  FAIL  congruence_valid" in summary
+        assert f"  not a congruence: {why}" in summary.splitlines()
+
+    def test_absent_when_valid(self):
+        report = verify_theorems(A021)
+        assert report.congruence_failure is None
+        assert "congruence_failure" not in report.to_json()
+        assert "not a congruence" not in report.summary()
+
+
 class TestWeakOrderLattice:
     def test_sizes(self):
         assert weak_order_lattice(Composition((1, 1), split=True)).n == 8
@@ -309,13 +357,14 @@ class TestWeakOrderLattice:
             expected = np.array(
                 [[a.weak_leq(b) for b in members] for a in members], dtype=bool
             )
-            assert np.array_equal(tamari._weak_leq_matrix(members), expected)
+            rows = np.array([pi.right for pi in members], dtype=np.int8)
+            assert np.array_equal(tamari._weak_leq_matrix(rows), expected)
 
     def test_refused_before_enumerating(self, monkeypatch):
         def not_called(*args, **kwargs):
-            raise AssertionError("enumerate_quotient called")
+            raise AssertionError("quotient_rows called")
 
-        monkeypatch.setattr(tamari, "enumerate_quotient", not_called)
+        monkeypatch.setattr(tamari, "quotient_rows", not_called)
         with pytest.raises(TableBoundError) as info:
             verify_theorems(Composition.parse("0,1,1,1,1,1,1,1"))
         assert str(info.value) == (
