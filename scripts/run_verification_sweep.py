@@ -3,8 +3,8 @@
 
 ``--max-n N`` sweeps all 2^n compositions of each degree n = 1..N (default 4).
 Degree 5 is the slowest because the full-group weak order there has 3840
-elements: ``--max-n 5`` takes about 4.5 s of wall time and 200 MB peak RSS on
-a 2-core x86-64 host (Python 3.11, numpy 2.4).  A composition above the table bound
+elements: ``--max-n 5`` takes 3.7 to 4.4 s of wall time and 197 MB peak RSS
+on a 2-core x86-64 host (Python 3.11, numpy 2.4).  A composition above the table bound
 or the enumeration cap is refused with one line on stderr, and the sweep goes
 on.  Exit status: 0 when every check passed, 1 when a check failed, 2 on a
 usage error, 3 when no check failed but a composition was refused.

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import lattice as lat
-from .alignment import enumerate_aligned
+from .alignment import aligned_rows
 from .config import resolve_cap, resolve_threads, set_debug_crosschecks
 from .enumeration import (
     check_conjecture_t,
@@ -26,9 +26,9 @@ from .errors import (
     NotALatticeError,
     NotAPermutationError,
 )
-from .parabolic import Composition, enumerate_quotient, is_member, quotient_size
+from .parabolic import Composition, is_member, lex_sorted, quotient_rows, quotient_size
 from .projection import iter_theta_classes, project_down, project_up
-from .signed_perm import SignedPermutation, format_long
+from .signed_perm import SignedPermutation, format_long, format_right
 from .tamari import CHECKS, build_tamari, check_table_bound, verify_theorems
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
@@ -51,11 +51,11 @@ def _cmd_enumerate(args) -> int:
     rows = []
     for alpha in _alpha_values(args):
         members = (
-            enumerate_aligned(alpha, args.cap)
+            lex_sorted(aligned_rows(alpha, args.cap))
             if args.aligned
-            else enumerate_quotient(alpha, args.cap)
+            else quotient_rows(alpha, args.cap)
         )
-        rows.extend(pi.format() for pi in members)
+        rows.extend(map(format_right, members.tolist()))
     if args.format == "json":
         print(json.dumps(rows))
     else:

@@ -258,17 +258,18 @@ def check_congruence(lat: FinitePoset, block_of):
     return why is None, why
 
 
-def quotient_lattice(lat: FinitePoset, block_of) -> FiniteLattice:
-    """Lattice on congruence-class minima, ordered as in the original.
+def quotient_lattice(lat: FinitePoset, block_of) -> FinitePoset:
+    """The congruence-class minima, ordered as in the original.
 
-    ``block_of`` names the classes as for ``check_congruence``.
+    The quotient of a lattice by a congruence is a lattice on the class
+    minima; this returns its order only, and ``try_lattice`` builds its
+    tables.  ``block_of`` names the classes as for ``check_congruence``.
     """
     why, mins = _congruence_failure(lat, block_of)
     if why is not None:
         raise NotACongruenceError(why)
     mins = np.sort(mins)
-    leq = lat.leq[np.ix_(mins, mins)]
-    return try_lattice(FinitePoset(lat.labels[mins], leq))
+    return FinitePoset(lat.labels[mins], lat.leq[np.ix_(mins, mins)])
 
 
 def _lower_bounded(lat: FiniteLattice) -> bool:

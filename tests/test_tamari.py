@@ -18,13 +18,8 @@ from btamari.parabolic import (
 )
 from btamari.alignment import is_aligned
 from btamari.projection import fiber_bottoms
-from btamari.signed_perm import SignedPermutation, format_right
-from btamari.tamari import (
-    build_tamari,
-    irreducible_pairs,
-    join_irreducible_for,
-    verify_theorems,
-)
+from btamari.signed_perm import POS, SIGN, SignedPermutation, format_right
+from btamari.tamari import build_tamari, join_irreducible_for, verify_theorems
 
 from conftest import full_group, perm, weak_order_lattice
 
@@ -91,7 +86,12 @@ class TestJoinIrreducibles:
     def test_bijection_with_lattice_irreducibles(self, all_small_compositions):
         for n in (1, 2, 3, 4):
             for alpha in all_small_compositions[n]:
-                pairs = irreducible_pairs(alpha)
+                pairs = [
+                    (t.i, t.j) if t.kind == POS
+                    else (-t.i, t.i) if t.kind == SIGN
+                    else (-t.i, t.j)
+                    for t in parabolic.InversionTableau(alpha).reading()
+                ]
                 assert len(pairs) == parabolic_length(alpha)
                 built = {join_irreducible_for(alpha, pair).right for pair in pairs}
                 assert len(built) == len(pairs)
@@ -245,6 +245,12 @@ class TestVerifyBuildsOnce:
             (projection, "theta_classes"),
             (projection, "project_up"),
             (projection, "find_312_pattern"),
+            # every module that imports them
+            (parabolic, "longest_element"),
+            (projection, "longest_element"),
+            (tamari, "longest_element"),
+            (parabolic, "InversionTableau"),
+            (tamari, "InversionTableau"),
         ]:
             original = getattr(module, name)
 
@@ -254,15 +260,18 @@ class TestVerifyBuildsOnce:
 
             monkeypatch.setattr(module, name, counted)
         assert verify_theorems(A021).ok
-        # one quotient enumeration; tables for the subposet lattice and the
-        # quotient lattice only, none for the weak order; fibers read off the
+        # one quotient enumeration; tables for the subposet lattice only,
+        # none for the weak order or the quotient; fibers read off the
         # quotient's rows; the class bounds found once for both the
-        # congruence test and the quotient
+        # congruence test and the quotient; one tableau, whose longest
+        # element serves every constructor cell
         assert calls == {
             "fiber_bottoms": 1,
             "quotient_rows": 1,
             "_class_bounds": 1,
-            "try_lattice": 2,
+            "try_lattice": 1,
+            "longest_element": 1,
+            "InversionTableau": 1,
         }
 
     def test_semidistributivity_scanned_once(self, monkeypatch):
@@ -288,6 +297,36 @@ class TestVerifyBuildsOnce:
         assert failed == [
             "congruence_valid", "lattice_quotient", "quotient_isomorphic_subposet"
         ]
+
+
+class TestQuotientOrder:
+    # The quotient's order is only compared with Tam_B's; an order that
+    # differs is tested for being a lattice, and fails without a traceback.
+    @staticmethod
+    def failed_checks(monkeypatch, replace):
+        original = lattice.quotient_lattice
+        monkeypatch.setattr(
+            lattice, "quotient_lattice",
+            lambda weak, block_of: replace(original(weak, block_of)),
+        )
+        report = verify_theorems(A021)
+        failed = [name for name, ok in report.checks.items() if not ok]
+        assert all(f"  FAIL  {name}" in report.summary() for name in failed)
+        return failed
+
+    def test_not_a_lattice(self, monkeypatch):
+        def antichain(quot):
+            return lattice.FinitePoset(quot.labels[:2], np.eye(2, dtype=bool))
+
+        assert self.failed_checks(monkeypatch, antichain) == [
+            "lattice_quotient", "quotient_isomorphic_subposet"
+        ]
+
+    def test_lattice_not_isomorphic(self, monkeypatch):
+        def chain(quot):
+            return lattice.FinitePoset(quot.labels, np.triu(np.ones((quot.n,) * 2, bool)))
+
+        assert self.failed_checks(monkeypatch, chain) == ["quotient_isomorphic_subposet"]
 
 
 class TestRowsNotObjects:
