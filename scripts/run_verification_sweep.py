@@ -2,11 +2,13 @@
 """Verify every structural claim for all type-B compositions up to a degree.
 
 ``--max-n N`` sweeps all 2^n compositions of each degree n = 1..N (default 4).
-Degree 5 is the slowest because the full-group weak order there has 3840
-elements: ``--max-n 5`` takes 3.7 to 4.4 s of wall time and 197 MB peak RSS
-on a 2-core x86-64 host (Python 3.11, numpy 2.4).  A composition above the table bound
-or the enumeration cap is refused with one line on stderr, and the sweep goes
-on.  Exit status: 0 when every check passed, 1 when a check failed, 2 on a
+On a 2-core x86-64 host (Python 3.11, numpy 2.4), ``--max-n 5`` takes 1.1 to
+1.3 s of wall time and 69 MB peak RSS; its largest weak order, the full
+group's, has 3,840 elements.  ``--max-n 6`` takes 24 to 25 s and 370 MB: it
+verifies 57 of the 64 degree-6 compositions, up to weak orders of 11,520
+elements, and refuses the 7 above the table bound (exit 3).  A composition
+above the table bound or the enumeration cap is refused with one line on
+stderr, and the sweep goes on.  Exit status: 0 when every check passed, 1 when a check failed, 2 on a
 usage error, 3 when no check failed but a composition was refused.
 """
 

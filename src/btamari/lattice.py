@@ -2,11 +2,15 @@
 
 Posets store a boolean order matrix plus an array of element labels, one
 entry per element (for the type-B orders, a right-part row); lattices add
-meet and join tables, both built by one bit-packed join kernel.  On top of that
+meet and join tables, both built by one bit-packed join kernel.  A poset's
+covers come from one float32 product of its strict order with itself; a
+caller that knows a grading (the weak order, graded by length) sets them
+instead, as ``FiniteLattice.dual`` does with the transpose.  On top of that
 sit the structural checks used by the verification harness: irreducibles,
 length, semidistributivity, congruence uniformity (by Day's join-dependency
-criterion), congruence verification, quotients, extremality, left modularity
-and trimness, plus JSON and DOT exports.
+criterion, one array operation per block of irreducibles), congruence
+verification, quotients, extremality, left modularity and trimness, plus
+JSON and DOT exports.
 """
 
 from __future__ import annotations
@@ -159,13 +163,6 @@ def meet_irreducibles(lat: FiniteLattice) -> list[int]:
     return [int(x) for x in np.flatnonzero(lat.covers.sum(axis=1) == 1)]
 
 
-def lower_cover(lat: FiniteLattice, j: int) -> int:
-    below = np.flatnonzero(lat.covers[:, j])
-    if below.size != 1:
-        raise ValueError(f"element {j} is not join-irreducible")
-    return int(below[0])
-
-
 # -- semidistributivity --------------------------------------------------------
 
 
@@ -273,13 +270,23 @@ def quotient_lattice(lat: FinitePoset, block_of) -> FinitePoset:
 
 
 def _lower_bounded(lat: FiniteLattice) -> bool:
-    """No cycle of join dependencies: j D k if j != k, j <= k v x, j !<= k_* v x."""
-    irr = join_irreducibles(lat)
+    """No cycle of join dependencies: j D k if j != k, j <= k v x, j !<= k_* v x.
+
+    One ``argmax`` over the irreducibles' columns of ``covers`` finds every
+    lower cover k_*.  D is one gather of the join table's rows for k and k_*
+    into the up-sets of the irreducibles j, taken over blocks of k so that
+    the |J| x block x m temporaries stay near _JOIN_BLOCK_BYTES.  Sinks of D
+    are then peeled off until none is left (lower bounded) or a cycle is.
+    """
+    covers = lat.covers
+    irr = np.flatnonzero(covers.sum(axis=0) == 1)
+    lows = covers[:, irr].argmax(axis=0)
     join, below = lat.join_table(), lat.leq[irr]
-    dep = np.zeros((len(irr), len(irr)), dtype=bool)
-    for col, k in enumerate(irr):
-        low = join[lower_cover(lat, k)]
-        dep[:, col] = (below[:, join[k]] & ~below[:, low]).any(axis=1)
+    dep = np.empty((len(irr), len(irr)), dtype=bool)
+    step = max(1, _JOIN_BLOCK_BYTES // (below.size + 1))
+    for lo in range(0, len(irr), step):
+        k, low = join[irr[lo:lo + step]], join[lows[lo:lo + step]]
+        dep[:, lo:lo + step] = (below[:, k] & ~below[:, low]).any(axis=2)
     np.fill_diagonal(dep, False)
     alive = np.ones(len(irr), dtype=bool)
     while (sinks := alive & ~dep[:, alive].any(axis=1)).any():

@@ -13,14 +13,19 @@ rows are found among each other by ``row_index``.  A ``SignedPermutation``
 is built only for a report's witnesses and by the join-irreducible
 constructor.
 
+Both orders compare inversion sets packed as bit words, one uint64 per row
+up to n = 8, so x <= y is "no bit of x outside y".
+
 Verification builds each structure once per composition (the weak order as
 a poset, its projection fibers and their quotient order, the subposet
 lattice and one inversion tableau), and only the subposet lattice gets meet
 and join tables.  The weak order needs none: the
 quotient construction reads only its order and covers, and the
-not-a-sublattice test counts common lower bounds.  The subposet and quotient
-constructions stay as two independent routes to the same lattice, so that
-each confirms the other.
+not-a-sublattice test counts common lower bounds.  Its covers come from its
+grading by length, with no matrix product; Tam_B is not graded, and its
+covers come from the product in ``FinitePoset.covers``.  The subposet and
+quotient constructions stay as two independent routes to the same lattice,
+so that each confirms the other.
 Order matrices and lattice tables are dense, m x m for m elements, so no
 structure above TABLE_THRESHOLD elements is built.
 """
@@ -67,23 +72,66 @@ def check_table_bound(m: int):
         raise TableBoundError(m, TABLE_THRESHOLD)
 
 
-def _weak_leq_matrix(rows: np.ndarray) -> np.ndarray:
-    """Containment matrix of the inversion sets of right-part rows.
+# Each block of the containment test keeps its word temporaries near this
+# many bytes.
+_LEQ_BLOCK_BYTES = 2**20
 
-    The n^2 inversion columns are the blocks of ``inversion_columns``; the
-    comparison is chunked to keep temporaries small.  Raises TableBoundError
-    before allocating when the m x m matrix would exceed TABLE_THRESHOLD
-    elements on a side.
+
+def _inversion_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inversion sets of right-part rows as bit words, and their sizes.
+
+    The n^2 inversion columns of ``inversion_columns`` are packed, eight to
+    a byte, into (m, ceil(n^2 / 64)) ``uint64`` words, so a row's set is one
+    word up to n = 8.  The sizes are the rows' lengths, summed from the same
+    table before it is packed.
     """
-    check_table_bound(len(rows))
     table = np.concatenate(list(inversion_columns(rows)), axis=1)
-    m, width = table.shape
+    packed = np.packbits(table, axis=1)
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return np.ascontiguousarray(packed).view(np.uint64), table.sum(axis=1)
+
+
+def _contained(words: np.ndarray) -> np.ndarray:
+    """leq[a, b]: the set in word row a lies inside the set in word row b.
+
+    That is, no bit of a is outside b.  The rows are compared in blocks to
+    keep the word temporaries small.  Raises TableBoundError before
+    allocating when the m x m matrix would exceed TABLE_THRESHOLD elements
+    on a side.
+    """
+    m = len(words)
+    check_table_bound(m)
     leq = np.empty((m, m), dtype=bool)
-    step = max(1, 2**22 // (m * width + 1))
+    outside = ~words
+    step = max(1, _LEQ_BLOCK_BYTES // (outside.nbytes + 1))
     for lo in range(0, m, step):
-        block = table[lo:lo + step]
-        leq[lo:lo + step] = ~(block[:, None, :] & ~table[None, :, :]).any(axis=2)
+        leq[lo:lo + step] = ~(words[lo:lo + step, None, :] & outside).any(axis=2)
     return leq
+
+
+def _weak_leq_matrix(rows: np.ndarray) -> np.ndarray:
+    """Containment matrix of the inversion sets of right-part rows: the weak order."""
+    return _contained(_inversion_words(rows)[0])
+
+
+def _weak_order(rows: np.ndarray) -> lat.FinitePoset:
+    """The weak order on a whole parabolic quotient, its covers read off the grading.
+
+    The quotient is the lower interval [e, w_0(alpha)] of the weak order on
+    the whole group (A. Björner and M. Wachs, Trans. AMS 308, 1988), and
+    that order is graded by length, the size of the inversion set.  An
+    element between a and b lies in the interval too, and each step up a
+    chain raises the length by at least one; so b covers a exactly when
+    a <= b and len(b) = len(a) + 1.  That takes one m x m comparison in
+    place of the m^3 product of ``FinitePoset.covers``.  Tam_B is not
+    graded and keeps the product.
+    """
+    words, length = _inversion_words(rows)
+    weak = lat.FinitePoset(rows, _contained(words))
+    covers = length[:, None] + 1 == length
+    covers &= weak.leq
+    weak.covers = covers
+    return weak
 
 
 def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
@@ -251,6 +299,7 @@ class VerificationReport:
     witness: Optional[tuple] = None
     semidistributivity_witness: Optional[tuple] = None
     congruence_failure: Optional[str] = None
+    quotient_lattice_failure: Optional[tuple] = None
 
     @property
     def ok(self) -> bool:
@@ -271,6 +320,11 @@ class VerificationReport:
             }
         if self.congruence_failure is not None:
             data["congruence_failure"] = self.congruence_failure
+        if self.quotient_lattice_failure is not None:
+            reason, *pair = self.quotient_lattice_failure
+            data["quotient_not_a_lattice"] = {
+                "reason": reason, "pair": [p.format() for p in pair]
+            }
         return data
 
     def summary(self) -> str:
@@ -283,6 +337,9 @@ class VerificationReport:
         )
         if self.congruence_failure is not None:
             lines.append(f"  not a congruence: {self.congruence_failure}")
+        if self.quotient_lattice_failure is not None:
+            reason, pa, pb = self.quotient_lattice_failure
+            lines.append(f"  quotient not a lattice: {reason} for ({pa}, {pb})")
         if self.witness is not None:
             pa, pb, wm, tm = self.witness
             lines.append(
@@ -320,7 +377,7 @@ def verify_theorems(
     checks: dict[str, bool] = {}
     check_table_bound(quotient_size(alpha))
     rows = quotient_rows(alpha, cap)
-    weak = lat.FinitePoset(rows, _weak_leq_matrix(rows))
+    weak = _weak_order(rows)
     quot, failure = None, None
     try:
         quot = lat.quotient_lattice(weak, fiber_bottoms(alpha, rows))
@@ -331,7 +388,10 @@ def verify_theorems(
     L = build_tamari(alpha, cap) if tam is None else tam
     checks["lattice_subposet"] = True  # try_lattice would have raised otherwise
     isomorphic = quot is not None and _isomorphic(L, quot)
-    checks["lattice_quotient"] = isomorphic or (quot is not None and _is_lattice(quot))
+    not_a_lattice = None
+    if quot is not None and not isomorphic:
+        not_a_lattice = _lattice_failure(quot)
+    checks["lattice_quotient"] = quot is not None and not_a_lattice is None
     checks["quotient_isomorphic_subposet"] = isomorphic
 
     checks["congruence_uniform"] = lat.is_congruence_uniform(L)
@@ -358,7 +418,9 @@ def verify_theorems(
     if sd_witness is not None:
         law, *triple = sd_witness
         sd_witness = (law, *_perms(L.labels[triple]))
-    return VerificationReport(alpha, checks, stats, witness, sd_witness, failure)
+    return VerificationReport(
+        alpha, checks, stats, witness, sd_witness, failure, not_a_lattice
+    )
 
 
 def _perms(rows) -> tuple[SignedPermutation, ...]:
@@ -366,12 +428,13 @@ def _perms(rows) -> tuple[SignedPermutation, ...]:
     return tuple(SignedPermutation(r) for r in np.asarray(rows).tolist())
 
 
-def _is_lattice(poset: lat.FinitePoset) -> bool:
+def _lattice_failure(poset: lat.FinitePoset):
+    """None for a lattice, else (reason, a, b) naming a pair with no bound."""
     try:
         lat.try_lattice(poset)
-    except NotALatticeError:
-        return False
-    return True
+    except NotALatticeError as exc:
+        return (exc.reason, *_perms(poset.labels[list(exc.pair)]))
+    return None
 
 
 def _isomorphic(a: lat.FinitePoset, b: lat.FinitePoset) -> bool:

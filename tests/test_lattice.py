@@ -16,7 +16,6 @@ from btamari.lattice import (
     join_irreducibles,
     lattice_to_dot,
     lattice_to_json,
-    lower_cover,
     meet_irreducibles,
     quotient_lattice,
     semidistributivity_witness,
@@ -230,6 +229,14 @@ def congruence_closure(lat, pairs):
             if find(mx) != find(my):
                 queue.append((mx, my))
     return Partition([find(x) for x in range(lat.n)])
+
+
+def lower_cover(lat, j):
+    """The unique lower cover of a join-irreducible j."""
+    below = np.flatnonzero(lat.covers[:, j])
+    if below.size != 1:
+        raise ValueError(f"element {j} is not join-irreducible")
+    return int(below[0])
 
 
 def principal_congruence(lat, a, b):
@@ -648,25 +655,36 @@ class TestCongruenceUniformity:
         assert is_congruence_uniform(weak_order_lattice_raw(2))
         assert is_congruence_uniform(weak_order_lattice_raw(3))
 
-    def test_agrees_with_closure_oracle(self, small_lattices):
+    # Day's test takes the irreducibles in column blocks; one byte per block
+    # makes every block a single irreducible.
+    BLOCK_BYTES = (lattice._JOIN_BLOCK_BYTES, 1)
+
+    def test_agrees_with_closure_oracle(self, small_lattices, monkeypatch):
         named = dict(small_lattices)
         named.update(chain=chain(4), m3=m3(), n5=n5(), boolean=boolean(2))
         for name, lat in named.items():
             for side, half in (("", lat), ("dual ", lat.dual())):
-                assert _lower_bounded(half) == closure_cg_map_injective(half), side + name
+                expected = closure_cg_map_injective(half)
+                for block_bytes in self.BLOCK_BYTES:
+                    monkeypatch.setattr(lattice, "_JOIN_BLOCK_BYTES", block_bytes)
+                    assert _lower_bounded(half) == expected, (side + name, block_bytes)
 
-    def test_random_lattices_agree_with_closure_oracle(self):
-        rng = np.random.default_rng(1)
-        seen = set()
-        for _ in range(200):
-            lat = intersection_closed_lattice(rng)
-            halves = (_lower_bounded(lat), _lower_bounded(lat.dual()))
-            expected = (closure_cg_map_injective(lat), closure_cg_map_injective(lat.dual()))
-            assert halves == expected
-            assert is_congruence_uniform(lat) == all(expected)
-            seen.add(halves)
-        # lower bounded only, upper bounded only, both and neither all occur
-        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    def test_random_lattices_agree_with_closure_oracle(self, monkeypatch):
+        for block_bytes in self.BLOCK_BYTES:
+            monkeypatch.setattr(lattice, "_JOIN_BLOCK_BYTES", block_bytes)
+            rng = np.random.default_rng(1)
+            seen = set()
+            for _ in range(200):
+                lat = intersection_closed_lattice(rng)
+                halves = (_lower_bounded(lat), _lower_bounded(lat.dual()))
+                expected = (
+                    closure_cg_map_injective(lat), closure_cg_map_injective(lat.dual())
+                )
+                assert halves == expected
+                assert is_congruence_uniform(lat) == all(expected)
+                seen.add(halves)
+            # lower bounded only, upper bounded only, both and neither all occur
+            assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_uniform_implies_semidistributive_crosscheck(self):
         for lat in (chain(4), n5(), weak_order_lattice_raw(2), m3(), boolean(2)):

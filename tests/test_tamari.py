@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -274,6 +275,19 @@ class TestVerifyBuildsOnce:
             "InversionTableau": 1,
         }
 
+    def test_weak_covers_not_multiplied(self, monkeypatch):
+        # The weak order's covers come from its grading; only the Tamari
+        # lattice, which is not graded, evaluates the m^3 product.
+        sizes = []
+        product = lattice.FinitePoset.covers.func
+        counted = cached_property(lambda self: sizes.append(self.n) or product(self))
+        counted.__set_name__(lattice.FinitePoset, "covers")
+        monkeypatch.setattr(lattice.FinitePoset, "covers", counted)
+        alpha = Composition.parse("0,1,1,1")
+        assert verify_theorems(alpha).ok
+        assert sizes == [build_tamari(alpha).n]
+        assert quotient_size(alpha) not in sizes
+
     def test_semidistributivity_scanned_once(self, monkeypatch):
         # is_trim asks again after the semidistributive check; both read one
         # test, which runs the kappa criterion once per law.
@@ -321,6 +335,16 @@ class TestQuotientOrder:
         assert self.failed_checks(monkeypatch, antichain) == [
             "lattice_quotient", "quotient_isomorphic_subposet"
         ]
+        # The two elements have no upper bound: the first pair, no-lub.
+        report = verify_theorems(A021)
+        pair = [format_right(r) for r in quotient_rows(A021)[:2]]
+        assert report.to_json()["quotient_not_a_lattice"] == {
+            "reason": "no-lub", "pair": pair
+        }
+        assert (
+            f"  quotient not a lattice: no-lub for ({pair[0]}, {pair[1]})"
+            in report.summary().splitlines()
+        )
 
     def test_lattice_not_isomorphic(self, monkeypatch):
         def chain(quot):
@@ -385,6 +409,18 @@ class TestWeakOrderLattice:
             weak = weak_order_lattice(alpha)
             assert (weak.n, weak.length()) == (quotient_size(alpha), parabolic_length(alpha))
 
+    def test_graded_covers_match_product(self, all_small_compositions):
+        # The covers verify_theorems reads off the length grading are the
+        # ones the m^3 product of FinitePoset.covers finds.
+        alphas = [alpha for n in (1, 2, 3, 4) for alpha in all_small_compositions[n]]
+        alphas += [a for a in parabolic.all_compositions(5) if quotient_size(a) <= 960]
+        for alpha in alphas:
+            rows = quotient_rows(alpha)
+            weak = tamari._weak_order(rows)
+            oracle = lattice.FinitePoset(rows, weak.leq)
+            assert np.array_equal(weak.leq, tamari._weak_leq_matrix(rows))
+            assert np.array_equal(weak.covers, oracle.covers), alpha
+
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
         inputs = [
             enumerate_quotient(alpha)
@@ -392,6 +428,8 @@ class TestWeakOrderLattice:
             for alpha in all_small_compositions[n]
         ]
         inputs.append(full_group(4))
+        # n^2 > 64 inversion columns: two bit words per row
+        inputs += [enumerate_quotient(Composition.parse(a)) for a in ("8,1", "7,2")]
         for members in inputs:
             expected = np.array(
                 [[a.weak_leq(b) for b in members] for a in members], dtype=bool
