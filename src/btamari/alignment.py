@@ -298,7 +298,22 @@ def _long_row(p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _scan_plan(alpha: Composition):
-    """Per-composition pair/middle row plan for the vectorized pattern scan."""
+    """Per-composition plan of the vectorized pattern scan, one entry per outer pair.
+
+    An entry ``(ii, kk, low, high)`` names the long rows of the outer
+    positions i < k (k > 0, i and k in different blocks) and the middle
+    positions j > 0 between them, outside the blocks of i and k: ``high``
+    holds those where pi(j) must exceed pi(i) (every j of a split
+    composition, and j past the join region), ``low`` those where pi(j)
+    must fall below pi(k).  Entries with no middle position are left out.
+
+    Blocks are runs of consecutive positions, so the blocks of i and k cut
+    a prefix and a suffix off i + 1 .. k - 1 (a negative i in the join
+    region cuts the join region's positive run), and the join region is a
+    prefix too.  Each middle set is therefore one run of consecutive
+    positive positions, stored as the ``(start, stop)`` span of its long
+    rows, read with step 2; an empty set is None.
+    """
     n = alpha.n
     a1 = alpha.first_part
     positions = list(range(-n, 0)) + list(range(1, n + 1))
@@ -311,17 +326,20 @@ def _scan_plan(alpha: Composition):
             bi = alpha.block_id(i)
             if bi == bk:
                 continue
-            js_low, js_high = [], []
-            for j in range(max(1, i + 1), k):
-                bj = alpha.block_id(j)
-                if bj == bi or bj == bk:
-                    continue
-                (js_high if alpha.split or j > a1 else js_low).append(_long_row(j))
-            if js_low or js_high:
-                plan.append(
-                    (_long_row(i), _long_row(k), tuple(js_low), tuple(js_high))
-                )
+            js = [
+                j for j in range(max(1, i + 1), k)
+                if alpha.block_id(j) not in (bi, bk)
+            ]
+            low = [j for j in js if not (alpha.split or j > a1)]
+            high = [j for j in js if alpha.split or j > a1]
+            if js:
+                plan.append((_long_row(i), _long_row(k), _span(low), _span(high)))
     return tuple(plan)
+
+
+def _span(js: list[int]):
+    """Long rows of consecutive positive positions, as a step-2 (start, stop) span."""
+    return (_long_row(js[0]), _long_row(js[-1]) + 2) if js else None
 
 
 @lru_cache(maxsize=None)
@@ -339,27 +357,45 @@ def _block_plans(alpha: Composition):
 
 
 def _violations(long: np.ndarray, plan) -> np.ndarray:
-    """Per column of a long array, the index of a plan entry it holds, or -1.
+    """Per column of a long array, the index of the last plan entry it holds, or -1.
 
-    A column holds an entry when it has the entry's 231 pattern.  For each
-    outer pair (i, k), the cover test pi(i) = succ(pi(k)) runs on every
-    column; the middle-entry max/min then runs only on the covered columns,
-    gathered into a smaller array.
+    A column holds an entry when it has the entry's 231 pattern: pi(i) =
+    succ(pi(k)), and a middle value above pi(i) (``high``) or below pi(k)
+    (``low``).  Each middle span is reduced once per call, to its maximum
+    or minimum.  The middle test reads k and the spans only, so it is
+    folded into a target row, succ(pi(k)) where the test holds and 0 (no
+    value) elsewhere, shared by the entries of one k with the same spans;
+    an entry is then one comparison of pi(i) with its target.  A running
+    maximum of the codes t + 1, in the narrowest unsigned dtype, keeps the
+    last entry held.  Every step is a dense pass over all columns, with no
+    gather and no masked store.
     """
-    succ = long + 1
-    succ[long == -1] = 1
-    found = np.full(long.shape[1], -1, dtype=np.intp)
-    for t, (ii, kk, js_low, js_high) in enumerate(plan):
-        hit = np.flatnonzero(long[ii] == succ[kk])
-        if not len(hit):
-            continue
-        sub = np.take(long, hit, axis=1)
-        cond = np.zeros(len(hit), dtype=bool)
-        if js_high:
-            cond |= sub[list(js_high)].max(axis=0) > sub[ii]
-        if js_low:
-            cond |= sub[list(js_low)].min(axis=0) < sub[kk]
-        found[hit[cond]] = t
+    code = np.min_scalar_type(len(plan)).type
+    last = np.zeros(long.shape[1], dtype=code)
+    lows = {e[2] for e in plan} - {None}
+    highs = {e[3] for e in plan} - {None}
+    lowest = {s: long[s[0]:s[1]:2].min(axis=0) for s in lows}
+    highest = {s: long[s[0]:s[1]:2].max(axis=0) for s in highs}
+    at = None
+    for t, (ii, kk, low, high) in enumerate(plan):
+        if kk != at:  # entries come k by k; keep one k's targets at a time
+            at, targets = kk, {}
+            u = long[kk]
+            v = u + 1  # succ(pi(k)): 1 after -1, v + 1 otherwise
+            v += v == 0
+        target = targets.get((low, high))
+        if target is None:
+            if high is None:
+                middle = lowest[low] < u
+            elif low is None:
+                middle = highest[high] > v
+            else:
+                middle = (highest[high] > v) | (lowest[low] < u)
+            target = targets[low, high] = v * middle
+        held = long[ii] == target
+        np.maximum(last, held.view(np.uint8) * code(t + 1), out=last)
+    found = last.astype(np.intp)
+    found -= 1
     return found
 
 
@@ -379,8 +415,9 @@ def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     block is placed a row whose filled positions hold a 231 pattern is
     dropped: every completion keeps that pattern.  After the last block every
     scan-plan entry has run, so the rows left are those ``aligned_mask``
-    keeps.  The cap bounds the quotient size and is checked before anything
-    is allocated.
+    keeps.  The cap bounds the rows held, not the quotient size: before
+    each block is placed, the rows kept so far times the block's choices
+    and signings (``CapExceededError.required`` when it is exceeded).
     """
     plans = _block_plans(alpha)
     return _build_rows(

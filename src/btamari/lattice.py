@@ -345,10 +345,21 @@ def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
     Semidistributive lattices only need the extremality count; the explicit
     chain search runs for the rest, or additionally when verify_chain is set.
     """
-    if not is_extremal(lat):
-        return False
-    if is_semidistributive(lat):
-        return has_left_modular_chain(lat) if verify_chain else True
+    return is_extremal(lat) and extremal_is_trim(
+        lat, is_semidistributive(lat), verify_chain
+    )
+
+
+def extremal_is_trim(
+    lat: FiniteLattice, semidistributive: bool, verify_chain: bool
+) -> bool:
+    """``is_trim`` for a lattice already known to be extremal.
+
+    A caller that has counted extremality and tested semidistributivity
+    passes the verdict, and neither is computed again.
+    """
+    if semidistributive and not verify_chain:
+        return True
     return has_left_modular_chain(lat)
 
 

@@ -199,6 +199,39 @@ def _sign_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     return slots, signs
 
 
+@lru_cache(maxsize=None)
+def _block_gather(n: int, w: int, p: int, signed: bool):
+    """Gather index and signs that place one block of p values after w filled ones.
+
+    A state row holds its w filled values, then its n - w free values in
+    ascending order.  Row c of the index, for each way c of
+    ``_split_slots(n - w, p)`` to take p of the free values, keeps the
+    filled prefix, puts the taken values in positions w .. w + p - 1 and
+    the values left after them, both ascending.  For a signed block, row
+    c * 2^p + s also sorts the block as signing s of ``_sign_table(p)``
+    does, and row c * 2^p + s of the signs negates its negated values; an
+    unsigned block has no signs.  Built once per (n, w, p, signed) and
+    shared, so the arrays are read-only.
+    """
+    taken, left = _split_slots(n - w, p)
+    pick = np.empty((len(taken), n), dtype=np.intp)
+    pick[:, :w] = np.arange(w)
+    pick[:, w:w + p] = w + taken
+    pick[:, w + p:] = w + left
+    signs = None
+    if signed:
+        slots, block_signs = _sign_table(p)
+        order = np.tile(np.arange(n), (len(slots), 1))
+        order[:, w:w + p] = w + slots
+        pick = pick[:, order].reshape(-1, n)
+        signs = np.ones((len(slots), n), dtype=np.int8)
+        signs[:, w:w + p] = block_signs
+        signs = np.tile(signs, (len(taken), 1))
+        signs.setflags(write=False)
+    pick.setflags(write=False)
+    return pick, signs
+
+
 def _build_rows(
     alpha: Composition,
     cap: int | None,
@@ -206,45 +239,45 @@ def _build_rows(
 ) -> np.ndarray:
     """Rows of quotient members, block by block, optionally pruned per block.
 
-    The cap is checked on ``quotient_size`` before anything is allocated.
-    Each block takes its ascending values from the ones left free, then, if
-    it may carry signs, every signing of them, re-sorted through a per-size
-    table.  ``keep(b, rows)``, when given, returns a boolean mask over the
-    rows whose first b + 1 blocks are placed; only the rows it keeps grow on.
+    One (rows, n) state holds each row's filled prefix, then its still-free
+    values in ascending order.  Per block, one gather by ``_block_gather``
+    takes every choice of the block's ascending values from the free ones
+    and, if the block may carry signs, every signing of them; a signed
+    block's gather is multiplied by the signs.  ``keep(b, prefix)``, when
+    given, returns a boolean mask over the rows whose first b + 1 blocks
+    are placed (it sees the filled prefix only); only the rows it keeps
+    grow on.
+
+    Without ``keep`` the cap bounds ``quotient_size`` and is checked before
+    anything is allocated.  With ``keep`` it bounds the rows held: before
+    each block's tables and gather, the kept rows times the block's choices
+    times its signings, which is raised as the ``required`` count.  Either
+    way a block's gather tables have at most ``cap`` rows.
 
     Rows come in build order: by the first block's values, then its sign
     mask, then the second block's values, then its sign mask, and so on; bit
     t of a block's mask negates its t-th smallest value.
     """
-    size = quotient_size(alpha)
     cap = resolve_cap(cap)
-    if size > cap:
+    if keep is None and (size := quotient_size(alpha)) > cap:
         raise CapExceededError(size, cap)
     n = alpha.n
     dtype = np.int8 if n + 1 <= np.iinfo(np.int8).max else np.int16
-    rows = np.empty((1, 0), dtype=dtype)
-    free = np.arange(1, n + 1, dtype=dtype)[None, :]
+    state = np.arange(1, n + 1, dtype=dtype)[None, :]
     for b, p in enumerate(alpha.parts):
-        width = free.shape[1]
-        taken, left = _split_slots(width, p)
-        rows = np.concatenate(
-            [np.repeat(rows, len(taken), axis=0), free[:, taken].reshape(-1, p)],
-            axis=1,
-        )
-        free = free[:, left].reshape(len(rows), width - p)
-        if alpha.split or b > 0:
-            lo = alpha.prefix[b]
-            slots, signs = _sign_table(p)
-            widened = np.repeat(rows, len(slots), axis=0)
-            widened.reshape(len(rows), len(slots), -1)[:, :, lo:] = (
-                rows[:, lo:][:, slots] * signs
-            )
-            rows = widened
-            free = np.repeat(free, len(slots), axis=0)
+        w = alpha.prefix[b]
+        signed = alpha.split or b > 0
+        held = (len(state) * comb(n - w, p)) << (p * signed)
+        if keep is not None and held > cap:
+            raise CapExceededError(held, cap)
+        pick, signs = _block_gather(n, w, p, signed)
+        state = np.take(state, pick, axis=1)
+        if signs is not None:
+            state *= signs
+        state = state.reshape(-1, n)
         if keep is not None:
-            kept = keep(b, rows)
-            rows, free = rows[kept], free[kept]
-    return rows
+            state = state[keep(b, state[:, :w + p])]
+    return state
 
 
 def lex_sorted(rows: np.ndarray) -> np.ndarray:

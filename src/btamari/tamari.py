@@ -399,7 +399,9 @@ def verify_theorems(
     ln = L.length()
     irreducibles = lat.join_irreducibles(L)
     checks["extremal"] = len(irreducibles) == len(lat.meet_irreducibles(L)) == ln
-    checks["trim"] = lat.is_trim(L, verify_chain=verify_chain)
+    checks["trim"] = checks["extremal"] and lat.extremal_is_trim(
+        L, checks["semidistributive"], verify_chain
+    )
     checks["length_formula"] = ln == parabolic_length(alpha)
     # Extremality is this count; the goldens keep both names.
     checks["irreducible_counts"] = checks["extremal"]

@@ -1,10 +1,21 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from btamari.alignment import _long_row
+from btamari.config import resolve_cap
+from btamari.errors import CapExceededError
 from btamari.lattice import FiniteLattice, FinitePoset, try_lattice
-from btamari.parabolic import Composition, all_compositions, quotient_rows
+from btamari.parabolic import (
+    Composition,
+    _sign_table,
+    _split_slots,
+    all_compositions,
+    quotient_rows,
+    quotient_size,
+)
 from btamari.signed_perm import SignedPermutation
 from btamari.tamari import _weak_leq_matrix
 
@@ -24,6 +35,101 @@ def weak_order_lattice(alpha: Composition) -> FiniteLattice:
     """
     rows = quotient_rows(alpha)
     return try_lattice(FinitePoset(rows, _weak_leq_matrix(rows)))
+
+
+def scan_plan_by_rows(alpha: Composition):
+    """The 231 scan plan with each middle set listed row by row.
+
+    The oracle for ``alignment._scan_plan``: entries ``(ii, kk, js_low,
+    js_high)`` hold the long rows of every middle position, found one
+    position at a time, where the library stores one span per set.
+    """
+    n = alpha.n
+    a1 = alpha.first_part
+    positions = list(range(-n, 0)) + list(range(1, n + 1))
+    plan = []
+    for k in range(1, n + 1):
+        bk = alpha.block_id(k)
+        for i in positions:
+            if i >= k:
+                continue
+            bi = alpha.block_id(i)
+            if bi == bk:
+                continue
+            js_low, js_high = [], []
+            for j in range(max(1, i + 1), k):
+                bj = alpha.block_id(j)
+                if bj == bi or bj == bk:
+                    continue
+                (js_high if alpha.split or j > a1 else js_low).append(_long_row(j))
+            if js_low or js_high:
+                plan.append(
+                    (_long_row(i), _long_row(k), tuple(js_low), tuple(js_high))
+                )
+    return tuple(plan)
+
+
+def violations_by_gather(long: np.ndarray, plan) -> np.ndarray:
+    """The oracle for ``alignment._violations``, on a ``scan_plan_by_rows`` plan.
+
+    Per outer pair, the cover test runs on every column; the middle max/min
+    then runs only on the covered columns, gathered into a smaller array.
+    A later entry overwrites an earlier one, as in the library.
+    """
+    succ = long + 1
+    succ[long == -1] = 1
+    found = np.full(long.shape[1], -1, dtype=np.intp)
+    for t, (ii, kk, js_low, js_high) in enumerate(plan):
+        hit = np.flatnonzero(long[ii] == succ[kk])
+        if not len(hit):
+            continue
+        sub = np.take(long, hit, axis=1)
+        cond = np.zeros(len(hit), dtype=bool)
+        if js_high:
+            cond |= sub[list(js_high)].max(axis=0) > sub[ii]
+        if js_low:
+            cond |= sub[list(js_low)].min(axis=0) < sub[kk]
+        found[hit[cond]] = t
+    return found
+
+
+def build_rows_two_arrays(alpha: Composition, cap=None, keep=None) -> np.ndarray:
+    """The oracle for ``parabolic._build_rows``: filled rows and free values apart.
+
+    Each block repeats the filled rows once per choice of its values and
+    appends them, then repeats the widened rows once per signing; the free
+    values are carried in a second array.  The cap bounds ``quotient_size``
+    whether or not ``keep`` is given.
+    """
+    size = quotient_size(alpha)
+    cap = resolve_cap(cap)
+    if size > cap:
+        raise CapExceededError(size, cap)
+    n = alpha.n
+    dtype = np.int8 if n + 1 <= np.iinfo(np.int8).max else np.int16
+    rows = np.empty((1, 0), dtype=dtype)
+    free = np.arange(1, n + 1, dtype=dtype)[None, :]
+    for b, p in enumerate(alpha.parts):
+        width = free.shape[1]
+        taken, left = _split_slots(width, p)
+        rows = np.concatenate(
+            [np.repeat(rows, len(taken), axis=0), free[:, taken].reshape(-1, p)],
+            axis=1,
+        )
+        free = free[:, left].reshape(len(rows), width - p)
+        if alpha.split or b > 0:
+            lo = alpha.prefix[b]
+            slots, signs = _sign_table(p)
+            widened = np.repeat(rows, len(slots), axis=0)
+            widened.reshape(len(rows), len(slots), -1)[:, :, lo:] = (
+                rows[:, lo:][:, slots] * signs
+            )
+            rows = widened
+            free = np.repeat(free, len(slots), axis=0)
+        if keep is not None:
+            kept = keep(b, rows)
+            rows, free = rows[kept], free[kept]
+    return rows
 
 
 def full_group(n: int) -> list[SignedPermutation]:

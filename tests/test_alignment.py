@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btamari import parabolic
 from btamari.alignment import (
+    _block_plans,
+    _long_array,
+    _scan_plan,
+    _violations,
     aligned_mask,
     aligned_rows,
     count_aligned,
@@ -18,6 +23,7 @@ from btamari.alignment import (
     is_aligned_root,
     root_vector,
 )
+from btamari.config import DEFAULT_CAP
 from btamari.enumeration import cover_enumerator
 from btamari.errors import CapExceededError
 from btamari.parabolic import (
@@ -31,7 +37,13 @@ from btamari.parabolic import (
 )
 from btamari.signed_perm import Reflection, SignedPermutation
 
-from conftest import compositions, perm
+from conftest import (
+    build_rows_two_arrays,
+    compositions,
+    perm,
+    scan_plan_by_rows,
+    violations_by_gather,
+)
 
 FULL5 = Composition((1,) * 5, split=True)
 A3121 = Composition.parse("0,3,1,2,1")
@@ -241,14 +253,124 @@ class TestAlignedRows:
         self.assert_matches_filter(Composition.parse(text))
 
     @pytest.mark.parametrize("count", [count_aligned, cover_enumerator])
-    def test_cap_one_below_quotient_size(self, count):
-        for alpha in all_compositions(4):
-            size = quotient_size(alpha)
-            if size < 2:
-                continue
-            with pytest.raises(CapExceededError) as info:
-                count(alpha, cap=size - 1)
-            assert (info.value.required, info.value.cap) == (size, size - 1)
+    def test_cap_one_below_largest_expansion(self, count):
+        # The cap bounds the rows held before a block's prune, not the
+        # quotient size; the two-array oracle reports each expansion to keep.
+        for n in (4, 5):
+            for alpha in all_compositions(n):
+                held = largest_expansion(alpha)
+                if held < 2:
+                    continue
+                with pytest.raises(CapExceededError) as info:
+                    count(alpha, cap=held - 1)
+                assert (info.value.required, info.value.cap) == (held, held - 1)
+                assert count(alpha, cap=held) == count(alpha)
+
+    def test_degree_eight_fits_the_default_cap(self):
+        # The largest expansion at n = 8 is this composition's, 716,640 rows
+        # before the prune, under DEFAULT_CAP though its quotient (2,580,480
+        # members) is not.
+        alpha = Composition.parse("0,1,1,1,1,1,2,1")
+        assert quotient_size(alpha) > DEFAULT_CAP
+        with pytest.raises(CapExceededError) as info:
+            count_aligned(alpha, cap=716_639)
+        assert info.value.required == 716_640
+        assert count_aligned(alpha, cap=DEFAULT_CAP) == count_aligned(
+            alpha, cap=716_640
+        )
+
+    def test_cap_checked_before_the_block_tables(self, monkeypatch):
+        # 2^30 signings of one block: refused before any table is built.
+        def not_called(*args):
+            raise AssertionError("block tables built")
+
+        monkeypatch.setattr(parabolic, "_block_gather", not_called)
+        with pytest.raises(CapExceededError) as info:
+            count_aligned(Composition((30,), split=True), cap=DEFAULT_CAP)
+        assert (info.value.required, info.value.cap) == (2**30, DEFAULT_CAP)
+
+
+def largest_expansion(alpha):
+    """The most rows the block build holds at once, by the two-array oracle."""
+    plans = _block_plans(alpha)
+    held = []
+
+    def keep(b, rows):
+        held.append(len(rows))
+        return violations_by_gather(_long_array(rows), oracle_plan(plans[b])) < 0
+
+    build_rows_two_arrays(alpha, None, keep)
+    return max(held)
+
+
+def oracle_plan(plan):
+    """A span plan with each middle span listed row by row."""
+    return tuple(
+        (ii, kk, span_rows(low), span_rows(high)) for ii, kk, low, high in plan
+    )
+
+
+def span_rows(span):
+    return () if span is None else tuple(range(span[0], span[1], 2))
+
+
+class TestDenseScan:
+    """The span plan and the dense scan against the row-by-row plan and the
+    per-hit gather scan they replaced (``tests/conftest.py``)."""
+
+    def test_middle_sets_are_spans(self):
+        for n in range(1, 10):
+            for alpha in all_compositions(n):
+                assert oracle_plan(_scan_plan(alpha)) == scan_plan_by_rows(alpha)
+
+    def test_entries_match_gather_oracle(self):
+        for n in range(1, 7):
+            for alpha in all_compositions(n):
+                long = _long_array(quotient_rows(alpha))
+                assert np.array_equal(
+                    _violations(long, _scan_plan(alpha)),
+                    violations_by_gather(long, scan_plan_by_rows(alpha)),
+                )
+
+    @pytest.mark.parametrize("parts", [(125, 1), (127, 1)])
+    def test_entries_match_gather_oracle_at_large_degree(self, parts):
+        # int8 rows at n = 126, int16 ones at n = 128.
+        alpha = Composition(parts)
+        plan = _scan_plan(alpha)
+        long = _long_array(quotient_rows(alpha))
+        assert np.array_equal(
+            _violations(long, plan), violations_by_gather(long, oracle_plan(plan))
+        )
+
+    def test_entries_match_gather_oracle_past_255_entries(self):
+        # 260 entries take uint16 entry codes; random signed permutations
+        # hold many patterns each, so the last one held must win.
+        n = 14
+        alpha = Composition((1,) * n, split=True)
+        plan = _scan_plan(alpha)
+        assert len(plan) > 255
+        rng = np.random.default_rng(0)
+        rows = np.array([rng.permutation(n) + 1 for _ in range(2000)], dtype=np.int8)
+        rows *= rng.choice(np.array([-1, 1], dtype=np.int8), size=rows.shape)
+        long = _long_array(rows)
+        entries = _violations(long, plan)
+        assert (entries > 255).any()
+        assert np.array_equal(entries, violations_by_gather(long, oracle_plan(plan)))
+
+    def test_entries_match_gather_oracle_at_every_block(self):
+        for n in range(1, 8):
+            for alpha in all_compositions(n):
+                plans = _block_plans(alpha)
+
+                def keep(b, rows):
+                    long = _long_array(rows)
+                    entries = _violations(long, plans[b])
+                    assert np.array_equal(
+                        entries, violations_by_gather(long, oracle_plan(plans[b]))
+                    )
+                    return entries < 0
+
+                assert len(_build_rows(alpha, None, keep)) == count_aligned(alpha)
 
 
 class TestCoverCounts:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from btamari.alignment import _block_plans, _long_array, _violations
 from btamari.errors import CapExceededError, CompositionError
 from btamari.parabolic import (
     Composition,
@@ -27,7 +28,7 @@ from btamari.parabolic import (
 )
 from btamari.signed_perm import Reflection, SignedPermutation
 
-from conftest import compositions, perm
+from conftest import build_rows_two_arrays, compositions, perm
 
 A3121 = Composition.parse("0,3,1,2,1")
 A422 = Composition.parse("4,2,2")
@@ -187,6 +188,32 @@ class TestQuotientRows:
                     quotient_rows(alpha, cap=size - 1)
                 assert type(info.value) is CapExceededError
                 assert (info.value.required, info.value.cap) == (size, size - 1)
+
+    def test_one_array_build_matches_two_array_oracle(self):
+        for n in range(1, 8):
+            for alpha in all_compositions(n):
+                self.assert_build_matches_oracle(alpha)
+
+    @pytest.mark.parametrize("text", ["0,9", "7,5"])
+    def test_one_array_build_matches_oracle_on_large_tables(self, text):
+        self.assert_build_matches_oracle(Composition.parse(text))
+
+    @staticmethod
+    def assert_build_matches_oracle(alpha):
+        # Row for row and dtype for dtype, unpruned and pruned; the prune
+        # must see only the filled positions.
+        built = _build_rows(alpha, None)
+        assert built.dtype == build_rows_two_arrays(alpha).dtype
+        assert np.array_equal(built, build_rows_two_arrays(alpha))
+        plans = _block_plans(alpha)
+
+        def keep(b, rows):
+            assert rows.shape[1] == alpha.prefix[b + 1]
+            return _violations(_long_array(rows), plans[b]) < 0
+
+        assert np.array_equal(
+            _build_rows(alpha, None, keep), build_rows_two_arrays(alpha, None, keep)
+        )
 
     @pytest.mark.parametrize("text", ["0,9", "7,5"])
     def test_large_index_tables(self, text):
