@@ -26,10 +26,10 @@ from .errors import (
     NotALatticeError,
     NotAPermutationError,
 )
-from .parabolic import Composition, is_member, lex_sorted, quotient_rows, quotient_size
+from .parabolic import Composition, is_member, lex_sorted, quotient_rows
 from .projection import iter_theta_classes, project_down, project_up
 from .signed_perm import SignedPermutation, format_long, format_right
-from .tamari import CHECKS, build_tamari, check_table_bound, verify_theorems
+from .tamari import CHECKS, build_tamari, verify_theorems
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
 FORMATS = ["text", "json", "csv"]
@@ -107,9 +107,6 @@ def _cmd_lattice(args) -> int:
     status = EXIT_OK
     for alpha in alphas:
         built = None
-        if args.check:
-            # Refuse before an export is written, not after.
-            check_table_bound(quotient_size(alpha))
         if args.export:
             built = build_tamari(alpha, cap=args.cap)
             label = lambda row: format_long(row.tolist())

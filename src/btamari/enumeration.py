@@ -76,17 +76,18 @@ def t_sequence(
 ) -> list[int]:
     """Totals of aligned elements over all type-B compositions, degree by degree.
 
-    ``threads`` is clamped to the core count; below 1 it raises ValueError.
+    Degrees are listed one at a time, so the first above the cap ends the
+    run.  ``threads`` is clamped to the core count; below 1 it raises ValueError.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     cap = resolve_cap(cap)
     threads = resolve_threads(threads)
-    degrees = [all_compositions(n) for n in range(1, max_n + 1)]
+    degrees = (all_compositions(n) for n in range(1, max_n + 1))
     if threads <= 1:
         return [sum(count_aligned(a, cap) for a in comps) for comps in degrees]
     # One pool serves every degree; no degree has more compositions than the last.
-    with Pool(min(threads, len(degrees[-1]))) as pool:
+    with Pool(min(threads, 2**max_n)) as pool:
         return [
             sum(pool.map(_count_for, [(a, cap) for a in comps])) for comps in degrees
         ]

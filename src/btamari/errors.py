@@ -19,17 +19,20 @@ class CapExceededError(RuntimeError):
         self.required = required
         self.cap = cap
 
+    def __reduce__(self):  # so that it crosses a process pool intact
+        return type(self), (self.required, self.cap)
+
     @staticmethod
     def _message(required: int, cap: int) -> str:
         return f"enumeration needs {required} elements, cap is {cap}"
 
 
 class TableBoundError(CapExceededError):
-    """A dense m x m table would exceed the table bound, held in ``cap``."""
+    """Tam_B's dense m x m tables would exceed the table bound, held in ``cap``."""
 
     @staticmethod
     def _message(required: int, cap: int) -> str:
-        return f"weak-order table needs {required} elements, bound is {cap}"
+        return f"Tamari table needs {required} elements, bound is {cap}"
 
 
 class NotALatticeError(ValueError):

@@ -3,14 +3,14 @@
 Posets store a boolean order matrix plus an array of element labels, one
 entry per element (for the type-B orders, a right-part row); lattices add
 meet and join tables, both built by one bit-packed join kernel.  A poset's
-covers come from one float32 product of its strict order with itself; a
-caller that knows a grading (the weak order, graded by length) sets them
-instead, as ``FiniteLattice.dual`` does with the transpose.  On top of that
+covers come from one float32 product of its strict order with itself;
+``FiniteLattice.dual`` sets them to the transpose instead.  On top of that
 sit the structural checks used by the verification harness: irreducibles,
 length, semidistributivity, congruence uniformity (by Day's join-dependency
 criterion, one array operation per block of irreducibles), congruence
-verification, quotients, extremality, left modularity and trimness, plus
-JSON and DOT exports.
+verification and quotients on bit words and cover pairs (so that the weak
+order needs no matrix), left modularity and trimness, plus JSON and DOT
+exports.
 """
 
 from __future__ import annotations
@@ -103,8 +103,29 @@ class FiniteLattice(FinitePoset):
 
 # Each block of the join kernel keeps its temporaries near this many bytes.
 _JOIN_BLOCK_BYTES = 2**18
+# Each block of a word comparison keeps its temporaries near this many bytes.
+WORD_BLOCK_BYTES = 2**20
 # Leading zero bits of each byte; 0 for an empty byte, whose candidate then fails.
 _LEADING_ZEROS = np.array([(8 - v.bit_length()) % 8 for v in range(256)], dtype=np.intp)
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows packed, eight to a byte, into (m, ceil(k / 64)) ``uint64`` words."""
+    packed = np.packbits(bits, axis=1)
+    words = np.zeros((len(packed), -(-packed.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    return words
+
+
+def contained(words: np.ndarray) -> np.ndarray:
+    """leq[a, b]: no bit of word row a lies outside word row b, in blocks of rows."""
+    m = len(words)
+    leq = np.empty((m, m), dtype=bool)
+    outside = ~words
+    step = max(1, WORD_BLOCK_BYTES // (outside.nbytes + 1))
+    for lo in range(0, m, step):
+        leq[lo:lo + step] = ~(words[lo:lo + step, None, :] & outside).any(axis=2)
+    return leq
 
 
 def _join_kernel(leq: np.ndarray, order: np.ndarray):
@@ -114,8 +135,7 @@ def _join_kernel(leq: np.ndarray, order: np.ndarray):
     and b is the first set bit of up[a] & up[b] when its own row equals the AND.
     """
     m = len(order)
-    bits = np.pad(leq[:, order], ((0, 0), (0, -m % 64)))
-    up = np.ascontiguousarray(np.packbits(bits, axis=1)).view(np.uint64)
+    up = pack_words(leq[:, order])
     table = np.empty((m, m), dtype=np.int32)
     step = max(1, _JOIN_BLOCK_BYTES // (up.nbytes + 1))
     for lo in range(0, m, step):
@@ -207,41 +227,51 @@ def is_semidistributive(lat: FiniteLattice) -> bool:
 # -- congruences ---------------------------------------------------------------
 
 
-def _class_bounds(lat: FinitePoset, classes: np.ndarray):
-    """Per class, the members with the largest up-set and the largest down-set.
+def _congruence_failure(words, below, above, block_of):
+    """Why the classes are not a congruence (None when they are), and their minima.
 
-    ``classes`` numbers the classes 0, 1, ...  In an interval class these
-    members are its bottom and its top.
+    x <= y when the word of x lies inside that of y; ``above[k]`` covers
+    ``below[k]``, row-major.  A congruence is a partition into intervals
+    whose class-minimum and class-maximum maps preserve order (N. Reading,
+    Order 21, 2004), as they do if they do on covers.  With lo and hi a
+    shortest and a longest member, class C is an interval exactly when every
+    member lies in [lo, hi] and no cover x < y leaves C with y <= hi.  If
+    C = [b, t], then lo = b and hi = t (words grow strictly), and such a y
+    lies in [b, t] = C.  Conversely, each z in [lo, hi] ends a chain of
+    covers from lo whose steps all lie below hi; none leaves C, so z is in C.
     """
-    # Where each class starts once the elements are sorted by class.
-    starts = np.searchsorted(np.sort(classes), np.arange(classes.max() + 1))
-    up, down = lat.leq.sum(axis=1), lat.leq.sum(axis=0)
-    return np.lexsort((-up, classes))[starts], np.lexsort((-down, classes))[starts]
-
-
-def _congruence_failure(lat: FinitePoset, block_of):
-    """Why the classes are not a congruence (None when they are), and their minima."""
-    if len(block_of) != lat.n:
+    if len(block_of) != len(words):
         return "partition size does not match the lattice", None
     # Number the classes by their first element, as ``why`` reports them.
     _, first, classes = np.unique(block_of, return_index=True, return_inverse=True)
     classes = np.argsort(np.argsort(first))[classes]
-    leq = lat.leq
-    mins, maxs = _class_bounds(lat, classes)
-    # Row b: the elements of [lo, hi] for class b, against the class itself.
-    interval = leq[mins] & leq[:, maxs].T
-    bad_class = (interval != (classes == np.arange(len(mins))[:, None])).any(axis=1)
-    if bad_class.any():
-        return f"class {int(bad_class.argmax())} is not an interval", mins
-    below, above = (classes[ends] for ends in np.nonzero(lat.covers))
+    # Each class's members by size: its shortest first and its longest last.
+    by_size = np.lexsort((np.bitwise_count(words).sum(axis=1), classes))
+    starts = np.searchsorted(classes[by_size], np.arange(len(first)))
+    mins = by_size[starts]
+    maxs = by_size[np.append(starts[1:], len(words)) - 1]
+    outside, top = ~words, maxs[classes]
+    stray = (words[mins[classes]] & outside).any(axis=1)
+    stray |= (words & outside[top]).any(axis=1)
+    below_top = ~(words[above] & outside[top[below]]).any(axis=1)
+    leaves = below_top & (classes[below] != classes[above])
+    bad_class = np.concatenate([classes[stray], classes[below[leaves]]])
+    if bad_class.size:
+        return f"class {int(bad_class.min())} is not an interval", mins
+    below, above = classes[below], classes[above]
     # The first cover pair, row-major, that breaks either map names the failure.
-    bad_min = ~leq[mins[below], mins[above]]
-    bad = bad_min | ~leq[maxs[below], maxs[above]]
+    bad_min = (words[mins[below]] & outside[mins[above]]).any(axis=1)
+    bad = bad_min | (words[maxs[below]] & outside[maxs[above]]).any(axis=1)
     if bad.any():
         if bad_min[bad.argmax()]:
             return "class-minimum map is not order preserving", mins
         return "class-maximum map is not order preserving", mins
     return None, mins
+
+
+def _order_words(poset: FinitePoset):
+    """Down-sets as words, and the cover pairs."""
+    return pack_words(poset.leq.T), *np.nonzero(poset.covers)
 
 
 def check_congruence(lat: FinitePoset, block_of):
@@ -251,8 +281,17 @@ def check_congruence(lat: FinitePoset, block_of):
     bottoms ``fiber_bottoms`` returns.  ``why`` numbers the classes by their
     first element.
     """
-    why, _ = _congruence_failure(lat, block_of)
+    why, _ = _congruence_failure(*_order_words(lat), block_of)
     return why is None, why
+
+
+def quotient_order(labels, words, below, above, block_of) -> FinitePoset:
+    """``quotient_lattice`` for an order given by words and cover pairs."""
+    why, mins = _congruence_failure(words, below, above, block_of)
+    if why is not None:
+        raise NotACongruenceError(why)
+    mins = np.sort(mins)
+    return FinitePoset(labels[mins], contained(words[mins]))
 
 
 def quotient_lattice(lat: FinitePoset, block_of) -> FinitePoset:
@@ -262,11 +301,7 @@ def quotient_lattice(lat: FinitePoset, block_of) -> FinitePoset:
     minima; this returns its order only, and ``try_lattice`` builds its
     tables.  ``block_of`` names the classes as for ``check_congruence``.
     """
-    why, mins = _congruence_failure(lat, block_of)
-    if why is not None:
-        raise NotACongruenceError(why)
-    mins = np.sort(mins)
-    return FinitePoset(lat.labels[mins], lat.leq[np.ix_(mins, mins)])
+    return quotient_order(lat.labels, *_order_words(lat), block_of)
 
 
 def _lower_bounded(lat: FiniteLattice) -> bool:
@@ -302,12 +337,7 @@ def is_congruence_uniform(lat: FiniteLattice) -> bool:
     return _lower_bounded(lat) and _lower_bounded(lat.dual())
 
 
-# -- extremality, left modularity, trimness -------------------------------------
-
-
-def is_extremal(lat: FiniteLattice) -> bool:
-    ln = lat.length()
-    return len(join_irreducibles(lat)) == ln == len(meet_irreducibles(lat))
+# -- left modularity and trimness -----------------------------------------------
 
 
 def is_left_modular_element(lat: FiniteLattice, p: int) -> bool:
@@ -339,24 +369,15 @@ def has_left_modular_chain(lat: FiniteLattice) -> bool:
     return bool(best[lat.top] == lat.length())
 
 
-def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
-    """Extremal plus a left-modular maximal chain.
-
-    Semidistributive lattices only need the extremality count; the explicit
-    chain search runs for the rest, or additionally when verify_chain is set.
-    """
-    return is_extremal(lat) and extremal_is_trim(
-        lat, is_semidistributive(lat), verify_chain
-    )
-
-
 def extremal_is_trim(
     lat: FiniteLattice, semidistributive: bool, verify_chain: bool
 ) -> bool:
-    """``is_trim`` for a lattice already known to be extremal.
+    """Trimness of a lattice already known to be extremal.
 
-    A caller that has counted extremality and tested semidistributivity
-    passes the verdict, and neither is computed again.
+    A trim lattice is extremal and has a left-modular maximal chain.  An
+    extremal semidistributive lattice is trim, so the explicit chain search
+    runs for the rest, or additionally when ``verify_chain`` is set.  The
+    caller passes the semidistributive verdict it already holds.
     """
     if semidistributive and not verify_chain:
         return True

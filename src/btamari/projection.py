@@ -145,6 +145,21 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
 
 
+def row_lookup(rows):
+    """``row_index`` against fixed rows, their keys sorted once for every lookup."""
+    right = np.asarray(rows)
+    keys = _row_keys(right)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+
+    def find(wanted) -> np.ndarray:
+        want = _row_keys(np.asarray(wanted, dtype=right.dtype).reshape(-1, right.shape[1]))
+        at = np.searchsorted(ranked, want).clip(max=len(ranked) - 1)
+        return np.where(ranked[at] == want, order[at], -1)
+
+    return find
+
+
 def row_index(rows, wanted) -> np.ndarray:
     """The index of each wanted row among ``rows``, or -1 where it is absent.
 
@@ -152,13 +167,7 @@ def row_index(rows, wanted) -> np.ndarray:
     array or a sequence of right parts, cast to the dtype of ``rows`` so
     that equal rows have equal bytes.
     """
-    right = np.asarray(rows)
-    keys = _row_keys(right)
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    want = _row_keys(np.asarray(wanted, dtype=right.dtype).reshape(-1, right.shape[1]))
-    at = np.searchsorted(ranked, want).clip(max=len(ranked) - 1)
-    return np.where(ranked[at] == want, order[at], -1)
+    return row_lookup(rows)(wanted)
 
 
 def fiber_bottoms(alpha: Composition, rows) -> np.ndarray:

@@ -16,18 +16,13 @@ constructor.
 Both orders compare inversion sets packed as bit words, one uint64 per row
 up to n = 8, so x <= y is "no bit of x outside y".
 
-Verification builds each structure once per composition (the weak order as
-a poset, its projection fibers and their quotient order, the subposet
-lattice and one inversion tableau), and only the subposet lattice gets meet
-and join tables.  The weak order needs none: the
-quotient construction reads only its order and covers, and the
-not-a-sublattice test counts common lower bounds.  Its covers come from its
-grading by length, with no matrix product; Tam_B is not graded, and its
-covers come from the product in ``FinitePoset.covers``.  The subposet and
-quotient constructions stay as two independent routes to the same lattice,
-so that each confirms the other.
-Order matrices and lattice tables are dense, m x m for m elements, so no
-structure above TABLE_THRESHOLD elements is built.
+Verification builds each structure once per composition.  The weak order
+on the whole quotient gets no m x m matrix: the congruence test, the
+quotient order and the not-a-sublattice witness read only its inversion
+words and cover pairs.  Only the subposet lattice gets meet and join
+tables.  The subposet and quotient constructions stay as two independent
+routes to the same lattice, so that each confirms the other.  Tam_B's order
+and tables are dense, so no Tam_B above TABLE_THRESHOLD elements is built.
 """
 
 from __future__ import annotations
@@ -48,9 +43,8 @@ from .parabolic import (
     longest_element,
     parabolic_length,
     quotient_rows,
-    quotient_size,
 )
-from .projection import fiber_bottoms, row_index
+from .projection import fiber_bottoms, row_index, row_lookup
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 # The checks of a verification report, in the order verify_theorems runs them.
@@ -61,20 +55,9 @@ CHECKS = (
     "irreducible_constructor",
 )
 
-# Largest element count for which dense m x m order matrices and lattice
-# tables are allocated.
+# Largest Tam_B for which its dense m x m order matrix and lattice tables
+# are allocated.
 TABLE_THRESHOLD = 20_000
-
-
-def check_table_bound(m: int):
-    """Refuse an m x m table above TABLE_THRESHOLD elements on a side."""
-    if m > TABLE_THRESHOLD:
-        raise TableBoundError(m, TABLE_THRESHOLD)
-
-
-# Each block of the containment test keeps its word temporaries near this
-# many bytes.
-_LEQ_BLOCK_BYTES = 2**20
 
 
 def _inversion_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,52 +69,46 @@ def _inversion_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table before it is packed.
     """
     table = np.concatenate(list(inversion_columns(rows)), axis=1)
-    packed = np.packbits(table, axis=1)
-    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-    return np.ascontiguousarray(packed).view(np.uint64), table.sum(axis=1)
-
-
-def _contained(words: np.ndarray) -> np.ndarray:
-    """leq[a, b]: the set in word row a lies inside the set in word row b.
-
-    That is, no bit of a is outside b.  The rows are compared in blocks to
-    keep the word temporaries small.  Raises TableBoundError before
-    allocating when the m x m matrix would exceed TABLE_THRESHOLD elements
-    on a side.
-    """
-    m = len(words)
-    check_table_bound(m)
-    leq = np.empty((m, m), dtype=bool)
-    outside = ~words
-    step = max(1, _LEQ_BLOCK_BYTES // (outside.nbytes + 1))
-    for lo in range(0, m, step):
-        leq[lo:lo + step] = ~(words[lo:lo + step, None, :] & outside).any(axis=2)
-    return leq
+    return lat.pack_words(table), table.sum(axis=1)
 
 
 def _weak_leq_matrix(rows: np.ndarray) -> np.ndarray:
-    """Containment matrix of the inversion sets of right-part rows: the weak order."""
-    return _contained(_inversion_words(rows)[0])
+    """Containment matrix of the inversion sets of right-part rows: the weak order.
 
-
-def _weak_order(rows: np.ndarray) -> lat.FinitePoset:
-    """The weak order on a whole parabolic quotient, its covers read off the grading.
-
-    The quotient is the lower interval [e, w_0(alpha)] of the weak order on
-    the whole group (A. Björner and M. Wachs, Trans. AMS 308, 1988), and
-    that order is graded by length, the size of the inversion set.  An
-    element between a and b lies in the interval too, and each step up a
-    chain raises the length by at least one; so b covers a exactly when
-    a <= b and len(b) = len(a) + 1.  That takes one m x m comparison in
-    place of the m^3 product of ``FinitePoset.covers``.  Tam_B is not
-    graded and keeps the product.
+    Raises TableBoundError before allocating above TABLE_THRESHOLD rows.
     """
-    words, length = _inversion_words(rows)
-    weak = lat.FinitePoset(rows, _contained(words))
-    covers = length[:, None] + 1 == length
-    covers &= weak.leq
-    weak.covers = covers
-    return weak
+    if len(rows) > TABLE_THRESHOLD:
+        raise TableBoundError(len(rows), TABLE_THRESHOLD)
+    return lat.contained(_inversion_words(rows)[0])
+
+
+def _weak_covers(rows: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weak order's cover pairs (below, above) on a quotient's rows, row-major.
+
+    The quotient is a lower interval of the weak order on the group (A.
+    Björner and M. Wachs, Trans. AMS 308, 1988), so y covers x exactly when
+    y = s x is one longer for a generator s.  On the left, s_0 negates the
+    value +-1 and s_k swaps the values +-k and +-(k + 1), keeping signs.
+    Each generator's images are found among the rows, one generator at a
+    time.
+    """
+    find = row_lookup(rows)
+    n = rows.shape[1]
+    below, above = [], []
+    for k in range(n):
+        # values[v] = s_k(v) for v in -n..n, a negative v counted from the end.
+        values = np.r_[0:n + 1, -n:0].astype(rows.dtype)
+        if k == 0:
+            values[[1, -1]] = -1, 1
+        else:
+            values[[k, k + 1, -k, -k - 1]] = k + 1, k, -k - 1, -k
+        found = find(values[rows])
+        x = np.flatnonzero((found >= 0) & (length[found] == length + 1))
+        below.append(x)
+        above.append(found[x])
+    below, above = np.concatenate(below), np.concatenate(above)
+    order = np.lexsort((above, below))
+    return below[order], above[order]
 
 
 def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
@@ -245,50 +222,40 @@ def _fill_positions(n: int, spots: list[int]) -> SignedPermutation:
 # -- structural verification -----------------------------------------------------
 
 
-# Each block of common-lower-bound counts holds about this many float32 entries.
-_MEET_BLOCK_ENTRIES = 2**20
-
-
-def _meet_mismatch(weak: lat.FinitePoset, tam: lat.FiniteLattice):
+def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice):
     """First pair a < b, row-major over Tamari indices, whose two meets differ.
 
-    Returns the rows (label b, label a, weak-order meet, Tamari meet), or None.
-
-    The weak order on the quotient is graded by length and is a lattice
-    (A. Björner and M. Wachs, Trans. AMS 308, 1988), so the weak meet w of a
-    and b is their unique longest common lower bound, and every common lower
-    bound lies below w.  Tam_B is a subposet of the weak order, so the Tamari
-    meet t is a common lower bound too, and t <= w.  The two differ exactly
-    when some common lower bound (w itself) is longer than t, hence not
-    below t.  As every element below t is a common lower bound, that is when
-    a and b have more common lower bounds than t has elements below it.  One
-    float32 product per block of rows counts the common lower bounds of
-    every pair, so no weak meet table is built.  The witness's w is then the
-    common lower bound with the largest down-set.
+    Returns the rows (label b, label a, weak-order meet, Tamari meet), or
+    None.  The weak order is a lattice (Björner and Wachs), so the Tamari
+    meet t of a and b lies below their weak meet w, and t < w exactly when
+    an upper cover y of t lies below a and b.  Such a y adds one inversion
+    to t's set, and y <= a exactly when a has it.  So, with ``added[t]`` the
+    inversions t's upper covers add, t < w exactly when added[t] & words[a]
+    & words[b] is not empty: one word AND per pair.  Climbing through such
+    covers from t ends at w, which lies above every common lower bound.
     """
-    into_weak = row_index(weak.labels, tam.labels)
-    # below[x, a]: x lies under the a-th aligned element; float32 counts exactly.
-    below = weak.leq[:, into_weak].astype(np.float32)
-    down = below.sum(axis=0)
+    into_weak = row_index(rows, tam.labels)
+    # The inversion each cover adds, and per element the ones its covers add.
+    gained = words[above] ^ words[below]
+    added = np.zeros_like(words)
+    np.bitwise_or.at(added, below, gained)
+    own, gain = words[into_weak], added[into_weak]
     meet = tam.meet_table()
-    step = max(1, _MEET_BLOCK_ENTRIES // (tam.n + 1))
+    step = max(1, lat.WORD_BLOCK_BYTES // (own.nbytes + 1))
     for lo in range(0, tam.n, step):
-        common = below[:, lo:lo + step].T @ below
-        differs = np.triu(common > down[meet[lo:lo + step]], k=lo + 1)
+        common = own[lo:lo + step, None, :] & own & gain[meet[lo:lo + step]]
+        differs = np.triu(common.any(axis=2), k=lo + 1)
         if differs.any():
             a, b = map(int, np.argwhere(differs)[0])
             a += lo
             break
     else:
         return None
-    lower = np.flatnonzero(weak.leq[:, into_weak[a]] & weak.leq[:, into_weak[b]])
-    weak_meet = lower[weak.leq[:, lower].sum(axis=0).argmax()]
-    return (
-        tam.labels[b],
-        tam.labels[a],
-        weak.labels[weak_meet],
-        tam.labels[tam.meet(a, b)],
-    )
+    shared = ~(gained & ~(own[a] & own[b])).any(axis=1)
+    x = into_weak[meet[a, b]]
+    while (ups := above[shared & (below == x)]).size:
+        x = ups[0]
+    return tam.labels[b], tam.labels[a], rows[x], tam.labels[meet[a, b]]
 
 
 @dataclass
@@ -364,28 +331,28 @@ def verify_theorems(
 ) -> VerificationReport:
     """Run every structural check for one composition and collect the outcome.
 
-    The quotient's rows are enumerated once.  The weak order on them (a
-    poset, with no meet or join table), its projection fibers, their
-    quotient order and the subposet lattice L are each built once.  Only L
-    gets meet and join tables; the quotient's are tried only when its order
-    differs from L's.  L's irreducibles and length are counted once.  The
-    witnesses become ``SignedPermutation``s only here, for the report.  The
-    table bound is checked on the quotient size before enumerating.
-    A caller that already holds ``build_tamari(alpha, cap)`` passes it as
-    ``tam``, and it is not built again.
+    The subposet lattice L is built first, so that a Tam_B above the table
+    bound is refused before the quotient is enumerated.  The quotient's rows
+    are enumerated once, and its weak order, projection fibers and their
+    quotient order are each built once.  Only L gets meet and join tables;
+    the quotient's are tried only when its order differs from L's.  L's
+    irreducibles and length are counted once.  The witnesses become
+    ``SignedPermutation``s only here, for the report.  A caller that already
+    holds ``build_tamari(alpha, cap)`` passes it as ``tam``, and it is not
+    built again.
     """
     checks: dict[str, bool] = {}
-    check_table_bound(quotient_size(alpha))
+    L = build_tamari(alpha, cap) if tam is None else tam
     rows = quotient_rows(alpha, cap)
-    weak = _weak_order(rows)
+    words, length = _inversion_words(rows)
+    below, above = _weak_covers(rows, length)
     quot, failure = None, None
     try:
-        quot = lat.quotient_lattice(weak, fiber_bottoms(alpha, rows))
+        quot = lat.quotient_order(rows, words, below, above, fiber_bottoms(alpha, rows))
     except NotACongruenceError as exc:
         failure = str(exc)
     checks["congruence_valid"] = quot is not None
 
-    L = build_tamari(alpha, cap) if tam is None else tam
     checks["lattice_subposet"] = True  # try_lattice would have raised otherwise
     isomorphic = quot is not None and _isomorphic(L, quot)
     not_a_lattice = None
@@ -412,7 +379,7 @@ def verify_theorems(
         "length": ln,
         "join_irreducibles": len(irreducibles),
     }
-    witness = _meet_mismatch(weak, L)
+    witness = _meet_mismatch(rows, words, below, above, L)
     if witness is not None:
         witness = _perms(witness)
     # The semidistributive check above kept its witness; this reads it.

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from btamari.alignment import _long_row
 from btamari.config import resolve_cap
 from btamari.errors import CapExceededError
-from btamari.lattice import FiniteLattice, FinitePoset, try_lattice
+from btamari.lattice import (
+    FiniteLattice,
+    FinitePoset,
+    extremal_is_trim,
+    is_semidistributive,
+    join_irreducibles,
+    meet_irreducibles,
+    try_lattice,
+)
 from btamari.parabolic import (
     Composition,
     _sign_table,
@@ -35,6 +43,26 @@ def weak_order_lattice(alpha: Composition) -> FiniteLattice:
     """
     rows = quotient_rows(alpha)
     return try_lattice(FinitePoset(rows, _weak_leq_matrix(rows)))
+
+
+def is_extremal(lat: FiniteLattice) -> bool:
+    """As many join- as meet-irreducibles, and as many as the lattice's length.
+
+    The oracle for the extremality count ``verify_theorems`` makes inline.
+    """
+    ln = lat.length()
+    return len(join_irreducibles(lat)) == ln == len(meet_irreducibles(lat))
+
+
+def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
+    """Extremal plus a left-modular maximal chain.
+
+    The oracle for the trimness verdict ``verify_theorems`` assembles from
+    its extremal and semidistributive checks and ``extremal_is_trim``.
+    """
+    return is_extremal(lat) and extremal_is_trim(
+        lat, is_semidistributive(lat), verify_chain
+    )
 
 
 def scan_plan_by_rows(alpha: Composition):

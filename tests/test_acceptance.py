@@ -26,7 +26,6 @@ from btamari.lattice import (
     check_congruence,
     is_congruence_uniform,
     is_semidistributive,
-    is_trim,
     join_irreducibles,
     meet_irreducibles,
     quotient_lattice,
@@ -49,7 +48,7 @@ from btamari.tamari import (
     verify_theorems,
 )
 
-from conftest import perm, weak_order_lattice
+from conftest import is_trim, perm, weak_order_lattice
 
 
 def report(number, text):

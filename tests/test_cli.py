@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -230,27 +231,31 @@ class TestLattice:
 
 
     def test_above_table_bound_refused_before_export(self, capsys, tmp_path, monkeypatch):
+        # Tam_B(0,1,1) has 6 elements.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 7)
+        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 5)
         code, out, err = run(
             capsys, "lattice", "--alpha", "0,1,1", "--check", "all", "--export", "json"
         )
         assert code == 3
         assert out == ""
-        assert err == "error: weak-order table needs 8 elements, bound is 7\n"
+        assert err == "error: Tamari table needs 6 elements, bound is 5\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_table_bound_message_without_enumerating(self, capsys, monkeypatch):
+        # Tam_B is built first: one above the bound is refused before the
+        # quotient is enumerated.
         def not_called(*args, **kwargs):
             raise AssertionError("quotient_rows called")
 
         monkeypatch.setattr(tamari, "quotient_rows", not_called)
+        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 100)
         code, out, err = run(
-            capsys, "lattice", "--alpha", "0,1,1,1,1,1,1,1", "--check", "all"
+            capsys, "lattice", "--alpha", "0,1,1,1,1,1", "--check", "all"
         )
         assert code == 3
         assert out == ""
-        assert err == "error: weak-order table needs 645120 elements, bound is 20000\n"
+        assert err == "error: Tamari table needs 252 elements, bound is 100\n"
 
 
 class TestCheckFailures:
@@ -277,6 +282,16 @@ class TestTables:
         code, out, _ = run(capsys, "sequence", "--max-n", "3")
         assert code == 0
         assert out.strip() == "3,15,91"
+
+    def test_sequence_refused_at_the_first_degree_above_the_cap(self, capsys):
+        # Degrees are listed as they are counted: 2^40 compositions are
+        # never built, and the first degree above the cap ends the run.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--cap", "1000", "sequence", "--max-n", "40")
+        assert time.perf_counter() - start < 30
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_sequence_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "sequence", "--max-n", "2")

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from math import comb
@@ -20,7 +21,7 @@ from btamari.enumeration import (
     t_sequence,
     type_d_catalan,
 )
-from btamari.errors import CapExceededError, CompositionError
+from btamari.errors import CapExceededError, CompositionError, TableBoundError
 from btamari.parabolic import Composition, _build_rows, all_compositions
 
 
@@ -125,6 +126,38 @@ class TestSequence:
         with pytest.raises(ValueError):
             t_sequence(3, threads=0)
         assert requested == [2]
+
+    def test_pool_no_larger_than_the_last_degree(self, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(enumeration, "Pool", SerialPool)
+        assert t_sequence(1, threads=8) == [3]
+        assert requested == [2]
+
+    def test_cap_errors_cross_a_process_pool(self):
+        # A worker's refusal is pickled back to the parent; an error that
+        # cannot be rebuilt there would leave the pool waiting for ever.
+        for exc in (CapExceededError(1224, 1000), TableBoundError(8, 7)):
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc)
+            assert (back.required, back.cap, str(back)) == (exc.required, exc.cap, str(exc))
+        with pytest.raises(CapExceededError) as info:
+            t_sequence(40, cap=1000, threads=2)
+        assert info.value.cap == 1000
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -9,10 +9,8 @@ from btamari.lattice import (
     has_left_modular_chain,
     _lower_bounded,
     is_congruence_uniform,
-    is_extremal,
     is_left_modular_element,
     is_semidistributive,
-    is_trim,
     join_irreducibles,
     lattice_to_dot,
     lattice_to_json,
@@ -24,8 +22,8 @@ from btamari.lattice import (
 
 from btamari.parabolic import Composition, all_compositions, quotient_rows
 from btamari.projection import fiber_bottoms
-from btamari.tamari import build_tamari
-from conftest import full_group, weak_order_lattice
+from btamari.tamari import _inversion_words, _weak_covers, build_tamari
+from conftest import full_group, is_extremal, is_trim, weak_order_lattice
 
 
 def poset_from(labels, relation):
@@ -556,6 +554,19 @@ class TestCongruences:
             "class-maximum map is not order preserving",
         }
 
+    def test_inversion_words_match_loop_on_weak_orders(self, small_lattices):
+        # The routine verify_theorems runs, on inversion words and the
+        # generators' cover pairs, against the dense oracle.
+        for n in (1, 2, 3, 4):
+            for alpha in all_compositions(n):
+                weak = small_lattices[f"weak {alpha.format()}"]
+                words, length = _inversion_words(weak.labels)
+                below, above = _weak_covers(weak.labels, length)
+                for keys in weak_order_partitions(alpha, weak):
+                    why, _ = lattice._congruence_failure(words, below, above, keys)
+                    expected = loop_check_congruence(weak, Partition(keys.tolist()))
+                    assert why == expected[1], alpha
+
     def test_raw_keys_match_first_appearance_numbering(self, small_lattices):
         # Keys with gaps and in any order, such as fiber bottoms, give what the
         # oracle Partition's first-appearance numbering of them gives.
@@ -622,11 +633,13 @@ class TestQuotient:
             quotient_lattice(chain(4), [0, 1, 0, 2])
 
     def test_class_bounds_found_once(self, monkeypatch):
+        # The class bounds are found by the congruence test, and the
+        # quotient takes its minima from that one call.
         calls = []
-        original = lattice._class_bounds
+        original = lattice._congruence_failure
         monkeypatch.setattr(
-            lattice, "_class_bounds",
-            lambda lat, classes: calls.append(1) or original(lat, classes),
+            lattice, "_congruence_failure",
+            lambda *args: calls.append(1) or original(*args),
         )
         alpha = Composition.parse("0,2,1")
         weak = weak_order_lattice(alpha)

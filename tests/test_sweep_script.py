@@ -42,12 +42,12 @@ class TestVerificationSweep:
     def test_refused_composition_is_one_line_and_exit_three(
         self, sweep, capsys, monkeypatch
     ):
-        # only the full group of degree 2 (8 elements) exceeds the bound
-        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 7)
+        # only the full group of degree 2 (Tam_B has 6 elements) exceeds the bound
+        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 5)
         assert sweep(["--max-n", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "0,1,1: refused, weak-order table needs 8 elements, bound is 7"
+            "0,1,1: refused, Tamari table needs 6 elements, bound is 5"
         ]
         assert "all checks passed" not in captured.out
         assert len(captured.out.splitlines()) == 5

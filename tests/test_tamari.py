@@ -135,9 +135,10 @@ class TestNotSublattice:
 
     def test_matches_pairwise_scan(self, all_small_compositions, monkeypatch):
         # The weak meets come from the oracle's dense table; _meet_mismatch
-        # gets the weak order as a plain poset, in one block of rows and in
-        # blocks of one row.  0,2,1,2 and 1,2,1,1 have witnesses.
-        from btamari.tamari import _meet_mismatch
+        # gets the weak order as inversion words and cover pairs, in one
+        # block of rows and in blocks of one row.  0,2,1,2 and 1,2,1,1 have
+        # witnesses.
+        from btamari.tamari import _inversion_words, _meet_mismatch, _weak_covers
 
         alphas = [alpha for n in (2, 3, 4) for alpha in all_small_compositions[n]]
         alphas += map(Composition.parse, ["0,2,1,2", "0,1,1,1,1", "1,2,1,1"])
@@ -154,15 +155,16 @@ class TestNotSublattice:
                 if wm != tm:
                     expected = (pb, pa, wm, tm)
                     break
-            poset = lattice.FinitePoset(weak.labels, weak.leq)
+            words, length = _inversion_words(weak.labels)
+            below, above = _weak_covers(weak.labels, length)
 
             def mismatch():
-                found = _meet_mismatch(poset, tam)
+                found = _meet_mismatch(weak.labels, words, below, above, tam)
                 return found if found is None else tuple(tuple(r.tolist()) for r in found)
 
             assert mismatch() == expected, alpha.format()
             with monkeypatch.context() as patch:
-                patch.setattr(tamari, "_MEET_BLOCK_ENTRIES", 1)
+                patch.setattr(lattice, "WORD_BLOCK_BYTES", 1)
                 assert mismatch() == expected, alpha.format()
 
 
@@ -241,7 +243,7 @@ class TestVerifyBuildsOnce:
         for module, name in [
             (tamari, "fiber_bottoms"),
             (tamari, "quotient_rows"),
-            (lattice, "_class_bounds"),
+            (lattice, "_congruence_failure"),
             (lattice, "try_lattice"),
             (projection, "theta_classes"),
             (projection, "project_up"),
@@ -266,14 +268,14 @@ class TestVerifyBuildsOnce:
         assert verify_theorems(A021).ok
         # one quotient enumeration; tables for the subposet lattice only,
         # none for the weak order or the quotient; fibers read off the
-        # quotient's rows; the class bounds found once for both the
-        # congruence test and the quotient; one tableau, whose longest
+        # quotient's rows; one congruence test, whose class minima the
+        # quotient takes; one tableau, whose longest
         # element serves every constructor cell; L's irreducibles and length
         # counted once, for extremality, trimness and the stats alike
         assert calls == {
             "fiber_bottoms": 1,
             "quotient_rows": 1,
-            "_class_bounds": 1,
+            "_congruence_failure": 1,
             "try_lattice": 1,
             "longest_element": 1,
             "InversionTableau": 1,
@@ -283,8 +285,8 @@ class TestVerifyBuildsOnce:
         }
 
     def test_weak_covers_not_multiplied(self, monkeypatch):
-        # The weak order's covers come from its grading; only the Tamari
-        # lattice, which is not graded, evaluates the m^3 product.
+        # The weak order's covers come from the generators; only the Tamari
+        # lattice evaluates the m^3 product.
         sizes = []
         product = lattice.FinitePoset.covers.func
         counted = cached_property(lambda self: sizes.append(self.n) or product(self))
@@ -294,6 +296,19 @@ class TestVerifyBuildsOnce:
         assert verify_theorems(alpha).ok
         assert sizes == [build_tamari(alpha).n]
         assert quotient_size(alpha) not in sizes
+
+    def test_no_weak_order_matrix(self, monkeypatch):
+        # Every m x m containment matrix verify builds is Tam_B's size: the
+        # subposet's order and the quotient's order on the class minima.
+        alpha = Composition.parse("0,1,1,1")
+        m = build_tamari(alpha).n
+        sizes = []
+        original = lattice.contained
+        monkeypatch.setattr(
+            lattice, "contained", lambda words: sizes.append(len(words)) or original(words)
+        )
+        assert verify_theorems(alpha).ok
+        assert sizes == [m, m]
 
     def test_semidistributivity_scanned_once(self, monkeypatch):
         # is_trim asks again after the semidistributive check; both read one
@@ -310,7 +325,7 @@ class TestVerifyBuildsOnce:
     def test_failed_congruence_is_reported(self, monkeypatch):
         monkeypatch.setattr(
             lattice, "_congruence_failure",
-            lambda lat, block_of: ("class 0 is not an interval", None),
+            lambda words, below, above, block_of: ("class 0 is not an interval", None),
         )
         report = verify_theorems(A021)
         assert not report.ok
@@ -325,10 +340,9 @@ class TestQuotientOrder:
     # differs is tested for being a lattice, and fails without a traceback.
     @staticmethod
     def failed_checks(monkeypatch, replace):
-        original = lattice.quotient_lattice
+        original = lattice.quotient_order
         monkeypatch.setattr(
-            lattice, "quotient_lattice",
-            lambda weak, block_of: replace(original(weak, block_of)),
+            lattice, "quotient_order", lambda *args: replace(original(*args))
         )
         report = verify_theorems(A021)
         failed = [name for name, ok in report.checks.items() if not ok]
@@ -417,16 +431,28 @@ class TestWeakOrderLattice:
             assert (weak.n, weak.length()) == (quotient_size(alpha), parabolic_length(alpha))
 
     def test_graded_covers_match_product(self, all_small_compositions):
-        # The covers verify_theorems reads off the length grading are the
-        # ones the m^3 product of FinitePoset.covers finds.
+        # The covers verify_theorems finds from the generators are the ones
+        # the m^3 product of FinitePoset.covers finds.
         alphas = [alpha for n in (1, 2, 3, 4) for alpha in all_small_compositions[n]]
         alphas += [a for a in parabolic.all_compositions(5) if quotient_size(a) <= 960]
         for alpha in alphas:
             rows = quotient_rows(alpha)
-            weak = tamari._weak_order(rows)
-            oracle = lattice.FinitePoset(rows, weak.leq)
-            assert np.array_equal(weak.leq, tamari._weak_leq_matrix(rows))
-            assert np.array_equal(weak.covers, oracle.covers), alpha
+            covers = lattice.FinitePoset(rows, tamari._weak_leq_matrix(rows)).covers
+            below, above = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+            assert np.array_equal(np.stack(np.nonzero(covers)), [below, above]), alpha
+
+    def test_generator_covers_match_graded_covers(self):
+        # The quotient is graded by length: b covers a exactly when a <= b
+        # and b is one longer.  For every composition with n <= 5, the
+        # generators' cover pairs are the graded dense covers, row-major.
+        alphas = [alpha for n in range(1, 6) for alpha in parabolic.all_compositions(n)]
+        assert len(alphas) == 62
+        for alpha in alphas:
+            rows = quotient_rows(alpha)
+            length = tamari._inversion_words(rows)[1]
+            graded = (length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows)
+            below, above = tamari._weak_covers(rows, length)
+            assert np.array_equal(np.stack(np.nonzero(graded)), [below, above]), alpha
 
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
         inputs = [
@@ -445,16 +471,17 @@ class TestWeakOrderLattice:
             assert np.array_equal(tamari._weak_leq_matrix(rows), expected)
 
     def test_refused_before_enumerating(self, monkeypatch):
+        # Tam_B is built first, so one above the table bound is refused
+        # before the quotient is enumerated.
         def not_called(*args, **kwargs):
             raise AssertionError("quotient_rows called")
 
         monkeypatch.setattr(tamari, "quotient_rows", not_called)
+        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 100)
         with pytest.raises(TableBoundError) as info:
-            verify_theorems(Composition.parse("0,1,1,1,1,1,1,1"))
-        assert str(info.value) == (
-            "weak-order table needs 645120 elements, bound is 20000"
-        )
-        assert (info.value.required, info.value.cap) == (645120, 20000)
+            verify_theorems(Composition.parse("0,1,1,1,1,1"))
+        assert str(info.value) == "Tamari table needs 252 elements, bound is 100"
+        assert (info.value.required, info.value.cap) == (252, 100)
 
     def test_refused_above_table_bound_before_allocating(self, monkeypatch):
         monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 4)
@@ -462,4 +489,13 @@ class TestWeakOrderLattice:
         monkeypatch.setattr(tamari, "np", None)
         with pytest.raises(CapExceededError) as info:
             verify_theorems(Composition.parse("0,1,1"))
-        assert (info.value.required, info.value.cap) == (8, 4)
+        assert (info.value.required, info.value.cap) == (6, 4)
+
+    def test_weak_order_above_table_bound_verifies(self):
+        # 23,040 members: the weak side holds no m x m matrix, so only
+        # Tam_B (792 elements) meets the table bound.
+        alpha = Composition.parse("1,1,1,1,1,1")
+        assert quotient_size(alpha) > tamari.TABLE_THRESHOLD
+        report = verify_theorems(alpha)
+        assert report.ok
+        assert report.stats == {"size": 792, "length": 35, "join_irreducibles": 35}
