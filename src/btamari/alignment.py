@@ -16,7 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .parabolic import Composition, _build_rows, lex_sorted
+from .config import resolve_cap
+from .parabolic import (
+    Composition,
+    _build_rows,
+    _identity_state,
+    _place_block,
+    lex_sorted,
+)
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation, predecessor
 
 
@@ -277,110 +284,103 @@ def is_aligned(alpha: Composition, pi: SignedPermutation) -> bool:
 # -- batch evaluation ---------------------------------------------------------
 
 
-def _long_array(rows) -> np.ndarray:
-    """Long one-line notation, transposed, one column per element.
-
-    Row 2p - 2 holds position p and row 2p - 1 position -p, so a position's
-    row does not depend on the degree: the rows of a partial row's first w
-    positions are the first 2w rows of the full array.  Accepts an array or
-    a sequence of right parts and keeps their dtype.
-    """
-    right = np.asarray(rows)
-    long = np.empty((2 * right.shape[1], len(right)), dtype=right.dtype)
-    long[0::2] = right.T
-    np.negative(right.T, out=long[1::2])
-    return long
-
-
-def _long_row(p: int) -> int:
-    return 2 * p - 2 if p > 0 else -2 * p - 1
-
-
 @lru_cache(maxsize=None)
-def _scan_plan(alpha: Composition):
-    """Per-composition plan of the vectorized pattern scan, one entry per outer pair.
+def _block_plan(split: bool, parts: tuple[int, ...]):
+    """The scan-plan entries read once the last of ``parts``' blocks is placed.
 
-    An entry ``(ii, kk, low, high)`` names the long rows of the outer
-    positions i < k (k > 0, i and k in different blocks) and the middle
-    positions j > 0 between them, outside the blocks of i and k: ``high``
-    holds those where pi(j) must exceed pi(i) (every j of a split
-    composition, and j past the join region), ``low`` those where pi(j)
-    must fall below pi(k).  Entries with no middle position are left out.
+    An entry ``(i, k, low, high)`` names the outer positions i < k (k > 0,
+    i and k in different blocks) and the middle positions j > 0 between
+    them, outside the blocks of i and k: ``high`` holds those where pi(j)
+    must exceed pi(i) (every j of a split composition, and j past the join
+    region), ``low`` those where pi(j) must fall below pi(k).  Entries with
+    no middle position are left out.  An entry belongs to the block of its
+    last read position, max(|i|, k); the entries come ordered by k, then i.
+
+    An entry reads positions up to its last one only, and the blocks there
+    are fixed by the split flag and the parts so far, so the plan of a
+    block depends on the composition's prefix alone: compositions sharing a
+    prefix share its plans.  Block ids are computed once per position.
 
     Blocks are runs of consecutive positions, so the blocks of i and k cut
     a prefix and a suffix off i + 1 .. k - 1 (a negative i in the join
     region cuts the join region's positive run), and the join region is a
     prefix too.  Each middle set is therefore one run of consecutive
-    positive positions, stored as the ``(start, stop)`` span of its long
-    rows, read with step 2; an empty set is None.
+    positive positions, stored as the ``(start, stop)`` slice of the
+    positions' columns, j - 1 for position j; an empty set is None.
     """
-    n = alpha.n
-    a1 = alpha.first_part
-    positions = list(range(-n, 0)) + list(range(1, n + 1))
+    w = sum(parts)
+    start = w - parts[-1]
+    a1 = parts[0]
+    # block[w + a] is the block id of the signed position a, as in
+    # ``Composition.block_id``.
+    block = [0] * (2 * w + 1)
+    lo = 0
+    for b, p in enumerate(parts, 1):
+        for a in range(lo + 1, lo + p + 1):
+            block[w + a] = b
+            block[w - a] = b if b == 1 and not split else -b
+        lo += p
     plan = []
-    for k in range(1, n + 1):
-        bk = alpha.block_id(k)
-        for i in positions:
-            if i >= k:
+    for k in range(1, w + 1):
+        bk = block[w + k]
+        for i in range(-w, k):
+            if i == 0 or max(-i, k) <= start or block[w + i] == bk:
                 continue
-            bi = alpha.block_id(i)
-            if bi == bk:
-                continue
+            bi = block[w + i]
             js = [
-                j for j in range(max(1, i + 1), k)
-                if alpha.block_id(j) not in (bi, bk)
+                j for j in range(max(1, i + 1), k) if block[w + j] not in (bi, bk)
             ]
-            low = [j for j in js if not (alpha.split or j > a1)]
-            high = [j for j in js if alpha.split or j > a1]
             if js:
-                plan.append((_long_row(i), _long_row(k), _span(low), _span(high)))
+                low = [j for j in js if not (split or j > a1)]
+                high = [j for j in js if split or j > a1]
+                plan.append((i, k, _span(low), _span(high)))
     return tuple(plan)
 
 
 def _span(js: list[int]):
-    """Long rows of consecutive positive positions, as a step-2 (start, stop) span."""
-    return (_long_row(js[0]), _long_row(js[-1]) + 2) if js else None
+    """Columns of consecutive positive positions, as a (start, stop) slice."""
+    return (js[0] - 1, js[-1]) if js else None
 
 
 @lru_cache(maxsize=None)
-def _block_plans(alpha: Composition):
-    """The scan plan grouped by the block of each entry's last read position.
+def _scan_plan(alpha: Composition):
+    """The whole composition's scan plan: every block's entries, ordered by k, then i."""
+    entries = (
+        e
+        for b in range(alpha.r)
+        for e in _block_plan(alpha.split, alpha.parts[:b + 1])
+    )
+    return tuple(sorted(entries, key=lambda e: (e[1], e[0])))
 
-    That position is max(|i|, k); once its block is placed, the entry reads
-    only filled positions.
+
+def _held(rows: np.ndarray, plan):
+    """Per plan entry, in plan order, the mask of the rows holding its 231 pattern.
+
+    ``rows`` are right parts, or their first w positions when the plan
+    reads no position past w.  They are read transposed, one contiguous
+    array row per position, so a position's values are one dense vector;
+    negative positions are never stored.  A row holds an
+    entry when it has the entry's 231 pattern: pi(i) = succ(pi(k)), and a
+    middle value above pi(i) (``high``) or below pi(k) (``low``).  Each
+    middle span is reduced once per call, to its maximum or minimum.  The
+    middle test reads k and the spans only, so it is folded into a target
+    row, succ(pi(k)) where the test holds and 0 (no value) elsewhere,
+    shared by the entries of one k with the same spans; an entry is then
+    one comparison of pi(i) with its target.  A negative i reads its
+    positive position against the negated target, which is 0 where the
+    target is.  Every step is a dense pass over all rows, with no gather
+    and no masked store.
     """
-    plans = [[] for _ in alpha.parts]
-    for entry in _scan_plan(alpha):
-        last = max(entry[0], entry[1]) // 2 + 1
-        plans[alpha.region_of(last) - 1].append(entry)
-    return tuple(map(tuple, plans))
-
-
-def _violations(long: np.ndarray, plan) -> np.ndarray:
-    """Per column of a long array, the index of the last plan entry it holds, or -1.
-
-    A column holds an entry when it has the entry's 231 pattern: pi(i) =
-    succ(pi(k)), and a middle value above pi(i) (``high``) or below pi(k)
-    (``low``).  Each middle span is reduced once per call, to its maximum
-    or minimum.  The middle test reads k and the spans only, so it is
-    folded into a target row, succ(pi(k)) where the test holds and 0 (no
-    value) elsewhere, shared by the entries of one k with the same spans;
-    an entry is then one comparison of pi(i) with its target.  A running
-    maximum of the codes t + 1, in the narrowest unsigned dtype, keeps the
-    last entry held.  Every step is a dense pass over all columns, with no
-    gather and no masked store.
-    """
-    code = np.min_scalar_type(len(plan)).type
-    last = np.zeros(long.shape[1], dtype=code)
+    cols = np.ascontiguousarray(rows.T)
     lows = {e[2] for e in plan} - {None}
     highs = {e[3] for e in plan} - {None}
-    lowest = {s: long[s[0]:s[1]:2].min(axis=0) for s in lows}
-    highest = {s: long[s[0]:s[1]:2].max(axis=0) for s in highs}
+    lowest = {s: cols[s[0]:s[1]].min(axis=0) for s in lows}
+    highest = {s: cols[s[0]:s[1]].max(axis=0) for s in highs}
     at = None
-    for t, (ii, kk, low, high) in enumerate(plan):
-        if kk != at:  # entries come k by k; keep one k's targets at a time
-            at, targets = kk, {}
-            u = long[kk]
+    for i, k, low, high in plan:
+        if k != at:  # entries come k by k; keep one k's targets at a time
+            at, targets = k, {}
+            u = cols[k - 1]
             v = u + 1  # succ(pi(k)): 1 after -1, v + 1 otherwise
             v += v == 0
         target = targets.get((low, high))
@@ -392,11 +392,36 @@ def _violations(long: np.ndarray, plan) -> np.ndarray:
             else:
                 middle = (highest[high] > v) | (lowest[low] < u)
             target = targets[low, high] = v * middle
-        held = long[ii] == target
+        if i > 0:
+            yield cols[i - 1] == target
+            continue
+        negated = targets.get((low, high, -1))
+        if negated is None:
+            negated = targets[low, high, -1] = -target
+        yield cols[-i - 1] == negated
+
+
+def _violations(rows: np.ndarray, plan) -> np.ndarray:
+    """Per row, the index of the last plan entry it holds (see ``_held``), or -1.
+
+    A running maximum of the codes t + 1, in the narrowest unsigned dtype,
+    keeps the last entry held.
+    """
+    code = np.min_scalar_type(len(plan)).type
+    last = np.zeros(len(rows), dtype=code)
+    for t, held in enumerate(_held(rows, plan)):
         np.maximum(last, held.view(np.uint8) * code(t + 1), out=last)
     found = last.astype(np.intp)
     found -= 1
     return found
+
+
+def _avoids(rows: np.ndarray, plan) -> np.ndarray:
+    """True for the rows that hold no plan entry (see ``_held``)."""
+    bad = np.zeros(len(rows), dtype=bool)
+    for held in _held(rows, plan):
+        bad |= held
+    return ~bad
 
 
 def aligned_mask(alpha: Composition, rows) -> np.ndarray:
@@ -405,7 +430,7 @@ def aligned_mask(alpha: Composition, rows) -> np.ndarray:
     ``rows`` is a (m, n) integer array or a sequence of right parts; every
     entry of the scan plan is tested on every row.
     """
-    return _violations(_long_array(rows), _scan_plan(alpha)) < 0
+    return _avoids(np.asarray(rows), _scan_plan(alpha))
 
 
 def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
@@ -419,10 +444,44 @@ def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     each block is placed, the rows kept so far times the block's choices
     and signings (``CapExceededError.required`` when it is exceeded).
     """
-    plans = _block_plans(alpha)
     return _build_rows(
-        alpha, cap, lambda b, rows: _violations(_long_array(rows), plans[b]) < 0
+        alpha,
+        cap,
+        lambda b, rows: _avoids(rows, _block_plan(alpha.split, alpha.parts[:b + 1])),
     )
+
+
+def count_aligned_subtree(
+    n: int, split: bool, first: int, cap: int | None = None
+) -> int:
+    """Aligned elements of every composition of n with this split flag and first part.
+
+    The compositions form a tree of prefixes, walked depth first, one child
+    at a time.  A node places its last block on its parent's kept rows,
+    with the held-rows cap check of ``aligned_rows``, and drops the rows
+    whose filled positions hold a pattern of that block's plan.  A node
+    whose parts sum to n adds the rows it keeps; any other node, whose
+    parts sum to w < n, hands them to its children, parts 1 .. n - w in
+    turn.  Every composition's block
+    steps are nodes of the tree, holding the same rows, so the cap refuses
+    exactly when ``count_aligned`` refuses one of them, and the first
+    count above it in walk order is raised.
+    """
+    return _walk(_identity_state(n), split, (first,), resolve_cap(cap))
+
+
+def _walk(state: np.ndarray, split: bool, parts: tuple[int, ...], cap: int) -> int:
+    """The aligned count below one node: ``parts`` ends with the block it places
+    on ``state``, its parent's kept rows."""
+    n = state.shape[1]
+    p = parts[-1]
+    w = sum(parts) - p
+    state = _place_block(state, w, p, split or len(parts) > 1, cap)
+    kept = _avoids(state[:, :w + p], _block_plan(split, parts))
+    if w + p == n:
+        return int(np.count_nonzero(kept))
+    state = state[kept]
+    return sum(_walk(state, split, parts + (q,), cap) for q in range(1, n - w - p + 1))
 
 
 def cover_counts(rows) -> np.ndarray:

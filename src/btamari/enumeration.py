@@ -13,10 +13,10 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .alignment import aligned_rows, count_aligned, cover_counts
+from .alignment import aligned_rows, count_aligned_subtree, cover_counts
 from .config import resolve_cap, resolve_threads
 from .errors import CompositionError
-from .parabolic import Composition, all_compositions
+from .parabolic import Composition
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ def conjectured_polynomial(t: int, n: int) -> Polynomial:
 
 
 def _count_for(args) -> int:
-    alpha, cap = args
-    return count_aligned(alpha, cap)
+    return count_aligned_subtree(*args)
 
 
 def t_sequence(
@@ -76,21 +75,25 @@ def t_sequence(
 ) -> list[int]:
     """Totals of aligned elements over all type-B compositions, degree by degree.
 
-    Degrees are listed one at a time, so the first above the cap ends the
-    run.  ``threads`` is clamped to the core count; below 1 it raises ValueError.
+    Each degree walks its tree of composition prefixes, one subtree per
+    split flag and first part (``count_aligned_subtree``), so compositions
+    sharing a prefix share its block steps.  Degrees are listed one at a
+    time, so the first above the cap ends the run.  ``threads`` is clamped
+    to the core count; below 1 it raises ValueError.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     cap = resolve_cap(cap)
     threads = resolve_threads(threads)
-    degrees = (all_compositions(n) for n in range(1, max_n + 1))
+    degrees = (
+        [(n, split, first, cap) for split in (False, True) for first in range(1, n + 1)]
+        for n in range(1, max_n + 1)
+    )
     if threads <= 1:
-        return [sum(count_aligned(a, cap) for a in comps) for comps in degrees]
-    # One pool serves every degree; no degree has more compositions than the last.
-    with Pool(min(threads, 2**max_n)) as pool:
-        return [
-            sum(pool.map(_count_for, [(a, cap) for a in comps])) for comps in degrees
-        ]
+        return [sum(map(_count_for, subtrees)) for subtrees in degrees]
+    # One pool serves every degree; no degree has more subtrees than the last.
+    with Pool(min(threads, 2 * max_n)) as pool:
+        return [sum(pool.map(_count_for, subtrees)) for subtrees in degrees]
 
 
 @dataclass(frozen=True)

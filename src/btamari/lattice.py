@@ -47,15 +47,23 @@ class FinitePoset:
 
     @cached_property
     def heights(self) -> np.ndarray:
-        """Length of the longest chain ending at each element."""
-        order = np.argsort(self.leq.sum(axis=0), kind="stable")
+        """Length of the longest chain ending at each element.
+
+        One array step per rank over the cover pairs: after step r every
+        element has the longest chain of at most r covers ending at it, so
+        the heights stop changing after the longest chain's r steps.
+        """
+        upper, lower = np.nonzero(self.covers.T)  # pairs grouped by upper
         h = np.zeros(self.n, dtype=np.int64)
-        covers = self.covers
-        for x in order:
-            below = np.flatnonzero(covers[:, x])
-            if below.size:
-                h[x] = h[below].max() + 1
-        return h
+        if not len(upper):
+            return h
+        starts = np.flatnonzero(np.r_[True, upper[1:] != upper[:-1]])
+        tops = upper[starts]
+        while True:
+            step = np.maximum.reduceat(h[lower], starts) + 1
+            if np.array_equal(step, h[tops]):
+                return h
+            h[tops] = step
 
     def length(self) -> int:
         return int(self.heights.max()) if self.n else 0

@@ -232,6 +232,38 @@ def _block_gather(n: int, w: int, p: int, signed: bool):
     return pick, signs
 
 
+def _identity_state(n: int) -> np.ndarray:
+    """The one state row before any block is placed: 1 .. n, all free.
+
+    The dtype is int8, or int16 when n + 1 does not fit in int8.
+    """
+    dtype = np.int8 if n + 1 <= np.iinfo(np.int8).max else np.int16
+    return np.arange(1, n + 1, dtype=dtype)[None, :]
+
+
+def _place_block(
+    state: np.ndarray, w: int, p: int, signed: bool, cap: int | None = None
+) -> np.ndarray:
+    """Every state row with one more block of p values placed after its w filled ones.
+
+    One gather by ``_block_gather`` takes every choice of the block's
+    ascending values from the free ones and, if the block is signed, every
+    signing of them; a signed block's gather is multiplied by the signs.
+    The rows made are the old ones times the block's choices times its
+    signings.  ``cap``, when given, bounds that count: it is raised as the
+    ``required`` count before the gather tables are built.
+    """
+    n = state.shape[1]
+    held = (len(state) * comb(n - w, p)) << (p * signed)
+    if cap is not None and held > cap:
+        raise CapExceededError(held, cap)
+    pick, signs = _block_gather(n, w, p, signed)
+    state = np.take(state, pick, axis=1)
+    if signs is not None:
+        state *= signs
+    return state.reshape(held, n)
+
+
 def _build_rows(
     alpha: Composition,
     cap: int | None,
@@ -240,13 +272,10 @@ def _build_rows(
     """Rows of quotient members, block by block, optionally pruned per block.
 
     One (rows, n) state holds each row's filled prefix, then its still-free
-    values in ascending order.  Per block, one gather by ``_block_gather``
-    takes every choice of the block's ascending values from the free ones
-    and, if the block may carry signs, every signing of them; a signed
-    block's gather is multiplied by the signs.  ``keep(b, prefix)``, when
-    given, returns a boolean mask over the rows whose first b + 1 blocks
-    are placed (it sees the filled prefix only); only the rows it keeps
-    grow on.
+    values in ascending order; ``_place_block`` places one block at a time.
+    ``keep(b, prefix)``, when given, returns a boolean mask over the rows
+    whose first b + 1 blocks are placed (it sees the filled prefix only);
+    only the rows it keeps grow on.
 
     Without ``keep`` the cap bounds ``quotient_size`` and is checked before
     anything is allocated.  With ``keep`` it bounds the rows held: before
@@ -261,20 +290,12 @@ def _build_rows(
     cap = resolve_cap(cap)
     if keep is None and (size := quotient_size(alpha)) > cap:
         raise CapExceededError(size, cap)
-    n = alpha.n
-    dtype = np.int8 if n + 1 <= np.iinfo(np.int8).max else np.int16
-    state = np.arange(1, n + 1, dtype=dtype)[None, :]
+    state = _identity_state(alpha.n)
     for b, p in enumerate(alpha.parts):
         w = alpha.prefix[b]
-        signed = alpha.split or b > 0
-        held = (len(state) * comb(n - w, p)) << (p * signed)
-        if keep is not None and held > cap:
-            raise CapExceededError(held, cap)
-        pick, signs = _block_gather(n, w, p, signed)
-        state = np.take(state, pick, axis=1)
-        if signs is not None:
-            state *= signs
-        state = state.reshape(-1, n)
+        state = _place_block(
+            state, w, p, alpha.split or b > 0, None if keep is None else cap
+        )
         if keep is not None:
             state = state[keep(b, state[:, :w + p])]
     return state

@@ -25,7 +25,6 @@ import numpy as np
 from . import config
 from .alignment import (
     PatternWitness,
-    _long_array,
     _require_member,
     _scan_plan,
     _violations,
@@ -125,17 +124,17 @@ def eliminate_231(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:
     """
     right = np.asarray(rows)
     plan = _scan_plan(alpha)
-    long = _long_array(right)
-    entry = _violations(long, plan)
+    entry = _violations(right, plan)
     hit = np.flatnonzero(entry >= 0)
     outer = np.array([e[:2] for e in plan], dtype=np.intp).reshape(-1, 2)
-    rows_i, rows_k = outer[entry[hit]].T
-    vi, vk = long[rows_i, hit], long[rows_k, hit]
-    # Long row 2p - 2 holds position p and row 2p - 1 position -p; k > 0.
+    i, k = outer[entry[hit]].T
+    # pi(i) is the value at position |i|, negated when i < 0; k > 0.
+    vi = right[hit, np.abs(i) - 1] * np.sign(i)
+    vk = right[hit, k - 1]
     eliminated = right[hit]
     at = np.arange(len(hit))
-    eliminated[at, rows_k // 2] = vi
-    eliminated[at, rows_i // 2] = np.where(rows_i % 2, -vk, vk)
+    eliminated[at, k - 1] = vi
+    eliminated[at, np.abs(i) - 1] = np.where(i < 0, -vk, vk)
     return hit, eliminated
 
 

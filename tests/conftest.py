@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from btamari.alignment import _long_row
 from btamari.config import resolve_cap
 from btamari.errors import CapExceededError
 from btamari.lattice import (
@@ -65,12 +64,33 @@ def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
     )
 
 
+def _long_array(rows) -> np.ndarray:
+    """Long one-line notation, transposed, one column per element.
+
+    Row 2p - 2 holds position p and row 2p - 1 position -p, so a position's
+    row does not depend on the degree: the rows of a partial row's first w
+    positions are the first 2w rows of the full array.  Accepts an array or
+    a sequence of right parts and keeps their dtype.  The oracle scans read
+    negative positions from it; the library reads the positive rows only.
+    """
+    right = np.asarray(rows)
+    long = np.empty((2 * right.shape[1], len(right)), dtype=right.dtype)
+    long[0::2] = right.T
+    np.negative(right.T, out=long[1::2])
+    return long
+
+
+def _long_row(p: int) -> int:
+    return 2 * p - 2 if p > 0 else -2 * p - 1
+
+
 def scan_plan_by_rows(alpha: Composition):
     """The 231 scan plan with each middle set listed row by row.
 
     The oracle for ``alignment._scan_plan``: entries ``(ii, kk, js_low,
-    js_high)`` hold the long rows of every middle position, found one
-    position at a time, where the library stores one span per set.
+    js_high)`` hold the long rows of the outer positions and of every middle
+    position, found one position at a time with ``Composition.block_id``,
+    where the library stores positions and one column span per set.
     """
     n = alpha.n
     a1 = alpha.first_part

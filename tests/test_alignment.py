@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from btamari import parabolic
 from btamari.alignment import (
-    _block_plans,
-    _long_array,
+    _avoids,
+    _block_plan,
     _scan_plan,
     _violations,
     aligned_mask,
     aligned_rows,
     count_aligned,
+    count_aligned_subtree,
     cover_counts,
     decompositions,
     enumerate_aligned,
@@ -24,7 +25,7 @@ from btamari.alignment import (
     root_vector,
 )
 from btamari.config import DEFAULT_CAP
-from btamari.enumeration import cover_enumerator
+from btamari.enumeration import cover_enumerator, t_sequence
 from btamari.errors import CapExceededError
 from btamari.parabolic import (
     Composition,
@@ -38,6 +39,8 @@ from btamari.parabolic import (
 from btamari.signed_perm import Reflection, SignedPermutation
 
 from conftest import (
+    _long_array,
+    _long_row,
     build_rows_two_arrays,
     compositions,
     perm,
@@ -292,26 +295,32 @@ class TestAlignedRows:
 
 def largest_expansion(alpha):
     """The most rows the block build holds at once, by the two-array oracle."""
-    plans = _block_plans(alpha)
+    return max(held_rows(alpha))
+
+
+def held_rows(alpha):
+    """The rows the block build holds at each block step, by the two-array oracle."""
     held = []
 
     def keep(b, rows):
         held.append(len(rows))
-        return violations_by_gather(_long_array(rows), oracle_plan(plans[b])) < 0
+        plan = oracle_plan(_block_plan(alpha.split, alpha.parts[:b + 1]))
+        return violations_by_gather(_long_array(rows), plan) < 0
 
     build_rows_two_arrays(alpha, None, keep)
-    return max(held)
+    return held
 
 
 def oracle_plan(plan):
-    """A span plan with each middle span listed row by row."""
+    """A span plan in long rows, with each middle span listed row by row."""
     return tuple(
-        (ii, kk, span_rows(low), span_rows(high)) for ii, kk, low, high in plan
+        (_long_row(i), _long_row(k), span_rows(low), span_rows(high))
+        for i, k, low, high in plan
     )
 
 
 def span_rows(span):
-    return () if span is None else tuple(range(span[0], span[1], 2))
+    return () if span is None else tuple(_long_row(c + 1) for c in range(*span))
 
 
 class TestDenseScan:
@@ -323,24 +332,41 @@ class TestDenseScan:
             for alpha in all_compositions(n):
                 assert oracle_plan(_scan_plan(alpha)) == scan_plan_by_rows(alpha)
 
+    def test_block_plans_group_the_plan_by_last_position(self):
+        # A block's plan is keyed by the split flag and the parts so far; it
+        # must hold exactly the composition's entries whose last read
+        # position, max(|i|, k), lies in that block.
+        for n in range(1, 10):
+            for alpha in all_compositions(n):
+                by_block = [[] for _ in alpha.parts]
+                for entry in scan_plan_by_rows(alpha):
+                    last = max(entry[0], entry[1]) // 2 + 1
+                    by_block[alpha.region_of(last) - 1].append(entry)
+                for b, entries in enumerate(by_block):
+                    plan = _block_plan(alpha.split, alpha.parts[:b + 1])
+                    assert oracle_plan(plan) == tuple(entries), (alpha, b)
+
+    @staticmethod
+    def assert_scans_match_oracle(rows, plan):
+        """Entry codes as the gather oracle's, and the prune as codes < 0."""
+        entries = _violations(rows, plan)
+        assert np.array_equal(
+            entries, violations_by_gather(_long_array(rows), oracle_plan(plan))
+        )
+        kept = _avoids(rows, plan)
+        assert np.array_equal(kept, entries < 0)
+        return entries, kept
+
     def test_entries_match_gather_oracle(self):
         for n in range(1, 7):
             for alpha in all_compositions(n):
-                long = _long_array(quotient_rows(alpha))
-                assert np.array_equal(
-                    _violations(long, _scan_plan(alpha)),
-                    violations_by_gather(long, scan_plan_by_rows(alpha)),
-                )
+                self.assert_scans_match_oracle(quotient_rows(alpha), _scan_plan(alpha))
 
     @pytest.mark.parametrize("parts", [(125, 1), (127, 1)])
     def test_entries_match_gather_oracle_at_large_degree(self, parts):
         # int8 rows at n = 126, int16 ones at n = 128.
         alpha = Composition(parts)
-        plan = _scan_plan(alpha)
-        long = _long_array(quotient_rows(alpha))
-        assert np.array_equal(
-            _violations(long, plan), violations_by_gather(long, oracle_plan(plan))
-        )
+        self.assert_scans_match_oracle(quotient_rows(alpha), _scan_plan(alpha))
 
     def test_entries_match_gather_oracle_past_255_entries(self):
         # 260 entries take uint16 entry codes; random signed permutations
@@ -352,25 +378,54 @@ class TestDenseScan:
         rng = np.random.default_rng(0)
         rows = np.array([rng.permutation(n) + 1 for _ in range(2000)], dtype=np.int8)
         rows *= rng.choice(np.array([-1, 1], dtype=np.int8), size=rows.shape)
-        long = _long_array(rows)
-        entries = _violations(long, plan)
+        entries, _ = self.assert_scans_match_oracle(rows, plan)
         assert (entries > 255).any()
-        assert np.array_equal(entries, violations_by_gather(long, oracle_plan(plan)))
 
     def test_entries_match_gather_oracle_at_every_block(self):
         for n in range(1, 8):
             for alpha in all_compositions(n):
-                plans = _block_plans(alpha)
 
                 def keep(b, rows):
-                    long = _long_array(rows)
-                    entries = _violations(long, plans[b])
-                    assert np.array_equal(
-                        entries, violations_by_gather(long, oracle_plan(plans[b]))
-                    )
-                    return entries < 0
+                    plan = _block_plan(alpha.split, alpha.parts[:b + 1])
+                    return self.assert_scans_match_oracle(rows, plan)[1]
 
                 assert len(_build_rows(alpha, None, keep)) == count_aligned(alpha)
+
+
+class TestPrefixWalk:
+    """``t_sequence``'s walk of composition prefixes against the sum of
+    ``count_aligned`` over the compositions, its oracle."""
+
+    def test_subtrees_match_per_composition_counts(self):
+        for n in range(1, 8):
+            for split in (False, True):
+                for first in range(1, n + 1):
+                    expected = sum(
+                        count_aligned(alpha)
+                        for alpha in all_compositions(n)
+                        if alpha.split == split and alpha.first_part == first
+                    )
+                    assert count_aligned_subtree(n, split, first) == expected
+
+    def test_refused_exactly_when_some_step_exceeds_the_cap(self):
+        # Every composition's block steps are steps of the walk, holding the
+        # same rows, so the walk refuses a degree exactly when one of them
+        # exceeds the cap, and raises one of those counts.
+        held = set()
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                held.update(held_rows(alpha))
+            largest = max(held)
+            caps = {1, 2, largest - 1, largest, largest + 1}
+            caps |= {c + d for c in held for d in (-1, 0) if c > 1}
+            for cap in sorted(caps):
+                if cap >= largest:
+                    assert len(t_sequence(n, cap=cap)) == n
+                    continue
+                with pytest.raises(CapExceededError) as info:
+                    t_sequence(n, cap=cap)
+                assert info.value.cap == cap
+                assert info.value.required > cap and info.value.required in held
 
 
 class TestCoverCounts:

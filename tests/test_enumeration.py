@@ -90,16 +90,18 @@ class TestSequence:
         assert t_sequence(3) == [3, 15, 91]
 
     def test_matches_per_composition_sums(self):
-        for n in (1, 2, 3):
-            total = sum(cover_enumerator(a)(1) for a in all_compositions(n))
-            assert t_sequence(n)[-1] == total
+        # The prefix walk against the per-composition counts it replaced.
+        totals = [
+            sum(cover_enumerator(a)(1) for a in all_compositions(n)) for n in range(1, 8)
+        ]
+        assert t_sequence(7) == totals
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             t_sequence(0)
 
     def test_threads_do_not_change_output(self):
-        assert t_sequence(5, threads=2) == t_sequence(5, threads=1)
+        assert t_sequence(6, threads=2) == t_sequence(6, threads=1)
 
     def test_threads_clamped_to_cores(self, monkeypatch):
         requested = []

@@ -463,12 +463,41 @@ class TestIrreducibles:
             lower_cover(lat, 0)
 
 
+def heights_by_element(poset):
+    """The oracle for ``FinitePoset.heights``: one element at a time, each after
+    everything below it, one lookup of its lower covers each."""
+    order = np.argsort(poset.leq.sum(axis=0), kind="stable")
+    h = np.zeros(poset.n, dtype=np.int64)
+    covers = poset.covers
+    for x in order:
+        below = np.flatnonzero(covers[:, x])
+        if below.size:
+            h[x] = h[below].max() + 1
+    return h
+
+
 class TestLength:
     def test_examples(self):
         assert chain(1).length() == 0
         assert chain(5).length() == 4
         for n in (2, 3):
             assert weak_order_lattice_raw(n).length() == n * n
+
+    def test_heights_match_oracle_on_every_small_tamari(self):
+        # length() and the DOT export's ranks read the heights only.
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                tam = build_tamari(alpha)
+                for lat in (tam, tam.dual()):
+                    expected = heights_by_element(lat)
+                    assert np.array_equal(lat.heights, expected), alpha
+                    assert lat.length() == expected.max()
+
+    def test_heights_match_oracle_on_random_posets(self):
+        rng = np.random.default_rng(16)
+        for m in [1, 2, 3] + [int(rng.integers(4, 30)) for _ in range(60)]:
+            poset = random_poset(rng, m)
+            assert np.array_equal(poset.heights, heights_by_element(poset))
 
 
 class TestSemidistributivity:

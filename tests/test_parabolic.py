@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from btamari.alignment import _block_plans, _long_array, _violations
+from btamari.alignment import _avoids, _block_plan
 from btamari.errors import CapExceededError, CompositionError
 from btamari.parabolic import (
     Composition,
@@ -205,11 +205,10 @@ class TestQuotientRows:
         built = _build_rows(alpha, None)
         assert built.dtype == build_rows_two_arrays(alpha).dtype
         assert np.array_equal(built, build_rows_two_arrays(alpha))
-        plans = _block_plans(alpha)
 
         def keep(b, rows):
             assert rows.shape[1] == alpha.prefix[b + 1]
-            return _violations(_long_array(rows), plans[b]) < 0
+            return _avoids(rows, _block_plan(alpha.split, alpha.parts[:b + 1]))
 
         assert np.array_equal(
             _build_rows(alpha, None, keep), build_rows_two_arrays(alpha, None, keep)
