@@ -17,13 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import resolve_cap
-from .parabolic import (
-    Composition,
-    _build_rows,
-    _identity_state,
-    _place_block,
-    lex_sorted,
-)
+from .parabolic import Composition, _identity_state, _place_block, lex_sorted
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation, predecessor
 
 
@@ -311,15 +305,9 @@ def _block_plan(split: bool, parts: tuple[int, ...]):
     w = sum(parts)
     start = w - parts[-1]
     a1 = parts[0]
-    # block[w + a] is the block id of the signed position a, as in
-    # ``Composition.block_id``.
-    block = [0] * (2 * w + 1)
-    lo = 0
-    for b, p in enumerate(parts, 1):
-        for a in range(lo + 1, lo + p + 1):
-            block[w + a] = b
-            block[w - a] = b if b == 1 and not split else -b
-        lo += p
+    # block[w + a] is the block id of the signed position a.
+    block_id = Composition(parts, split).block_id
+    block = [block_id(a) if a else 0 for a in range(-w, w + 1)]
     plan = []
     for k in range(1, w + 1):
         bk = block[w + k]
@@ -433,22 +421,37 @@ def aligned_mask(alpha: Composition, rows) -> np.ndarray:
     return _avoids(np.asarray(rows), _scan_plan(alpha))
 
 
+def _grow(state: np.ndarray, split: bool, parts: tuple[int, ...], cap: int):
+    """One block step of the pruned build: the last of ``parts``' blocks placed.
+
+    ``state`` holds the kept rows with the blocks before it placed.  The
+    block is placed by ``_place_block``, whose cap check bounds the rows
+    held; a row whose filled positions hold a pattern of the block's plan
+    is to be dropped, since every completion keeps that pattern.  Returns
+    the new state and the mask of the rows to keep.
+    """
+    p = parts[-1]
+    w = sum(parts)
+    state = _place_block(state, w - p, p, split or len(parts) > 1, cap)
+    return state, _avoids(state[:, :w], _block_plan(split, parts))
+
+
 def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     """Right parts of the quotient's 231-avoiding members, in build order.
 
-    The rows are built block by block as in ``quotient_rows``, and once a
-    block is placed a row whose filled positions hold a 231 pattern is
-    dropped: every completion keeps that pattern.  After the last block every
+    The rows are built as in ``quotient_rows``, one ``_grow`` step per
+    block, keeping the rows each step keeps.  After the last block every
     scan-plan entry has run, so the rows left are those ``aligned_mask``
     keeps.  The cap bounds the rows held, not the quotient size: before
     each block is placed, the rows kept so far times the block's choices
     and signings (``CapExceededError.required`` when it is exceeded).
     """
-    return _build_rows(
-        alpha,
-        cap,
-        lambda b, rows: _avoids(rows, _block_plan(alpha.split, alpha.parts[:b + 1])),
-    )
+    cap = resolve_cap(cap)
+    state = _identity_state(alpha.n)
+    for b in range(alpha.r):
+        state, kept = _grow(state, alpha.split, alpha.parts[:b + 1], cap)
+        state = state[kept]
+    return state
 
 
 def count_aligned_subtree(
@@ -457,13 +460,11 @@ def count_aligned_subtree(
     """Aligned elements of every composition of n with this split flag and first part.
 
     The compositions form a tree of prefixes, walked depth first, one child
-    at a time.  A node places its last block on its parent's kept rows,
-    with the held-rows cap check of ``aligned_rows``, and drops the rows
-    whose filled positions hold a pattern of that block's plan.  A node
-    whose parts sum to n adds the rows it keeps; any other node, whose
-    parts sum to w < n, hands them to its children, parts 1 .. n - w in
-    turn.  Every composition's block
-    steps are nodes of the tree, holding the same rows, so the cap refuses
+    at a time.  A node takes the ``_grow`` step of its last block on its
+    parent's kept rows.  A node whose parts sum to n adds the rows it
+    keeps; any other node, whose parts sum to w < n, hands them to its
+    children, parts 1 .. n - w in turn.  Every composition's block steps
+    are nodes of the tree, holding the same rows, so the cap refuses
     exactly when ``count_aligned`` refuses one of them, and the first
     count above it in walk order is raised.
     """
@@ -473,15 +474,12 @@ def count_aligned_subtree(
 def _walk(state: np.ndarray, split: bool, parts: tuple[int, ...], cap: int) -> int:
     """The aligned count below one node: ``parts`` ends with the block it places
     on ``state``, its parent's kept rows."""
-    n = state.shape[1]
-    p = parts[-1]
-    w = sum(parts) - p
-    state = _place_block(state, w, p, split or len(parts) > 1, cap)
-    kept = _avoids(state[:, :w + p], _block_plan(split, parts))
-    if w + p == n:
+    state, kept = _grow(state, split, parts, cap)
+    n, w = state.shape[1], sum(parts)
+    if w == n:
         return int(np.count_nonzero(kept))
     state = state[kept]
-    return sum(_walk(state, split, parts + (q,), cap) for q in range(1, n - w - p + 1))
+    return sum(_walk(state, split, parts + (q,), cap) for q in range(1, n - w + 1))
 
 
 def cover_counts(rows) -> np.ndarray:

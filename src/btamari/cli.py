@@ -168,12 +168,6 @@ def _cmd_cover_enum(args) -> int:
     else:
         for a, p in outputs:
             print(p.format())
-    for a, p in outputs:
-        if p.coefficients[-1] != 1:
-            print(
-                f"warning: top coefficient of {a.format()} is {p.coefficients[-1]}, not 1",
-                file=sys.stderr,
-            )
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ closed forms and report the outcome, mismatches included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from math import comb
 from multiprocessing import Pool
 
@@ -16,7 +17,7 @@ import numpy as np
 from .alignment import aligned_rows, count_aligned_subtree, cover_counts
 from .config import resolve_cap, resolve_threads
 from .errors import CompositionError
-from .parabolic import Composition
+from .parabolic import Composition, check_degree
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,6 @@ def conjectured_polynomial(t: int, n: int) -> Polynomial:
     )
 
 
-def _count_for(args) -> int:
-    return count_aligned_subtree(*args)
-
-
 def t_sequence(
     max_n: int, cap: int | None = None, threads: int = 1
 ) -> list[int]:
@@ -90,10 +87,12 @@ def t_sequence(
         for n in range(1, max_n + 1)
     )
     if threads <= 1:
-        return [sum(map(_count_for, subtrees)) for subtrees in degrees]
+        return [sum(starmap(count_aligned_subtree, subtrees)) for subtrees in degrees]
     # One pool serves every degree; no degree has more subtrees than the last.
     with Pool(min(threads, 2 * max_n)) as pool:
-        return [sum(pool.map(_count_for, subtrees)) for subtrees in degrees]
+        return [
+            sum(pool.starmap(count_aligned_subtree, subtrees)) for subtrees in degrees
+        ]
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,7 @@ def check_conjecture_t(t: int, n: int, cap: int | None = None) -> ConjectureRepo
     """Compare the cover enumerator of (t, 1, ..., 1) against the closed form."""
     if not 1 <= t <= n:
         raise CompositionError(f"need 1 <= t <= n, got t={t}, n={n}")
+    check_degree(n)
     alpha = Composition((t,) + (1,) * (n - t), split=False)
     observed = cover_enumerator(alpha, cap)
     return ConjectureReport(
@@ -168,6 +168,7 @@ def check_type_d_count(n: int, cap: int | None = None) -> ConjectureReport:
     """Compare the aligned count of (0, 1, ..., 1, 2) against the type-D number."""
     if n < 2:
         raise CompositionError("the composition (0, 1, ..., 1, 2) needs n >= 2")
+    check_degree(n)
     alpha = Composition((1,) * (n - 2) + (2,), split=True)
     observed = cover_enumerator(alpha, cap)
     return ConjectureReport(alpha, observed, None, observed(1), type_d_catalan(n))

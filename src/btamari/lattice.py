@@ -109,10 +109,8 @@ class FiniteLattice(FinitePoset):
         return _kappa_witness(self.dual(), "join") or _kappa_witness(self, "meet")
 
 
-# Each block of the join kernel keeps its temporaries near this many bytes.
-_JOIN_BLOCK_BYTES = 2**18
-# Each block of a word comparison keeps its temporaries near this many bytes.
-WORD_BLOCK_BYTES = 2**20
+# Each block of a blocked table pass keeps its temporaries near this many bytes.
+BLOCK_BYTES = 2**18
 # Leading zero bits of each byte; 0 for an empty byte, whose candidate then fails.
 _LEADING_ZEROS = np.array([(8 - v.bit_length()) % 8 for v in range(256)], dtype=np.intp)
 
@@ -130,7 +128,7 @@ def contained(words: np.ndarray) -> np.ndarray:
     m = len(words)
     leq = np.empty((m, m), dtype=bool)
     outside = ~words
-    step = max(1, WORD_BLOCK_BYTES // (outside.nbytes + 1))
+    step = max(1, BLOCK_BYTES // (outside.nbytes + 1))
     for lo in range(0, m, step):
         leq[lo:lo + step] = ~(words[lo:lo + step, None, :] & outside).any(axis=2)
     return leq
@@ -145,7 +143,7 @@ def _join_kernel(leq: np.ndarray, order: np.ndarray):
     m = len(order)
     up = pack_words(leq[:, order])
     table = np.empty((m, m), dtype=np.int32)
-    step = max(1, _JOIN_BLOCK_BYTES // (up.nbytes + 1))
+    step = max(1, BLOCK_BYTES // (up.nbytes + 1))
     for lo in range(0, m, step):
         common = up[lo:lo + step, None, :] & up[None, :, :]
         word = (common != 0).argmax(axis=2)
@@ -318,7 +316,7 @@ def _lower_bounded(lat: FiniteLattice) -> bool:
     One ``argmax`` over the irreducibles' columns of ``covers`` finds every
     lower cover k_*.  D is one gather of the join table's rows for k and k_*
     into the up-sets of the irreducibles j, taken over blocks of k so that
-    the |J| x block x m temporaries stay near _JOIN_BLOCK_BYTES.  Sinks of D
+    the |J| x block x m temporaries stay near BLOCK_BYTES.  Sinks of D
     are then peeled off until none is left (lower bounded) or a cycle is.
     """
     covers = lat.covers
@@ -326,7 +324,7 @@ def _lower_bounded(lat: FiniteLattice) -> bool:
     lows = covers[:, irr].argmax(axis=0)
     join, below = lat.join_table(), lat.leq[irr]
     dep = np.empty((len(irr), len(irr)), dtype=bool)
-    step = max(1, _JOIN_BLOCK_BYTES // (below.size + 1))
+    step = max(1, BLOCK_BYTES // (below.size + 1))
     for lo in range(0, len(irr), step):
         k, low = join[irr[lo:lo + step]], join[lows[lo:lo + step]]
         dep[:, lo:lo + step] = (below[:, k] & ~below[:, low]).any(axis=2)

@@ -20,7 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from typing import Callable
 
 import numpy as np
 
@@ -38,9 +37,16 @@ from .signed_perm import (
 )
 
 
+# The largest degree whose values and their successors fit the int16 rows.
+MAX_DEGREE = np.iinfo(np.int16).max - 1
+
+
 @dataclass(frozen=True)
 class Composition:
-    """A type-B composition: positive parts plus a split flag."""
+    """A type-B composition: positive parts plus a split flag.
+
+    Its degree, the sum of the parts, is at most ``MAX_DEGREE``.
+    """
 
     parts: tuple[int, ...]
     split: bool = False
@@ -52,6 +58,7 @@ class Composition:
             raise CompositionError("composition needs at least one positive part")
         if any(not isinstance(p, int) or p < 1 for p in parts):
             raise CompositionError(f"parts must be positive integers, got {parts}")
+        check_degree(sum(parts))
 
     @property
     def n(self) -> int:
@@ -121,6 +128,14 @@ class Composition:
 
     def __str__(self) -> str:
         return self.format()
+
+
+def check_degree(n: int) -> None:
+    """Raise CompositionError when the degree n is above ``MAX_DEGREE``."""
+    if n > MAX_DEGREE:
+        raise CompositionError(
+            f"degree {n} is above the largest supported, {MAX_DEGREE}"
+        )
 
 
 def all_compositions(n: int) -> list[Composition]:
@@ -235,7 +250,8 @@ def _block_gather(n: int, w: int, p: int, signed: bool):
 def _identity_state(n: int) -> np.ndarray:
     """The one state row before any block is placed: 1 .. n, all free.
 
-    The dtype is int8, or int16 when n + 1 does not fit in int8.
+    The dtype is int8, or int16 when n + 1 does not fit in int8; n + 1 fits
+    int16 up to ``MAX_DEGREE``.
     """
     dtype = np.int8 if n + 1 <= np.iinfo(np.int8).max else np.int16
     return np.arange(1, n + 1, dtype=dtype)[None, :]
@@ -264,40 +280,24 @@ def _place_block(
     return state.reshape(held, n)
 
 
-def _build_rows(
-    alpha: Composition,
-    cap: int | None,
-    keep: Callable[[int, np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Rows of quotient members, block by block, optionally pruned per block.
+def _build_rows(alpha: Composition, cap: int | None) -> np.ndarray:
+    """Rows of all quotient members, block by block.
 
     One (rows, n) state holds each row's filled prefix, then its still-free
     values in ascending order; ``_place_block`` places one block at a time.
-    ``keep(b, prefix)``, when given, returns a boolean mask over the rows
-    whose first b + 1 blocks are placed (it sees the filled prefix only);
-    only the rows it keeps grow on.
-
-    Without ``keep`` the cap bounds ``quotient_size`` and is checked before
-    anything is allocated.  With ``keep`` it bounds the rows held: before
-    each block's tables and gather, the kept rows times the block's choices
-    times its signings, which is raised as the ``required`` count.  Either
-    way a block's gather tables have at most ``cap`` rows.
+    The cap bounds ``quotient_size`` and is checked before anything is
+    allocated, so a block's gather tables have at most ``cap`` rows.
 
     Rows come in build order: by the first block's values, then its sign
     mask, then the second block's values, then its sign mask, and so on; bit
     t of a block's mask negates its t-th smallest value.
     """
     cap = resolve_cap(cap)
-    if keep is None and (size := quotient_size(alpha)) > cap:
+    if (size := quotient_size(alpha)) > cap:
         raise CapExceededError(size, cap)
     state = _identity_state(alpha.n)
     for b, p in enumerate(alpha.parts):
-        w = alpha.prefix[b]
-        state = _place_block(
-            state, w, p, alpha.split or b > 0, None if keep is None else cap
-        )
-        if keep is not None:
-            state = state[keep(b, state[:, :w + p])]
+        state = _place_block(state, alpha.prefix[b], p, alpha.split or b > 0)
     return state
 
 

@@ -241,7 +241,7 @@ def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice):
     np.bitwise_or.at(added, below, gained)
     own, gain = words[into_weak], added[into_weak]
     meet = tam.meet_table()
-    step = max(1, lat.WORD_BLOCK_BYTES // (own.nbytes + 1))
+    step = max(1, lat.BLOCK_BYTES // (own.nbytes + 1))
     for lo in range(0, tam.n, step):
         common = own[lo:lo + step, None, :] & own & gain[meet[lo:lo + step]]
         differs = np.triu(common.any(axis=2), k=lo + 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from btamari import alignment
 from btamari.config import resolve_cap
 from btamari.errors import CapExceededError
 from btamari.lattice import (
@@ -178,6 +179,25 @@ def build_rows_two_arrays(alpha: Composition, cap=None, keep=None) -> np.ndarray
             kept = keep(b, rows)
             rows, free = rows[kept], free[kept]
     return rows
+
+
+def aligned_block_steps(alpha: Composition):
+    """``aligned_rows(alpha)``, and the rows and plan of each block step's prune.
+
+    The prune is watched through ``alignment._avoids``, which every step
+    calls once, so each recorded ``(rows, plan)`` is what that step pruned.
+    """
+    steps = []
+    avoids = alignment._avoids
+
+    def watched(rows, plan):
+        steps.append((rows, plan))
+        return avoids(rows, plan)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(alignment, "_avoids", watched)
+        rows = alignment.aligned_rows(alpha)
+    return rows, steps
 
 
 def full_group(n: int) -> list[SignedPermutation]:

@@ -41,6 +41,7 @@ from btamari.signed_perm import Reflection, SignedPermutation
 from conftest import (
     _long_array,
     _long_row,
+    aligned_block_steps,
     build_rows_two_arrays,
     compositions,
     perm,
@@ -382,14 +383,18 @@ class TestDenseScan:
         assert (entries > 255).any()
 
     def test_entries_match_gather_oracle_at_every_block(self):
+        # Each block step of ``aligned_rows`` prunes the filled positions
+        # with its block's plan, as the gather oracle does, and keeps the
+        # rows the prune keeps.
         for n in range(1, 8):
             for alpha in all_compositions(n):
-
-                def keep(b, rows):
-                    plan = _block_plan(alpha.split, alpha.parts[:b + 1])
-                    return self.assert_scans_match_oracle(rows, plan)[1]
-
-                assert len(_build_rows(alpha, None, keep)) == count_aligned(alpha)
+                rows, steps = aligned_block_steps(alpha)
+                assert len(steps) == alpha.r
+                for b, (prefix, plan) in enumerate(steps):
+                    assert prefix.shape[1] == alpha.prefix[b + 1]
+                    assert plan == _block_plan(alpha.split, alpha.parts[:b + 1])
+                    kept = self.assert_scans_match_oracle(prefix, plan)[1]
+                assert np.array_equal(rows, prefix[kept])
 
 
 class TestPrefixWalk:
@@ -402,6 +407,19 @@ class TestPrefixWalk:
                 for first in range(1, n + 1):
                     expected = sum(
                         count_aligned(alpha)
+                        for alpha in all_compositions(n)
+                        if alpha.split == split and alpha.first_part == first
+                    )
+                    assert count_aligned_subtree(n, split, first) == expected
+
+    def test_subtrees_match_filter_counts(self):
+        # ``count_aligned`` shares the walk's block step; the filter over
+        # the whole quotient does not.
+        for n in range(1, 7):
+            for split in (False, True):
+                for first in range(1, n + 1):
+                    expected = sum(
+                        int(aligned_mask(alpha, quotient_rows(alpha)).sum())
                         for alpha in all_compositions(n)
                         if alpha.split == split and alpha.first_part == first
                     )

@@ -61,6 +61,34 @@ class TestEnumerate:
         assert first == second
 
 
+class TestDegreeBound:
+    """Rows are int16 past n = 126; a degree whose values or successors
+    would not fit is refused when its composition is built."""
+
+    def test_largest_degree_enumerates(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--alpha", "32766")
+        assert (code, err) == (0, "")
+        assert out == ",".join(map(str, range(1, 32767))) + "\n"
+
+    @pytest.mark.parametrize("degree", ["32767", "40000", "3000000000", str(10**20)])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["enumerate", "--alpha", "{n}"],
+            ["enumerate", "--aligned", "--alpha", "{n}"],
+            ["cover-enum", "--alpha", "{n}"],
+            ["lattice", "--check", "all", "--alpha", "{n}"],
+            ["conjecture", "--t", "{n}", "--min-n", "{n}", "--max-n", "{n}"],
+            ["conjecture", "--t", "1", "--min-n", "{n}", "--max-n", "{n}"],
+            ["conjecture", "--type-d", "--min-n", "{n}", "--max-n", "{n}"],
+        ],
+    )
+    def test_larger_degrees_exit_two(self, capsys, command, degree):
+        code, out, err = run(capsys, *(a.format(n=degree) for a in command))
+        assert (code, out) == (2, "")
+        assert err == f"error: degree {degree} is above the largest supported, 32766\n"
+
+
 class TestProject:
     def test_down_example(self, capsys):
         code, out, _ = run(
@@ -301,6 +329,11 @@ class TestTables:
         code, out, _ = run(capsys, "cover-enum", "--alpha", "0,1,1,1")
         assert code == 0
         assert out.strip() == "1,9,9,1"
+
+    def test_cover_enum_top_coefficient_above_one(self, capsys):
+        # C(n + t, n - t) = 6 for (1, 1, 1): no warning, as for any other.
+        code, out, err = run(capsys, "cover-enum", "--alpha", "1,1,1")
+        assert (code, out, err) == (0, "1,8,6\n", "")
 
     def test_cover_enum_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "cover-enum", "--alpha", "0,1")

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -65,7 +66,7 @@ class TestCoverEnumerator:
     def test_unit_constant_coefficient(self, all_small_compositions):
         # only the identity lacks cover inversions; the top coefficient is in
         # general bigger than one (several aligned elements can share the
-        # maximal cover count), which the CLI reports as a warning only
+        # maximal cover count)
         for n in (1, 2, 3, 4):
             for alpha in all_small_compositions[n]:
                 poly = cover_enumerator(alpha)
@@ -103,12 +104,12 @@ class TestSequence:
     def test_threads_do_not_change_output(self):
         assert t_sequence(6, threads=2) == t_sequence(6, threads=1)
 
-    def test_threads_clamped_to_cores(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The worker counts asked of ``Pool``, which maps in this process."""
         requested = []
 
         class SerialPool:
-            """Records the worker count asked for and maps in this process."""
-
             def __init__(self, processes):
                 requested.append(processes)
 
@@ -118,37 +119,24 @@ class TestSequence:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return [fn(item) for item in items]
+            def starmap(self, fn, items):
+                return list(itertools.starmap(fn, items))
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(enumeration, "Pool", SerialPool)
+        return requested
+
+    def test_threads_clamped_to_cores(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert t_sequence(3, threads=1000) == [3, 15, 91]
-        assert requested == [2]
+        assert pool_sizes == [2]
         with pytest.raises(ValueError):
             t_sequence(3, threads=0)
-        assert requested == [2]
+        assert pool_sizes == [2]
 
-    def test_pool_no_larger_than_the_last_degree(self, monkeypatch):
-        requested = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                requested.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
+    def test_pool_no_larger_than_the_last_degree(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(enumeration, "Pool", SerialPool)
         assert t_sequence(1, threads=8) == [3]
-        assert requested == [2]
+        assert pool_sizes == [2]
 
     def test_cap_errors_cross_a_process_pool(self):
         # A worker's refusal is pickled back to the parent; an error that

@@ -699,7 +699,7 @@ class TestCongruenceUniformity:
 
     # Day's test takes the irreducibles in column blocks; one byte per block
     # makes every block a single irreducible.
-    BLOCK_BYTES = (lattice._JOIN_BLOCK_BYTES, 1)
+    BLOCK_BYTES = (lattice.BLOCK_BYTES, 1)
 
     def test_agrees_with_closure_oracle(self, small_lattices, monkeypatch):
         named = dict(small_lattices)
@@ -708,12 +708,12 @@ class TestCongruenceUniformity:
             for side, half in (("", lat), ("dual ", lat.dual())):
                 expected = closure_cg_map_injective(half)
                 for block_bytes in self.BLOCK_BYTES:
-                    monkeypatch.setattr(lattice, "_JOIN_BLOCK_BYTES", block_bytes)
+                    monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
                     assert _lower_bounded(half) == expected, (side + name, block_bytes)
 
     def test_random_lattices_agree_with_closure_oracle(self, monkeypatch):
         for block_bytes in self.BLOCK_BYTES:
-            monkeypatch.setattr(lattice, "_JOIN_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
             rng = np.random.default_rng(1)
             seen = set()
             for _ in range(200):

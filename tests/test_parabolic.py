@@ -28,7 +28,7 @@ from btamari.parabolic import (
 )
 from btamari.signed_perm import Reflection, SignedPermutation
 
-from conftest import build_rows_two_arrays, compositions, perm
+from conftest import aligned_block_steps, build_rows_two_arrays, compositions, perm
 
 A3121 = Composition.parse("0,3,1,2,1")
 A422 = Composition.parse("4,2,2")
@@ -200,19 +200,18 @@ class TestQuotientRows:
 
     @staticmethod
     def assert_build_matches_oracle(alpha):
-        # Row for row and dtype for dtype, unpruned and pruned; the prune
-        # must see only the filled positions.
+        # Row for row and dtype for dtype, the quotient and the pruned build;
+        # each block step's prune must see only the filled positions.
         built = _build_rows(alpha, None)
         assert built.dtype == build_rows_two_arrays(alpha).dtype
         assert np.array_equal(built, build_rows_two_arrays(alpha))
 
         def keep(b, rows):
-            assert rows.shape[1] == alpha.prefix[b + 1]
             return _avoids(rows, _block_plan(alpha.split, alpha.parts[:b + 1]))
 
-        assert np.array_equal(
-            _build_rows(alpha, None, keep), build_rows_two_arrays(alpha, None, keep)
-        )
+        pruned, steps = aligned_block_steps(alpha)
+        assert [rows.shape[1] for rows, _ in steps] == list(alpha.prefix[1:])
+        assert np.array_equal(pruned, build_rows_two_arrays(alpha, None, keep))
 
     @pytest.mark.parametrize("text", ["0,9", "7,5"])
     def test_large_index_tables(self, text):

@@ -164,7 +164,7 @@ class TestNotSublattice:
 
             assert mismatch() == expected, alpha.format()
             with monkeypatch.context() as patch:
-                patch.setattr(lattice, "WORD_BLOCK_BYTES", 1)
+                patch.setattr(lattice, "BLOCK_BYTES", 1)
                 assert mismatch() == expected, alpha.format()
 
 
