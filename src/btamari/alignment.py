@@ -279,123 +279,110 @@ def is_aligned(alpha: Composition, pi: SignedPermutation) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _block_plan(split: bool, parts: tuple[int, ...]):
-    """The scan-plan entries read once the last of ``parts``' blocks is placed.
+def _block_plan(split: bool, parts: tuple[int, ...], start: int | None = None):
+    """The scan-plan entries that read a position past ``start``, by k, then i.
 
-    An entry ``(i, k, low, high)`` names the outer positions i < k (k > 0,
-    i and k in different blocks) and the middle positions j > 0 between
-    them, outside the blocks of i and k: ``high`` holds those where pi(j)
-    must exceed pi(i) (every j of a split composition, and j past the join
-    region), ``low`` those where pi(j) must fall below pi(k).  Entries with
-    no middle position are left out.  An entry belongs to the block of its
-    last read position, max(|i|, k); the entries come ordered by k, then i.
+    ``start`` defaults to the positions before the last of ``parts``'
+    blocks, giving the entries read once that block is placed; 0 gives the
+    whole plan.  An entry ``(k, low, high, outer)`` names a position k > 0
+    and a range ``outer`` of outer positions i < k, outside k's block, that
+    share their middle positions: the j > 0 between i and k outside the
+    blocks of i and k.  ``high`` holds those where pi(j) must exceed pi(i)
+    (every j of a split composition, and j past the join region), ``low``
+    those where pi(j) must fall below pi(k), each as the slice of their
+    columns (j - 1 for position j), or None when empty.  Only the i with
+    max(|i|, k) > ``start`` are kept, in entries with a middle position.
 
-    An entry reads positions up to its last one only, and the blocks there
-    are fixed by the split flag and the parts so far, so the plan of a
-    block depends on the composition's prefix alone: compositions sharing a
-    prefix share its plans.  Block ids are computed once per position.
-
-    Blocks are runs of consecutive positions, so the blocks of i and k cut
-    a prefix and a suffix off i + 1 .. k - 1 (a negative i in the join
-    region cuts the join region's positive run), and the join region is a
-    prefix too.  Each middle set is therefore one run of consecutive
-    positive positions, stored as the ``(start, stop)`` slice of the
-    positions' columns, j - 1 for position j; an empty set is None.
+    A middle set depends on the blocks of i and k only, because blocks are
+    runs of consecutive positions: k's block K cuts off p_{K-1} + 1 .. k - 1
+    (p the prefix sums), and i's block a run at the start.  So with c = a_1
+    for a join composition and c = 0 for a split one, the middle run is
+    1 .. p_{K-1} for a negative i below -c (in a negative block),
+    c + 1 .. p_{K-1} for -c <= i < 0 (in block 1 with the join region,
+    so K > 1), and p_I + 1 .. p_{K-1} for a positive i in block I < K.
+    The join region is 1 .. c, so ``low`` and ``high`` are one run each,
+    and each k takes at most r + 1 steps.  An entry reads no position past
+    max(|i|, k), fixed by the split flag and the parts so far, so
+    compositions sharing a prefix share its plans.
     """
-    w = sum(parts)
-    start = w - parts[-1]
-    a1 = parts[0]
-    # block[w + a] is the block id of the signed position a.
-    block_id = Composition(parts, split).block_id
-    block = [block_id(a) if a else 0 for a in range(-w, w + 1)]
+    p = Composition(parts, split).prefix
+    w = p[-1]
+    if start is None:
+        start = p[-2]
+    c = 0 if split else parts[0]
     plan = []
-    for k in range(1, w + 1):
-        bk = block[w + k]
-        for i in range(-w, k):
-            if i == 0 or max(-i, k) <= start or block[w + i] == bk:
-                continue
-            bi = block[w + i]
-            js = [
-                j for j in range(max(1, i + 1), k) if block[w + j] not in (bi, bk)
-            ]
-            if js:
-                low = [j for j in js if not (split or j > a1)]
-                high = [j for j in js if split or j > a1]
-                plan.append((i, k, _span(low), _span(high)))
+    for b in range(1, len(parts) + 1):
+        end = p[b - 1]
+        # (the first middle position, the outer positions) per group, in i order
+        groups = [(1, range(-w, -c))]
+        if c and b > 1:
+            groups.append((c + 1, range(-c, 0)))
+        groups += [(p[a] + 1, range(p[a - 1] + 1, p[a] + 1)) for a in range(1, b)]
+        for k in range(end + 1, p[b] + 1):
+            for first, outer in groups:
+                if k <= start:  # then |i| > start, so i < -start
+                    outer = range(outer.start, min(outer.stop, -start))
+                if first > end or not outer:
+                    continue
+                low = (first - 1, min(end, c)) if first <= c else None
+                high = (max(first, c + 1) - 1, end) if end > c else None
+                plan.append((k, low, high, outer))
     return tuple(plan)
 
 
-def _span(js: list[int]):
-    """Columns of consecutive positive positions, as a (start, stop) slice."""
-    return (js[0] - 1, js[-1]) if js else None
-
-
-@lru_cache(maxsize=None)
 def _scan_plan(alpha: Composition):
-    """The whole composition's scan plan: every block's entries, ordered by k, then i."""
-    entries = (
-        e
-        for b in range(alpha.r)
-        for e in _block_plan(alpha.split, alpha.parts[:b + 1])
-    )
-    return tuple(sorted(entries, key=lambda e: (e[1], e[0])))
+    """The whole composition's scan plan (``_block_plan`` from ``start = 0``)."""
+    return _block_plan(alpha.split, alpha.parts, 0)
 
 
 def _held(rows: np.ndarray, plan):
-    """Per plan entry, in plan order, the mask of the rows holding its 231 pattern.
+    """Per outer pair (i, k), in plan order, the mask of the rows holding its 231 pattern.
 
     ``rows`` are right parts, or their first w positions when the plan
     reads no position past w.  They are read transposed, one contiguous
     array row per position, so a position's values are one dense vector;
-    negative positions are never stored.  A row holds an
-    entry when it has the entry's 231 pattern: pi(i) = succ(pi(k)), and a
-    middle value above pi(i) (``high``) or below pi(k) (``low``).  Each
-    middle span is reduced once per call, to its maximum or minimum.  The
-    middle test reads k and the spans only, so it is folded into a target
-    row, succ(pi(k)) where the test holds and 0 (no value) elsewhere,
-    shared by the entries of one k with the same spans; an entry is then
-    one comparison of pi(i) with its target.  A negative i reads its
-    positive position against the negated target, which is 0 where the
-    target is.  Every step is a dense pass over all rows, with no gather
-    and no masked store.
+    negative positions are never stored.  A row holds a pair when it has
+    the pair's 231 pattern: pi(i) = succ(pi(k)), and a middle value above
+    pi(i) (``high``) or below pi(k) (``low``).  Each middle span is reduced
+    once per call, to its maximum or minimum.  The middle test reads k and
+    the spans only, so per entry it is folded into one target row,
+    succ(pi(k)) where the test holds and 0 (no value) elsewhere; each i of
+    the entry's range is then one comparison of pi(i) with it.  A negative
+    i reads its positive position against the negated target, which is 0
+    where the target is.  Every step is a dense pass over all rows, with
+    no gather and no masked store.
     """
     cols = np.ascontiguousarray(rows.T)
-    lows = {e[2] for e in plan} - {None}
-    highs = {e[3] for e in plan} - {None}
-    lowest = {s: cols[s[0]:s[1]].min(axis=0) for s in lows}
-    highest = {s: cols[s[0]:s[1]].max(axis=0) for s in highs}
+    lowest = {s: cols[slice(*s)].min(axis=0) for s in {e[1] for e in plan} - {None}}
+    highest = {s: cols[slice(*s)].max(axis=0) for s in {e[2] for e in plan} - {None}}
     at = None
-    for i, k, low, high in plan:
-        if k != at:  # entries come k by k; keep one k's targets at a time
-            at, targets = k, {}
+    for k, low, high, outer in plan:
+        if k != at:  # entries come k by k
+            at = k
             u = cols[k - 1]
             v = u + 1  # succ(pi(k)): 1 after -1, v + 1 otherwise
             v += v == 0
-        target = targets.get((low, high))
-        if target is None:
-            if high is None:
-                middle = lowest[low] < u
-            elif low is None:
-                middle = highest[high] > v
-            else:
-                middle = (highest[high] > v) | (lowest[low] < u)
-            target = targets[low, high] = v * middle
-        if i > 0:
-            yield cols[i - 1] == target
-            continue
-        negated = targets.get((low, high, -1))
-        if negated is None:
-            negated = targets[low, high, -1] = -target
-        yield cols[-i - 1] == negated
+        if high is None:
+            middle = lowest[low] < u
+        elif low is None:
+            middle = highest[high] > v
+        else:
+            middle = (highest[high] > v) | (lowest[low] < u)
+        target = v * middle
+        if outer.start < 0:
+            target = -target
+        for i in outer:
+            yield cols[abs(i) - 1] == target
 
 
 def _violations(rows: np.ndarray, plan) -> np.ndarray:
-    """Per row, the index of the last plan entry it holds (see ``_held``), or -1.
+    """Per row, the index of the last outer pair it holds (see ``_held``), or -1.
 
-    A running maximum of the codes t + 1, in the narrowest unsigned dtype,
-    keeps the last entry held.
+    Pairs are counted in plan order, each entry's range in turn.  A running
+    maximum of the codes t + 1, in the narrowest unsigned dtype, keeps the
+    last pair held.
     """
-    code = np.min_scalar_type(len(plan)).type
+    code = np.min_scalar_type(sum(len(e[3]) for e in plan)).type
     last = np.zeros(len(rows), dtype=code)
     for t, held in enumerate(_held(rows, plan)):
         np.maximum(last, held.view(np.uint8) * code(t + 1), out=last)
@@ -405,7 +392,7 @@ def _violations(rows: np.ndarray, plan) -> np.ndarray:
 
 
 def _avoids(rows: np.ndarray, plan) -> np.ndarray:
-    """True for the rows that hold no plan entry (see ``_held``)."""
+    """True for the rows that hold no outer pair of the plan (see ``_held``)."""
     bad = np.zeros(len(rows), dtype=bool)
     for held in _held(rows, plan):
         bad |= held

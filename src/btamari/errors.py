@@ -24,7 +24,7 @@ class CapExceededError(RuntimeError):
 
     @staticmethod
     def _message(required: int, cap: int) -> str:
-        return f"enumeration needs {required} elements, cap is {cap}"
+        return f"enumeration needs {_count(required)} elements, cap is {cap}"
 
 
 class TableBoundError(CapExceededError):
@@ -32,7 +32,15 @@ class TableBoundError(CapExceededError):
 
     @staticmethod
     def _message(required: int, cap: int) -> str:
-        return f"Tamari table needs {required} elements, bound is {cap}"
+        return f"Tamari table needs {_count(required)} elements, bound is {cap}"
+
+
+def _count(required: int) -> str:
+    """Exact below 10^18, else "at least 10^k" from the bit length and log10(2)
+    rounded down: Python will not write out an int of over 4,300 digits."""
+    if required < 10**18:
+        return str(required)
+    return f"at least 10^{(required.bit_length() - 1) * 3010299956 // 10**10}"
 
 
 class NotALatticeError(ValueError):

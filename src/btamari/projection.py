@@ -118,16 +118,18 @@ def eliminate_231(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:
     """Rows holding a 231 pattern, and each with one of its patterns eliminated.
 
     ``rows`` is a (m, n) integer array or a sequence of right parts.  The
-    scan behind ``aligned_mask`` names a plan entry for each such row; the
-    values at the entry's outer positions i and k, u + 1 and u, trade places
+    scan behind ``aligned_mask`` names an outer pair of the plan for each
+    such row; the values at its positions i and k, u + 1 and u, trade places
     as in ``eliminate_pattern``.  Returns the row indices and the new rows.
     """
     right = np.asarray(rows)
     plan = _scan_plan(alpha)
-    entry = _violations(right, plan)
-    hit = np.flatnonzero(entry >= 0)
-    outer = np.array([e[:2] for e in plan], dtype=np.intp).reshape(-1, 2)
-    i, k = outer[entry[hit]].T
+    pair = _violations(right, plan)
+    hit = np.flatnonzero(pair >= 0)
+    outer = np.array(
+        [(i, k) for k, _, _, group in plan for i in group], dtype=np.intp
+    ).reshape(-1, 2)
+    i, k = outer[pair[hit]].T
     # pi(i) is the value at position |i|, negated when i < 0; k > 0.
     vi = right[hit, np.abs(i) - 1] * np.sign(i)
     vk = right[hit, k - 1]

@@ -91,7 +91,8 @@ def scan_plan_by_rows(alpha: Composition):
     The oracle for ``alignment._scan_plan``: entries ``(ii, kk, js_low,
     js_high)`` hold the long rows of the outer positions and of every middle
     position, found one position at a time with ``Composition.block_id``,
-    where the library stores positions and one column span per set.
+    where the library groups the outer positions that share a middle run
+    and stores one column span per set.
     """
     n = alpha.n
     a1 = alpha.first_part

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,10 +315,12 @@ def held_rows(alpha):
 
 
 def oracle_plan(plan):
-    """A span plan in long rows, with each middle span listed row by row."""
+    """A group plan in long rows, one entry per outer pair (i, k), with each
+    middle span listed row by row."""
     return tuple(
         (_long_row(i), _long_row(k), span_rows(low), span_rows(high))
-        for i, k, low, high in plan
+        for k, low, high, outer in plan
+        for i in outer
     )
 
 
@@ -325,7 +329,7 @@ def span_rows(span):
 
 
 class TestDenseScan:
-    """The span plan and the dense scan against the row-by-row plan and the
+    """The group plan and the dense scan against the row-by-row plan and the
     per-hit gather scan they replaced (``tests/conftest.py``)."""
 
     def test_middle_sets_are_spans(self):
@@ -346,6 +350,18 @@ class TestDenseScan:
                 for b, entries in enumerate(by_block):
                     plan = _block_plan(alpha.split, alpha.parts[:b + 1])
                     assert oracle_plan(plan) == tuple(entries), (alpha, b)
+
+    @pytest.mark.parametrize(
+        "split, parts, entries",
+        [(False, (32766,), 0), (True, (32766,), 0), (False, (32765, 1), 1)],
+    )
+    def test_block_plans_built_from_block_bounds(self, split, parts, entries):
+        # At most r + 1 steps per position, with no pass over position
+        # pairs: one block of the largest degree has no entry at all.
+        start = time.perf_counter()
+        plan = _block_plan.__wrapped__(split, parts)
+        assert time.perf_counter() - start < 0.5
+        assert len(plan) == entries
 
     @staticmethod
     def assert_scans_match_oracle(rows, plan):
@@ -375,7 +391,7 @@ class TestDenseScan:
         n = 14
         alpha = Composition((1,) * n, split=True)
         plan = _scan_plan(alpha)
-        assert len(plan) > 255
+        assert len(oracle_plan(plan)) > 255
         rng = np.random.default_rng(0)
         rows = np.array([rng.permutation(n) + 1 for _ in range(2000)], dtype=np.int8)
         rows *= rng.choice(np.array([-1, 1], dtype=np.int8), size=rows.shape)

@@ -45,6 +45,12 @@ class TestEnumerate:
         assert "error" in err
 
     def test_cap_exit_three(self, capsys):
+        for alpha in ("0,32766", "16383,16383", "2500,2500"):
+            # Counts of 1,500 to 9,900 digits, worded as a power of ten.
+            code, out, err = run(capsys, "cover-enum", "--alpha", alpha)
+            assert (code, out) == (3, ""), alpha
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+            assert len(err) < 200
         code, _, err = run(capsys, "--cap", "10", "enumerate", "--alpha", "0,1,1,1")
         assert code == 3
 
@@ -69,6 +75,10 @@ class TestDegreeBound:
         code, out, err = run(capsys, "enumerate", "--alpha", "32766")
         assert (code, err) == (0, "")
         assert out == ",".join(map(str, range(1, 32767))) + "\n"
+
+    def test_largest_single_block_counts(self, capsys):
+        # Its scan plan has no entry, found without visiting position pairs.
+        assert run(capsys, "cover-enum", "--alpha", "32766") == (0, "1\n", "")
 
     @pytest.mark.parametrize("degree", ["32767", "40000", "3000000000", str(10**20)])
     @pytest.mark.parametrize(

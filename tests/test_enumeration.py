@@ -149,6 +149,16 @@ class TestSequence:
             t_sequence(40, cap=1000, threads=2)
         assert info.value.cap == 1000
 
+    def test_huge_counts_worded_as_a_power_of_ten(self):
+        # Python will not write out an integer of more than 4,300 digits.
+        exc = CapExceededError(10**18 - 1, 5)
+        assert str(exc) == "enumeration needs 999999999999999999 elements, cap is 5"
+        for required in (10**18, 2**32766, 3**20000):
+            exc = CapExceededError(required, 5)
+            k = int(str(exc).split("10^")[1].split()[0])
+            assert exc.required == required
+            assert 10**k <= required < 10 ** (k + 2)
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="only forked workers run a script without a __main__ guard",
