@@ -335,24 +335,23 @@ def _scan_plan(alpha: Composition):
     return _block_plan(alpha.split, alpha.parts, 0)
 
 
-def _held(rows: np.ndarray, plan):
-    """Per outer pair (i, k), in plan order, the mask of the rows holding its 231 pattern.
+def _held(cols: np.ndarray, plan):
+    """Per outer pair (i, k), in plan order, the mask of the elements holding its 231 pattern.
 
-    ``rows`` are right parts, or their first w positions when the plan
-    reads no position past w.  They are read transposed, one contiguous
-    array row per position, so a position's values are one dense vector;
-    negative positions are never stored.  A row holds a pair when it has
-    the pair's 231 pattern: pi(i) = succ(pi(k)), and a middle value above
-    pi(i) (``high``) or below pi(k) (``low``).  Each middle span is reduced
-    once per call, to its maximum or minimum.  The middle test reads k and
-    the spans only, so per entry it is folded into one target row,
-    succ(pi(k)) where the test holds and 0 (no value) elsewhere; each i of
-    the entry's range is then one comparison of pi(i) with it.  A negative
-    i reads its positive position against the negated target, which is 0
-    where the target is.  Every step is a dense pass over all rows, with
-    no gather and no masked store.
+    ``cols`` is position major: one array row per position and one column
+    per element's right part, or its first w positions when the plan reads
+    no position past w.  A position's values are one dense vector, read in
+    place with no copy; negative positions are never stored.  An element
+    holds a pair when it has the pair's 231 pattern: pi(i) = succ(pi(k)),
+    and a middle value above pi(i) (``high``) or below pi(k) (``low``).
+    Each middle span is reduced once per call, to its maximum or minimum.
+    The middle test reads k and the spans only, so per entry it is folded
+    into one target vector, succ(pi(k)) where the test holds and 0 (no
+    value) elsewhere; each i of the entry's range is then one comparison of
+    pi(i) with it.  A negative i reads its positive position against the
+    negated target, which is 0 where the target is.  Every step is a dense
+    pass over all elements, with no gather and no masked store.
     """
-    cols = np.ascontiguousarray(rows.T)
     lowest = {s: cols[slice(*s)].min(axis=0) for s in {e[1] for e in plan} - {None}}
     highest = {s: cols[slice(*s)].max(axis=0) for s in {e[2] for e in plan} - {None}}
     at = None
@@ -378,23 +377,26 @@ def _held(rows: np.ndarray, plan):
 def _violations(rows: np.ndarray, plan) -> np.ndarray:
     """Per row, the index of the last outer pair it holds (see ``_held``), or -1.
 
-    Pairs are counted in plan order, each entry's range in turn.  A running
-    maximum of the codes t + 1, in the narrowest unsigned dtype, keeps the
-    last pair held.
+    ``rows`` is row major, one right part per row; it is transposed once
+    for ``_held``.  Pairs are counted in plan order, each entry's range in
+    turn.  A running maximum of the codes t + 1, in the narrowest unsigned
+    dtype, keeps the last pair held.
     """
+    cols = np.ascontiguousarray(rows.T)
     code = np.min_scalar_type(sum(len(e[3]) for e in plan)).type
-    last = np.zeros(len(rows), dtype=code)
-    for t, held in enumerate(_held(rows, plan)):
+    last = np.zeros(cols.shape[1], dtype=code)
+    for t, held in enumerate(_held(cols, plan)):
         np.maximum(last, held.view(np.uint8) * code(t + 1), out=last)
     found = last.astype(np.intp)
     found -= 1
     return found
 
 
-def _avoids(rows: np.ndarray, plan) -> np.ndarray:
-    """True for the rows that hold no outer pair of the plan (see ``_held``)."""
-    bad = np.zeros(len(rows), dtype=bool)
-    for held in _held(rows, plan):
+def _avoids(cols: np.ndarray, plan) -> np.ndarray:
+    """True for the elements, columns of the position-major ``cols``, that
+    hold no outer pair of the plan (see ``_held``)."""
+    bad = np.zeros(cols.shape[1], dtype=bool)
+    for held in _held(cols, plan):
         bad |= held
     return ~bad
 
@@ -402,43 +404,47 @@ def _avoids(rows: np.ndarray, plan) -> np.ndarray:
 def aligned_mask(alpha: Composition, rows) -> np.ndarray:
     """Boolean mask over right-part rows: True where the element avoids 231 patterns.
 
-    ``rows`` is a (m, n) integer array or a sequence of right parts; every
-    entry of the scan plan is tested on every row.
+    ``rows`` is a (m, n) integer array or a sequence of right parts; it is
+    transposed once, and every entry of the scan plan is tested on every
+    row.
     """
-    return _avoids(np.asarray(rows), _scan_plan(alpha))
+    return _avoids(np.ascontiguousarray(np.asarray(rows).T), _scan_plan(alpha))
 
 
 def _grow(state: np.ndarray, split: bool, parts: tuple[int, ...], cap: int):
     """One block step of the pruned build: the last of ``parts``' blocks placed.
 
-    ``state`` holds the kept rows with the blocks before it placed.  The
-    block is placed by ``_place_block``, whose cap check bounds the rows
-    held; a row whose filled positions hold a pattern of the block's plan
-    is to be dropped, since every completion keeps that pattern.  Returns
-    the new state and the mask of the rows to keep.
+    ``state`` holds the kept elements, position major, with the blocks
+    before it placed.  The block is placed by ``_place_block``, whose cap
+    check bounds the columns held; an element whose filled positions hold a
+    pattern of the block's plan is to be dropped, since every completion
+    keeps that pattern.  The prune reads the filled positions' rows in
+    place.  Returns the new state and the mask of the columns to keep.
     """
     p = parts[-1]
     w = sum(parts)
     state = _place_block(state, w - p, p, split or len(parts) > 1, cap)
-    return state, _avoids(state[:, :w], _block_plan(split, parts))
+    return state, _avoids(state[:w], _block_plan(split, parts))
 
 
 def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     """Right parts of the quotient's 231-avoiding members, in build order.
 
     The rows are built as in ``quotient_rows``, one ``_grow`` step per
-    block, keeping the rows each step keeps.  After the last block every
+    block, keeping the columns each step keeps.  After the last block every
     scan-plan entry has run, so the rows left are those ``aligned_mask``
-    keeps.  The cap bounds the rows held, not the quotient size: before
-    each block is placed, the rows kept so far times the block's choices
-    and signings (``CapExceededError.required`` when it is exceeded).
+    keeps.  They are the position-major state transposed, a
+    Fortran-ordered view.  The cap bounds the rows held, not the quotient
+    size: before each block is placed, the rows kept so far times the
+    block's choices and signings (``CapExceededError.required`` when it is
+    exceeded).
     """
     cap = resolve_cap(cap)
     state = _identity_state(alpha.n)
     for b in range(alpha.r):
         state, kept = _grow(state, alpha.split, alpha.parts[:b + 1], cap)
-        state = state[kept]
-    return state
+        state = np.compress(kept, state, axis=1)
+    return state.T
 
 
 def count_aligned_subtree(
@@ -462,10 +468,10 @@ def _walk(state: np.ndarray, split: bool, parts: tuple[int, ...], cap: int) -> i
     """The aligned count below one node: ``parts`` ends with the block it places
     on ``state``, its parent's kept rows."""
     state, kept = _grow(state, split, parts, cap)
-    n, w = state.shape[1], sum(parts)
+    n, w = state.shape[0], sum(parts)
     if w == n:
         return int(np.count_nonzero(kept))
-    state = state[kept]
+    state = np.compress(kept, state, axis=1)
     return sum(_walk(state, split, parts + (q,), cap) for q in range(1, n - w + 1))
 
 

@@ -19,7 +19,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -171,11 +171,18 @@ def _is_member_row(alpha: Composition, right: tuple[int, ...]) -> bool:
 
 
 def quotient_size(alpha: Composition) -> int:
-    n = alpha.n
-    size = factorial(n)
+    """The number of quotient members: a multinomial coefficient, times 2^t.
+
+    The multinomial is the product over the parts of C(left, p), left the
+    degree not yet taken by earlier parts, which stays exact and takes far
+    less time than dividing n! by each p!; t is the number of signed
+    positions, all of them but a join composition's first block.
+    """
+    size, left = 1, alpha.n
     for p in alpha.parts:
-        size //= factorial(p)
-    return size << (n - (alpha.first_part if alpha.join else 0))
+        size *= comb(left, p)
+        left -= p
+    return size << (alpha.n - (alpha.first_part if alpha.join else 0))
 
 
 @lru_cache(maxsize=None)
@@ -218,79 +225,86 @@ def _sign_table(p: int) -> tuple[np.ndarray, np.ndarray]:
 def _block_gather(n: int, w: int, p: int, signed: bool):
     """Gather index and signs that place one block of p values after w filled ones.
 
-    A state row holds its w filled values, then its n - w free values in
-    ascending order.  Row c of the index, for each way c of
-    ``_split_slots(n - w, p)`` to take p of the free values, keeps the
-    filled prefix, puts the taken values in positions w .. w + p - 1 and
-    the values left after them, both ascending.  For a signed block, row
-    c * 2^p + s also sorts the block as signing s of ``_sign_table(p)``
-    does, and row c * 2^p + s of the signs negates its negated values; an
-    unsigned block has no signs.  Built once per (n, w, p, signed) and
-    shared, so the arrays are read-only.
+    A state holds, per position, one array row: its w filled positions,
+    then its n - w free values in ascending order.  The index is position
+    major, one row per position and one column per way to place the block.
+    Column c, for each way c of ``_split_slots(n - w, p)`` to take p of the
+    free values, keeps the filled prefix, puts the taken values in
+    positions w .. w + p - 1 and the values left after them, both
+    ascending.  For a signed block, column s * C + c (C the ways to take
+    the values) also sorts the block as signing s of ``_sign_table(p)``
+    does, and the signs, one row per block position, negate its negated
+    values; an unsigned block has no signs.  Built once per (n, w, p,
+    signed) and shared, so the arrays are read-only.
     """
     taken, left = _split_slots(n - w, p)
-    pick = np.empty((len(taken), n), dtype=np.intp)
-    pick[:, :w] = np.arange(w)
-    pick[:, w:w + p] = w + taken
-    pick[:, w + p:] = w + left
+    pick = np.empty((n, len(taken)), dtype=np.intp)
+    pick[:w] = np.arange(w)[:, None]
+    pick[w:w + p] = w + taken.T
+    pick[w + p:] = w + left.T
     signs = None
     if signed:
         slots, block_signs = _sign_table(p)
         order = np.tile(np.arange(n), (len(slots), 1))
         order[:, w:w + p] = w + slots
-        pick = pick[:, order].reshape(-1, n)
-        signs = np.ones((len(slots), n), dtype=np.int8)
-        signs[:, w:w + p] = block_signs
-        signs = np.tile(signs, (len(taken), 1))
+        pick = pick[order].transpose(1, 0, 2).reshape(n, -1)
+        signs = np.repeat(block_signs.T, len(taken), axis=1)
         signs.setflags(write=False)
     pick.setflags(write=False)
     return pick, signs
 
 
 def _identity_state(n: int) -> np.ndarray:
-    """The one state row before any block is placed: 1 .. n, all free.
+    """The state before any block is placed: one element, 1 .. n, all free.
 
-    The dtype is int8, or int16 when n + 1 does not fit in int8; n + 1 fits
-    int16 up to ``MAX_DEGREE``.
+    States are position major, an (n, rows) array with one contiguous
+    array row per position.  The dtype is int8, or int16 when n + 1 does
+    not fit in int8; n + 1 fits int16 up to ``MAX_DEGREE``.
     """
     dtype = np.int8 if n + 1 <= np.iinfo(np.int8).max else np.int16
-    return np.arange(1, n + 1, dtype=dtype)[None, :]
+    return np.arange(1, n + 1, dtype=dtype)[:, None]
 
 
 def _place_block(
     state: np.ndarray, w: int, p: int, signed: bool, cap: int | None = None
 ) -> np.ndarray:
-    """Every state row with one more block of p values placed after its w filled ones.
+    """Every state column with one more block of p values placed after its w filled ones.
 
-    One gather by ``_block_gather`` takes every choice of the block's
-    ascending values from the free ones and, if the block is signed, every
-    signing of them; a signed block's gather is multiplied by the signs.
-    The rows made are the old ones times the block's choices times its
-    signings.  ``cap``, when given, bounds that count: it is raised as the
-    ``required`` count before the gather tables are built.
+    ``state`` is position major (see ``_identity_state``).  One gather by
+    ``_block_gather`` takes every choice of the block's ascending values
+    from the free ones and, if the block is signed, every signing of them;
+    it copies whole position rows, so new column j * rows + i is old
+    column i under way j to place the block.  A signed block's positions
+    are multiplied by the signs.  The columns made are the old ones times
+    the block's choices times its signings.  ``cap``, when given, bounds
+    that count: it is raised as the ``required`` count before the gather
+    tables are built.
     """
-    n = state.shape[1]
-    held = (len(state) * comb(n - w, p)) << (p * signed)
+    n, rows = state.shape
+    held = (rows * comb(n - w, p)) << (p * signed)
     if cap is not None and held > cap:
         raise CapExceededError(held, cap)
     pick, signs = _block_gather(n, w, p, signed)
-    state = np.take(state, pick, axis=1)
+    state = np.take(state, pick, axis=0)
     if signs is not None:
-        state *= signs
-    return state.reshape(held, n)
+        state[w:w + p] *= signs[:, :, None]
+    return state.reshape(n, held)
 
 
 def _build_rows(alpha: Composition, cap: int | None) -> np.ndarray:
     """Rows of all quotient members, block by block.
 
-    One (rows, n) state holds each row's filled prefix, then its still-free
-    values in ascending order; ``_place_block`` places one block at a time.
-    The cap bounds ``quotient_size`` and is checked before anything is
-    allocated, so a block's gather tables have at most ``cap`` rows.
+    One position-major (n, rows) state holds each element's filled prefix,
+    then its still-free values in ascending order; ``_place_block`` places
+    one block at a time.  The cap bounds ``quotient_size`` and is checked
+    before anything is allocated, so a block's gather tables have at most
+    ``cap`` columns.  The rows returned are the state transposed, a
+    Fortran-ordered view.
 
-    Rows come in build order: by the first block's values, then its sign
-    mask, then the second block's values, then its sign mask, and so on; bit
-    t of a block's mask negates its t-th smallest value.
+    Rows come in build order, the latest block the most significant: by
+    the last block's sign mask, then its values, then the sign mask of the
+    block before it, then its values, and so on; bit t of a block's mask
+    negates its t-th smallest value.
     """
     cap = resolve_cap(cap)
     if (size := quotient_size(alpha)) > cap:
@@ -298,7 +312,7 @@ def _build_rows(alpha: Composition, cap: int | None) -> np.ndarray:
     state = _identity_state(alpha.n)
     for b, p in enumerate(alpha.parts):
         state = _place_block(state, alpha.prefix[b], p, alpha.split or b > 0)
-    return state
+    return state.T
 
 
 def lex_sorted(rows: np.ndarray) -> np.ndarray:

@@ -146,10 +146,11 @@ def violations_by_gather(long: np.ndarray, plan) -> np.ndarray:
 def build_rows_two_arrays(alpha: Composition, cap=None, keep=None) -> np.ndarray:
     """The oracle for ``parabolic._build_rows``: filled rows and free values apart.
 
-    Each block repeats the filled rows once per choice of its values and
-    appends them, then repeats the widened rows once per signing; the free
-    values are carried in a second array.  The cap bounds ``quotient_size``
-    whether or not ``keep`` is given.
+    Each block tiles the filled rows once per choice of its values and
+    appends them, then tiles the widened rows once per signing, so the
+    latest block is the most significant, by its sign mask and then its
+    values; the free values are carried in a second array.  The cap bounds
+    ``quotient_size`` whether or not ``keep`` is given.
     """
     size = quotient_size(alpha)
     cap = resolve_cap(cap)
@@ -163,19 +164,22 @@ def build_rows_two_arrays(alpha: Composition, cap=None, keep=None) -> np.ndarray
         width = free.shape[1]
         taken, left = _split_slots(width, p)
         rows = np.concatenate(
-            [np.repeat(rows, len(taken), axis=0), free[:, taken].reshape(-1, p)],
+            [
+                np.tile(rows, (len(taken), 1)),
+                free[:, taken].transpose(1, 0, 2).reshape(-1, p),
+            ],
             axis=1,
         )
-        free = free[:, left].reshape(len(rows), width - p)
+        free = free[:, left].transpose(1, 0, 2).reshape(len(rows), width - p)
         if alpha.split or b > 0:
             lo = alpha.prefix[b]
             slots, signs = _sign_table(p)
-            widened = np.repeat(rows, len(slots), axis=0)
-            widened.reshape(len(rows), len(slots), -1)[:, :, lo:] = (
+            widened = np.tile(rows, (len(slots), 1))
+            widened.reshape(len(slots), len(rows), -1)[:, :, lo:] = (
                 rows[:, lo:][:, slots] * signs
-            )
+            ).transpose(1, 0, 2)
             rows = widened
-            free = np.repeat(free, len(slots), axis=0)
+            free = np.tile(free, (len(slots), 1))
         if keep is not None:
             kept = keep(b, rows)
             rows, free = rows[kept], free[kept]
@@ -183,17 +187,18 @@ def build_rows_two_arrays(alpha: Composition, cap=None, keep=None) -> np.ndarray
 
 
 def aligned_block_steps(alpha: Composition):
-    """``aligned_rows(alpha)``, and the rows and plan of each block step's prune.
+    """``aligned_rows(alpha)``, and the state and plan of each block step's prune.
 
     The prune is watched through ``alignment._avoids``, which every step
-    calls once, so each recorded ``(rows, plan)`` is what that step pruned.
+    calls once, so each recorded ``(cols, plan)`` is what that step pruned:
+    ``cols`` is position major, one array row per filled position.
     """
     steps = []
     avoids = alignment._avoids
 
-    def watched(rows, plan):
-        steps.append((rows, plan))
-        return avoids(rows, plan)
+    def watched(cols, plan):
+        steps.append((cols, plan))
+        return avoids(cols, plan)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(alignment, "_avoids", watched)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btamari import parabolic
+from btamari import alignment, parabolic
 from btamari.alignment import (
     _avoids,
     _block_plan,
@@ -365,12 +365,13 @@ class TestDenseScan:
 
     @staticmethod
     def assert_scans_match_oracle(rows, plan):
-        """Entry codes as the gather oracle's, and the prune as codes < 0."""
+        """Entry codes as the gather oracle's, and the prune, on the rows
+        read position major, as codes < 0."""
         entries = _violations(rows, plan)
         assert np.array_equal(
             entries, violations_by_gather(_long_array(rows), oracle_plan(plan))
         )
-        kept = _avoids(rows, plan)
+        kept = _avoids(rows.T, plan)
         assert np.array_equal(kept, entries < 0)
         return entries, kept
 
@@ -406,11 +407,54 @@ class TestDenseScan:
             for alpha in all_compositions(n):
                 rows, steps = aligned_block_steps(alpha)
                 assert len(steps) == alpha.r
-                for b, (prefix, plan) in enumerate(steps):
-                    assert prefix.shape[1] == alpha.prefix[b + 1]
+                for b, (cols, plan) in enumerate(steps):
+                    assert cols.shape[0] == alpha.prefix[b + 1]
                     assert plan == _block_plan(alpha.split, alpha.parts[:b + 1])
-                    kept = self.assert_scans_match_oracle(prefix, plan)[1]
-                assert np.array_equal(rows, prefix[kept])
+                    kept = self.assert_scans_match_oracle(cols.T, plan)[1]
+                assert np.array_equal(rows, cols.T[kept])
+
+
+class TestPositionMajorPrune:
+    """Each block step's prune reads the position-major state that
+    ``_place_block`` returned in place, with no copy between the gather and
+    the 231 scan."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Check every ``_held`` call, and return the shapes it was given."""
+        placed, seen = [], []
+        place, held = alignment._place_block, alignment._held
+
+        def placing(*args):
+            placed.append(place(*args))
+            return placed[-1]
+
+        def holding(cols, plan):
+            assert cols.flags.c_contiguous
+            assert np.shares_memory(cols, placed[-1])
+            seen.append(cols.shape)
+            return held(cols, plan)
+
+        monkeypatch.setattr(alignment, "_place_block", placing)
+        monkeypatch.setattr(alignment, "_held", holding)
+        return seen
+
+    def test_aligned_rows_prune_the_placed_state(self, monkeypatch):
+        seen = self.watch(monkeypatch)
+        for n in range(1, 7):
+            for alpha in all_compositions(n):
+                seen.clear()
+                aligned_rows(alpha)
+                assert [shape[0] for shape in seen] == list(alpha.prefix[1:])
+
+    def test_prefix_walk_prunes_the_placed_state(self, monkeypatch):
+        seen = self.watch(monkeypatch)
+        for n in range(1, 6):
+            for split in (False, True):
+                for first in range(1, n + 1):
+                    seen.clear()
+                    count_aligned_subtree(n, split, first)
+                    assert seen and seen[0][0] == first
 
 
 class TestPrefixWalk:

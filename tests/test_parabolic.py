@@ -156,6 +156,27 @@ class TestEnumeration:
                 assert quotient_size(alpha) * len(seen) == (1 << n) * factorial(n)
 
 
+def quotient_size_by_factorials(alpha):
+    """n! over the product of the parts' factorials, times 2^t for the t
+    signed positions: the oracle for ``quotient_size``."""
+    size = factorial(alpha.n)
+    for p in alpha.parts:
+        size //= factorial(p)
+    return size << (alpha.n - (alpha.first_part if alpha.join else 0))
+
+
+class TestQuotientSize:
+    def test_matches_factorials_up_to_degree_eight(self):
+        for n in range(1, 9):
+            for alpha in all_compositions(n):
+                assert quotient_size(alpha) == quotient_size_by_factorials(alpha)
+
+    @pytest.mark.parametrize("text", ["16383,16383", "32765,1", "0,32766"])
+    def test_matches_factorials_at_the_largest_degree(self, text):
+        alpha = Composition.parse(text)
+        assert quotient_size(alpha) == quotient_size_by_factorials(alpha)
+
+
 class TestQuotientRows:
     def test_integer_array_of_quotient_size(self):
         for n in range(1, 6):
@@ -207,10 +228,10 @@ class TestQuotientRows:
         assert np.array_equal(built, build_rows_two_arrays(alpha))
 
         def keep(b, rows):
-            return _avoids(rows, _block_plan(alpha.split, alpha.parts[:b + 1]))
+            return _avoids(rows.T, _block_plan(alpha.split, alpha.parts[:b + 1]))
 
         pruned, steps = aligned_block_steps(alpha)
-        assert [rows.shape[1] for rows, _ in steps] == list(alpha.prefix[1:])
+        assert [cols.shape[0] for cols, _ in steps] == list(alpha.prefix[1:])
         assert np.array_equal(pruned, build_rows_two_arrays(alpha, None, keep))
 
     @pytest.mark.parametrize("text", ["0,9", "7,5"])

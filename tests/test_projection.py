@@ -3,11 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from btamari.alignment import find_231_pattern, find_312_pattern, find_all_231_patterns
+from btamari.alignment import (
+    aligned_mask,
+    cover_counts,
+    find_231_pattern,
+    find_312_pattern,
+    find_all_231_patterns,
+)
 from btamari.parabolic import (
     Composition,
+    _build_rows,
     all_compositions,
     enumerate_quotient,
+    lex_sorted,
     longest_element,
     quotient_rows,
 )
@@ -20,6 +28,7 @@ from btamari.projection import (
     project_onto_312,
     project_up,
     row_index,
+    row_lookup,
     theta_classes,
 )
 from btamari.signed_perm import SignedPermutation
@@ -293,6 +302,32 @@ class TestRowIndex:
         for cls in classes:
             bottom = SignedPermutation(cls.bottom.tolist())
             assert project_up(alpha, bottom).right == tuple(cls.top.tolist())
+
+
+class TestRowLayout:
+    """``aligned_rows`` and ``_build_rows`` return their rows as
+    Fortran-ordered views of a position-major state; every row-major caller
+    must answer on them as on C-ordered rows."""
+
+    def test_fortran_ordered_rows_answer_as_c_ordered(self):
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                built = _build_rows(alpha, None)
+                assert built.flags.f_contiguous
+                answers = []
+                for rows in (np.ascontiguousarray(built), np.asfortranarray(built)):
+                    hit, eliminated = eliminate_231(alpha, rows)
+                    answers.append((
+                        aligned_mask(alpha, rows),
+                        cover_counts(rows),
+                        hit,
+                        eliminated,
+                        row_lookup(rows)(eliminated),
+                        row_index(rows, np.asfortranarray(rows[::-1])),
+                        lex_sorted(rows),
+                    ))
+                for c_answer, f_answer in zip(*answers):
+                    assert np.array_equal(c_answer, f_answer), alpha
 
 
 class TestThetaClasses:
