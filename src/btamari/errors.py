@@ -44,12 +44,13 @@ def _count(required: int) -> str:
 
 
 class NotALatticeError(ValueError):
-    """A poset misses a bound; carries the offending pair."""
+    """A poset misses a bound; carries the offending pair and, when known, its labels."""
 
-    def __init__(self, pair: tuple[int, int], reason: str):
+    def __init__(self, pair: tuple[int, int], reason: str, labels=None):
         super().__init__(f"{reason} for element pair {pair}")
         self.pair = pair
         self.reason = reason
+        self.labels = labels
 
 
 class NotACongruenceError(ValueError):

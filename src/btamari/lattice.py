@@ -2,7 +2,10 @@
 
 Posets store a boolean order matrix plus an array of element labels, one
 entry per element (for the type-B orders, a right-part row); lattices add
-meet and join tables, both built by one bit-packed join kernel.  A poset's
+meet and join tables, both built by one bit-packed join kernel.  It holds
+the up-sets word major over a linear extension, finds each pair's first
+common bit word by word, and accepts that candidate as the join when its
+up-set is as large as the common one.  A poset's
 covers come from one float32 product of its strict order with itself;
 ``FiniteLattice.dual`` sets them to the transpose instead.  On top of that
 sit the structural checks used by the verification harness: irreducibles,
@@ -111,14 +114,15 @@ class FiniteLattice(FinitePoset):
 
 # Each block of a blocked table pass keeps its temporaries near this many bytes.
 BLOCK_BYTES = 2**18
-# Leading zero bits of each byte; 0 for an empty byte, whose candidate then fails.
-_LEADING_ZEROS = np.array([(8 - v.bit_length()) % 8 for v in range(256)], dtype=np.intp)
 
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows packed, eight to a byte, into (m, ceil(k / 64)) ``uint64`` words."""
-    packed = np.packbits(bits, axis=1)
-    words = np.zeros((len(packed), -(-packed.shape[1] // 8)), dtype=np.uint64)
+    """Boolean rows packed into (m, ceil(k / 64)) little-endian ``uint64`` words.
+
+    Column c of a row is bit c % 64 of the row's word c // 64.
+    """
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(packed), -(-packed.shape[1] // 8)), dtype="<u8")
     words.view(np.uint8)[:, :packed.shape[1]] = packed
     return words
 
@@ -137,25 +141,59 @@ def contained(words: np.ndarray) -> np.ndarray:
 def _join_kernel(leq: np.ndarray, order: np.ndarray):
     """Join table of ``leq``, or None and the first pair, row-major, with no join.
 
-    Up-sets are bit rows over the linear extension ``order``, so the join of a
-    and b is the first set bit of up[a] & up[b] when its own row equals the AND.
+    Element ``order[r]`` has rank r, and up-sets are bit rows over the ranks,
+    held word major: ``up[w, r]`` is word w of the up-set of rank r, and
+    rank s is bit s % 64 of word s // 64.  The join of a and b is the first
+    set bit of their common up-set.  That candidate lies in the common set,
+    so its own up-set lies inside it, and it is the join exactly when the
+    two sets have the same size.
+
+    Rows are taken by rank, a block at a time, and each word is one flat
+    (rows x m) pass, in ascending order: it ANDs the two up-sets, adds the
+    popcount of the common word, and keeps the first nonzero one.  Up-sets
+    rank their members no lower than their element, so a block's passes
+    start at its lowest rank's word; the words below are zero.  The first
+    set bit is the lowest bit of the first nonzero word x: ``x ^ (x - 1)``
+    keeps the bits up to it, so its popcount is one past that bit's rank.
+    A pair with no common upper bound has no nonzero word, and its
+    candidate falls past the last element, where no size matches.
     """
     m = len(order)
-    up = pack_words(leq[:, order])
+    up = np.ascontiguousarray(pack_words(leq[:, order])[order].T)
+    words = len(up)
+    size = np.full(64 * words, -1, dtype=np.intp)
+    size[:m] = leq.sum(axis=1)[order]
+    count_t, word_t = np.min_scalar_type(m), np.min_scalar_type(words)
+    rank = np.argsort(order)
     table = np.empty((m, m), dtype=np.int32)
-    step = max(1, BLOCK_BYTES // (up.nbytes + 1))
+    failed = []
+    step = max(1, BLOCK_BYTES // (8 * m + 1))
     for lo in range(0, m, step):
-        common = up[lo:lo + step, None, :] & up[None, :, :]
-        word = (common != 0).argmax(axis=2)
-        first = np.take_along_axis(common, word[..., None], axis=2).view(np.uint8)
-        byte = (first != 0).argmax(axis=2)
-        bit = _LEADING_ZEROS[np.take_along_axis(first, byte[..., None], axis=2)[..., 0]]
-        cand = order[64 * word + 8 * byte + bit]
-        bad = (up[cand] != common).any(axis=2)
+        rows = up[:, lo:lo + step, None]
+        count = np.zeros((rows.shape[1], m), dtype=count_t)
+        first = np.zeros(count.shape, dtype=np.uint64)
+        # Words read while the common set was still empty, the last of them
+        # the one that holds its first bit.
+        empties = np.zeros(count.shape, dtype=word_t)
+        for w in range(lo // 64, words):
+            common = rows[w] & up[w]
+            empty = count == 0
+            count += np.bitwise_count(common)
+            common *= empty
+            first |= common
+            empties += empty
+        # Rank 64 * (lo // 64 + empties - 1) + popcount(x ^ (x - 1)) - 1.
+        cand = np.multiply(empties, 64, dtype=np.intp)
+        cand += 64 * (lo // 64) - 65
+        cand += np.bitwise_count(first ^ (first - np.uint64(1)))
+        bad = size[cand] != count
         if bad.any():
-            a, b = np.argwhere(bad)[0]
-            return None, (lo + int(a), int(b))
-        table[lo:lo + step] = cand
+            a, b = np.nonzero(bad)
+            failed.append(int((order[lo + a] * m + order[b]).min()))
+        elif not failed:
+            table[order[lo:lo + step]] = order[cand][:, rank]
+    if failed:
+        return None, divmod(min(failed), m)
     return table, None
 
 
@@ -163,7 +201,8 @@ def try_lattice(poset: FinitePoset) -> FiniteLattice:
     """Build meet and join tables, or raise NotALatticeError with a witness pair.
 
     Meets are joins of the dual order.  The witness has the smallest failing
-    element first, joins before meets, then its smallest partner.
+    element first, joins before meets, then its smallest partner; the error
+    carries its labels too.
     """
     # x < y makes up(x) larger than up(y): larger up-sets first is a linear
     # extension, and its reverse extends the dual.
@@ -171,10 +210,12 @@ def try_lattice(poset: FinitePoset) -> FiniteLattice:
     join, no_lub = _join_kernel(poset.leq, order)
     meet, no_glb = _join_kernel(poset.leq.T, order[::-1])
     if no_lub and not (no_glb and no_glb[0] < no_lub[0]):
-        raise NotALatticeError(no_lub, "no-lub")
-    if no_glb:
-        raise NotALatticeError(no_glb, "no-glb")
-    return FiniteLattice(poset.labels, poset.leq, meet, join)
+        pair, reason = no_lub, "no-lub"
+    elif no_glb:
+        pair, reason = no_glb, "no-glb"
+    else:
+        return FiniteLattice(poset.labels, poset.leq, meet, join)
+    raise NotALatticeError(pair, reason, poset.labels[list(pair)])
 
 
 # -- irreducibles and basic statistics ----------------------------------------

@@ -149,11 +149,11 @@ def join_irreducible_for(
     t = _pair_to_reflection(pair)
     if t not in longest_element(alpha).inversion_set():
         raise ValueError(f"{t} is not an inversion of the longest element of {alpha}")
-    return _join_irreducible(alpha, t)
+    return SignedPermutation(_join_irreducible(alpha, t))
 
 
-def _join_irreducible(alpha: Composition, t: Reflection) -> SignedPermutation:
-    """The constructor for an inversion t of the longest element, unchecked."""
+def _join_irreducible(alpha: Composition, t: Reflection) -> tuple[int, ...]:
+    """The constructor's right part for an inversion t of the longest element, unchecked."""
     n = alpha.n
     a1 = alpha.first_part
     if t.kind == POS:
@@ -191,10 +191,10 @@ def _join_irreducible(alpha: Composition, t: Reflection) -> SignedPermutation:
             + tuple(range(-ell, -k))
             + tuple(range(ell + a1 - a + 1, n + 1))
         )
-    return SignedPermutation(right)
+    return right
 
 
-def _irreducible_two_positive(alpha, i, j) -> SignedPermutation:
+def _irreducible_two_positive(alpha, i, j) -> tuple[int, ...]:
     """Fill 1, 2, ... left to right skipping i and the rest of its block, stop at j."""
     n = alpha.n
     block_end = alpha.prefix[alpha.region_of(i)]
@@ -206,17 +206,17 @@ def _irreducible_two_positive(alpha, i, j) -> SignedPermutation:
     rest = [a for a in range(1, n + 1) if right[a - 1] == 0]
     for value, a in enumerate(rest, start=len(filled) + 1):
         right[a - 1] = value
-    return SignedPermutation(tuple(right))
+    return tuple(right)
 
 
-def _fill_positions(n: int, spots: list[int]) -> SignedPermutation:
+def _fill_positions(n: int, spots: list[int]) -> tuple[int, ...]:
     right = [0] * n
     for value, a in enumerate(spots, start=1):
         if a > 0:
             right[a - 1] = value
         else:
             right[-a - 1] = -value
-    return SignedPermutation(tuple(right))
+    return tuple(right)
 
 
 # -- structural verification -----------------------------------------------------
@@ -267,6 +267,7 @@ class VerificationReport:
     semidistributivity_witness: Optional[tuple] = None
     congruence_failure: Optional[str] = None
     quotient_lattice_failure: Optional[tuple] = None
+    tamari_lattice_failure: Optional[tuple] = None
 
     @property
     def ok(self) -> bool:
@@ -287,26 +288,33 @@ class VerificationReport:
             }
         if self.congruence_failure is not None:
             data["congruence_failure"] = self.congruence_failure
-        if self.quotient_lattice_failure is not None:
-            reason, *pair = self.quotient_lattice_failure
-            data["quotient_not_a_lattice"] = {
-                "reason": reason, "pair": [p.format() for p in pair]
-            }
+        for key, found in (
+            ("tamari_not_a_lattice", self.tamari_lattice_failure),
+            ("quotient_not_a_lattice", self.quotient_lattice_failure),
+        ):
+            if found is not None:
+                reason, *pair = found
+                data[key] = {"reason": reason, "pair": [p.format() for p in pair]}
         return data
 
     def summary(self) -> str:
         lines = [f"alpha = {self.alpha.format()}"]
         for name, value in self.checks.items():
             lines.append(f"  {'PASS' if value else 'FAIL'}  {name}")
-        lines.append(
-            "  stats: "
-            + ", ".join(f"{k}={v}" for k, v in self.stats.items())
-        )
+        if self.stats:
+            lines.append(
+                "  stats: "
+                + ", ".join(f"{k}={v}" for k, v in self.stats.items())
+            )
         if self.congruence_failure is not None:
             lines.append(f"  not a congruence: {self.congruence_failure}")
-        if self.quotient_lattice_failure is not None:
-            reason, pa, pb = self.quotient_lattice_failure
-            lines.append(f"  quotient not a lattice: {reason} for ({pa}, {pb})")
+        for name, found in (
+            ("Tam_B", self.tamari_lattice_failure),
+            ("quotient", self.quotient_lattice_failure),
+        ):
+            if found is not None:
+                reason, pa, pb = found
+                lines.append(f"  {name} not a lattice: {reason} for ({pa}, {pb})")
         if self.witness is not None:
             pa, pb, wm, tm = self.witness
             lines.append(
@@ -332,8 +340,10 @@ def verify_theorems(
     """Run every structural check for one composition and collect the outcome.
 
     The subposet lattice L is built first, so that a Tam_B above the table
-    bound is refused before the quotient is enumerated.  The quotient's rows
-    are enumerated once, and its weak order, projection fibers and their
+    bound is refused before the quotient is enumerated.  If the subposet is
+    not a lattice, ``lattice_subposet`` fails with the pair the table kernel
+    names, and so does every check on L.  The quotient's rows are
+    enumerated once, and its weak order, projection fibers and their
     quotient order are each built once.  Only L gets meet and join tables;
     the quotient's are tried only when its order differs from L's.  L's
     irreducibles and length are counted once.  The witnesses become
@@ -342,7 +352,12 @@ def verify_theorems(
     built again.
     """
     checks: dict[str, bool] = {}
-    L = build_tamari(alpha, cap) if tam is None else tam
+    L, tam_failure = tam, None
+    if L is None:
+        try:
+            L = build_tamari(alpha, cap)
+        except NotALatticeError as exc:
+            tam_failure = _not_a_lattice(exc)
     rows = quotient_rows(alpha, cap)
     words, length = _inversion_words(rows)
     below, above = _weak_covers(rows, length)
@@ -353,13 +368,18 @@ def verify_theorems(
         failure = str(exc)
     checks["congruence_valid"] = quot is not None
 
-    checks["lattice_subposet"] = True  # try_lattice would have raised otherwise
-    isomorphic = quot is not None and _isomorphic(L, quot)
+    checks["lattice_subposet"] = L is not None
+    isomorphic = quot is not None and L is not None and _isomorphic(L, quot)
     not_a_lattice = None
     if quot is not None and not isomorphic:
         not_a_lattice = _lattice_failure(quot)
     checks["lattice_quotient"] = quot is not None and not_a_lattice is None
     checks["quotient_isomorphic_subposet"] = isomorphic
+    if L is None:
+        checks.update((name, False) for name in CHECKS if name not in checks)
+        return VerificationReport(
+            alpha, checks, {}, None, None, failure, not_a_lattice, tam_failure
+        )
 
     checks["congruence_uniform"] = lat.is_congruence_uniform(L)
     checks["semidistributive"] = lat.is_semidistributive(L)
@@ -397,12 +417,17 @@ def _perms(rows) -> tuple[SignedPermutation, ...]:
     return tuple(SignedPermutation(r) for r in np.asarray(rows).tolist())
 
 
+def _not_a_lattice(exc: NotALatticeError) -> tuple:
+    """(reason, a, b): the error's pair with no bound, as signed permutations."""
+    return (exc.reason, *_perms(exc.labels))
+
+
 def _lattice_failure(poset: lat.FinitePoset):
     """None for a lattice, else (reason, a, b) naming a pair with no bound."""
     try:
         lat.try_lattice(poset)
     except NotALatticeError as exc:
-        return (exc.reason, *_perms(poset.labels[list(exc.pair)]))
+        return _not_a_lattice(exc)
     return None
 
 
@@ -421,13 +446,32 @@ def _constructor_matches(
 
     The element built for a cell's inversion t covers t and nothing else.
     """
-    built = []
-    for cell in InversionTableau(alpha).cells():
-        t = cell.reflection
-        pi = _join_irreducible(alpha, t)
-        if pi.cover_inversions() != {t}:
-            return False
-        built.append(pi.right)
-    found = np.sort(row_index(L.labels, built))
-    # Sorted, distinct and equal to the irreducibles' indices.
-    return np.array_equal(found, irreducibles)
+    cells = [cell.reflection for cell in InversionTableau(alpha).cells()]
+    built = np.array([_join_irreducible(alpha, t) for t in cells]).reshape(-1, alpha.n)
+    # Sorted, distinct and equal to the irreducibles' rows.
+    return bool(_covers_exactly(built, cells).all()) and np.array_equal(
+        lex_sorted(built), lex_sorted(L.labels[irreducibles])
+    )
+
+
+def _covers_exactly(rows: np.ndarray, cells: list[Reflection]) -> np.ndarray:
+    """Per row k, whether its cover inversions are exactly {cells[k]}.
+
+    As in ``SignedPermutation.cover_inversions``, a right part r covers the
+    sign reflection [[i]] when r_i = -1, and, for positions i < j, the
+    positive ((i j)) when r_i = r_j + 1 and the negative ((-j i)) when
+    -r_j = r_i + 1.  Row k passes when it covers one inversion and cells[k]
+    is one it covers.
+    """
+    r_i, r_j = rows[:, :, None], rows[:, None, :]
+    later = np.less.outer(range(rows.shape[1]), range(rows.shape[1]))
+    pairs = ((r_i == r_j + 1) | (-r_j == r_i + 1)) & later
+    count = (rows == -1).sum(axis=1) + pairs.sum(axis=(1, 2))
+    kind = np.array([t.kind for t in cells])
+    at = np.arange(len(cells))
+    r_i = rows[at, [t.i - 1 for t in cells]]
+    r_j = rows[at, [max(t.i, t.j) - 1 for t in cells]]
+    own = np.where(
+        kind == SIGN, r_i == -1, np.where(kind == POS, r_i == r_j + 1, -r_j == r_i + 1)
+    )
+    return (count == 1) & own

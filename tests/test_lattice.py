@@ -280,10 +280,26 @@ def closure_cg_map_injective(lat):
 def random_poset(rng, m):
     """A random order on m elements, relabelled so indices are not a linear extension."""
     leq = np.eye(m, dtype=bool) | np.triu(rng.random((m, m)) < rng.random(), 1)
-    for _ in range(m):
-        leq |= (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
+    while not np.array_equal(leq, closed := leq | (leq.astype(np.int64) @ leq > 0)):
+        leq = closed
     perm = rng.permutation(m)
     return FinitePoset(list(range(m)), leq[np.ix_(perm, perm)])
+
+
+def random_lattice_order(rng, lo, hi):
+    """The order of a random family of lo to hi subsets of a 12-set, relabelled.
+
+    Ten random subsets and the whole set, closed under intersection: a
+    lattice whose meet is the intersection.
+    """
+    while True:
+        bits = rng.random((10, 12)) < 0.8
+        family = {(1 << 12) - 1} | {int(b @ (1 << np.arange(12))) for b in bits}
+        while (closed := family | {a & b for a in family for b in family}) != family:
+            family = closed
+        if lo <= len(family) <= hi:
+            sets = rng.permutation(sorted(family))
+            return (sets[:, None] & sets) == sets[:, None]
 
 
 def intersection_closed_lattice(rng, k=4):
@@ -431,6 +447,49 @@ class TestTryLattice:
                 assert np.array_equal(lat.meet_table(), expected[0])
                 assert np.array_equal(lat.join_table(), expected[1])
         assert failures > 100
+
+    @pytest.mark.parametrize("block_bytes", [lattice.BLOCK_BYTES, 1])
+    def test_multi_word_witness_matches_dense_oracle(self, block_bytes, monkeypatch):
+        # 65 to 200 elements, so every up-set spans two to four words.
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(21)
+        posets = []
+        for _ in range(8):
+            leq = random_lattice_order(rng, 66, 200)
+            posets.append(FinitePoset(list(range(len(leq))), leq))
+            # Without one element other than the top: mostly not a lattice.
+            below_top = np.flatnonzero(~leq.all(axis=0))
+            keep = np.delete(np.arange(len(leq)), rng.choice(below_top))
+            posets.append(FinitePoset(list(range(len(keep))), leq[np.ix_(keep, keep)]))
+        for _ in range(8):
+            # Several maximal elements: pairs with no common upper bound.
+            posets.append(random_poset(rng, int(rng.integers(65, 201))))
+            # A bottom and a top added: every pair has bounds, not always a least one.
+            inner = random_poset(rng, int(rng.integers(63, 199))).leq
+            leq = np.ones((len(inner) + 2,) * 2, dtype=bool)
+            leq[1:-1, 1:-1] = inner
+            leq[1:, 0] = leq[-1, :-1] = False
+            posets.append(FinitePoset(list(range(len(leq))), leq))
+        outcomes = []
+        for poset in posets:
+            assert 65 <= poset.n <= 200
+            try:
+                expected = dense_try_lattice(poset)
+            except NotALatticeError as exc:
+                with pytest.raises(NotALatticeError) as info:
+                    try_lattice(poset)
+                assert (info.value.pair, info.value.reason) == (exc.pair, exc.reason)
+                a, b = exc.pair
+                bounds = poset.leq[a] & poset.leq[b] if exc.reason == "no-lub" else (
+                    poset.leq[:, a] & poset.leq[:, b])
+                outcomes.append("no bound" if not bounds.any() else "no least bound")
+            else:
+                lat = try_lattice(poset)
+                assert np.array_equal(lat.meet_table(), expected[0])
+                assert np.array_equal(lat.join_table(), expected[1])
+                outcomes.append("lattice")
+        assert outcomes.count("lattice") > 8
+        assert set(outcomes) == {"lattice", "no bound", "no least bound"}
 
     def test_missing_bound_witness(self):
         # two incomparable tops

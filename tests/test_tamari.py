@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from functools import cached_property
 from itertools import combinations
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from btamari import lattice, parabolic, projection, tamari
-from btamari.errors import CapExceededError, TableBoundError
+from btamari.cli import main
+from btamari.errors import CapExceededError, NotALatticeError, TableBoundError
 from btamari.lattice import join_irreducibles
 from btamari.parabolic import (
     Composition,
@@ -20,7 +22,7 @@ from btamari.parabolic import (
 from btamari.alignment import is_aligned
 from btamari.projection import fiber_bottoms
 from btamari.signed_perm import POS, SIGN, SignedPermutation, format_right
-from btamari.tamari import build_tamari, join_irreducible_for, verify_theorems
+from btamari.tamari import CHECKS, build_tamari, join_irreducible_for, verify_theorems
 
 from conftest import full_group, perm, weak_order_lattice
 
@@ -99,6 +101,44 @@ class TestJoinIrreducibles:
                 lat = build_tamari(alpha)
                 brute = set(map(tuple, lat.labels[join_irreducibles(lat)].tolist()))
                 assert built == brute
+
+    def test_array_cover_check_matches_cover_inversions(self):
+        # Every constructed row against every cell (and, up to n = 4, every
+        # quotient row too): the array verdict is cover_inversions() == {t}.
+        for n in range(1, 6):
+            for alpha in parabolic.all_compositions(n):
+                cells = [c.reflection for c in parabolic.InversionTableau(alpha).cells()]
+                rows = np.array(
+                    [tamari._join_irreducible(alpha, t) for t in cells]
+                ).reshape(-1, n)
+                if n <= 4:
+                    rows = np.concatenate([rows, quotient_rows(alpha)])
+                verdict = tamari._covers_exactly(
+                    np.repeat(rows, len(cells), axis=0), cells * len(rows)
+                )
+                expected = [
+                    SignedPermutation(r).cover_inversions() == {t}
+                    for r in rows.tolist() for t in cells
+                ]
+                assert verdict.tolist() == expected, alpha
+                assert verdict.sum() >= len(cells)
+
+    def test_swapped_row_rejected(self, monkeypatch):
+        # The first cell gets the second cell's irreducible.
+        cells = [c.reflection for c in parabolic.InversionTableau(A021).cells()]
+        original = tamari._join_irreducible
+        monkeypatch.setattr(
+            tamari, "_join_irreducible",
+            lambda alpha, t: original(alpha, cells[1] if t == cells[0] else t),
+        )
+        built = np.array([tamari._join_irreducible(A021, t) for t in cells])
+        assert tamari._covers_exactly(built, cells).tolist() == (
+            [False] + [True] * (len(cells) - 1)
+        )
+        report = verify_theorems(A021)
+        assert [name for name, ok in report.checks.items() if not ok] == [
+            "irreducible_constructor"
+        ]
 
 
 class TestMaximalChain:
@@ -372,6 +412,47 @@ class TestQuotientOrder:
             return lattice.FinitePoset(quot.labels, np.triu(np.ones((quot.n,) * 2, bool)))
 
         assert self.failed_checks(monkeypatch, chain) == ["quotient_isomorphic_subposet"]
+
+
+class TestTamariNotALattice:
+    # Tam_B without its top row: the maximal elements have no join.
+    @pytest.fixture
+    def topless(self, monkeypatch):
+        """Drops Tam_B's top; returns the kernel's error on what is left."""
+        full = build_tamari(A021)
+        kept = np.delete(full.labels, full.top, axis=0)
+        monkeypatch.setattr(tamari, "aligned_rows", lambda alpha, cap=None: kept)
+        order = lattice.FinitePoset(kept, tamari._weak_leq_matrix(kept))
+        with pytest.raises(NotALatticeError) as info:
+            lattice.try_lattice(order)
+        return info.value
+
+    def test_fail_row_names_the_pair(self, topless):
+        report = verify_theorems(A021)
+        pair = [format_right(r) for r in topless.labels]
+        assert topless.reason == "no-lub"
+        assert report.to_json()["tamari_not_a_lattice"] == {
+            "reason": "no-lub", "pair": pair
+        }
+        assert (
+            f"  Tam_B not a lattice: no-lub for ({pair[0]}, {pair[1]})"
+            in report.summary().splitlines()
+        )
+        # The quotient's own checks still run; every check on Tam_B fails.
+        assert list(report.checks) == list(CHECKS)
+        assert [name for name, ok in report.checks.items() if ok] == [
+            "congruence_valid", "lattice_quotient"
+        ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cli_exits_one_without_traceback(self, topless, capsys, fmt):
+        code = main(["lattice", "--alpha", "0,2,1", "--check", "all", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        if fmt == "json":
+            assert json.loads(out)["tamari_not_a_lattice"]["reason"] == "no-lub"
+        else:
+            assert "  Tam_B not a lattice: no-lub for (" in out
 
 
 class TestRowsNotObjects:
