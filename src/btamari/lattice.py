@@ -6,14 +6,16 @@ meet and join tables, both built by one bit-packed join kernel.  It holds
 the up-sets word major over a linear extension, finds each pair's first
 common bit word by word, and accepts that candidate as the join when its
 up-set is as large as the common one.  A poset's
-covers come from one float32 product of its strict order with itself;
-``FiniteLattice.dual`` sets them to the transpose instead.  On top of that
-sit the structural checks used by the verification harness: irreducibles,
-length, semidistributivity, congruence uniformity (by Day's join-dependency
-criterion, one array operation per block of irreducibles), congruence
-verification and quotients on bit words and cover pairs (so that the weak
-order needs no matrix), left modularity and trimness, plus JSON and DOT
-exports.
+covers come from one float32 product of its strict order with itself.  A
+lattice keeps one dual, whose covers are the transpose, and finds its
+join-irreducibles and their lower covers once; the meet-irreducibles are
+the dual's.  The dual holds no reference back, so no cycle outlives the
+lattice.  On top of that sit the structural checks used by the
+verification harness: irreducibles, length, semidistributivity, congruence
+uniformity (by Day's join-dependency criterion, from bit words of the
+irreducibles below each element), congruence verification and quotients on
+bit words and cover pairs (so that the weak order needs no matrix), left
+modularity and trimness, plus JSON and DOT exports.
 """
 
 from __future__ import annotations
@@ -103,9 +105,29 @@ class FiniteLattice(FinitePoset):
         return int(self._join[a, b])
 
     def dual(self) -> "FiniteLattice":
+        """The dual lattice, built once and kept.
+
+        It shares this lattice's arrays, transposed or swapped, but holds no
+        reference back to it, so a lattice is freed as soon as its last
+        reference goes, with no cycle left for the collector.
+        """
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "FiniteLattice":
         dual = FiniteLattice(self.labels, self.leq.T, self._join, self._meet)
         dual.covers = self.covers.T
         return dual
+
+    @cached_property
+    def irreducibles(self) -> tuple[np.ndarray, np.ndarray]:
+        """The join-irreducibles, by index, and the unique lower cover of each.
+
+        Found once per lattice; the meet-irreducibles are the dual's.
+        """
+        covers = self.covers
+        irr = np.flatnonzero(covers.sum(axis=0) == 1)
+        return irr, covers[:, irr].argmax(axis=0)
 
     @cached_property
     def _semidistributivity_witness(self):
@@ -223,11 +245,12 @@ def try_lattice(poset: FinitePoset) -> FiniteLattice:
 
 def join_irreducibles(lat: FiniteLattice) -> list[int]:
     """Indices of elements with exactly one lower cover."""
-    return [int(x) for x in np.flatnonzero(lat.covers.sum(axis=0) == 1)]
+    return lat.irreducibles[0].tolist()
 
 
 def meet_irreducibles(lat: FiniteLattice) -> list[int]:
-    return [int(x) for x in np.flatnonzero(lat.covers.sum(axis=1) == 1)]
+    """Indices of elements with exactly one upper cover: the dual's join-irreducibles."""
+    return lat.dual().irreducibles[0].tolist()
 
 
 # -- semidistributivity --------------------------------------------------------
@@ -253,11 +276,10 @@ def _kappa_witness(lat: FiniteLattice, name: str):
     set, and j ^ (x v y) = j.  ``name`` labels the law; the join law is this
     test on the dual.
     """
-    covers = lat.covers
-    irr = np.flatnonzero(covers.sum(axis=0) == 1)
-    inside = lat.meet_table()[irr] == covers[:, irr].argmax(axis=0)[:, None]
+    irr, lows = lat.irreducibles
+    inside = lat.meet_table()[irr] == lows[:, None]
     # above[t, x]: upper covers of x inside the set of the t-th irreducible.
-    above = inside.astype(np.float32) @ covers.T.astype(np.float32)
+    above = inside.astype(np.float32) @ lat.covers.T.astype(np.float32)
     maximal = inside & (above == 0)
     several = np.flatnonzero(maximal.sum(axis=1) > 1)
     if not several.size:
@@ -354,21 +376,25 @@ def quotient_lattice(lat: FinitePoset, block_of) -> FinitePoset:
 def _lower_bounded(lat: FiniteLattice) -> bool:
     """No cycle of join dependencies: j D k if j != k, j <= k v x, j !<= k_* v x.
 
-    One ``argmax`` over the irreducibles' columns of ``covers`` finds every
-    lower cover k_*.  D is one gather of the join table's rows for k and k_*
-    into the up-sets of the irreducibles j, taken over blocks of k so that
-    the |J| x block x m temporaries stay near BLOCK_BYTES.  Sinks of D
-    are then peeled off until none is left (lower bounded) or a cycle is.
+    Each element e gets the set of join-irreducibles below it as a bit row
+    of ``pack_words``, ``mask[e]``: one uint64 word up to 64 irreducibles.
+    Column k of D, the set of j with j D k, is then the OR over x of
+    mask[k v x] & ~mask[k_* v x], O(|J| m W) words for W words per mask.
+    Columns are taken in blocks of k, so that the block x m x W temporaries
+    stay near BLOCK_BYTES.  Sinks of D are then peeled off until none is
+    left (lower bounded) or a cycle is.
     """
-    covers = lat.covers
-    irr = np.flatnonzero(covers.sum(axis=0) == 1)
-    lows = covers[:, irr].argmax(axis=0)
-    join, below = lat.join_table(), lat.leq[irr]
+    irr, lows = lat.irreducibles
+    join = lat.join_table()
+    mask = pack_words(lat.leq[irr].T)
     dep = np.empty((len(irr), len(irr)), dtype=bool)
-    step = max(1, BLOCK_BYTES // (below.size + 1))
+    step = max(1, BLOCK_BYTES // (mask.nbytes + 1))
     for lo in range(0, len(irr), step):
-        k, low = join[irr[lo:lo + step]], join[lows[lo:lo + step]]
-        dep[:, lo:lo + step] = (below[:, k] & ~below[:, low]).any(axis=2)
+        gained = mask[join[irr[lo:lo + step]]] & ~mask[join[lows[lo:lo + step]]]
+        column = np.bitwise_or.reduce(gained, axis=1)
+        dep[:, lo:lo + step] = np.unpackbits(
+            column.view(np.uint8), axis=1, count=len(irr), bitorder="little"
+        ).T
     np.fill_diagonal(dep, False)
     alive = np.ones(len(irr), dtype=bool)
     while (sinks := alive & ~dep[:, alive].any(axis=1)).any():

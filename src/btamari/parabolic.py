@@ -40,6 +40,9 @@ from .signed_perm import (
 # The largest degree whose values and their successors fit the int16 rows.
 MAX_DEGREE = np.iinfo(np.int16).max - 1
 
+# A block step's values count one element per ROW_VALUES against the cap.
+ROW_VALUES = 64
+
 
 @dataclass(frozen=True)
 class Composition:
@@ -278,12 +281,19 @@ def _place_block(
     are multiplied by the signs.  The columns made are the old ones times
     the block's choices times its signings.  ``cap``, when given, bounds
     that count: it is raised as the ``required`` count before the gather
-    tables are built.
+    tables are built.  The cap bounds the columns' width too: the values
+    they hold, columns times n, count one element per ``ROW_VALUES``, so
+    only a degree above ``ROW_VALUES`` can meet this bound first.  The
+    gather table holds at most as many entries and ``_split_slots`` lists
+    at most as many slots, so neither is built for a step it refuses.
     """
     n, rows = state.shape
     held = (rows * comb(n - w, p)) << (p * signed)
-    if cap is not None and held > cap:
-        raise CapExceededError(held, cap)
+    if cap is not None:
+        if held > cap:
+            raise CapExceededError(held, cap)
+        if held * n > ROW_VALUES * cap:
+            raise CapExceededError(-(-held * n // ROW_VALUES), cap)
     pick, signs = _block_gather(n, w, p, signed)
     state = np.take(state, pick, axis=0)
     if signs is not None:
@@ -298,8 +308,8 @@ def _build_rows(alpha: Composition, cap: int | None) -> np.ndarray:
     then its still-free values in ascending order; ``_place_block`` places
     one block at a time.  The cap bounds ``quotient_size`` and is checked
     before anything is allocated, so a block's gather tables have at most
-    ``cap`` columns.  The rows returned are the state transposed, a
-    Fortran-ordered view.
+    ``cap`` columns; each step's check bounds their width as well.  The
+    rows returned are the state transposed, a Fortran-ordered view.
 
     Rows come in build order, the latest block the most significant: by
     the last block's sign mask, then its values, then the sign mask of the
@@ -311,7 +321,7 @@ def _build_rows(alpha: Composition, cap: int | None) -> np.ndarray:
         raise CapExceededError(size, cap)
     state = _identity_state(alpha.n)
     for b, p in enumerate(alpha.parts):
-        state = _place_block(state, alpha.prefix[b], p, alpha.split or b > 0)
+        state = _place_block(state, alpha.prefix[b], p, alpha.split or b > 0, cap)
     return state.T
 
 
@@ -372,6 +382,12 @@ def enumerate_quotient_by_filter(alpha: Composition) -> list[SignedPermutation]:
 
 def longest_element(alpha: Composition) -> SignedPermutation:
     """The weak-order maximum of the quotient."""
+    return SignedPermutation(_longest_right(alpha))
+
+
+def _longest_right(alpha: Composition) -> tuple[int, ...]:
+    """The right part of ``longest_element``: a join composition's first
+    block stays ascending, and every other block is negated and reversed."""
     p = alpha.prefix
     right = []
     for a in range(1, alpha.n + 1):
@@ -380,7 +396,7 @@ def longest_element(alpha: Composition) -> SignedPermutation:
             right.append(a)
         else:
             right.append(-(p[i] + p[i - 1] + 1 - a))
-    return SignedPermutation(tuple(right))
+    return tuple(right)
 
 
 def parabolic_length(alpha: Composition) -> int:
@@ -401,60 +417,76 @@ class TableauCell:
     reflection: Reflection
 
 
+def tableau_cells(alpha: Composition):
+    """The skew shape's mu and lam, and its cells' labels, row by row.
+
+    Row k (from 1) occupies columns mu_k + 1 .. lam_k, and each of its cells
+    is (col, row_label, col_label, generator, reflection), left to right.
+    The row label is a1 + 1 - k in a join composition's first block and -k
+    otherwise; column c's label is the longest element's value at position
+    n + 1 - c up to c = n, and 2n + 1 - c past it; the cell's reflection
+    reads both labels (``_cell_reflection``).  ``InversionTableau`` wraps
+    the cells as ``TableauCell``s; a caller that needs only the labels
+    builds no objects but the reflections.
+    """
+    n = alpha.n
+    a1 = alpha.first_part
+    p = alpha.prefix
+    omega = _longest_right(alpha)
+    mu = tuple(n - p[alpha.region_of(k) - 1] for k in range(1, n + 1))
+    lam = tuple(
+        2 * n - a1 if alpha.join and k <= a1 else 2 * n + 1 - k
+        for k in range(1, n + 1)
+    )
+    rows = []
+    for k in range(1, n + 1):
+        if alpha.split or k > a1:
+            row_label = -k
+            start = 0
+        else:
+            row_label = a1 + 1 - k
+            start = a1 + 1 - k
+        cells = []
+        for col in range(mu[k - 1] + 1, lam[k - 1] + 1):
+            col_label = omega[n - col] if col <= n else 2 * n + 1 - col
+            gen = start + lam[k - 1] - col
+            cells.append(
+                (col, row_label, col_label, gen, _cell_reflection(row_label, col_label))
+            )
+        rows.append(cells)
+    return mu, lam, rows
+
+
+def _cell_reflection(r: int, c: int) -> Reflection:
+    if r > 0:
+        if c <= 0 or r >= c:
+            raise ValueError(f"impossible cell labels ({r}, {c})")
+        return Reflection(POS, r, c)
+    if c == -r:
+        return Reflection(SIGN, c)
+    if c > -r:
+        return Reflection(NEG, -r, c)
+    if c > 0:
+        return Reflection(NEG, c, -r)
+    return Reflection(POS, -c, -r)
+
+
 class InversionTableau:
     """The skew shape of a composition, filled with generators and reflections.
 
     Row k occupies columns mu_k + 1 .. lam_k.  Reading the generator filling
     bottom-to-top, left-to-right gives the sorting word of the longest
     element; reading the reflection filling top-to-bottom, right-to-left gives
-    its inversion order.
+    its inversion order.  The labels come from ``tableau_cells``.
     """
 
     def __init__(self, alpha: Composition):
         self.alpha = alpha
-        n = alpha.n
-        a1 = alpha.first_part
-        p = alpha.prefix
-        omega = longest_element(alpha)
-        self.mu = tuple(n - p[alpha.region_of(k) - 1] for k in range(1, n + 1))
-        self.lam = tuple(
-            2 * n - a1 if alpha.join and k <= a1 else 2 * n + 1 - k
-            for k in range(1, n + 1)
+        self.mu, self.lam, rows = tableau_cells(alpha)
+        self.rows = tuple(
+            tuple(TableauCell(k, *cell) for cell in row)
+            for k, row in enumerate(rows, start=1)
         )
-        rows = []
-        for k in range(1, n + 1):
-            if alpha.split or k > a1:
-                row_label = -k
-                start = 0
-            else:
-                row_label = a1 + 1 - k
-                start = a1 + 1 - k
-            cells = []
-            for col in range(self.mu[k - 1] + 1, self.lam[k - 1] + 1):
-                col_label = omega(n + 1 - col) if col <= n else 2 * n + 1 - col
-                gen = start + self.lam[k - 1] - col
-                cells.append(
-                    TableauCell(
-                        k, col, row_label, col_label, gen,
-                        self._cell_reflection(row_label, col_label),
-                    )
-                )
-            rows.append(tuple(cells))
-        self.rows = tuple(rows)
-
-    @staticmethod
-    def _cell_reflection(r: int, c: int) -> Reflection:
-        if r > 0:
-            if c <= 0 or r >= c:
-                raise ValueError(f"impossible cell labels ({r}, {c})")
-            return Reflection(POS, r, c)
-        if c == -r:
-            return Reflection(SIGN, c)
-        if c > -r:
-            return Reflection(NEG, -r, c)
-        if c > 0:
-            return Reflection(NEG, c, -r)
-        return Reflection(POS, -c, -r)
 
     def cells(self):
         return (cell for row in self.rows for cell in row)

@@ -12,7 +12,9 @@ bulk routines work on the quotient as an (m, n) array of right-part rows and
 find rows by ``row_index``: ``fiber_bottoms`` eliminates one of each row's 231
 patterns, named by the scan it shares with ``aligned_mask``, and
 ``theta_classes`` groups the rows by bottom and takes each fiber's longest
-member as its top.
+member as its top.  An elimination is the left action of one generator, so
+a caller that already holds every generator's images among the rows (as
+verification does) passes that table and nothing is looked up again.
 """
 
 from __future__ import annotations
@@ -114,30 +116,57 @@ class ThetaClass:
         }
 
 
-def eliminate_231(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows holding a 231 pattern, and each with one of its patterns eliminated.
+def generator_values(n: int, s: int, dtype) -> np.ndarray:
+    """The left action of the generator s on signed values, as a lookup array.
 
-    ``rows`` is a (m, n) integer array or a sequence of right parts.  The
-    scan behind ``aligned_mask`` names an outer pair of the plan for each
-    such row; the values at its positions i and k, u + 1 and u, trade places
-    as in ``eliminate_pattern``.  Returns the row indices and the new rows.
+    ``values[v]`` is s(v) for v in -n..n, a negative v counted from the end,
+    so ``values[rows]`` multiplies every right-part row by s on the left:
+    s_0 negates the values +-1, and s_k swaps +-k and +-(k + 1), keeping
+    signs.
     """
-    right = np.asarray(rows)
+    values = np.arange(2 * n + 1)
+    values[n + 1:] -= 2 * n + 1
+    values = values.astype(dtype)
+    if s == 0:
+        values[[1, -1]] = -1, 1
+    else:
+        values[[s, s + 1, -s, -s - 1]] = s + 1, s, -s - 1, -s
+    return values
+
+
+def _pattern_generators(alpha: Composition, right: np.ndarray):
+    """Rows holding a 231 pattern, and the generator that eliminates one of each.
+
+    The scan behind ``aligned_mask`` names an outer pair (i, k) of the plan
+    for each such row.  Its values, pi(i) = succ(u) and pi(k) = u, trade
+    places under the generator s that ``eliminate_pattern`` picks: s_0 for
+    u = -1, s_u for u > 0 and s_{-u-1} for u < -1.
+    """
     plan = _scan_plan(alpha)
     pair = _violations(right, plan)
     hit = np.flatnonzero(pair >= 0)
-    outer = np.array(
-        [(i, k) for k, _, _, group in plan for i in group], dtype=np.intp
-    ).reshape(-1, 2)
-    i, k = outer[pair[hit]].T
-    # pi(i) is the value at position |i|, negated when i < 0; k > 0.
-    vi = right[hit, np.abs(i) - 1] * np.sign(i)
-    vk = right[hit, k - 1]
-    eliminated = right[hit]
-    at = np.arange(len(hit))
-    eliminated[at, k - 1] = vi
-    eliminated[at, np.abs(i) - 1] = np.where(i < 0, -vk, vk)
-    return hit, eliminated
+    outer_k = np.array([k for k, _, _, group in plan for _ in group], dtype=np.intp)
+    u = right[hit, outer_k[pair[hit]] - 1].astype(np.intp)
+    return hit, np.where(u == -1, 0, np.where(u > 0, u, -u - 1))
+
+
+def _act(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Each row multiplied on the left by its own generator."""
+    n = rows.shape[1]
+    table = np.stack([generator_values(n, s, rows.dtype) for s in range(n)])
+    return table[gens[:, None], rows]
+
+
+def eliminate_231(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows holding a 231 pattern, and each with one of its patterns eliminated.
+
+    ``rows`` is a (m, n) integer array or a sequence of right parts.  Each
+    such row is multiplied by the generator ``_pattern_generators`` names,
+    as in ``eliminate_pattern``.  Returns the row indices and the new rows.
+    """
+    right = np.asarray(rows)
+    hit, gens = _pattern_generators(alpha, right)
+    return hit, _act(right[hit], gens)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -171,7 +200,7 @@ def row_index(rows, wanted) -> np.ndarray:
     return row_lookup(rows)(wanted)
 
 
-def fiber_bottoms(alpha: Composition, rows) -> np.ndarray:
+def fiber_bottoms(alpha: Composition, rows, images=None) -> np.ndarray:
     """Index of each row's downward projection among ``rows``.
 
     ``rows`` is a (m, n) integer array or a sequence of right parts, and
@@ -180,16 +209,25 @@ def fiber_bottoms(alpha: Composition, rows) -> np.ndarray:
     takes it to, which must be among ``rows`` (else ValueError).  Every
     elimination stays in the fiber, so this is the recursion of
     ``project_down``, resolved for all rows at once by pointer jumping.
+
+    The eliminated rows are looked up among ``rows``, unless ``images``
+    already holds every generator's images: an (n, m) table whose entry
+    [s, x] is the index of s x among the rows, or -1.  Then row x's step is
+    ``images[s, x]`` for the generator s of its pattern, and no row is
+    built.
     """
     right = np.asarray(rows)
-    hit, eliminated = eliminate_231(alpha, right)
-    found = row_index(right, eliminated)
-    missing = np.flatnonzero(found < 0)
+    hit, gens = _pattern_generators(alpha, right)
+    if images is None:
+        found = row_index(right, _act(right[hit], gens))
+    else:
+        found = images[gens, hit]
+    missing = np.flatnonzero(found < 0)[:1]
     if missing.size:
-        r = missing[0]
+        row = right[hit[missing]]
         raise ValueError(
-            f"a 231 pattern of {format_right(right[hit[r]])} eliminates"
-            f" to {format_right(eliminated[r])}, which is not among the rows"
+            f"a 231 pattern of {format_right(row[0])} eliminates"
+            f" to {format_right(_act(row, gens[missing])[0])}, which is not among the rows"
         )
     bottoms = np.arange(len(right))
     bottoms[hit] = found

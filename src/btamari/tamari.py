@@ -19,10 +19,17 @@ up to n = 8, so x <= y is "no bit of x outside y".
 Verification builds each structure once per composition.  The weak order
 on the whole quotient gets no m x m matrix: the congruence test, the
 quotient order and the not-a-sublattice witness read only its inversion
-words and cover pairs.  Only the subposet lattice gets meet and join
-tables.  The subposet and quotient constructions stay as two independent
-routes to the same lattice, so that each confirms the other.  Tam_B's order
-and tables are dense, so no Tam_B above TABLE_THRESHOLD elements is built.
+words and cover pairs.  The covers come from one table of generator
+images, s x for every generator s and row x, looked up among the rows one
+generator at a time; the projection fibers read the same table, so no row
+is looked up twice.  Tam_B's labels and the quotient's class minima are
+both in right-part order, so they are compared as arrays, and the fibers'
+bottoms give Tam_B's indices among the rows.  The constructor check reads
+the inversion tableau's labels with no cell objects.  Only the subposet
+lattice gets meet and join tables.  The subposet and quotient
+constructions stay as two independent routes to the same lattice, so that
+each confirms the other.  Tam_B's order and tables are dense, so no Tam_B
+above TABLE_THRESHOLD elements is built.
 """
 
 from __future__ import annotations
@@ -37,14 +44,14 @@ from .alignment import aligned_rows
 from .errors import NotACongruenceError, NotALatticeError, TableBoundError
 from .parabolic import (
     Composition,
-    InversionTableau,
     inversion_columns,
     lex_sorted,
     longest_element,
     parabolic_length,
     quotient_rows,
+    tableau_cells,
 )
-from .projection import fiber_bottoms, row_index, row_lookup
+from .projection import fiber_bottoms, generator_values, row_index, row_lookup
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 # The checks of a verification report, in the order verify_theorems runs them.
@@ -82,33 +89,30 @@ def _weak_leq_matrix(rows: np.ndarray) -> np.ndarray:
     return lat.contained(_inversion_words(rows)[0])
 
 
-def _weak_covers(rows: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weak order's cover pairs (below, above) on a quotient's rows, row-major.
+def _weak_covers(rows: np.ndarray, length: np.ndarray):
+    """The weak order's cover pairs (below, above) on a quotient's rows, row-major,
+    and the table of generator images.
 
     The quotient is a lower interval of the weak order on the group (A.
     Björner and M. Wachs, Trans. AMS 308, 1988), so y covers x exactly when
-    y = s x is one longer for a generator s.  On the left, s_0 negates the
-    value +-1 and s_k swaps the values +-k and +-(k + 1), keeping signs.
-    Each generator's images are found among the rows, one generator at a
-    time.
+    y = s x is one longer for a generator s.  Each generator's images are
+    found among the rows, one generator at a time, and kept: ``images`` is
+    an (n, m) int32 table whose entry [s, x] is the index of s x, or -1
+    where s x leaves the quotient.
     """
     find = row_lookup(rows)
     n = rows.shape[1]
+    images = np.empty((n, len(rows)), dtype=np.int32)
     below, above = [], []
-    for k in range(n):
-        # values[v] = s_k(v) for v in -n..n, a negative v counted from the end.
-        values = np.r_[0:n + 1, -n:0].astype(rows.dtype)
-        if k == 0:
-            values[[1, -1]] = -1, 1
-        else:
-            values[[k, k + 1, -k, -k - 1]] = k + 1, k, -k - 1, -k
-        found = find(values[rows])
+    for s in range(n):
+        images[s] = find(generator_values(n, s, rows.dtype)[rows])
+        found = images[s]
         x = np.flatnonzero((found >= 0) & (length[found] == length + 1))
         below.append(x)
         above.append(found[x])
     below, above = np.concatenate(below), np.concatenate(above)
     order = np.lexsort((above, below))
-    return below[order], above[order]
+    return below[order], above[order], images
 
 
 def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
@@ -222,7 +226,7 @@ def _fill_positions(n: int, spots: list[int]) -> tuple[int, ...]:
 # -- structural verification -----------------------------------------------------
 
 
-def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice):
+def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice, into_weak):
     """First pair a < b, row-major over Tamari indices, whose two meets differ.
 
     Returns the rows (label b, label a, weak-order meet, Tamari meet), or
@@ -233,8 +237,8 @@ def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice):
     inversions t's upper covers add, t < w exactly when added[t] & words[a]
     & words[b] is not empty: one word AND per pair.  Climbing through such
     covers from t ends at w, which lies above every common lower bound.
+    ``into_weak`` holds Tam_B's indices among the rows.
     """
-    into_weak = row_index(rows, tam.labels)
     # The inversion each cover adds, and per element the ones its covers add.
     gained = words[above] ^ words[below]
     added = np.zeros_like(words)
@@ -344,8 +348,9 @@ def verify_theorems(
     not a lattice, ``lattice_subposet`` fails with the pair the table kernel
     names, and so does every check on L.  The quotient's rows are
     enumerated once, and its weak order, projection fibers and their
-    quotient order are each built once.  Only L gets meet and join tables;
-    the quotient's are tried only when its order differs from L's.  L's
+    quotient order are each built once; the covers and the fibers read one
+    table of generator images.  Only L gets meet and join tables; the
+    quotient's are tried only when its order differs from L's.  L's
     irreducibles and length are counted once.  The witnesses become
     ``SignedPermutation``s only here, for the report.  A caller that already
     holds ``build_tamari(alpha, cap)`` passes it as ``tam``, and it is not
@@ -358,12 +363,18 @@ def verify_theorems(
             L = build_tamari(alpha, cap)
         except NotALatticeError as exc:
             tam_failure = _not_a_lattice(exc)
+    # L's covers, which every check on L reads, are found before the weak
+    # side is held, so that their m x m temporaries do not stack on it.
+    if L is not None:
+        irreducibles = lat.join_irreducibles(L)
     rows = quotient_rows(alpha, cap)
     words, length = _inversion_words(rows)
-    below, above = _weak_covers(rows, length)
+    below, above, images = _weak_covers(rows, length)
+    bottoms = fiber_bottoms(alpha, rows, images)
+    del images
     quot, failure = None, None
     try:
-        quot = lat.quotient_order(rows, words, below, above, fiber_bottoms(alpha, rows))
+        quot = lat.quotient_order(rows, words, below, above, bottoms)
     except NotACongruenceError as exc:
         failure = str(exc)
     checks["congruence_valid"] = quot is not None
@@ -384,7 +395,6 @@ def verify_theorems(
     checks["congruence_uniform"] = lat.is_congruence_uniform(L)
     checks["semidistributive"] = lat.is_semidistributive(L)
     ln = L.length()
-    irreducibles = lat.join_irreducibles(L)
     checks["extremal"] = len(irreducibles) == len(lat.meet_irreducibles(L)) == ln
     checks["trim"] = checks["extremal"] and lat.extremal_is_trim(
         L, checks["semidistributive"], verify_chain
@@ -399,7 +409,12 @@ def verify_theorems(
         "length": ln,
         "join_irreducibles": len(irreducibles),
     }
-    witness = _meet_mismatch(rows, words, below, above, L)
+    # The fibers' bottoms are the rows that are their own bottom; when they
+    # are Tam_B's labels, they are its indices among the rows.
+    into_weak = np.flatnonzero(bottoms == np.arange(len(rows)))
+    if not np.array_equal(rows[into_weak], L.labels):
+        into_weak = row_index(rows, L.labels)
+    witness = _meet_mismatch(rows, words, below, above, L, into_weak)
     if witness is not None:
         witness = _perms(witness)
     # The semidistributive check above kept its witness; this reads it.
@@ -432,11 +447,12 @@ def _lattice_failure(poset: lat.FinitePoset):
 
 
 def _isomorphic(a: lat.FinitePoset, b: lat.FinitePoset) -> bool:
-    """Label-preserving isomorphism between two orders on right-part rows."""
-    order = row_index(b.labels, a.labels)
-    if a.n != b.n or (order < 0).any():
-        return False
-    return bool(np.array_equal(a.leq, b.leq[np.ix_(order, order)]))
+    """Label-preserving isomorphism between two orders on right-part rows.
+
+    Both label arrays are in right-part order, so the two share their labels
+    exactly when the arrays are equal, and then element i is element i.
+    """
+    return bool(np.array_equal(a.labels, b.labels) and np.array_equal(a.leq, b.leq))
 
 
 def _constructor_matches(
@@ -446,7 +462,7 @@ def _constructor_matches(
 
     The element built for a cell's inversion t covers t and nothing else.
     """
-    cells = [cell.reflection for cell in InversionTableau(alpha).cells()]
+    cells = [cell[-1] for row in tableau_cells(alpha)[2] for cell in row]
     built = np.array([_join_irreducible(alpha, t) for t in cells]).reshape(-1, alpha.n)
     # Sorted, distinct and equal to the irreducibles' rows.
     return bool(_covers_exactly(built, cells).all()) and np.array_equal(

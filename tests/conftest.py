@@ -8,6 +8,7 @@ from btamari import alignment
 from btamari.config import resolve_cap
 from btamari.errors import CapExceededError
 from btamari.lattice import (
+    BLOCK_BYTES,
     FiniteLattice,
     FinitePoset,
     extremal_is_trim,
@@ -18,9 +19,11 @@ from btamari.lattice import (
 )
 from btamari.parabolic import (
     Composition,
+    _cell_reflection,
     _sign_table,
     _split_slots,
     all_compositions,
+    longest_element,
     quotient_rows,
     quotient_size,
 )
@@ -63,6 +66,52 @@ def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
     return is_extremal(lat) and extremal_is_trim(
         lat, is_semidistributive(lat), verify_chain
     )
+
+
+def lower_bounded_by_gather(lat: FiniteLattice, block_bytes: int = BLOCK_BYTES) -> bool:
+    """The oracle for ``lattice._lower_bounded``: D by gathering join-table rows.
+
+    j D k when j != k, j <= k v x and j !<= k_* v x for some x.  Each k's
+    lower cover comes from an ``argmax`` over its column of ``covers``, and
+    D is one gather of the join table's rows for k and k_* into the
+    irreducibles' up-sets, O(|J|^2 m) booleans, over blocks of k of about
+    ``block_bytes``; the library packs the irreducibles below each element
+    into bit words instead.  Sinks are peeled off as in the library.
+    """
+    covers = lat.covers
+    irr = np.flatnonzero(covers.sum(axis=0) == 1)
+    lows = covers[:, irr].argmax(axis=0)
+    join, below = lat.join_table(), lat.leq[irr]
+    dep = np.empty((len(irr), len(irr)), dtype=bool)
+    step = max(1, block_bytes // (below.size + 1))
+    for lo in range(0, len(irr), step):
+        k, low = join[irr[lo:lo + step]], join[lows[lo:lo + step]]
+        dep[:, lo:lo + step] = (below[:, k] & ~below[:, low]).any(axis=2)
+    np.fill_diagonal(dep, False)
+    alive = np.ones(len(irr), dtype=bool)
+    while (sinks := alive & ~dep[:, alive].any(axis=1)).any():
+        alive &= ~sinks
+    return not alive.any()
+
+
+def tableau_reflections_by_loop(alpha: Composition):
+    """The oracle for ``parabolic.tableau_cells``' reflections, row by row.
+
+    The labelling loop as ``InversionTableau`` ran it before it read
+    ``tableau_cells``: mu and lam per row, the longest element as a signed
+    permutation, called at each column's position.
+    """
+    n, a1, p = alpha.n, alpha.first_part, alpha.prefix
+    omega = longest_element(alpha)
+    mu = [n - p[alpha.region_of(k) - 1] for k in range(1, n + 1)]
+    lam = [2 * n - a1 if alpha.join and k <= a1 else 2 * n + 1 - k for k in range(1, n + 1)]
+    found = []
+    for k in range(1, n + 1):
+        row_label = -k if alpha.split or k > a1 else a1 + 1 - k
+        for col in range(mu[k - 1] + 1, lam[k - 1] + 1):
+            col_label = omega(n + 1 - col) if col <= n else 2 * n + 1 - col
+            found.append(_cell_reflection(row_label, col_label))
+    return found
 
 
 def _long_array(rows) -> np.ndarray:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from btamari import tamari
+from btamari import parabolic, tamari
 from btamari.cli import main
 from btamari.config import resolve_threads
 from btamari.errors import NotACongruenceError, NotALatticeError
@@ -53,6 +53,19 @@ class TestEnumerate:
             assert len(err) < 200
         code, _, err = run(capsys, "--cap", "10", "enumerate", "--alpha", "0,1,1,1")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv", [["cover-enum"], ["enumerate"], ["lattice", "--check", "all"]]
+    )
+    def test_wide_block_step_exit_three(self, capsys, monkeypatch, argv):
+        # 32,766 rows of 32,766 values: refused before any gather table.
+        def not_built(*args):
+            raise AssertionError("gather table built for a refused step")
+
+        monkeypatch.setattr(parabolic, "_block_gather", not_built)
+        code, out, err = run(capsys, *argv, "--alpha", "32765,1")
+        assert (code, out) == (3, "")
+        assert err == "error: enumeration needs 16775169 elements, cap is 2000000\n"
 
     def test_batch(self, capsys, tmp_path):
         batch = tmp_path / "alphas.txt"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import gc
+import weakref
+
 from btamari.errors import NotACongruenceError, NotALatticeError
 from btamari import lattice
 from btamari.lattice import (
@@ -23,7 +26,13 @@ from btamari.lattice import (
 from btamari.parabolic import Composition, all_compositions, quotient_rows
 from btamari.projection import fiber_bottoms
 from btamari.tamari import _inversion_words, _weak_covers, build_tamari
-from conftest import full_group, is_extremal, is_trim, weak_order_lattice
+from conftest import (
+    full_group,
+    is_extremal,
+    is_trim,
+    lower_bounded_by_gather,
+    weak_order_lattice,
+)
 
 
 def poset_from(labels, relation):
@@ -348,6 +357,41 @@ def weak_order_partitions(alpha, weak):
     return keys
 
 
+def doubled_lattice(rng, m):
+    """A congruence-uniform lattice of m elements: one element, then random
+    intervals doubled (A. Day), mostly single elements.
+
+    Doubling an interval I puts the down-set of I at level 0, the rest at
+    level 1, and I at both, ordered as a subset of L x 2.
+    """
+    leq = np.ones((1, 1), dtype=bool)
+    while len(leq) < m:
+        a = int(rng.integers(len(leq)))
+        # The upper covers of a: the b whose interval [a, b] has two elements.
+        covering = np.flatnonzero((leq[a][:, None] & leq).sum(axis=0) == 2)
+        b = a
+        if covering.size and len(leq) + 2 <= m and rng.random() < 0.2:
+            b = int(rng.choice(covering))
+        inside = leq[a] & leq[:, b]
+        down = leq[:, b]
+        elements = [(x, 0) for x in np.flatnonzero(down)]
+        elements += [(x, 1) for x in np.flatnonzero(inside | ~down)]
+        x, level = np.array(elements).T
+        leq = leq[np.ix_(x, x)] & (level[:, None] <= level)
+    return try_lattice(FinitePoset(list(range(m)), leq))
+
+
+def tree_lattice(rng, m):
+    """A random rooted tree on m - 1 elements, root at the bottom, under a
+    new top: every tree element but the root is join-irreducible."""
+    leq = np.eye(m, dtype=bool)
+    leq[:, m - 1] = True
+    for x in range(1, m - 1):
+        # Below x: x and everything below its parent, an earlier element.
+        leq[:, x] |= leq[:, int(rng.integers(x))]
+    return try_lattice(FinitePoset(list(range(m)), leq))
+
+
 def weak_order_lattice_raw(n):
     group = sorted(full_group(n), key=lambda p: p.right)
     return try_lattice(poset_from(group, lambda u, v: u.weak_leq(v)))
@@ -393,6 +437,25 @@ class TestPosets:
             assert np.array_equal(twice.leq, lat.leq)
             assert np.array_equal(twice.meet_table(), lat.meet_table())
             assert np.array_equal(twice.join_table(), lat.join_table())
+
+
+    def test_lattice_and_dual_freed_without_the_collector(self):
+        # The kept dual holds no reference back, so with the cyclic
+        # collector off, dropping the last reference frees both.
+        from btamari.tamari import verify_theorems
+
+        alpha = Composition.parse("0,2,1")
+        tam = build_tamari(alpha)
+        assert verify_theorems(alpha, tam=tam).ok
+        assert tam.dual() is tam.dual()
+        assert meet_irreducibles(tam) == join_irreducibles(tam.dual())
+        refs = weakref.ref(tam), weakref.ref(tam.dual())
+        gc.disable()
+        try:
+            del tam
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestTryLattice:
@@ -649,7 +712,7 @@ class TestCongruences:
             for alpha in all_compositions(n):
                 weak = small_lattices[f"weak {alpha.format()}"]
                 words, length = _inversion_words(weak.labels)
-                below, above = _weak_covers(weak.labels, length)
+                below, above, _ = _weak_covers(weak.labels, length)
                 for keys in weak_order_partitions(alpha, weak):
                     why, _ = lattice._congruence_failure(words, below, above, keys)
                     expected = loop_check_congruence(weak, Partition(keys.tolist()))
@@ -786,6 +849,44 @@ class TestCongruenceUniformity:
                 seen.add(halves)
             # lower bounded only, upper bounded only, both and neither all occur
             assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_bitsets_match_gather_oracle(self, small_lattices, monkeypatch):
+        # Every Tam_B with n <= 5 and the small weak orders, both ways up.
+        named = {
+            f"tamari {alpha.format()}": build_tamari(alpha)
+            for n in range(1, 6) for alpha in all_compositions(n)
+        }
+        named.update(
+            (name, lat) for name, lat in small_lattices.items() if name.startswith("weak")
+        )
+        assert len(named) == 62 + 30
+        seen = set()
+        for name, lat in named.items():
+            for side, half in (("", lat), ("dual ", lat.dual())):
+                expected = lower_bounded_by_gather(half)
+                seen.add(expected)
+                for block_bytes in self.BLOCK_BYTES:
+                    monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+                    assert _lower_bounded(half) == expected, (side + name, block_bytes)
+        assert seen == {True}
+
+    def test_multi_word_bitsets_match_gather_oracle(self, monkeypatch):
+        # 65 to 200 elements and more than 64 join-irreducibles, so each
+        # element's mask takes two to four words.  Doubled lattices are
+        # congruence uniform; a tree under a top holds M3s.
+        rng = np.random.default_rng(22)
+        lattices = [doubled_lattice(rng, int(rng.integers(90, 200))) for _ in range(6)]
+        lattices += [tree_lattice(rng, int(rng.integers(67, 200))) for _ in range(6)]
+        seen = set()
+        for lat in lattices:
+            assert 65 <= lat.n <= 200 and len(join_irreducibles(lat)) > 64
+            for half in (lat, lat.dual()):
+                expected = lower_bounded_by_gather(half)
+                seen.add(expected)
+                for block_bytes in self.BLOCK_BYTES:
+                    monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+                    assert _lower_bounded(half) == expected, (lat.n, block_bytes)
+        assert seen == {True, False}
 
     def test_uniform_implies_semidistributive_crosscheck(self):
         for lat in (chain(4), n5(), weak_order_lattice_raw(2), m3(), boolean(2)):

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 
 from btamari.alignment import _avoids, _block_plan
 from btamari.errors import CapExceededError, CompositionError
+from btamari import parabolic
 from btamari.parabolic import (
+    ROW_VALUES,
     Composition,
     InversionTableau,
     _build_rows,
+    _identity_state,
+    _place_block,
     all_compositions,
     c_sorting_word,
     enumerate_quotient,
@@ -24,11 +28,18 @@ from btamari.parabolic import (
     quotient_rows,
     quotient_size,
     sorting_word_longest,
+    tableau_cells,
     word_suffix_chain,
 )
 from btamari.signed_perm import Reflection, SignedPermutation
 
-from conftest import aligned_block_steps, build_rows_two_arrays, compositions, perm
+from conftest import (
+    aligned_block_steps,
+    build_rows_two_arrays,
+    compositions,
+    perm,
+    tableau_reflections_by_loop,
+)
 
 A3121 = Composition.parse("0,3,1,2,1")
 A422 = Composition.parse("4,2,2")
@@ -252,6 +263,44 @@ class TestQuotientRows:
             assert rows.tolist() == [list(range(1, n + 1))]
 
 
+class TestBlockWidth:
+    # The cap bounds a block step's values, rows times n, at ROW_VALUES
+    # values per element, checked before its gather table is built.
+    @pytest.fixture
+    def no_gather(self, monkeypatch):
+        def not_built(*args):
+            raise AssertionError("gather table built for a refused step")
+
+        monkeypatch.setattr(parabolic, "_block_gather", not_built)
+
+    def test_widest_step_refused_before_its_gather(self, no_gather):
+        # 32,766 rows of 32,766 values: under the cap as rows, far over as values.
+        with pytest.raises(CapExceededError) as info:
+            _place_block(_identity_state(32766), 0, 32765, False, 2_000_000)
+        assert (info.value.required, info.value.cap) == (16_775_169, 2_000_000)
+        assert info.value.required == -(-32766 * 32766 // ROW_VALUES)
+
+    def test_quotient_build_bounded_too(self, no_gather):
+        # 65,532 members, under the cap; the first block's step is not.
+        alpha = Composition.parse("32765,1")
+        assert quotient_size(alpha) == 65_532
+        with pytest.raises(CapExceededError) as info:
+            quotient_rows(alpha)
+        assert info.value.required == 16_775_169
+
+    def test_boundary(self):
+        # n = 65: C(65, 64) = 65 rows hold 4,225 values, one over 64 * 66.
+        with pytest.raises(CapExceededError) as info:
+            _place_block(_identity_state(65), 0, 64, False, 66)
+        assert (info.value.required, info.value.cap) == (67, 66)
+        assert _place_block(_identity_state(65), 0, 64, False, 67).shape == (65, 65)
+        # Up to n = ROW_VALUES the rows alone meet the cap first.
+        assert _place_block(_identity_state(64), 0, 63, False, 64).shape == (64, 64)
+        with pytest.raises(CapExceededError) as info:
+            _place_block(_identity_state(64), 0, 63, False, 63)
+        assert (info.value.required, info.value.cap) == (64, 63)
+
+
 class TestLongestElement:
     def test_examples(self):
         assert longest_element(A3121) == perm("-3,-2,-1,-4,-6,-5,-7")
@@ -303,6 +352,17 @@ class TestSkewShape:
         assert t2.mu == (8, 8, 8, 8, 4, 4, 2, 2)
         assert t2.lam == (12, 12, 12, 12, 12, 11, 10, 9)
         assert InversionTableau(staircase(4)).cell_count == 16
+
+    def test_cell_labels_match_loop_oracle(self):
+        # The labels verify reads, with no tableau object, are the tableau's.
+        for n in range(1, 8):
+            for alpha in all_compositions(n):
+                mu, lam, rows = tableau_cells(alpha)
+                found = [cell[-1] for row in rows for cell in row]
+                tableau = InversionTableau(alpha)
+                assert found == tableau_reflections_by_loop(alpha), alpha
+                assert found == [c.reflection for c in tableau.cells()], alpha
+                assert (mu, lam) == (tableau.mu, tableau.lam)
 
     def test_cell_count_is_length(self, all_small_compositions):
         for n in (1, 2, 3, 4):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,33 @@ class TestVerificationSweep:
         ]
         assert "all checks passed" not in captured.out
         assert len(captured.out.splitlines()) == 5
+
+    @pytest.mark.parametrize(
+        "max_n,line",
+        [
+            (40, "--max-n 40: refused, enumeration needs at least 10^59 elements,"
+                 " cap is 2000000"),
+            (8, "--max-n 8: refused, enumeration needs 10321920 elements,"
+                " cap is 2000000"),
+        ],
+    )
+    def test_max_n_above_the_cap_refused_up_front(
+        self, sweep, capsys, monkeypatch, max_n, line
+    ):
+        # The full group of degree N, 2^N N! elements, is the largest quotient.
+        monkeypatch.delenv("TAMARI_B_CAP", raising=False)
+        start = time.monotonic()
+        assert sweep(["--max-n", str(max_n)]) == 3
+        assert time.monotonic() - start < 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n")
+
+    def test_up_front_bound_reads_the_environment_cap(self, sweep, capsys, monkeypatch):
+        monkeypatch.setenv("TAMARI_B_CAP", "100")
+        assert sweep(["--max-n", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--max-n 4: refused, enumeration needs 384 elements, cap is 100\n"
+        # 48 elements at degree 3: every composition is verified.
+        assert sweep(["--max-n", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"

@@ -176,8 +176,9 @@ class TestNotSublattice:
     def test_matches_pairwise_scan(self, all_small_compositions, monkeypatch):
         # The weak meets come from the oracle's dense table; _meet_mismatch
         # gets the weak order as inversion words and cover pairs, in one
-        # block of rows and in blocks of one row.  0,2,1,2 and 1,2,1,1 have
-        # witnesses.
+        # block of rows and in blocks of one row, and Tam_B's indices among
+        # the rows both as verify takes them, the fibers' bottoms, and by
+        # row_index.  0,2,1,2 and 1,2,1,1 have witnesses.
         from btamari.tamari import _inversion_words, _meet_mismatch, _weak_covers
 
         alphas = [alpha for n in (2, 3, 4) for alpha in all_small_compositions[n]]
@@ -196,16 +197,21 @@ class TestNotSublattice:
                     expected = (pb, pa, wm, tm)
                     break
             words, length = _inversion_words(weak.labels)
-            below, above = _weak_covers(weak.labels, length)
+            below, above, _ = _weak_covers(weak.labels, length)
+            bottoms = fiber_bottoms(alpha, weak.labels)
+            own_bottoms = np.flatnonzero(bottoms == np.arange(weak.n))
+            looked_up = projection.row_index(weak.labels, tam.labels)
+            assert np.array_equal(own_bottoms, looked_up), alpha.format()
 
-            def mismatch():
-                found = _meet_mismatch(weak.labels, words, below, above, tam)
+            def mismatch(into_weak):
+                found = _meet_mismatch(weak.labels, words, below, above, tam, into_weak)
                 return found if found is None else tuple(tuple(r.tolist()) for r in found)
 
-            assert mismatch() == expected, alpha.format()
-            with monkeypatch.context() as patch:
-                patch.setattr(lattice, "BLOCK_BYTES", 1)
-                assert mismatch() == expected, alpha.format()
+            for into_weak in (own_bottoms, looked_up):
+                assert mismatch(into_weak) == expected, alpha.format()
+                with monkeypatch.context() as patch:
+                    patch.setattr(lattice, "BLOCK_BYTES", 1)
+                    assert mismatch(into_weak) == expected, alpha.format()
 
 
 class TestVerifyTheorems:
@@ -293,7 +299,10 @@ class TestVerifyBuildsOnce:
             (projection, "longest_element"),
             (tamari, "longest_element"),
             (parabolic, "InversionTableau"),
-            (tamari, "InversionTableau"),
+            (tamari, "tableau_cells"),
+            (tamari, "row_lookup"),
+            (tamari, "row_index"),
+            (projection, "row_index"),
             (lattice, "join_irreducibles"),
             (lattice, "meet_irreducibles"),
             (lattice.FinitePoset, "length"),
@@ -308,17 +317,19 @@ class TestVerifyBuildsOnce:
         assert verify_theorems(A021).ok
         # one quotient enumeration; tables for the subposet lattice only,
         # none for the weak order or the quotient; fibers read off the
-        # quotient's rows; one congruence test, whose class minima the
-        # quotient takes; one tableau, whose longest
-        # element serves every constructor cell; L's irreducibles and length
-        # counted once, for extremality, trimness and the stats alike
+        # quotient's rows and the generator images, with one row lookup
+        # for those images and none after it; one congruence test, whose
+        # class minima the quotient takes; the tableau's labels once, with
+        # no tableau object and no longest element as a signed permutation;
+        # L's irreducibles and length counted once, for extremality,
+        # trimness and the stats alike
         assert calls == {
             "fiber_bottoms": 1,
             "quotient_rows": 1,
             "_congruence_failure": 1,
             "try_lattice": 1,
-            "longest_element": 1,
-            "InversionTableau": 1,
+            "tableau_cells": 1,
+            "row_lookup": 1,
             "join_irreducibles": 1,
             "meet_irreducibles": 1,
             "length": 1,
@@ -457,8 +468,9 @@ class TestTamariNotALattice:
 
 class TestRowsNotObjects:
     def test_verify_builds_few_signed_permutations(self, monkeypatch):
-        # Rows travel from enumeration to the checks; only the constructor's
-        # elements and the report's witnesses are signed permutations.
+        # Rows travel from enumeration to the checks; only the report's
+        # witnesses are signed permutations: none for the full group of
+        # degree 5, which has no witness, and the four of 0,2,1's.
         built = Counter()
         original = SignedPermutation.__post_init__
         monkeypatch.setattr(
@@ -466,14 +478,17 @@ class TestRowsNotObjects:
             lambda self: built.update(["built"]) or original(self),
         )
         assert verify_theorems(Composition.parse("0,1,1,1,1,1")).ok
-        assert 0 < built["built"] < 100
+        assert built["built"] == 0
+        report = verify_theorems(A021)
+        assert report.ok and len(report.witness) == 4
+        assert built["built"] == 4
 
 
 class TestCongruenceFailure:
     @staticmethod
-    def merge_first_and_last(alpha, rows):
+    def merge_first_and_last(alpha, rows, images=None):
         # The bottom's and the top's fibers: their union is no interval.
-        bottoms = fiber_bottoms(alpha, rows)
+        bottoms = fiber_bottoms(alpha, rows, images)
         first, last = np.unique(bottoms)[[0, -1]]
         return np.where(bottoms == last, first, bottoms)
 
@@ -494,6 +509,45 @@ class TestCongruenceFailure:
         assert report.congruence_failure is None
         assert "congruence_failure" not in report.to_json()
         assert "not a congruence" not in report.summary()
+
+
+class TestGeneratorImages:
+    def test_table_is_row_index_of_each_generator_image(self):
+        # Row s of the table against the rows s x, made one signed
+        # permutation at a time and looked up: every quotient with n <= 5.
+        for n in range(1, 6):
+            for alpha in parabolic.all_compositions(n):
+                rows = quotient_rows(alpha)
+                _, _, images = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+                assert images.dtype == np.int32 and images.shape == (n, len(rows))
+                members = [SignedPermutation(r) for r in rows.tolist()]
+                for s in range(n):
+                    moved = [pi.mul_gen_left(s).right for pi in members]
+                    assert np.array_equal(images[s], projection.row_index(rows, moved)), (
+                        alpha, s
+                    )
+
+    def test_fiber_step_from_table_matches_lookup(self):
+        # verify's route against project's, on every quotient with n <= 6.
+        for n in range(1, 7):
+            for alpha in parabolic.all_compositions(n):
+                rows = quotient_rows(alpha)
+                _, _, images = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+                assert np.array_equal(
+                    fiber_bottoms(alpha, rows, images), fiber_bottoms(alpha, rows)
+                ), alpha
+
+    def test_missing_image_raises_as_the_lookup_does(self):
+        rows = quotient_rows(A021)
+        hit, eliminated = projection.eliminate_231(A021, rows)
+        kept = rows[~(rows == eliminated[0]).all(axis=1)]
+        _, _, images = tamari._weak_covers(kept, tamari._inversion_words(kept)[1])
+        with pytest.raises(ValueError) as looked_up:
+            fiber_bottoms(A021, kept)
+        with pytest.raises(ValueError) as from_table:
+            fiber_bottoms(A021, kept, images)
+        assert "not among the rows" in str(looked_up.value)
+        assert str(from_table.value) == str(looked_up.value)
 
 
 class TestWeakOrderLattice:
@@ -519,7 +573,7 @@ class TestWeakOrderLattice:
         for alpha in alphas:
             rows = quotient_rows(alpha)
             covers = lattice.FinitePoset(rows, tamari._weak_leq_matrix(rows)).covers
-            below, above = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+            below, above, _ = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
             assert np.array_equal(np.stack(np.nonzero(covers)), [below, above]), alpha
 
     def test_generator_covers_match_graded_covers(self):
@@ -532,7 +586,7 @@ class TestWeakOrderLattice:
             rows = quotient_rows(alpha)
             length = tamari._inversion_words(rows)[1]
             graded = (length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows)
-            below, above = tamari._weak_covers(rows, length)
+            below, above, _ = tamari._weak_covers(rows, length)
             assert np.array_equal(np.stack(np.nonzero(graded)), [below, above]), alpha
 
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
