@@ -32,20 +32,6 @@ class Decomposition:
     b: int = 1
 
 
-def root_vector(t: Reflection, n: int) -> tuple[int, ...]:
-    """Coordinates of the positive root attached to a reflection."""
-    v = [0] * n
-    if t.kind == SIGN:
-        v[t.i - 1] = 1
-    elif t.kind == POS:
-        v[t.i - 1] = -1
-        v[t.j - 1] = 1
-    else:
-        v[t.i - 1] = 1
-        v[t.j - 1] = 1
-    return tuple(v)
-
-
 def decompositions(t: Reflection, n: int) -> list[Decomposition]:
     """All ways to write t's root as a positive combination of two positive roots."""
     if t.max_index() > n:
@@ -208,8 +194,8 @@ def _descending_below(j: int, n: int):
     yield from range(-1, -n - 1, -1)
 
 
-def _find_pattern(alpha, pi, kind, first_only):
-    """Shared scan for 231 and 312 patterns.
+def _find_pattern(alpha, pi, kind):
+    """Shared scan for 231 and 312 patterns, yielding each in turn.
 
     A pattern is a triple i < j < k of positions in pairwise distinct blocks
     with j > 0 and pi(i) the successor of pi(k); the middle entry compares
@@ -222,7 +208,6 @@ def _find_pattern(alpha, pi, kind, first_only):
     a1 = alpha.first_part
     split = alpha.split
     flavor = ("split-" if split else "join-") + kind
-    found = []
     for j in range(1, n + 1):
         vj = pi.right[j - 1]
         bj = alpha.block_id(j)
@@ -247,27 +232,19 @@ def _find_pattern(alpha, pi, kind, first_only):
                 # reading under which the upward projection lands on fiber tops.
                 ok = vk > vj if (split or j > a1) else vj < vi
             if ok:
-                witness = PatternWitness(i, j, k, flavor)
-                if first_only:
-                    return witness
-                found.append(witness)
-    return None if first_only else found
+                yield PatternWitness(i, j, k, flavor)
 
 
 def find_231_pattern(
     alpha: Composition, pi: SignedPermutation
 ) -> Optional[PatternWitness]:
-    return _find_pattern(alpha, pi, "231", first_only=True)
-
-
-def find_all_231_patterns(alpha, pi) -> list[PatternWitness]:
-    return _find_pattern(alpha, pi, "231", first_only=False)
+    return next(_find_pattern(alpha, pi, "231"), None)
 
 
 def find_312_pattern(
     alpha: Composition, pi: SignedPermutation
 ) -> Optional[PatternWitness]:
-    return _find_pattern(alpha, pi, "312", first_only=True)
+    return next(_find_pattern(alpha, pi, "312"), None)
 
 
 def is_aligned(alpha: Composition, pi: SignedPermutation) -> bool:

@@ -20,6 +20,7 @@ verification does) passes that table and nothing is looked up again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -116,22 +117,24 @@ class ThetaClass:
         }
 
 
-def generator_values(n: int, s: int, dtype) -> np.ndarray:
-    """The left action of the generator s on signed values, as a lookup array.
+@lru_cache(maxsize=None)
+def generator_table(n: int, dtype) -> np.ndarray:
+    """The left action of every generator on signed values, as one lookup table.
 
-    ``values[v]`` is s(v) for v in -n..n, a negative v counted from the end,
-    so ``values[rows]`` multiplies every right-part row by s on the left:
-    s_0 negates the values +-1, and s_k swaps +-k and +-(k + 1), keeping
-    signs.
+    ``table[s, v]`` is s(v) for v in -n..n, a negative v counted from the
+    end, so ``table[s, rows]`` multiplies every right-part row by s on the
+    left: s_0 negates the values +-1, and s_k swaps +-k and +-(k + 1),
+    keeping signs.  Built once per (n, dtype) and shared, so it is
+    read-only.
     """
     values = np.arange(2 * n + 1)
     values[n + 1:] -= 2 * n + 1
-    values = values.astype(dtype)
-    if s == 0:
-        values[[1, -1]] = -1, 1
-    else:
-        values[[s, s + 1, -s, -s - 1]] = s + 1, s, -s - 1, -s
-    return values
+    table = np.tile(values.astype(dtype), (n, 1))
+    table[0, [1, -1]] = -1, 1
+    for s in range(1, n):
+        table[s, [s, s + 1, -s, -s - 1]] = s + 1, s, -s - 1, -s
+    table.setflags(write=False)
+    return table
 
 
 def _pattern_generators(alpha: Composition, right: np.ndarray):
@@ -152,9 +155,7 @@ def _pattern_generators(alpha: Composition, right: np.ndarray):
 
 def _act(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Each row multiplied on the left by its own generator."""
-    n = rows.shape[1]
-    table = np.stack([generator_values(n, s, rows.dtype) for s in range(n)])
-    return table[gens[:, None], rows]
+    return generator_table(rows.shape[1], rows.dtype)[gens[:, None], rows]
 
 
 def eliminate_231(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:

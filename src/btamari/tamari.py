@@ -20,16 +20,16 @@ Verification builds each structure once per composition.  The weak order
 on the whole quotient gets no m x m matrix: the congruence test, the
 quotient order and the not-a-sublattice witness read only its inversion
 words and cover pairs.  The covers come from one table of generator
-images, s x for every generator s and row x, looked up among the rows one
-generator at a time; the projection fibers read the same table, so no row
-is looked up twice.  Tam_B's labels and the quotient's class minima are
-both in right-part order, so they are compared as arrays, and the fibers'
-bottoms give Tam_B's indices among the rows.  The constructor check reads
-the inversion tableau's labels with no cell objects.  Only the subposet
-lattice gets meet and join tables.  The subposet and quotient
-constructions stay as two independent routes to the same lattice, so that
-each confirms the other.  Tam_B's order and tables are dense, so no Tam_B
-above TABLE_THRESHOLD elements is built.
+images, s x for every generator s and row x, found among the rows by one
+lookup over blocks of generators; the projection fibers read the same
+table, so no row is looked up twice.  Tam_B's labels and the quotient's
+class minima are both in right-part order, so they are compared as
+arrays, and the fibers' bottoms give Tam_B's indices among the rows.  The
+constructor check reads the inversion tableau's labels with no cell
+objects.  Only the subposet lattice gets meet and join tables.  The
+subposet and quotient constructions stay as two independent routes to the
+same lattice, so that each confirms the other.  Tam_B's order and tables
+are dense, so no Tam_B above TABLE_THRESHOLD elements is built.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .parabolic import (
     quotient_rows,
     tableau_cells,
 )
-from .projection import fiber_bottoms, generator_values, row_index, row_lookup
+from .projection import fiber_bottoms, generator_table, row_index, row_lookup
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 # The checks of a verification report, in the order verify_theorems runs them.
@@ -95,22 +95,24 @@ def _weak_covers(rows: np.ndarray, length: np.ndarray):
 
     The quotient is a lower interval of the weak order on the group (A.
     Björner and M. Wachs, Trans. AMS 308, 1988), so y covers x exactly when
-    y = s x is one longer for a generator s.  Each generator's images are
-    found among the rows, one generator at a time, and kept: ``images`` is
-    an (n, m) int32 table whose entry [s, x] is the index of s x, or -1
-    where s x leaves the quotient.
+    y = s x is one longer for a generator s.  Every generator's images come
+    from ``generator_table`` and are found among the rows by one
+    ``row_lookup``, in blocks of generators whose moved rows stay near
+    BLOCK_BYTES, and kept: ``images`` is an (n, m) int32 table whose entry
+    [s, x] is the index of s x, or -1 where s x leaves the quotient.
     """
     find = row_lookup(rows)
-    n = rows.shape[1]
-    images = np.empty((n, len(rows)), dtype=np.int32)
-    below, above = [], []
-    for s in range(n):
-        images[s] = find(generator_values(n, s, rows.dtype)[rows])
-        found = images[s]
-        x = np.flatnonzero((found >= 0) & (length[found] == length + 1))
-        below.append(x)
-        above.append(found[x])
-    below, above = np.concatenate(below), np.concatenate(above)
+    m, n = rows.shape
+    table = generator_table(n, rows.dtype)
+    images = np.empty((n, m), dtype=np.int32)
+    is_cover = np.empty((n, m), dtype=bool)
+    step = max(1, lat.BLOCK_BYTES // (rows.nbytes + 1))
+    for lo in range(0, n, step):
+        found = images[lo:lo + step]
+        found[:] = find(table[lo:lo + step, rows]).reshape(len(found), m)
+        is_cover[lo:lo + step] = (found >= 0) & (length[found] == length + 1)
+    gens, below = np.nonzero(is_cover)
+    above = images[gens, below]
     order = np.lexsort((above, below))
     return below[order], above[order], images
 

@@ -27,7 +27,7 @@ from btamari.parabolic import (
     quotient_rows,
     quotient_size,
 )
-from btamari.signed_perm import SignedPermutation
+from btamari.signed_perm import POS, SIGN, Reflection, SignedPermutation
 from btamari.tamari import _weak_leq_matrix
 
 
@@ -92,6 +92,54 @@ def lower_bounded_by_gather(lat: FiniteLattice, block_bytes: int = BLOCK_BYTES) 
     while (sinks := alive & ~dep[:, alive].any(axis=1)).any():
         alive &= ~sinks
     return not alive.any()
+
+
+def heights_by_rounds(poset: FinitePoset) -> np.ndarray:
+    """The oracle for ``FinitePoset.heights``: one array step per rank.
+
+    Over the cover pairs grouped by their upper element, after step r every
+    element has the longest chain of at most r covers ending at it, so the
+    heights stop changing after the longest chain's r steps.  The library
+    takes the cover pairs once, in the order of a linear extension.
+    """
+    upper, lower = np.nonzero(poset.covers.T)  # pairs grouped by upper
+    h = np.zeros(poset.n, dtype=np.int64)
+    if not len(upper):
+        return h
+    starts = np.flatnonzero(np.r_[True, upper[1:] != upper[:-1]])
+    tops = upper[starts]
+    while True:
+        step = np.maximum.reduceat(h[lower], starts) + 1
+        if np.array_equal(step, h[tops]):
+            return h
+        h[tops] = step
+
+
+def root_vector(t: Reflection, n: int) -> tuple[int, ...]:
+    """Coordinates of the positive root attached to a reflection.
+
+    The oracle for ``alignment.decompositions``: each decomposition's roots
+    must add up to the target's.
+    """
+    v = [0] * n
+    if t.kind == SIGN:
+        v[t.i - 1] = 1
+    elif t.kind == POS:
+        v[t.i - 1] = -1
+        v[t.j - 1] = 1
+    else:
+        v[t.i - 1] = 1
+        v[t.j - 1] = 1
+    return tuple(v)
+
+
+def find_all_231_patterns(alpha: Composition, pi: SignedPermutation):
+    """Every 231 pattern of pi, in the order of the pattern scan.
+
+    The oracle for the patterns the batch scan and the projections pick
+    from: ``find_231_pattern`` returns the first of these.
+    """
+    return list(alignment._find_pattern(alpha, pi, "231"))
 
 
 def tableau_reflections_by_loop(alpha: Composition):

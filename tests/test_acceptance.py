@@ -9,7 +9,6 @@ from math import comb
 
 from btamari.alignment import (
     aligned_mask,
-    find_all_231_patterns,
     is_aligned,
     is_aligned_forcing,
     is_aligned_root,
@@ -48,7 +47,7 @@ from btamari.tamari import (
     verify_theorems,
 )
 
-from conftest import is_trim, perm, weak_order_lattice
+from conftest import find_all_231_patterns, is_trim, perm, weak_order_lattice
 
 
 def report(number, text):

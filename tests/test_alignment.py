@@ -20,11 +20,9 @@ from btamari.alignment import (
     enumerate_aligned,
     find_231_pattern,
     find_312_pattern,
-    find_all_231_patterns,
     is_aligned,
     is_aligned_forcing,
     is_aligned_root,
-    root_vector,
 )
 from btamari.config import DEFAULT_CAP
 from btamari.enumeration import cover_enumerator, t_sequence
@@ -46,7 +44,9 @@ from conftest import (
     aligned_block_steps,
     build_rows_two_arrays,
     compositions,
+    find_all_231_patterns,
     perm,
+    root_vector,
     scan_plan_by_rows,
     violations_by_gather,
 )

@@ -28,6 +28,7 @@ from btamari.projection import fiber_bottoms
 from btamari.tamari import _inversion_words, _weak_covers, build_tamari
 from conftest import (
     full_group,
+    heights_by_rounds,
     is_extremal,
     is_trim,
     lower_bounded_by_gather,
@@ -585,19 +586,6 @@ class TestIrreducibles:
             lower_cover(lat, 0)
 
 
-def heights_by_element(poset):
-    """The oracle for ``FinitePoset.heights``: one element at a time, each after
-    everything below it, one lookup of its lower covers each."""
-    order = np.argsort(poset.leq.sum(axis=0), kind="stable")
-    h = np.zeros(poset.n, dtype=np.int64)
-    covers = poset.covers
-    for x in order:
-        below = np.flatnonzero(covers[:, x])
-        if below.size:
-            h[x] = h[below].max() + 1
-    return h
-
-
 class TestLength:
     def test_examples(self):
         assert chain(1).length() == 0
@@ -611,15 +599,40 @@ class TestLength:
             for alpha in all_compositions(n):
                 tam = build_tamari(alpha)
                 for lat in (tam, tam.dual()):
-                    expected = heights_by_element(lat)
+                    expected = heights_by_rounds(lat)
                     assert np.array_equal(lat.heights, expected), alpha
                     assert lat.length() == expected.max()
 
+    def test_heights_match_oracle_on_weak_orders(self, small_lattices):
+        weak = [lat for name, lat in small_lattices.items() if name.startswith("weak")]
+        assert len(weak) == 30
+        for lat in weak:
+            assert np.array_equal(lat.heights, heights_by_rounds(lat))
+
     def test_heights_match_oracle_on_random_posets(self):
-        rng = np.random.default_rng(16)
-        for m in [1, 2, 3] + [int(rng.integers(4, 30)) for _ in range(60)]:
+        # Indices are relabelled, so label order is not a linear extension.
+        rng = np.random.default_rng(23)
+        several_minima = not_lattices = 0
+        for m in [1, 2, 3] + [int(rng.integers(4, 30)) for _ in range(47)]:
             poset = random_poset(rng, m)
-            assert np.array_equal(poset.heights, heights_by_element(poset))
+            assert np.array_equal(poset.heights, heights_by_rounds(poset))
+            several_minima += (poset.leq.sum(axis=0) == 1).sum() > 1
+            try:
+                try_lattice(poset)
+            except NotALatticeError:
+                not_lattices += 1
+        assert several_minima >= 10 and not_lattices >= 10
+
+    @pytest.mark.parametrize("text,size,length", [
+        ("0,1,1,1,1,1,1", 924, 36),
+        ("126,1", 254, 253),
+    ])
+    def test_heights_match_oracle_at_scale(self, text, size, length):
+        # The full group of degree 6, and an int16 degree whose Tam_B is a chain.
+        tam = build_tamari(Composition.parse(text))
+        assert (tam.n, tam.length()) == (size, length)
+        for lat in (tam, tam.dual()):
+            assert np.array_equal(lat.heights, heights_by_rounds(lat))
 
 
 class TestSemidistributivity:

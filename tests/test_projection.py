@@ -3,12 +3,12 @@ import random
 import numpy as np
 import pytest
 
+from btamari import projection, tamari
 from btamari.alignment import (
     aligned_mask,
     cover_counts,
     find_231_pattern,
     find_312_pattern,
-    find_all_231_patterns,
 )
 from btamari.parabolic import (
     Composition,
@@ -23,6 +23,7 @@ from btamari.projection import (
     eliminate_231,
     eliminate_pattern,
     fiber_bottoms,
+    generator_table,
     iota,
     project_down,
     project_onto_312,
@@ -33,7 +34,7 @@ from btamari.projection import (
 )
 from btamari.signed_perm import SignedPermutation
 
-from conftest import perm
+from conftest import find_all_231_patterns, full_group, perm
 
 A021 = Composition.parse("0,2,1")
 
@@ -269,6 +270,44 @@ class TestBatchedFibers:
         keep = ~(rows == eliminated[0]).all(axis=1)
         with pytest.raises(ValueError, match="not among the rows"):
             fiber_bottoms(A021, rows[keep])
+
+
+class TestGeneratorTable:
+    def test_read_only(self):
+        table = generator_table(4, np.dtype(np.int8))
+        assert table.shape == (4, 9) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_rows_act_as_mul_gen_left(self):
+        for n in range(1, 5):
+            group = full_group(n)
+            rows = np.array([pi.right for pi in group])
+            for dtype in (np.int8, np.int16):
+                table = generator_table(n, np.dtype(dtype))
+                assert table.dtype == dtype
+                for s in range(n):
+                    expected = [pi.mul_gen_left(s).right for pi in group]
+                    assert table[s][rows].tolist() == list(map(list, expected))
+
+    def test_built_once_and_shared(self, monkeypatch):
+        # _act (behind eliminate_231) and the weak covers read one object.
+        alpha = Composition.parse("0,1,2")
+        rows = quotient_rows(alpha)
+        seen = []
+
+        def watched(n, dtype):
+            seen.append(generator_table(n, dtype))
+            return seen[-1]
+
+        monkeypatch.setattr(projection, "generator_table", watched)
+        monkeypatch.setattr(tamari, "generator_table", watched)
+        generator_table.cache_clear()
+        eliminate_231(alpha, rows)
+        tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+        eliminate_231(alpha, rows)
+        assert len(seen) == 3 and all(table is seen[0] for table in seen)
+        assert generator_table.cache_info().misses == 1
 
 
 class TestRowIndex:

@@ -12,6 +12,7 @@ from btamari.errors import CapExceededError, NotALatticeError, TableBoundError
 from btamari.lattice import join_irreducibles
 from btamari.parabolic import (
     Composition,
+    all_compositions,
     enumerate_quotient,
     parabolic_length,
     quotient_rows,
@@ -281,6 +282,35 @@ class TestVerifyTheorems:
         for alpha in all_small_compositions[3]:
             report = verify_theorems(alpha, verify_chain=True)
             assert report.ok, (alpha.format(), report.checks)
+
+
+class TestWeakCovers:
+    def test_int16_images_match_row_index(self):
+        # Degree 127 takes int16 rows; each generator s swaps the values
+        # +-s and +-(s + 1) (s_0 negates +-1), applied here without the table.
+        rows = quotient_rows(Composition.parse("126,1"))
+        assert rows.dtype == np.int16 and rows.shape == (254, 127)
+        _, _, images = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+        for s in range(127):
+            moved = rows.copy()
+            if s == 0:
+                moved[np.abs(rows) == 1] *= -1
+            else:
+                moved += np.sign(rows) * ((np.abs(rows) == s).astype(np.int16)
+                                          - (np.abs(rows) == s + 1))
+            assert np.array_equal(images[s], projection.row_index(rows, moved)), s
+
+    def test_one_generator_per_block_gives_the_same_covers(self, monkeypatch):
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                rows = quotient_rows(alpha)
+                length = tamari._inversion_words(rows)[1]
+                whole = tamari._weak_covers(rows, length)
+                monkeypatch.setattr(lattice, "BLOCK_BYTES", 1)
+                blocked = tamari._weak_covers(rows, length)
+                monkeypatch.undo()
+                for a, b in zip(whole, blocked):
+                    assert np.array_equal(a, b), alpha
 
 
 class TestVerifyBuildsOnce:
