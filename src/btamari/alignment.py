@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import resolve_cap
-from .parabolic import Composition, _identity_state, _place_block, lex_sorted
+from .parabolic import Composition, _identity_state, _place_block, is_member, lex_sorted
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation, predecessor
 
 
@@ -182,8 +182,6 @@ class PatternWitness:
 
 
 def _require_member(alpha: Composition, pi: SignedPermutation):
-    from .parabolic import is_member
-
     if not is_member(alpha, pi):
         raise ValueError(f"{pi} is not a member of the quotient for {alpha}")
 

@@ -38,10 +38,6 @@ class Polynomial:
             total = total * x + c
         return total
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def format(self) -> str:
         return ",".join(str(c) for c in self.coefficients)
 

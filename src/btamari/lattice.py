@@ -13,9 +13,9 @@ the dual's.  The dual holds no reference back, so no cycle outlives the
 lattice.  On top of that sit the structural checks used by the
 verification harness: irreducibles, length, semidistributivity, congruence
 uniformity (by Day's join-dependency criterion, from bit words of the
-irreducibles below each element), congruence verification and quotients on
-bit words and cover pairs (so that the weak order needs no matrix), left
-modularity and trimness, plus JSON and DOT exports.
+irreducibles below each element), congruence verification and quotient
+orders on bit words and cover pairs (so that the weak order needs no
+matrix), left modularity and trimness, plus JSON and DOT exports.
 """
 
 from __future__ import annotations
@@ -52,14 +52,17 @@ class FinitePoset:
 
     @cached_property
     def heights(self) -> np.ndarray:
-        """Length of the longest chain ending at each element.
+        """Length of the longest chain ending at each element."""
+        return self._chain_heights(*np.nonzero(self.covers))
+
+    def _chain_heights(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Length of the longest chain of the given cover pairs ending at each element.
 
         One pass over a linear extension, down-set sizes ascending: each
-        element's height is 1 + the largest height among its lower covers,
-        all of which come earlier.  The cover pairs are taken in that order
-        of their upper ends, O(m + covers) steps in all.
+        element's height is 1 + the largest height among its lower covers
+        in the pairs, all of which come earlier.  The pairs are taken in
+        that order of their upper ends, O(m + pairs) steps in all.
         """
-        lower, upper = np.nonzero(self.covers)
         order = np.argsort(self.leq.sum(axis=0)[upper], kind="stable")
         h = [0] * self.n
         for a, b in zip(lower[order].tolist(), upper[order].tolist()):
@@ -82,10 +85,6 @@ class FiniteLattice(FinitePoset):
         self._join = join
 
     @cached_property
-    def bottom(self) -> int:
-        return int(np.flatnonzero(self.leq.all(axis=1))[0])
-
-    @cached_property
     def top(self) -> int:
         return int(np.flatnonzero(self.leq.all(axis=0))[0])
 
@@ -94,12 +93,6 @@ class FiniteLattice(FinitePoset):
 
     def join_table(self) -> np.ndarray:
         return self._join
-
-    def meet(self, a: int, b: int) -> int:
-        return int(self._meet[a, b])
-
-    def join(self, a: int, b: int) -> int:
-        return int(self._join[a, b])
 
     def dual(self) -> "FiniteLattice":
         """The dual lattice, built once and kept.
@@ -335,39 +328,23 @@ def _congruence_failure(words, below, above, block_of):
     return None, mins
 
 
-def _order_words(poset: FinitePoset):
-    """Down-sets as words, and the cover pairs."""
-    return pack_words(poset.leq.T), *np.nonzero(poset.covers)
-
-
-def check_congruence(lat: FinitePoset, block_of):
-    """Verify the interval and order-preservation conditions; returns (ok, why).
-
-    ``block_of[x]`` is any key naming the class of element x, such as the
-    bottoms ``fiber_bottoms`` returns.  ``why`` numbers the classes by their
-    first element.
-    """
-    why, _ = _congruence_failure(*_order_words(lat), block_of)
-    return why is None, why
-
-
 def quotient_order(labels, words, below, above, block_of) -> FinitePoset:
-    """``quotient_lattice`` for an order given by words and cover pairs."""
+    """The congruence-class minima, ordered as in the original.
+
+    The order is given by its elements' ``labels``, their down-sets (or any
+    sets that grow strictly with the order, such as inversion sets) as
+    ``words`` and its cover pairs, and ``block_of[x]`` is any key naming
+    the class of element x, such as the bottoms ``fiber_bottoms`` returns.
+    The quotient of a lattice by a congruence is a lattice on the class
+    minima; this returns its order only, and ``try_lattice`` builds its
+    tables.  Raises NotACongruenceError with ``_congruence_failure``'s
+    reason, which numbers the classes by their first element.
+    """
     why, mins = _congruence_failure(words, below, above, block_of)
     if why is not None:
         raise NotACongruenceError(why)
     mins = np.sort(mins)
     return FinitePoset(labels[mins], contained(words[mins]))
-
-
-def quotient_lattice(lat: FinitePoset, block_of) -> FinitePoset:
-    """The congruence-class minima, ordered as in the original.
-
-    The quotient of a lattice by a congruence is a lattice on the class
-    minima; this returns its order only, and ``try_lattice`` builds its
-    tables.  ``block_of`` names the classes as for ``check_congruence``.
-    """
-    return quotient_order(lat.labels, *_order_words(lat), block_of)
 
 
 def _lower_bounded(lat: FiniteLattice) -> bool:
@@ -420,23 +397,20 @@ def is_left_modular_element(lat: FiniteLattice, p: int) -> bool:
 
 
 def has_left_modular_chain(lat: FiniteLattice) -> bool:
-    """A maximal chain of length(L) + 1 left-modular elements exists."""
+    """A maximal chain of length(L) + 1 left-modular elements exists.
+
+    The heights' pass runs on the covers whose two ends are both left
+    modular, and such a chain exists exactly when it finds one of length(L)
+    ending at the top.  Such a chain must start at the bottom: any element
+    above the bottom has at least one more cover below it, which would make
+    a chain longer than length(L).
+    """
     modular = np.fromiter(
         (is_left_modular_element(lat, p) for p in range(lat.n)), dtype=bool
     )
-    if not (modular[lat.bottom] and modular[lat.top]):
-        return False
-    covers = lat.covers
-    best = np.full(lat.n, -1, dtype=np.int64)
-    best[lat.bottom] = 0
-    order = np.argsort(lat.leq.sum(axis=0), kind="stable")
-    for x in order:
-        if not modular[x] or best[x] < 0:
-            continue
-        for y in np.flatnonzero(covers[x]):
-            if modular[y]:
-                best[y] = max(best[y], best[x] + 1)
-    return bool(best[lat.top] == lat.length())
+    lower, upper = np.nonzero(lat.covers)
+    both = modular[lower] & modular[upper]
+    return bool(lat._chain_heights(lower[both], upper[both])[lat.top] == lat.length())
 
 
 def extremal_is_trim(

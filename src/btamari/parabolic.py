@@ -162,9 +162,7 @@ def is_member(alpha: Composition, pi: SignedPermutation) -> bool:
     """Whether pi is a minimal-length coset representative for alpha."""
     if pi.n != alpha.n:
         raise ValueError("degree mismatch between composition and permutation")
-    return _is_member_row(alpha, pi.right)
-
-def _is_member_row(alpha: Composition, right: tuple[int, ...]) -> bool:
+    right = pi.right
     if alpha.join and right[0] < 0:
         return False
     cuts = alpha.cuts
@@ -364,19 +362,6 @@ def enumerate_quotient(
     return [SignedPermutation(r) for r in quotient_rows(alpha, cap).tolist()]
 
 
-def enumerate_quotient_by_filter(alpha: Composition) -> list[SignedPermutation]:
-    """Filter the full group by membership; slow oracle for small degree."""
-    n = alpha.n
-    rows = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            row = tuple(-v if mask >> t & 1 else v for t, v in enumerate(perm))
-            if _is_member_row(alpha, row):
-                rows.append(row)
-    rows.sort()
-    return [SignedPermutation(r) for r in rows]
-
-
 # -- longest element and its skew-shape model ---------------------------------
 
 
@@ -488,13 +473,6 @@ class InversionTableau:
             for k, row in enumerate(rows, start=1)
         )
 
-    def cells(self):
-        return (cell for row in self.rows for cell in row)
-
-    @property
-    def cell_count(self) -> int:
-        return sum(len(row) for row in self.rows)
-
     def reading(self) -> list[Reflection]:
         """Reflections top-to-bottom, right-to-left: the inversion order."""
         return [cell.reflection for row in self.rows for cell in reversed(row)]
@@ -502,21 +480,6 @@ class InversionTableau:
     def generator_word(self) -> tuple[int, ...]:
         """Generator indices bottom-to-top, left-to-right: the sorting word."""
         return tuple(cell.generator for row in reversed(self.rows) for cell in row)
-
-    def ascii(self, fill: str = "reflection") -> str:
-        """Plain-text grid, one cell per reflection (or generator)."""
-        width = max(
-            (len(str(getattr(c, fill))) for c in self.cells()), default=1
-        )
-        lines = []
-        for row in self.rows:
-            by_col = {c.col: str(getattr(c, fill)) for c in row}
-            last = max(by_col)
-            line = " ".join(
-                by_col.get(col, "").rjust(width) for col in range(1, last + 1)
-            )
-            lines.append(line.rstrip())
-        return "\n".join(lines)
 
 
 def sorting_word_longest(alpha: Composition) -> tuple[int, ...]:
@@ -556,22 +519,6 @@ def c_sorting_word(pi: SignedPermutation) -> tuple[int, ...]:
         applied.append(k)
         j = (k + 1) % n
     return tuple(reversed(applied))
-
-
-def evaluate_word(word: tuple[int, ...], n: int) -> SignedPermutation:
-    """The group element spelled by a generator word (letters multiply left to right)."""
-    pi = SignedPermutation.identity(n)
-    for s in reversed(word):
-        pi = pi.mul_gen_left(s)
-    return pi
-
-
-def word_suffix_chain(word: tuple[int, ...], n: int) -> list[SignedPermutation]:
-    """Elements spelled by the suffixes of a word, shortest first."""
-    chain = [SignedPermutation.identity(n)]
-    for s in reversed(word):
-        chain.append(chain[-1].mul_gen_left(s))
-    return chain
 
 
 def inversion_order_from_word(

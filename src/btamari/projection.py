@@ -12,15 +12,15 @@ bulk routines work on the quotient as an (m, n) array of right-part rows and
 find rows by ``row_index``: ``fiber_bottoms`` eliminates one of each row's 231
 patterns, named by the scan it shares with ``aligned_mask``, and
 ``theta_classes`` groups the rows by bottom and takes each fiber's longest
-member as its top.  An elimination is the left action of one generator, so
-a caller that already holds every generator's images among the rows (as
-verification does) passes that table and nothing is looked up again.
+member as its top.  An elimination is the left action of one generator,
+which ``left_act`` computes on the rows' values, so a caller that already
+holds every generator's images among the rows (as verification does)
+passes them and nothing is looked up again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -117,24 +117,19 @@ class ThetaClass:
         }
 
 
-@lru_cache(maxsize=None)
-def generator_table(n: int, dtype) -> np.ndarray:
-    """The left action of every generator on signed values, as one lookup table.
+def left_act(rows: np.ndarray, gens) -> np.ndarray:
+    """Right-part rows multiplied on the left by generators, on their values.
 
-    ``table[s, v]`` is s(v) for v in -n..n, a negative v counted from the
-    end, so ``table[s, rows]`` multiplies every right-part row by s on the
-    left: s_0 negates the values +-1, and s_k swaps +-k and +-(k + 1),
-    keeping signs.  Built once per (n, dtype) and shared, so it is
-    read-only.
+    ``gens`` broadcasts against ``rows``: one generator per row as a column,
+    or a stack of generators over all rows.  s_0 negates the values +-1, and
+    s_k for k >= 1 exchanges +-k and +-(k + 1), keeping signs.  On absolute
+    values, k goes up one and k + 1 down one; only s_0 takes 1 to 0, which
+    stands for the sign change.  The result keeps the rows' dtype.
     """
-    values = np.arange(2 * n + 1)
-    values[n + 1:] -= 2 * n + 1
-    table = np.tile(values.astype(dtype), (n, 1))
-    table[0, [1, -1]] = -1, 1
-    for s in range(1, n):
-        table[s, [s, s + 1, -s, -s - 1]] = s + 1, s, -s - 1, -s
-    table.setflags(write=False)
-    return table
+    size = np.abs(rows)
+    image = size + (size == gens) - (size == gens + 1)
+    image[image == 0] = -1
+    return np.sign(rows) * image
 
 
 def _pattern_generators(alpha: Composition, right: np.ndarray):
@@ -151,23 +146,6 @@ def _pattern_generators(alpha: Composition, right: np.ndarray):
     outer_k = np.array([k for k, _, _, group in plan for _ in group], dtype=np.intp)
     u = right[hit, outer_k[pair[hit]] - 1].astype(np.intp)
     return hit, np.where(u == -1, 0, np.where(u > 0, u, -u - 1))
-
-
-def _act(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Each row multiplied on the left by its own generator."""
-    return generator_table(rows.shape[1], rows.dtype)[gens[:, None], rows]
-
-
-def eliminate_231(alpha: Composition, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows holding a 231 pattern, and each with one of its patterns eliminated.
-
-    ``rows`` is a (m, n) integer array or a sequence of right parts.  Each
-    such row is multiplied by the generator ``_pattern_generators`` names,
-    as in ``eliminate_pattern``.  Returns the row indices and the new rows.
-    """
-    right = np.asarray(rows)
-    hit, gens = _pattern_generators(alpha, right)
-    return hit, _act(right[hit], gens)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -206,10 +184,11 @@ def fiber_bottoms(alpha: Composition, rows, images=None) -> np.ndarray:
 
     ``rows`` is a (m, n) integer array or a sequence of right parts, and
     rows with equal bottoms share a fiber.  An aligned row is its own
-    bottom; any other row has the bottom of the row that ``eliminate_231``
-    takes it to, which must be among ``rows`` (else ValueError).  Every
-    elimination stays in the fiber, so this is the recursion of
-    ``project_down``, resolved for all rows at once by pointer jumping.
+    bottom; any other row has the bottom of the row it reaches by the
+    generator ``_pattern_generators`` names, which must be among ``rows``
+    (else ValueError).  Every elimination stays in the fiber, so this is
+    the recursion of ``project_down``, resolved for all rows at once by
+    pointer jumping.
 
     The eliminated rows are looked up among ``rows``, unless ``images``
     already holds every generator's images: an (n, m) table whose entry
@@ -220,7 +199,7 @@ def fiber_bottoms(alpha: Composition, rows, images=None) -> np.ndarray:
     right = np.asarray(rows)
     hit, gens = _pattern_generators(alpha, right)
     if images is None:
-        found = row_index(right, _act(right[hit], gens))
+        found = row_index(right, left_act(right[hit], gens[:, None]))
     else:
         found = images[gens, hit]
     missing = np.flatnonzero(found < 0)[:1]
@@ -228,7 +207,8 @@ def fiber_bottoms(alpha: Composition, rows, images=None) -> np.ndarray:
         row = right[hit[missing]]
         raise ValueError(
             f"a 231 pattern of {format_right(row[0])} eliminates"
-            f" to {format_right(_act(row, gens[missing])[0])}, which is not among the rows"
+            f" to {format_right(left_act(row, gens[missing, None])[0])},"
+            " which is not among the rows"
         )
     bottoms = np.arange(len(right))
     bottoms[hit] = found

@@ -97,11 +97,6 @@ def format_long(right) -> str:
     return f"{','.join(str(-v) for v in reversed(right))}|{format_right(right)}"
 
 
-def successor(v: int) -> int:
-    """v^+, the next value after v: -1 is followed by 1, otherwise v+1."""
-    return 1 if v == -1 else v + 1
-
-
 def predecessor(v: int) -> int:
     return -1 if v == 1 else v - 1
 
@@ -148,9 +143,6 @@ class SignedPermutation:
     def format(self) -> str:
         return format_right(self.right)
 
-    def long_one_line(self) -> str:
-        return format_long(self.right)
-
     def __str__(self) -> str:
         return self.format()
 
@@ -186,7 +178,7 @@ class SignedPermutation:
             raise ValueError("degree mismatch")
         return SignedPermutation(tuple(self(other(a)) for a in range(1, self.n + 1)))
 
-    # -- multiplication by generators and reflections ------------------------
+    # -- multiplication by generators ------------------------------------------
 
     def _check_gen(self, s: int):
         if not 0 <= s < self.n:
@@ -217,28 +209,7 @@ class SignedPermutation:
             r[s - 1], r[s] = r[s], r[s - 1]
         return SignedPermutation(tuple(r))
 
-    def _check_reflection(self, t: Reflection):
-        if t.max_index() > self.n:
-            raise ValueError(f"reflection {t} out of range for degree {self.n}")
-
-    def mul_reflection_right(self, t: Reflection) -> "SignedPermutation":
-        """pi * t, acting on positions."""
-        self._check_reflection(t)
-        r = list(self.right)
-        if t.kind == SIGN:
-            r[t.i - 1] = -r[t.i - 1]
-        elif t.kind == POS:
-            r[t.i - 1], r[t.j - 1] = r[t.j - 1], r[t.i - 1]
-        else:
-            r[t.i - 1], r[t.j - 1] = -r[t.j - 1], -r[t.i - 1]
-        return SignedPermutation(tuple(r))
-
-    def mul_reflection_left(self, t: Reflection) -> "SignedPermutation":
-        """t * pi, acting on values."""
-        self._check_reflection(t)
-        return SignedPermutation(tuple(t.apply(v) for v in self.right))
-
-    # -- inversions and the weak order ---------------------------------------
+    # -- inversions and descents ---------------------------------------------
 
     @cached_property
     def _inversions(self) -> frozenset[Reflection]:
@@ -274,15 +245,6 @@ class SignedPermutation:
                 if -r[j - 1] == r[i - 1] + 1:
                     out.append(Reflection(NEG, i, j))
         return frozenset(out)
-
-    def coxeter_length(self) -> int:
-        return len(self._inversions)
-
-    def weak_leq(self, other: "SignedPermutation") -> bool:
-        """Left weak order: containment of inversion sets."""
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return self._inversions <= other._inversions
 
     def has_right_descent(self, i: int) -> bool:
         """Whether right multiplication by s_i shortens this element.

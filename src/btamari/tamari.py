@@ -20,13 +20,13 @@ Verification builds each structure once per composition.  The weak order
 on the whole quotient gets no m x m matrix: the congruence test, the
 quotient order and the not-a-sublattice witness read only its inversion
 words and cover pairs.  The covers come from one table of generator
-images, s x for every generator s and row x, found among the rows by one
-lookup over blocks of generators; the projection fibers read the same
-table, so no row is looked up twice.  Tam_B's labels and the quotient's
-class minima are both in right-part order, so they are compared as
-arrays, and the fibers' bottoms give Tam_B's indices among the rows.  The
-constructor check reads the inversion tableau's labels with no cell
-objects.  Only the subposet lattice gets meet and join tables.  The
+images, s x for every generator s and row x, computed on the rows' values
+and found among the rows by one lookup over blocks of generators; the
+projection fibers read the same table, so no row is looked up twice.
+Tam_B's labels and the quotient's class minima are both in right-part
+order, so they are compared as arrays, and the fibers' bottoms give
+Tam_B's indices among the rows.  The constructor check reads the
+inversion tableau's labels with no cell objects.  Only the subposet lattice gets meet and join tables.  The
 subposet and quotient constructions stay as two independent routes to the
 same lattice, so that each confirms the other.  Tam_B's order and tables
 are dense, so no Tam_B above TABLE_THRESHOLD elements is built.
@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import lattice as lat
-from .alignment import aligned_rows
+from .alignment import aligned_rows, cover_counts
 from .errors import NotACongruenceError, NotALatticeError, TableBoundError
 from .parabolic import (
     Composition,
@@ -51,7 +51,7 @@ from .parabolic import (
     quotient_rows,
     tableau_cells,
 )
-from .projection import fiber_bottoms, generator_table, row_index, row_lookup
+from .projection import fiber_bottoms, left_act, row_index, row_lookup
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 # The checks of a verification report, in the order verify_theorems runs them.
@@ -95,21 +95,21 @@ def _weak_covers(rows: np.ndarray, length: np.ndarray):
 
     The quotient is a lower interval of the weak order on the group (A.
     Björner and M. Wachs, Trans. AMS 308, 1988), so y covers x exactly when
-    y = s x is one longer for a generator s.  Every generator's images come
-    from ``generator_table`` and are found among the rows by one
+    y = s x is one longer for a generator s.  Every generator's images are
+    computed by ``left_act`` and found among the rows by one
     ``row_lookup``, in blocks of generators whose moved rows stay near
     BLOCK_BYTES, and kept: ``images`` is an (n, m) int32 table whose entry
     [s, x] is the index of s x, or -1 where s x leaves the quotient.
     """
     find = row_lookup(rows)
     m, n = rows.shape
-    table = generator_table(n, rows.dtype)
     images = np.empty((n, m), dtype=np.int32)
     is_cover = np.empty((n, m), dtype=bool)
     step = max(1, lat.BLOCK_BYTES // (rows.nbytes + 1))
     for lo in range(0, n, step):
         found = images[lo:lo + step]
-        found[:] = find(table[lo:lo + step, rows]).reshape(len(found), m)
+        gens = np.arange(lo, lo + len(found))[:, None, None]
+        found[:] = find(left_act(rows, gens)).reshape(len(found), m)
         is_cover[lo:lo + step] = (found >= 0) & (length[found] == length + 1)
     gens, below = np.nonzero(is_cover)
     above = images[gens, below]
@@ -465,7 +465,8 @@ def _constructor_matches(
     The element built for a cell's inversion t covers t and nothing else.
     """
     cells = [cell[-1] for row in tableau_cells(alpha)[2] for cell in row]
-    built = np.array([_join_irreducible(alpha, t) for t in cells]).reshape(-1, alpha.n)
+    built = np.array([_join_irreducible(alpha, t) for t in cells], dtype=np.int64)
+    built = built.reshape(-1, alpha.n)
     # Sorted, distinct and equal to the irreducibles' rows.
     return bool(_covers_exactly(built, cells).all()) and np.array_equal(
         lex_sorted(built), lex_sorted(L.labels[irreducibles])
@@ -478,13 +479,10 @@ def _covers_exactly(rows: np.ndarray, cells: list[Reflection]) -> np.ndarray:
     As in ``SignedPermutation.cover_inversions``, a right part r covers the
     sign reflection [[i]] when r_i = -1, and, for positions i < j, the
     positive ((i j)) when r_i = r_j + 1 and the negative ((-j i)) when
-    -r_j = r_i + 1.  Row k passes when it covers one inversion and cells[k]
-    is one it covers.
+    -r_j = r_i + 1.  Row k passes when it covers one inversion, as
+    ``cover_counts`` counts them, and cells[k] is one it covers.
     """
-    r_i, r_j = rows[:, :, None], rows[:, None, :]
-    later = np.less.outer(range(rows.shape[1]), range(rows.shape[1]))
-    pairs = ((r_i == r_j + 1) | (-r_j == r_i + 1)) & later
-    count = (rows == -1).sum(axis=1) + pairs.sum(axis=(1, 2))
+    count = cover_counts(rows)
     kind = np.array([t.kind for t in cells])
     at = np.arange(len(cells))
     r_i = rows[at, [t.i - 1 for t in cells]]

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from btamari import alignment
+from btamari import alignment, projection
 from btamari.config import resolve_cap
 from btamari.errors import CapExceededError
 from btamari.lattice import (
     BLOCK_BYTES,
     FiniteLattice,
     FinitePoset,
+    _congruence_failure,
     extremal_is_trim,
+    is_left_modular_element,
     is_semidistributive,
     join_irreducibles,
     meet_irreducibles,
+    pack_words,
     try_lattice,
 )
 from btamari.parabolic import (
@@ -33,6 +36,29 @@ from btamari.tamari import _weak_leq_matrix
 
 def perm(text: str) -> SignedPermutation:
     return SignedPermutation.parse(text)
+
+
+def weak_leq(u: SignedPermutation, v: SignedPermutation) -> bool:
+    """Left weak order: containment of inversion sets."""
+    return u.inversion_set() <= v.inversion_set()
+
+
+def mul_reflection_right(pi: SignedPermutation, t: Reflection) -> SignedPermutation:
+    """pi t, the map a -> pi(t(a)): t acts on positions."""
+    return SignedPermutation(tuple(pi(t.apply(a)) for a in range(1, pi.n + 1)))
+
+
+def mul_reflection_left(t: Reflection, pi: SignedPermutation) -> SignedPermutation:
+    """t pi, the map v -> t(v) on pi's values."""
+    return SignedPermutation(tuple(t.apply(v) for v in pi.right))
+
+
+def suffix_chain(word: tuple[int, ...], n: int) -> list[SignedPermutation]:
+    """The elements spelled by a word's suffixes, shortest first; the last is the word's."""
+    chain = [SignedPermutation.identity(n)]
+    for s in reversed(word):
+        chain.append(chain[-1].mul_gen_left(s))
+    return chain
 
 
 def weak_order_lattice(alpha: Composition) -> FiniteLattice:
@@ -113,6 +139,43 @@ def heights_by_rounds(poset: FinitePoset) -> np.ndarray:
         if np.array_equal(step, h[tops]):
             return h
         h[tops] = step
+
+
+def eliminate_231(alpha: Composition, rows):
+    """Rows holding a 231 pattern, and each with one of its patterns eliminated
+    by the generator ``_pattern_generators`` names: ``fiber_bottoms``' step."""
+    right = np.asarray(rows)
+    hit, gens = projection._pattern_generators(alpha, right)
+    return hit, projection.left_act(right[hit], gens[:, None])
+
+
+def order_words(poset: FinitePoset):
+    """Down-sets as words and the cover pairs: ``quotient_order``'s inputs."""
+    return pack_words(poset.leq.T), *np.nonzero(poset.covers)
+
+
+def check_congruence(poset: FinitePoset, block_of):
+    """(ok, why): the congruence test ``quotient_order`` runs, on a matrix order."""
+    why, _ = _congruence_failure(*order_words(poset), block_of)
+    return why is None, why
+
+
+def left_modular_chain_by_search(lat: FiniteLattice) -> bool:
+    """The oracle for ``lattice.has_left_modular_chain``: the longest chain of
+    left-modular elements from the bottom, one element at a time over a
+    linear extension, must reach the top in length(L) steps."""
+    modular = np.fromiter(
+        (is_left_modular_element(lat, p) for p in range(lat.n)), dtype=bool
+    )
+    best = np.full(lat.n, -1, dtype=np.int64)
+    best[np.flatnonzero(lat.leq.all(axis=1))[0]] = 0
+    for x in np.argsort(lat.leq.sum(axis=0), kind="stable"):
+        if not modular[x] or best[x] < 0:
+            continue
+        for y in np.flatnonzero(lat.covers[x]):
+            if modular[y]:
+                best[y] = max(best[y], best[x] + 1)
+    return bool(best[lat.top] == lat.length())
 
 
 def root_vector(t: Reflection, n: int) -> tuple[int, ...]:

@@ -31,7 +31,6 @@ class TestPolynomial:
         p = Polynomial((1, 2, 0, 0))
         assert p.coefficients == (1, 2)
         assert p(1) == 3 and p(2) == 5
-        assert p.degree == 1
         assert p.format() == "1,2"
 
     def test_zero(self):

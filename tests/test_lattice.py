@@ -8,7 +8,6 @@ from btamari.errors import NotACongruenceError, NotALatticeError
 from btamari import lattice
 from btamari.lattice import (
     FinitePoset,
-    check_congruence,
     has_left_modular_chain,
     _lower_bounded,
     is_congruence_uniform,
@@ -18,7 +17,7 @@ from btamari.lattice import (
     lattice_to_dot,
     lattice_to_json,
     meet_irreducibles,
-    quotient_lattice,
+    quotient_order,
     semidistributivity_witness,
     try_lattice,
 )
@@ -27,11 +26,15 @@ from btamari.parabolic import Composition, all_compositions, quotient_rows
 from btamari.projection import fiber_bottoms
 from btamari.tamari import _inversion_words, _weak_covers, build_tamari
 from conftest import (
+    check_congruence,
     full_group,
     heights_by_rounds,
     is_extremal,
     is_trim,
+    left_modular_chain_by_search,
     lower_bounded_by_gather,
+    order_words,
+    weak_leq,
     weak_order_lattice,
 )
 
@@ -142,14 +145,15 @@ def loop_check_congruence(lat, partition):
     if len(partition.block_of) != lat.n:
         return False, "partition size does not match the lattice"
     leq = lat.leq
+    meet, join = lat.meet_table(), lat.join_table()
     mins = np.empty(len(partition.blocks), dtype=np.int64)
     maxs = np.empty(len(partition.blocks), dtype=np.int64)
     for b, members in enumerate(partition.blocks):
         lo = members[0]
         hi = members[0]
         for x in members[1:]:
-            lo = lat.meet(lo, x)
-            hi = lat.join(hi, x)
+            lo = meet[lo, x]
+            hi = join[hi, x]
         interval = np.flatnonzero(leq[lo] & leq[:, hi])
         if set(map(int, interval)) != set(members):
             return False, f"class {b} is not an interval"
@@ -395,7 +399,7 @@ def tree_lattice(rng, m):
 
 def weak_order_lattice_raw(n):
     group = sorted(full_group(n), key=lambda p: p.right)
-    return try_lattice(poset_from(group, lambda u, v: u.weak_leq(v)))
+    return try_lattice(poset_from(group, weak_leq))
 
 
 class TestPosets:
@@ -409,7 +413,7 @@ class TestPosets:
 
     def test_weak_order_octagon(self):
         group = full_group(2)
-        poset = poset_from(group, lambda u, v: u.weak_leq(v))
+        poset = poset_from(group, weak_leq)
         assert poset.n == 8
         assert len(poset.cover_pairs()) == 8
 
@@ -431,7 +435,7 @@ class TestPosets:
         assert np.array_equal(dual.covers, FinitePoset(weak.labels, weak.leq.T).covers)
         # Every construction is one order object: a poset with meet and join tables.
         bottoms = fiber_bottoms(alpha, weak.labels)
-        quot = try_lattice(quotient_lattice(weak, bottoms))
+        quot = try_lattice(quotient_order(weak.labels, *order_words(weak), bottoms))
         for lat in (weak, build_tamari(alpha), quot):
             assert isinstance(lat, FinitePoset)
             twice = lat.dual().dual()
@@ -462,7 +466,7 @@ class TestPosets:
 class TestTryLattice:
     def test_chain(self):
         lat = chain(3)
-        assert lat.meet(0, 2) == 0 and lat.join(0, 2) == 2
+        assert lat.meet_table()[0, 2] == 0 and lat.join_table()[0, 2] == 2
 
     def test_antichain_fails(self):
         poset = poset_from([0, 1], lambda a, b: a == b)
@@ -476,10 +480,10 @@ class TestTryLattice:
         # absorption plus order compatibility on every pair
         for a in range(0, 48, 7):
             for b in range(0, 48, 5):
-                m, j = lat.meet(a, b), lat.join(a, b)
+                m, j = lat.meet_table()[a, b], lat.join_table()[a, b]
                 assert lat.leq[m, a] and lat.leq[m, b]
                 assert lat.leq[a, j] and lat.leq[b, j]
-                assert (lat.meet(a, j), lat.join(a, m)) == (a, a)
+                assert (lat.meet_table()[a, j], lat.join_table()[a, m]) == (a, a)
                 assert lat.leq[a, b] == (m == a) == (j == b)
 
     def test_tables_match_dense_oracle(self, small_lattices):
@@ -746,11 +750,11 @@ class TestCongruences:
                     assert result == check_congruence(weak, canon), alpha
                     if not result[0]:
                         with pytest.raises(NotACongruenceError) as info:
-                            quotient_lattice(weak, keys)
+                            quotient_order(weak.labels, *order_words(weak), keys)
                         assert str(info.value) == result[1]
                         continue
-                    quot = quotient_lattice(weak, keys)
-                    expected = quotient_lattice(weak, canon)
+                    quot = quotient_order(weak.labels, *order_words(weak), keys)
+                    expected = quotient_order(weak.labels, *order_words(weak), canon)
                     assert np.array_equal(quot.labels, expected.labels), alpha
                     assert np.array_equal(quot.leq, expected.leq), alpha
         assert renumbered > 0
@@ -783,18 +787,19 @@ class TestCongruences:
 class TestQuotient:
     def test_discrete_gives_same(self):
         lat = n5()
-        quot = quotient_lattice(lat, discrete(lat.n).block_of)
+        quot = quotient_order(lat.labels, *order_words(lat), discrete(lat.n).block_of)
         assert quot.n == lat.n
         assert np.array_equal(quot.leq, lat.leq)
 
     def test_single_block(self):
         lat = chain(3)
-        quot = quotient_lattice(lat, [0, 0, 0])
+        quot = quotient_order(lat.labels, *order_words(lat), [0, 0, 0])
         assert quot.n == 1
 
     def test_rejects_non_congruence(self):
+        lat = chain(4)
         with pytest.raises(NotACongruenceError):
-            quotient_lattice(chain(4), [0, 1, 0, 2])
+            quotient_order(lat.labels, *order_words(lat), [0, 1, 0, 2])
 
     def test_class_bounds_found_once(self, monkeypatch):
         # The class bounds are found by the congruence test, and the
@@ -807,13 +812,14 @@ class TestQuotient:
         )
         alpha = Composition.parse("0,2,1")
         weak = weak_order_lattice(alpha)
-        quot = quotient_lattice(weak, fiber_bottoms(alpha, quotient_rows(alpha)))
+        bottoms = fiber_bottoms(alpha, quotient_rows(alpha))
+        quot = quotient_order(weak.labels, *order_words(weak), bottoms)
         assert (quot.n, len(calls)) == (16, 1)
 
     def test_quotient_covers_are_images(self):
         lat = chain(4)
         theta = principal_congruence(lat, 0, 1)
-        quot = quotient_lattice(lat, theta.block_of)
+        quot = quotient_order(lat.labels, *order_words(lat), theta.block_of)
         assert quot.n == 3
         assert quot.cover_pairs() == [(0, 1), (1, 2)]
 
@@ -935,6 +941,39 @@ class TestTrimness:
         for lat in (chain(4), n5(), boolean(2), boolean(3), weak_order_lattice_raw(2)):
             if is_semidistributive(lat) and is_extremal(lat):
                 assert has_left_modular_chain(lat)
+
+    def test_hexagon_has_no_left_modular_chain(self):
+        # Two 3-chains sharing only the bounds, 0 < a < b < 1 and 0 < c < d
+        # < 1.  Only the bounds are left modular: a v c = 1 and a ^ d = 0,
+        # so a fails for r = c <= q = d.
+        covers = [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)]
+        lat = try_lattice(from_covers(list("0abcd1"), covers))
+        assert is_semidistributive(lat)
+        counts = len(join_irreducibles(lat)), len(meet_irreducibles(lat)), lat.length()
+        assert counts == (4, 4, 3)
+        assert [p for p in range(lat.n) if is_left_modular_element(lat, p)] == [0, 5]
+        assert not left_modular_chain_by_search(lat)
+        assert not has_left_modular_chain(lat)
+
+    def test_chain_search_matches_oracle(self):
+        # Every Tam_B with n <= 4 and its dual, the lattices among 300
+        # random posets, whose indices are not a linear extension, and 100
+        # intersection-closed families, some of them with no such chain.
+        lattices = [build_tamari(alpha) for n in range(1, 5) for alpha in all_compositions(n)]
+        lattices += [lat.dual() for lat in lattices]
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            try:
+                lattices.append(try_lattice(random_poset(rng, int(rng.integers(2, 12)))))
+            except NotALatticeError:
+                pass
+        lattices += [intersection_closed_lattice(rng) for _ in range(100)]
+        seen = set()
+        for lat in lattices:
+            expected = left_modular_chain_by_search(lat)
+            assert has_left_modular_chain(lat) == expected
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestExports:

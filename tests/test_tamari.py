@@ -18,14 +18,22 @@ from btamari.parabolic import (
     quotient_rows,
     quotient_size,
     sorting_word_longest,
-    word_suffix_chain,
 )
 from btamari.alignment import is_aligned
 from btamari.projection import fiber_bottoms
 from btamari.signed_perm import POS, SIGN, SignedPermutation, format_right
 from btamari.tamari import CHECKS, build_tamari, join_irreducible_for, verify_theorems
 
-from conftest import full_group, perm, weak_order_lattice
+from conftest import (
+    check_congruence,
+    eliminate_231,
+    full_group,
+    order_words,
+    perm,
+    suffix_chain,
+    weak_leq,
+    weak_order_lattice,
+)
 
 A021 = Composition.parse("0,2,1")
 
@@ -48,9 +56,8 @@ class TestBuildTamari:
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
                 weak = weak_order_lattice(alpha)
-                quot = lattice.quotient_lattice(
-                    weak, fiber_bottoms(alpha, quotient_rows(alpha))
-                )
+                bottoms = fiber_bottoms(alpha, quotient_rows(alpha))
+                quot = lattice.quotient_order(weak.labels, *order_words(weak), bottoms)
                 assert _isomorphic(build_tamari(alpha), quot)
 
 
@@ -108,9 +115,9 @@ class TestJoinIrreducibles:
         # quotient row too): the array verdict is cover_inversions() == {t}.
         for n in range(1, 6):
             for alpha in parabolic.all_compositions(n):
-                cells = [c.reflection for c in parabolic.InversionTableau(alpha).cells()]
+                cells = [cell[-1] for row in parabolic.tableau_cells(alpha)[2] for cell in row]
                 rows = np.array(
-                    [tamari._join_irreducible(alpha, t) for t in cells]
+                    [tamari._join_irreducible(alpha, t) for t in cells], dtype=np.int64
                 ).reshape(-1, n)
                 if n <= 4:
                     rows = np.concatenate([rows, quotient_rows(alpha)])
@@ -126,7 +133,7 @@ class TestJoinIrreducibles:
 
     def test_swapped_row_rejected(self, monkeypatch):
         # The first cell gets the second cell's irreducible.
-        cells = [c.reflection for c in parabolic.InversionTableau(A021).cells()]
+        cells = [cell[-1] for row in parabolic.tableau_cells(A021)[2] for cell in row]
         original = tamari._join_irreducible
         monkeypatch.setattr(
             tamari, "_join_irreducible",
@@ -146,12 +153,12 @@ class TestMaximalChain:
     def test_suffixes_form_aligned_chain(self, all_small_compositions):
         for n in (1, 2, 3, 4):
             for alpha in all_small_compositions[n]:
-                chain = word_suffix_chain(sorting_word_longest(alpha), n)
+                chain = suffix_chain(sorting_word_longest(alpha), n)
                 assert len(chain) == parabolic_length(alpha) + 1
                 for pi in chain:
                     assert is_aligned(alpha, pi)
                 for lower, upper in zip(chain, chain[1:]):
-                    assert lower.weak_leq(upper)
+                    assert weak_leq(lower, upper)
 
     def test_tamari_length(self, all_small_compositions):
         for n in (1, 2, 3):
@@ -192,8 +199,8 @@ class TestNotSublattice:
             expected = None
             for a, b in combinations(range(tam.n), 2):
                 pa, pb = tam_rows[a], tam_rows[b]
-                wm = tuple(weak.labels[weak.meet(index[pa], index[pb])].tolist())
-                tm = tam_rows[tam.meet(a, b)]
+                wm = tuple(weak.labels[weak.meet_table()[index[pa], index[pb]]].tolist())
+                tm = tam_rows[tam.meet_table()[a, b]]
                 if wm != tm:
                     expected = (pb, pa, wm, tm)
                     break
@@ -524,7 +531,7 @@ class TestCongruenceFailure:
 
     def test_why_in_text_and_json(self, monkeypatch):
         weak = weak_order_lattice(A021)
-        ok, why = lattice.check_congruence(weak, self.merge_first_and_last(A021, weak.labels))
+        ok, why = check_congruence(weak, self.merge_first_and_last(A021, weak.labels))
         assert not ok and why
         monkeypatch.setattr(tamari, "fiber_bottoms", self.merge_first_and_last)
         report = verify_theorems(A021)
@@ -569,7 +576,7 @@ class TestGeneratorImages:
 
     def test_missing_image_raises_as_the_lookup_does(self):
         rows = quotient_rows(A021)
-        hit, eliminated = projection.eliminate_231(A021, rows)
+        hit, eliminated = eliminate_231(A021, rows)
         kept = rows[~(rows == eliminated[0]).all(axis=1)]
         _, _, images = tamari._weak_covers(kept, tamari._inversion_words(kept)[1])
         with pytest.raises(ValueError) as looked_up:
@@ -630,7 +637,7 @@ class TestWeakOrderLattice:
         inputs += [enumerate_quotient(Composition.parse(a)) for a in ("8,1", "7,2")]
         for members in inputs:
             expected = np.array(
-                [[a.weak_leq(b) for b in members] for a in members], dtype=bool
+                [[weak_leq(a, b) for b in members] for a in members], dtype=bool
             )
             rows = np.array([pi.right for pi in members], dtype=np.int8)
             assert np.array_equal(tamari._weak_leq_matrix(rows), expected)
