@@ -35,11 +35,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=4, help="sweep degrees 1..N")
     parser.add_argument("--json", action="store_true", help="emit one JSON line per alpha")
-    parser.add_argument(
-        "--verify-chain",
-        action="store_true",
-        help="search for the left-modular chain instead of trusting the shortcut",
-    )
     args = parser.parse_args(argv)
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
@@ -59,7 +54,7 @@ def main(argv=None) -> int:
         for alpha in all_compositions(n):
             start = time.time()
             try:
-                report = verify_theorems(alpha, verify_chain=args.verify_chain)
+                report = verify_theorems(alpha)
             except CapExceededError as exc:
                 print(f"{alpha.format()}: refused, {exc}", file=sys.stderr)
                 refused += 1

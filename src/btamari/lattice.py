@@ -15,7 +15,8 @@ verification harness: irreducibles, length, semidistributivity, congruence
 uniformity (by Day's join-dependency criterion, from bit words of the
 irreducibles below each element), congruence verification and quotient
 orders on bit words and cover pairs (so that the weak order needs no
-matrix), left modularity and trimness, plus JSON and DOT exports.
+matrix), left modularity in one pass over the covers, plus JSON and DOT
+exports.
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ class FiniteLattice(FinitePoset):
         super().__init__(labels, leq)
         self._meet = meet
         self._join = join
-
-    @cached_property
-    def top(self) -> int:
-        return int(np.flatnonzero(self.leq.all(axis=0))[0])
 
     def meet_table(self) -> np.ndarray:
         return self._meet
@@ -384,48 +381,41 @@ def is_congruence_uniform(lat: FiniteLattice) -> bool:
     return _lower_bounded(lat) and _lower_bounded(lat.dual())
 
 
-# -- left modularity and trimness -----------------------------------------------
+# -- left modularity -------------------------------------------------------------
 
 
-def is_left_modular_element(lat: FiniteLattice, p: int) -> bool:
-    """(r v p) ^ q = r v (p ^ q) for every r <= q."""
-    meet = lat.meet_table()
-    join = lat.join_table()
-    lhs = meet[join[:, p]]
-    rhs = join[:, meet[p]]
-    return bool(((lhs == rhs) | ~lat.leq).all())
+def _left_modular(lat: FiniteLattice) -> np.ndarray:
+    """Per element p, whether (r v p) ^ q = r v (p ^ q) for every r <= q.
+
+    That holds exactly when no cover y < z has p ^ y = p ^ z and p v y =
+    p v z.  For r <= q, y = r v (p ^ q) <= z = (r v p) ^ q; if y < z, both
+    meet p in p ^ q and join it in p v r, and so does every cover y < y1 <= z.
+    Conversely, such a pair gives (y v p) ^ z = z but y v (p ^ z) = y.  So
+    each element's meet and join rows are compared at the two ends of every
+    cover, O(m covers) in all, in blocks of elements near BLOCK_BYTES.
+    """
+    lower, upper = np.nonzero(lat.covers)
+    meet, join = lat.meet_table(), lat.join_table()
+    modular = np.empty(lat.n, dtype=bool)
+    step = max(1, BLOCK_BYTES // (meet.itemsize * len(lower) + 1))
+    for lo in range(0, lat.n, step):
+        meets, joins = meet[lo:lo + step], join[lo:lo + step]
+        same = (meets[:, lower] == meets[:, upper]) & (joins[:, lower] == joins[:, upper])
+        modular[lo:lo + step] = ~same.any(axis=1)
+    return modular
 
 
 def has_left_modular_chain(lat: FiniteLattice) -> bool:
-    """A maximal chain of length(L) + 1 left-modular elements exists.
+    """A maximal chain of left-modular elements exists: with it, an extremal L is trim.
 
     The heights' pass runs on the covers whose two ends are both left
-    modular, and such a chain exists exactly when it finds one of length(L)
-    ending at the top.  Such a chain must start at the bottom: any element
-    above the bottom has at least one more cover below it, which would make
-    a chain longer than length(L).
+    modular, and such a chain exists exactly when it finds one of length(L):
+    a chain of length(L) covers cannot be extended, so it is maximal.
     """
-    modular = np.fromiter(
-        (is_left_modular_element(lat, p) for p in range(lat.n)), dtype=bool
-    )
+    modular = _left_modular(lat)
     lower, upper = np.nonzero(lat.covers)
     both = modular[lower] & modular[upper]
-    return bool(lat._chain_heights(lower[both], upper[both])[lat.top] == lat.length())
-
-
-def extremal_is_trim(
-    lat: FiniteLattice, semidistributive: bool, verify_chain: bool
-) -> bool:
-    """Trimness of a lattice already known to be extremal.
-
-    A trim lattice is extremal and has a left-modular maximal chain.  An
-    extremal semidistributive lattice is trim, so the explicit chain search
-    runs for the rest, or additionally when ``verify_chain`` is set.  The
-    caller passes the semidistributive verdict it already holds.
-    """
-    if semidistributive and not verify_chain:
-        return True
-    return has_left_modular_chain(lat)
+    return bool(lat._chain_heights(lower[both], upper[both]).max() == lat.length())
 
 
 # -- exports --------------------------------------------------------------------

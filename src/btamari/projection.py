@@ -223,8 +223,8 @@ def iter_theta_classes(alpha: Composition, cap: int | None = None) -> Iterator[T
     The quotient's rows are grouped by ``fiber_bottoms``.  A fiber is an
     interval of the weak order, which is graded by length, so its top is
     its unique longest member; the lengths are the inversion counts of
-    ``inversion_columns``.  Only the rows and a few index arrays are held,
-    O(m n) in all, however many fibers are taken.
+    ``inversion_columns``.  All but the fibers is found on the call, so a
+    refused enumeration raises there; O(m n) is held however many are taken.
     """
     rows = quotient_rows(alpha, cap)
     bottoms = fiber_bottoms(alpha, rows)
@@ -234,8 +234,8 @@ def iter_theta_classes(alpha: Composition, cap: int | None = None) -> Iterator[T
     starts = np.flatnonzero(np.diff(bottoms[grouped], prepend=-1))
     tops = np.lexsort((-lengths, bottoms))[starts]
     ends = np.append(starts[1:], len(rows))
-    for bottom, top, lo, hi in zip(bottoms[grouped[starts]], tops, starts, ends):
-        yield ThetaClass(rows[bottom], rows[top], rows[grouped[lo:hi]])
+    spans = zip(bottoms[grouped[starts]], tops, starts, ends)
+    return (ThetaClass(rows[b], rows[t], rows[grouped[lo:hi]]) for b, t, lo, hi in spans)
 
 
 def theta_classes(alpha: Composition, cap: int | None = None) -> list[ThetaClass]:

@@ -29,7 +29,9 @@ Tam_B's indices among the rows.  The constructor check reads the
 inversion tableau's labels with no cell objects.  Only the subposet lattice gets meet and join tables.  The
 subposet and quotient constructions stay as two independent routes to the
 same lattice, so that each confirms the other.  Tam_B's order and tables
-are dense, so no Tam_B above TABLE_THRESHOLD elements is built.
+are dense, so no Tam_B above TABLE_THRESHOLD elements is built.  An extremal
+lattice is trim when semidistributive (H. Thomas and N. Williams, 2019), else
+when ``lattice.has_left_modular_chain`` finds a left-modular maximal chain.
 """
 
 from __future__ import annotations
@@ -72,11 +74,24 @@ def _inversion_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The n^2 inversion columns of ``inversion_columns`` are packed, eight to
     a byte, into (m, ceil(n^2 / 64)) ``uint64`` words, so a row's set is one
-    word up to n = 8.  The sizes are the rows' lengths, summed from the same
-    table before it is packed.
+    word up to n = 8.  Groups of position blocks near BLOCK_BYTES booleans are
+    packed, each carrying its last (< 8) columns to the next, so the bits lie
+    as ``pack_words`` lays out the whole table, never held; sizes are popcounts.
     """
-    table = np.concatenate(list(inversion_columns(rows)), axis=1)
-    return lat.pack_words(table), table.sum(axis=1)
+    m, n = rows.shape
+    words = np.zeros((m, -(-n * n // 64)), dtype="<u8")
+    packed, group, done = words.view(np.uint8), [], 0
+    for i, block in enumerate(inversion_columns(rows)):
+        group.append(block)
+        if sum(map(np.size, group)) < lat.BLOCK_BYTES and i < n - 1:
+            continue
+        table = np.concatenate(group, axis=1)
+        whole = table.shape[1] if i == n - 1 else table.shape[1] // 8 * 8
+        out = np.packbits(table[:, :whole], axis=1, bitorder="little")
+        packed[:, done:done + out.shape[1]] = out
+        done += out.shape[1]
+        group = [table[:, whole:]]
+    return words, np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def _weak_leq_matrix(rows: np.ndarray) -> np.ndarray:
@@ -340,7 +355,6 @@ class VerificationReport:
 def verify_theorems(
     alpha: Composition,
     cap: int | None = None,
-    verify_chain: bool = False,
     tam: lat.FiniteLattice | None = None,
 ) -> VerificationReport:
     """Run every structural check for one composition and collect the outcome.
@@ -398,8 +412,8 @@ def verify_theorems(
     checks["semidistributive"] = lat.is_semidistributive(L)
     ln = L.length()
     checks["extremal"] = len(irreducibles) == len(lat.meet_irreducibles(L)) == ln
-    checks["trim"] = checks["extremal"] and lat.extremal_is_trim(
-        L, checks["semidistributive"], verify_chain
+    checks["trim"] = checks["extremal"] and (
+        checks["semidistributive"] or lat.has_left_modular_chain(L)
     )
     checks["length_formula"] = ln == parabolic_length(alpha)
     # Extremality is this count; the goldens keep both names.

@@ -12,9 +12,7 @@ from btamari.lattice import (
     FiniteLattice,
     FinitePoset,
     _congruence_failure,
-    extremal_is_trim,
-    is_left_modular_element,
-    is_semidistributive,
+    has_left_modular_chain,
     join_irreducibles,
     meet_irreducibles,
     pack_words,
@@ -26,6 +24,7 @@ from btamari.parabolic import (
     _sign_table,
     _split_slots,
     all_compositions,
+    inversion_columns,
     longest_element,
     quotient_rows,
     quotient_size,
@@ -83,15 +82,33 @@ def is_extremal(lat: FiniteLattice) -> bool:
     return len(join_irreducibles(lat)) == ln == len(meet_irreducibles(lat))
 
 
-def is_trim(lat: FiniteLattice, verify_chain: bool = False) -> bool:
-    """Extremal plus a left-modular maximal chain.
+def is_trim(lat: FiniteLattice) -> bool:
+    """Extremal plus a left-modular maximal chain: the definition of trim.
 
     The oracle for the trimness verdict ``verify_theorems`` assembles from
-    its extremal and semidistributive checks and ``extremal_is_trim``.
+    its extremal and semidistributive checks.
     """
-    return is_extremal(lat) and extremal_is_trim(
-        lat, is_semidistributive(lat), verify_chain
-    )
+    return is_extremal(lat) and has_left_modular_chain(lat)
+
+
+def is_left_modular_element(lat: FiniteLattice, p: int) -> bool:
+    """(r v p) ^ q = r v (p ^ q) for every r <= q: the definition.
+
+    O(m^2) per element; the oracle for ``lattice._left_modular``, which
+    tests the cover pairs instead.
+    """
+    meet = lat.meet_table()
+    join = lat.join_table()
+    lhs = meet[join[:, p]]
+    rhs = join[:, meet[p]]
+    return bool(((lhs == rhs) | ~lat.leq).all())
+
+
+def inversion_words_whole(rows):
+    """The oracle for ``tamari._inversion_words``: the whole m x n^2 table of
+    ``inversion_columns``, packed by ``pack_words``, and its row sums."""
+    table = np.concatenate(list(inversion_columns(rows)), axis=1)
+    return pack_words(table), table.sum(axis=1)
 
 
 def lower_bounded_by_gather(lat: FiniteLattice, block_bytes: int = BLOCK_BYTES) -> bool:
@@ -175,7 +192,7 @@ def left_modular_chain_by_search(lat: FiniteLattice) -> bool:
         for y in np.flatnonzero(lat.covers[x]):
             if modular[y]:
                 best[y] = max(best[y], best[x] + 1)
-    return bool(best[lat.top] == lat.length())
+    return bool(best[lat.leq.all(axis=0).argmax()] == lat.length())
 
 
 def root_vector(t: Reflection, n: int) -> tuple[int, ...]:

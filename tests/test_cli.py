@@ -148,6 +148,12 @@ class TestProject:
         classes = theta_classes(Composition.parse("0,2,1"))
         assert out == json.dumps([c.to_json() for c in classes]) + "\n"
 
+    def test_refused_classes_write_nothing(self, capsys):
+        # 24 members are over the cap: refused before the listing opens.
+        code, out, err = run(capsys, "--cap", "10", "project", "--alpha", "0,2,1", "--classes")
+        assert (code, out) == (3, "")
+        assert err == "error: enumeration needs 24 elements, cap is 10\n"
+
     def test_debug_crosschecks_flag(self, capsys):
         code, out, _ = run(
             capsys,

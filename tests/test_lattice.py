@@ -9,9 +9,9 @@ from btamari import lattice
 from btamari.lattice import (
     FinitePoset,
     has_left_modular_chain,
+    _left_modular,
     _lower_bounded,
     is_congruence_uniform,
-    is_left_modular_element,
     is_semidistributive,
     join_irreducibles,
     lattice_to_dot,
@@ -30,6 +30,7 @@ from conftest import (
     full_group,
     heights_by_rounds,
     is_extremal,
+    is_left_modular_element,
     is_trim,
     left_modular_chain_by_search,
     lower_bounded_by_gather,
@@ -934,13 +935,18 @@ class TestTrimness:
     def test_n5_trim_with_chain_search(self):
         lat = n5()
         assert is_trim(lat)
-        assert is_trim(lat, verify_chain=True)
         assert has_left_modular_chain(lat)
 
     def test_shortcut_agrees_with_chain_search(self):
+        # verify_theorems takes an extremal semidistributive lattice as trim
+        # without the chain search; every Tam_B with n <= 6 and its dual is one.
         for lat in (chain(4), n5(), boolean(2), boolean(3), weak_order_lattice_raw(2)):
             if is_semidistributive(lat) and is_extremal(lat):
                 assert has_left_modular_chain(lat)
+        tams = [build_tamari(alpha) for n in range(1, 7) for alpha in all_compositions(n)]
+        assert len(tams) == 126
+        for lat in tams:
+            assert has_left_modular_chain(lat) and has_left_modular_chain(lat.dual())
 
     def test_hexagon_has_no_left_modular_chain(self):
         # Two 3-chains sharing only the bounds, 0 < a < b < 1 and 0 < c < d
@@ -954,6 +960,31 @@ class TestTrimness:
         assert [p for p in range(lat.n) if is_left_modular_element(lat, p)] == [0, 5]
         assert not left_modular_chain_by_search(lat)
         assert not has_left_modular_chain(lat)
+
+    def test_left_modular_matches_definition(self, monkeypatch):
+        # Element by element, on every Tam_B with n <= 5 and its dual, the
+        # lattices among 300 random posets, 100 intersection-closed
+        # families and the hexagon, in blocks of the default size and of
+        # one element.
+        lattices = [build_tamari(alpha) for n in range(1, 6) for alpha in all_compositions(n)]
+        lattices += [lat.dual() for lat in lattices]
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            try:
+                lattices.append(try_lattice(random_poset(rng, int(rng.integers(2, 12)))))
+            except NotALatticeError:
+                pass
+        lattices += [intersection_closed_lattice(rng) for _ in range(100)]
+        hexagon = [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)]
+        lattices.append(try_lattice(from_covers(list("0abcd1"), hexagon)))
+        seen, sizes = set(), (lattice.BLOCK_BYTES, 1)
+        for lat in lattices:
+            expected = [is_left_modular_element(lat, p) for p in range(lat.n)]
+            seen.update(expected)
+            for block_bytes in sizes:
+                monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+                assert _left_modular(lat).tolist() == expected, (lat.n, block_bytes)
+        assert seen == {True, False}
 
     def test_chain_search_matches_oracle(self):
         # Every Tam_B with n <= 4 and its dual, the lattices among 300

@@ -1,5 +1,4 @@
 import importlib.util
-import json
 import time
 from pathlib import Path
 
@@ -31,14 +30,6 @@ class TestVerificationSweep:
         assert lines[-1] == "all checks passed"
         # 2 compositions of degree 1 and 4 of degree 2
         assert len(lines) - 1 == 6
-
-    def test_chain_search_reports_serialise(self, sweep, capsys):
-        assert sweep(["--max-n", "2", "--verify-chain", "--json"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "all checks passed"
-        reports = [json.loads(line) for line in lines[:-1]]
-        assert len(reports) == 6
-        assert all(report["checks"]["trim"] is True for report in reports)
 
     def test_refused_composition_is_one_line_and_exit_three(
         self, sweep, capsys, monkeypatch

@@ -28,6 +28,7 @@ from conftest import (
     check_congruence,
     eliminate_231,
     full_group,
+    inversion_words_whole,
     order_words,
     perm,
     suffix_chain,
@@ -287,7 +288,7 @@ class TestVerifyTheorems:
 
     def test_sweep_n3(self, all_small_compositions):
         for alpha in all_small_compositions[3]:
-            report = verify_theorems(alpha, verify_chain=True)
+            report = verify_theorems(alpha)
             assert report.ok, (alpha.format(), report.checks)
 
 
@@ -318,6 +319,26 @@ class TestWeakCovers:
                 monkeypatch.undo()
                 for a, b in zip(whole, blocked):
                     assert np.array_equal(a, b), alpha
+
+
+class TestInversionWords:
+    def test_blocks_pack_as_the_whole_table(self, monkeypatch):
+        # Groups of one position block (BLOCK_BYTES = 1) carry their odd
+        # widths' last columns into the next; every group packs to the bits
+        # of the whole table, up to n = 5, for the 645,120 rows of n = 7
+        # and for one row of degree 300.
+        alphas = [alpha for n in range(1, 6) for alpha in all_compositions(n)]
+        alphas += [Composition.parse("0,1,1,1,1,1,1,1"), Composition.parse("300")]
+        for alpha in alphas:
+            rows = quotient_rows(alpha)
+            words, sizes = inversion_words_whole(rows)
+            for block_bytes in (lattice.BLOCK_BYTES, 64, 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+                    got = tamari._inversion_words(rows)
+                assert got[0].dtype == words.dtype, alpha
+                assert np.array_equal(got[0], words), (alpha, block_bytes)
+                assert np.array_equal(got[1], sizes), (alpha, block_bytes)
 
 
 class TestVerifyBuildsOnce:
@@ -399,8 +420,8 @@ class TestVerifyBuildsOnce:
         assert sizes == [m, m]
 
     def test_semidistributivity_scanned_once(self, monkeypatch):
-        # is_trim asks again after the semidistributive check; both read one
-        # test, which runs the kappa criterion once per law.
+        # The report's witness asks again after the semidistributive check;
+        # both read one test, which runs the kappa criterion once per law.
         laws = []
         original = lattice._kappa_witness
         monkeypatch.setattr(
@@ -468,7 +489,7 @@ class TestTamariNotALattice:
     def topless(self, monkeypatch):
         """Drops Tam_B's top; returns the kernel's error on what is left."""
         full = build_tamari(A021)
-        kept = np.delete(full.labels, full.top, axis=0)
+        kept = np.delete(full.labels, full.leq.all(axis=0).argmax(), axis=0)
         monkeypatch.setattr(tamari, "aligned_rows", lambda alpha, cap=None: kept)
         order = lattice.FinitePoset(kept, tamari._weak_leq_matrix(kept))
         with pytest.raises(NotALatticeError) as info:
