@@ -424,30 +424,33 @@ def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
 
 def count_aligned_subtree(
     n: int, split: bool, first: int, cap: int | None = None
-) -> int:
-    """Aligned elements of every composition of n with this split flag and first part.
+) -> list[int]:
+    """Aligned elements of the compositions with this split flag and first
+    part, by degree: entry w - 1 counts those of degree w <= n.
 
-    The compositions form a tree of prefixes, walked depth first, one child
-    at a time.  A node takes the ``_grow`` step of its last block on its
-    parent's kept rows.  A node whose parts sum to n adds the rows it
-    keeps; any other node, whose parts sum to w < n, hands them to its
-    children, parts 1 .. n - w in turn.  Every composition's block steps
-    are nodes of the tree, holding the same rows, so the cap refuses
-    exactly when ``count_aligned`` refuses one of them, and the first
-    count above it in walk order is raised.
+    The tree of n's composition prefixes is walked depth first, each node
+    (parts summing to w) taking the ``_grow`` step of its last block on its
+    parent's kept rows.  Its kept rows holding +-1 .. +-w (w + 1 at position
+    w + 1) are the aligned members of degree w with its parts: each plan
+    entry of those parts reads positions <= w only, comparing values there
+    with each other or with succ of one of them, and succ(w) = w + 1 sits at
+    no position <= w in either degree.  Every step of a composition of n is
+    a node, and a lower degree's step holds no more rows than its node, so
+    the cap refuses exactly when ``count_aligned`` refuses one of them,
+    raising the first count above it in walk order.
     """
-    return _walk(_identity_state(n), split, (first,), resolve_cap(cap))
-
-
-def _walk(state: np.ndarray, split: bool, parts: tuple[int, ...], cap: int) -> int:
-    """The aligned count below one node: ``parts`` ends with the block it places
-    on ``state``, its parent's kept rows."""
-    state, kept = _grow(state, split, parts, cap)
-    n, w = state.shape[0], sum(parts)
-    if w == n:
-        return int(np.count_nonzero(kept))
-    state = np.compress(kept, state, axis=1)
-    return sum(_walk(state, split, parts + (q,), cap) for q in range(1, n - w + 1))
+    cap, counts = resolve_cap(cap), [0] * n
+    todo = [(_identity_state(n), (first,))]
+    while todo:
+        state, parts = todo.pop()
+        state, kept = _grow(state, split, parts, cap)
+        w = sum(parts)
+        counts[w - 1] += int(np.count_nonzero(kept if w == n else kept & (state[w] == w + 1)))
+        if w < n:
+            state = np.compress(kept, state, axis=1)
+            todo += [(state, parts + (q,)) for q in range(n - w, 0, -1)]
+        del kept  # a leaf's mask is freed before the next step allocates
+    return counts
 
 
 def cover_counts(rows) -> np.ndarray:

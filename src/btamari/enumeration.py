@@ -8,7 +8,6 @@ closed forms and report the outcome, mismatches included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
 from math import comb
 from multiprocessing import Pool
 
@@ -66,29 +65,21 @@ def conjectured_polynomial(t: int, n: int) -> Polynomial:
 def t_sequence(
     max_n: int, cap: int | None = None, threads: int = 1
 ) -> list[int]:
-    """Totals of aligned elements over all type-B compositions, degree by degree.
-
-    Each degree walks its tree of composition prefixes, one subtree per
-    split flag and first part (``count_aligned_subtree``), so compositions
-    sharing a prefix share its block steps.  Degrees are listed one at a
-    time, so the first above the cap ends the run.  ``threads`` is clamped
-    to the core count; below 1 it raises ValueError.
+    """Totals of aligned elements over all type-B compositions, for each degree
+    up to max_n, read off one walk of degree max_n's composition prefixes (one
+    ``count_aligned_subtree`` per split flag and first part).  ``threads``
+    is clamped to the core count; below 1 it raises ValueError.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    cap = resolve_cap(cap)
-    threads = resolve_threads(threads)
-    degrees = (
-        [(n, split, first, cap) for split in (False, True) for first in range(1, n + 1)]
-        for n in range(1, max_n + 1)
-    )
+    cap, threads = resolve_cap(cap), resolve_threads(threads)
+    subtrees = [(max_n, s, first, cap) for s in (False, True) for first in range(1, max_n + 1)]
     if threads <= 1:
-        return [sum(starmap(count_aligned_subtree, subtrees)) for subtrees in degrees]
-    # One pool serves every degree; no degree has more subtrees than the last.
-    with Pool(min(threads, 2 * max_n)) as pool:
-        return [
-            sum(pool.starmap(count_aligned_subtree, subtrees)) for subtrees in degrees
-        ]
+        counts = [count_aligned_subtree(*subtree) for subtree in subtrees]
+    else:
+        with Pool(min(threads, 2 * max_n)) as pool:
+            counts = pool.starmap(count_aligned_subtree, subtrees)
+    return [sum(degree) for degree in zip(*counts)]
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import lattice as lat
 from .alignment import aligned_rows, cover_counts
-from .errors import NotACongruenceError, NotALatticeError, TableBoundError
+from .config import resolve_cap
+from .errors import CapExceededError, NotACongruenceError, NotALatticeError, TableBoundError
 from .parabolic import (
     Composition,
     inversion_columns,
@@ -51,6 +52,7 @@ from .parabolic import (
     longest_element,
     parabolic_length,
     quotient_rows,
+    quotient_size,
     tableau_cells,
 )
 from .projection import fiber_bottoms, left_act, row_index, row_lookup
@@ -359,9 +361,10 @@ def verify_theorems(
 ) -> VerificationReport:
     """Run every structural check for one composition and collect the outcome.
 
-    The subposet lattice L is built first, so that a Tam_B above the table
-    bound is refused before the quotient is enumerated.  If the subposet is
-    not a lattice, ``lattice_subposet`` fails with the pair the table kernel
+    A quotient above the cap is refused first, then the subposet lattice L
+    is built, so that a Tam_B above the table bound is refused before the
+    quotient is enumerated.  If the subposet is not a lattice,
+    ``lattice_subposet`` fails with the pair the table kernel
     names, and so does every check on L.  The quotient's rows are
     enumerated once, and its weak order, projection fibers and their
     quotient order are each built once; the covers and the fibers read one
@@ -372,6 +375,8 @@ def verify_theorems(
     holds ``build_tamari(alpha, cap)`` passes it as ``tam``, and it is not
     built again.
     """
+    if (size := quotient_size(alpha)) > (cap := resolve_cap(cap)):
+        raise CapExceededError(size, cap)
     checks: dict[str, bool] = {}
     L, tam_failure = tam, None
     if L is None:

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -461,34 +462,60 @@ class TestPrefixWalk:
     """``t_sequence``'s walk of composition prefixes against the sum of
     ``count_aligned`` over the compositions, its oracle."""
 
-    def test_subtrees_match_per_composition_counts(self):
-        for n in range(1, 8):
+    @staticmethod
+    def per_subtree(count, max_n):
+        """``count`` summed by degree, split flag and first part, over every
+        composition of degree at most ``max_n``."""
+        sums = Counter()
+        for w in range(1, max_n + 1):
+            for alpha in all_compositions(w):
+                sums[w, alpha.split, alpha.first_part] += count(alpha)
+        return sums
+
+    def assert_every_degree(self, count, max_n):
+        # Entry w - 1 of a subtree of degree n counts the compositions of w.
+        sums = self.per_subtree(count, max_n)
+        for n in range(1, max_n + 1):
             for split in (False, True):
                 for first in range(1, n + 1):
-                    expected = sum(
-                        count_aligned(alpha)
-                        for alpha in all_compositions(n)
-                        if alpha.split == split and alpha.first_part == first
-                    )
+                    expected = [sums[w, split, first] for w in range(1, n + 1)]
                     assert count_aligned_subtree(n, split, first) == expected
+
+    def test_subtrees_match_per_composition_counts(self):
+        self.assert_every_degree(count_aligned, 7)
 
     def test_subtrees_match_filter_counts(self):
         # ``count_aligned`` shares the walk's block step; the filter over
         # the whole quotient does not.
-        for n in range(1, 7):
-            for split in (False, True):
-                for first in range(1, n + 1):
-                    expected = sum(
-                        int(aligned_mask(alpha, quotient_rows(alpha)).sum())
-                        for alpha in all_compositions(n)
-                        if alpha.split == split and alpha.first_part == first
-                    )
-                    assert count_aligned_subtree(n, split, first) == expected
+        self.assert_every_degree(
+            lambda alpha: int(aligned_mask(alpha, quotient_rows(alpha)).sum()), 6
+        )
+
+    def test_lower_degrees_read_off_the_largest(self):
+        for n in range(1, 8):
+            values = t_sequence(n)
+            for k in range(1, n + 1):
+                assert values[:k] == t_sequence(k)
+
+    def test_one_block_step_per_composition(self, monkeypatch):
+        # The degree-7 walk's nodes are the 254 compositions of degree <= 7,
+        # each stepped once.
+        steps = []
+        grow = alignment._grow
+
+        def counting(state, split, parts, cap):
+            steps.append((split, parts))
+            return grow(state, split, parts, cap)
+
+        monkeypatch.setattr(alignment, "_grow", counting)
+        assert t_sequence(7) == [3, 15, 91, 598, 4109, 29071, 209933]
+        assert len(steps) == len(set(steps)) == 254
 
     def test_refused_exactly_when_some_step_exceeds_the_cap(self):
-        # Every composition's block steps are steps of the walk, holding the
-        # same rows, so the walk refuses a degree exactly when one of them
-        # exceeds the cap, and raises one of those counts.
+        # Every block step of a composition of n is a step of the walk, and
+        # a lower degree's step holds no more rows than its match there, so
+        # the walk refuses exactly when one of them exceeds the cap, and
+        # raises one of those counts.
         held = set()
         for n in range(1, 6):
             for alpha in all_compositions(n):

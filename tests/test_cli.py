@@ -299,6 +299,19 @@ class TestLattice:
         assert err == "error: Tamari table needs 6 elements, bound is 5\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_quotient_above_cap_refused_before_building(self, capsys, monkeypatch):
+        # The n = 8 full group's quotient is refused before Tam_B is built.
+        def not_called(*args, **kwargs):
+            raise AssertionError("build_tamari called")
+
+        monkeypatch.setattr(tamari, "build_tamari", not_called)
+        code, out, err = run(
+            capsys, "lattice", "--alpha", "0,1,1,1,1,1,1,1,1", "--check", "all"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: enumeration needs 10321920 elements, cap is 2000000\n"
+
     def test_table_bound_message_without_enumerating(self, capsys, monkeypatch):
         # Tam_B is built first: one above the bound is refused before the
         # quotient is enumerated.
@@ -341,8 +354,8 @@ class TestTables:
         assert out.strip() == "3,15,91"
 
     def test_sequence_refused_at_the_first_degree_above_the_cap(self, capsys):
-        # Degrees are listed as they are counted: 2^40 compositions are
-        # never built, and the first degree above the cap ends the run.
+        # One walk counts every degree: 2^40 compositions are never built,
+        # and its first block step above the cap ends the run.
         start = time.perf_counter()
         code, out, err = run(capsys, "--cap", "1000", "sequence", "--max-n", "40")
         assert time.perf_counter() - start < 30
