@@ -5,8 +5,8 @@ Prints the aligned-count totals t_1..t_max, the Narayana cover enumerators of
 the full-group lattices, the (t,1,...,1) closed-form comparison, and the
 type-D count comparison.  Mismatches are reported, never asserted.  Exit
 status: 0 when the report is complete, 2 on a usage error (such as
-``--max-n 0`` or ``--threads 0``), 3 when a composition exceeds the
-enumeration cap; the last two print one ``error:`` line on stderr.
+``--max-n 0``), 3 when a composition exceeds the enumeration cap; the last
+two print one ``error:`` line on stderr.
 """
 
 import argparse
@@ -28,7 +28,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-t", type=int, default=2)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
@@ -45,7 +44,7 @@ def main(argv=None) -> int:
 
 def report(args):
     start = time.time()
-    seq = t_sequence(args.max_n, threads=args.threads)
+    seq = t_sequence(args.max_n)
     print(f"totals over all compositions: {','.join(map(str, seq))}"
           f"  ({time.time() - start:.1f}s)")
 

@@ -12,7 +12,7 @@ import sys
 
 from . import lattice as lat
 from .alignment import aligned_rows
-from .config import resolve_cap, resolve_threads, set_debug_crosschecks
+from .config import resolve_cap, set_debug_crosschecks
 from .enumeration import (
     check_conjecture_t,
     check_type_d_count,
@@ -26,7 +26,7 @@ from .errors import (
     NotALatticeError,
     NotAPermutationError,
 )
-from .parabolic import Composition, is_member, lex_sorted, quotient_rows
+from .parabolic import Composition, is_member, lex_sorted, quotient_rows, quotient_size
 from .projection import iter_theta_classes, project_down, project_up
 from .signed_perm import SignedPermutation, format_long, format_right
 from .tamari import CHECKS, build_tamari, verify_theorems
@@ -107,6 +107,9 @@ def _cmd_lattice(args) -> int:
     status = EXIT_OK
     for alpha in alphas:
         built = None
+        # --check refuses a quotient above the cap before anything is built.
+        if args.check and (size := quotient_size(alpha)) > args.cap:
+            raise CapExceededError(size, args.cap)
         if args.export:
             built = build_tamari(alpha, cap=args.cap)
             label = lambda row: format_long(row.tolist())
@@ -132,7 +135,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    values = t_sequence(args.max_n, args.cap, args.threads)
+    values = t_sequence(args.max_n, args.cap)
     if args.format == "json":
         print(json.dumps(values))
     elif args.format == "csv":
@@ -203,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     late = argparse.ArgumentParser(add_help=False)
     for flag, options in (
         ("--cap", dict(type=int, default=None, help="enumeration cap")),
-        ("--threads", dict(default=1, help="worker count or 'auto'")),
         ("--format", dict(choices=FORMATS, default="text")),
         (
             "--debug-crosschecks",
@@ -284,7 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         set_debug_crosschecks(args.debug_crosschecks)
         args.cap = resolve_cap(args.cap)
-        args.threads = resolve_threads(args.threads)
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

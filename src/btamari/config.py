@@ -32,13 +32,3 @@ def resolve_cap(cap: int | None = None) -> int:
         raise ValueError(f"enumeration cap must be at least 1, got {cap}")
     return cap
 
-
-def resolve_threads(threads: int | str | None) -> int:
-    """Worker count: 'auto' or None means every core, and no more than that."""
-    cores = os.cpu_count() or 1
-    if threads in (None, "auto"):
-        return cores
-    value = int(threads)
-    if value < 1:
-        raise ValueError("thread count must be at least 1")
-    return min(value, cores)

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from multiprocessing import Pool
 
 import numpy as np
 
 from .alignment import aligned_rows, count_aligned_subtree, cover_counts
-from .config import resolve_cap, resolve_threads
+from .config import resolve_cap
 from .errors import CompositionError
 from .parabolic import Composition, check_degree
 
@@ -62,23 +61,19 @@ def conjectured_polynomial(t: int, n: int) -> Polynomial:
     )
 
 
-def t_sequence(
-    max_n: int, cap: int | None = None, threads: int = 1
-) -> list[int]:
+def t_sequence(max_n: int, cap: int | None = None) -> list[int]:
     """Totals of aligned elements over all type-B compositions, for each degree
     up to max_n, read off one walk of degree max_n's composition prefixes (one
-    ``count_aligned_subtree`` per split flag and first part).  ``threads``
-    is clamped to the core count; below 1 it raises ValueError.
+    ``count_aligned_subtree`` per split flag and first part, in turn).
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    cap, threads = resolve_cap(cap), resolve_threads(threads)
-    subtrees = [(max_n, s, first, cap) for s in (False, True) for first in range(1, max_n + 1)]
-    if threads <= 1:
-        counts = [count_aligned_subtree(*subtree) for subtree in subtrees]
-    else:
-        with Pool(min(threads, 2 * max_n)) as pool:
-            counts = pool.starmap(count_aligned_subtree, subtrees)
+    cap = resolve_cap(cap)
+    counts = [
+        count_aligned_subtree(max_n, split, first, cap)
+        for split in (False, True)
+        for first in range(1, max_n + 1)
+    ]
     return [sum(degree) for degree in zip(*counts)]
 
 

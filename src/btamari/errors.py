@@ -19,9 +19,6 @@ class CapExceededError(RuntimeError):
         self.required = required
         self.cap = cap
 
-    def __reduce__(self):  # so that it crosses a process pool intact
-        return type(self), (self.required, self.cap)
-
     @staticmethod
     def _message(required: int, cap: int) -> str:
         return f"enumeration needs {_count(required)} elements, cap is {cap}"

@@ -256,28 +256,44 @@ def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice, into_weak)
     inversions t's upper covers add, t < w exactly when added[t] & words[a]
     & words[b] is not empty: one word AND per pair.  Climbing through such
     covers from t ends at w, which lies above every common lower bound.
-    ``into_weak`` holds Tam_B's indices among the rows.
+    ``into_weak`` holds Tam_B's indices among the rows.  The words are read
+    in blocks of columns whose temporaries stay near BLOCK_BYTES (rows of
+    one word are one block); a pair's verdict is ORed over the blocks and
+    is final in the last.
     """
-    # The inversion each cover adds, and per element the ones its covers add.
-    gained = words[above] ^ words[below]
-    added = np.zeros_like(words)
-    np.bitwise_or.at(added, below, gained)
-    own, gain = words[into_weak], added[into_weak]
-    meet = tam.meet_table()
-    step = max(1, lat.BLOCK_BYTES // (own.nbytes + 1))
-    for lo in range(0, tam.n, step):
-        common = own[lo:lo + step, None, :] & own & gain[meet[lo:lo + step]]
-        differs = np.triu(common.any(axis=2), k=lo + 1)
-        if differs.any():
-            a, b = map(int, np.argwhere(differs)[0])
-            a += lo
-            break
-    else:
+    meet, width = tam.meet_table(), words.shape[1]
+    cols = max(1, lat.BLOCK_BYTES // (words.itemsize * (len(words) + len(below)) + 1))
+    starts = range(0, width, cols)
+    # Verdicts carried between blocks; one block needs none.
+    hits = np.zeros((tam.n, tam.n), dtype=bool) if len(starts) > 1 else None
+    a = None
+    for c in starts:
+        block = words[:, c:c + cols]
+        # Per element, the inversions its upper covers add.
+        added = np.zeros_like(block)
+        np.bitwise_or.at(added, below, block[above] ^ block[below])
+        own, gain = block[into_weak], added[into_weak]
+        step = max(1, lat.BLOCK_BYTES // (own.nbytes + 1))
+        for lo in range(0, tam.n, step):
+            common = own[lo:lo + step, None, :] & own & gain[meet[lo:lo + step]]
+            differs = common.any(axis=2)
+            if hits is not None:
+                hits[lo:lo + step] |= differs
+                differs = hits[lo:lo + step]
+            if c == starts[-1] and (differs := np.triu(differs, k=lo + 1)).any():
+                a, b = map(int, np.argwhere(differs)[0])
+                a += lo
+                break
+    if a is None:
         return None
-    shared = ~(gained & ~(own[a] & own[b])).any(axis=1)
+    # The rows below both a and b; climbing through them from t ends at w.
+    both = words[into_weak[a]] & words[into_weak[b]]
+    under = np.ones(len(rows), dtype=bool)
+    for c in starts:
+        under &= ~(words[:, c:c + cols] & ~both[c:c + cols]).any(axis=1)
     x = into_weak[meet[a, b]]
-    while (ups := above[shared & (below == x)]).size:
-        x = ups[0]
+    while under[ups := above[below == x]].any():
+        x = ups[under[ups]][0]
     return tam.labels[b], tam.labels[a], rows[x], tam.labels[meet[a, b]]
 
 

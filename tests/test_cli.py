@@ -1,12 +1,10 @@
 import json
-import os
 import time
 
 import pytest
 
 from btamari import parabolic, tamari
 from btamari.cli import main
-from btamari.config import resolve_threads
 from btamari.errors import NotACongruenceError, NotALatticeError
 from btamari.parabolic import Composition
 from btamari.projection import theta_classes
@@ -312,6 +310,23 @@ class TestLattice:
         assert out == ""
         assert err == "error: enumeration needs 10321920 elements, cap is 2000000\n"
 
+    def test_quotient_above_cap_refused_before_export(self, capsys, tmp_path, monkeypatch):
+        # With --check, the quotient of 0,1,1,1 (48 members) is refused before
+        # Tam_B is built for the export or the export is written.
+        def not_called(*args, **kwargs):
+            raise AssertionError("build_tamari called")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("btamari.cli.build_tamari", not_called)
+        code, out, err = run(
+            capsys, "--cap", "40", "lattice", "--alpha", "0,1,1,1", "--check", "all",
+            "--export", "json",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: enumeration needs 48 elements, cap is 40\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_table_bound_message_without_enumerating(self, capsys, monkeypatch):
         # Tam_B is built first: one above the bound is refused before the
         # quotient is enumerated.
@@ -427,15 +442,12 @@ class TestEnvironment:
         assert code == 2
         assert "cap must be at least 1" in err
 
-    def test_threads_clamped_to_cores(self):
-        assert resolve_threads("100000") == os.cpu_count()
-
     @pytest.mark.parametrize(
         "flag, command, expected",
         [
             (["--cap", "10"], ["sequence", "--max-n", "2"], (0, "3,15\n")),
             (["--cap", "10"], ["enumerate", "--alpha", "0,1,1,1"], (3, "")),
-            (["--threads", "2"], ["cover-enum", "--alpha", "0,1"], (0, "1,1\n")),
+            (["--format", "csv"], ["cover-enum", "--alpha", "0,1"], (0, "0,1,2,1,1\n")),
             (
                 ["--debug-crosschecks"],
                 ["project", "--alpha", "0,2,1", "--perm", " -3,1,-2", "--dir", "down"],
@@ -456,7 +468,25 @@ class TestEnvironment:
         assert code == 3
         assert "cap is 10" in err
 
-    def test_threads_auto(self, capsys):
-        code, out, _ = run(capsys, "--threads", "auto", "sequence", "--max-n", "2")
-        assert code == 0
-        assert out.strip() == "3,15"
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # Before the subcommand, argparse takes the 2 for the subcommand.
+            (["--threads", "2", "sequence", "--max-n", "2"], "invalid choice: '2'"),
+            (
+                ["sequence", "--max-n", "2", "--threads", "2"],
+                "unrecognized arguments: --threads 2",
+            ),
+        ],
+        ids=["before", "after"],
+    )
+    def test_threads_is_an_unknown_flag(self, capsys, argv, error):
+        # The walk is serial; there is no worker count to set.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and error in errors[0]
+        assert "Traceback" not in captured.err

@@ -1,17 +1,7 @@
-import itertools
-import multiprocessing
-import os
-import pickle
-import subprocess
-import sys
 from math import comb
-from pathlib import Path
 
 import pytest
 
-import btamari
-
-from btamari import enumeration
 from btamari.alignment import aligned_mask, cover_counts
 from btamari.enumeration import (
     Polynomial,
@@ -22,7 +12,7 @@ from btamari.enumeration import (
     t_sequence,
     type_d_catalan,
 )
-from btamari.errors import CapExceededError, CompositionError, TableBoundError
+from btamari.errors import CapExceededError, CompositionError
 from btamari.parabolic import Composition, _build_rows, all_compositions
 
 
@@ -100,52 +90,9 @@ class TestSequence:
         with pytest.raises(ValueError):
             t_sequence(0)
 
-    def test_threads_do_not_change_output(self):
-        assert t_sequence(6, threads=2) == t_sequence(6, threads=1)
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """The worker counts asked of ``Pool``, which maps in this process."""
-        requested = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                requested.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, items):
-                return list(itertools.starmap(fn, items))
-
-        monkeypatch.setattr(enumeration, "Pool", SerialPool)
-        return requested
-
-    def test_threads_clamped_to_cores(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert t_sequence(3, threads=1000) == [3, 15, 91]
-        assert pool_sizes == [2]
-        with pytest.raises(ValueError):
-            t_sequence(3, threads=0)
-        assert pool_sizes == [2]
-
-    def test_pool_no_larger_than_the_last_degree(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert t_sequence(1, threads=8) == [3]
-        assert pool_sizes == [2]
-
-    def test_cap_errors_cross_a_process_pool(self):
-        # A worker's refusal is pickled back to the parent; an error that
-        # cannot be rebuilt there would leave the pool waiting for ever.
-        for exc in (CapExceededError(1224, 1000), TableBoundError(8, 7)):
-            back = pickle.loads(pickle.dumps(exc))
-            assert type(back) is type(exc)
-            assert (back.required, back.cap, str(back)) == (exc.required, exc.cap, str(exc))
+    def test_refused_above_the_cap(self):
         with pytest.raises(CapExceededError) as info:
-            t_sequence(40, cap=1000, threads=2)
+            t_sequence(40, cap=1000)
         assert info.value.cap == 1000
 
     def test_huge_counts_worded_as_a_power_of_ten(self):
@@ -157,28 +104,6 @@ class TestSequence:
             k = int(str(exc).split("10^")[1].split()[0])
             assert exc.required == required
             assert 10**k <= required < 10 ** (k + 2)
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="only forked workers run a script without a __main__ guard",
-    )
-    def test_threads_from_script_without_main_guard(self, tmp_path):
-        script = tmp_path / "seq.py"
-        script.write_text(
-            "from btamari.enumeration import t_sequence\n"
-            "print(t_sequence(3, threads=2))\n",
-            encoding="utf-8",
-        )
-        src = str(Path(btamari.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[3, 15, 91]\n"
 
 
 class TestConjectures:

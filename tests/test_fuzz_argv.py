@@ -57,9 +57,10 @@ def command_lines(draw):
     if program == "sweep":
         return program, ["--max-n", max_n, *_maybe(draw, "--json")], cap
     if program == "report":
-        threads = draw(st.sampled_from(["0", "1", "auto", "x"]))
         max_t = draw(st.sampled_from(["-1", "0", "1", "2", "5", "40000"]))
-        argv = ["--max-n", max_n, "--max-t", max_t, "--threads", threads]
+        argv = ["--max-n", max_n, "--max-t", max_t]
+        # --threads is an unknown flag: drawn, it stops the line at argparse.
+        argv += _maybe(draw, "--threads", draw(st.sampled_from(["0", "1", "auto", "x"])))
         return program, argv, cap
     command = draw(st.sampled_from(
         ["enumerate", "project", "lattice", "sequence", "cover-enum", "conjecture"]

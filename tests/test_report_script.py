@@ -21,11 +21,16 @@ class TestEnumerativeReport:
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_threads_below_one_is_usage_error(self, report, capsys):
-        assert report(["--max-n", "1", "--threads", "0"]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: thread count must be at least 1"
-        ]
+    def test_threads_is_an_unknown_flag(self, report, capsys):
+        # The walk is serial; there is no worker count to set.
+        with pytest.raises(SystemExit) as info:
+            report(["--threads", "2"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "unrecognized arguments: --threads 2" in errors[0]
+        assert "Traceback" not in captured.err
 
     def test_cap_refusal_is_one_line_and_exit_three(self, report, capsys, monkeypatch):
         monkeypatch.setenv("TAMARI_B_CAP", "10")

@@ -185,9 +185,9 @@ class TestNotSublattice:
     def test_matches_pairwise_scan(self, all_small_compositions, monkeypatch):
         # The weak meets come from the oracle's dense table; _meet_mismatch
         # gets the weak order as inversion words and cover pairs, in one
-        # block of rows and in blocks of one row, and Tam_B's indices among
-        # the rows both as verify takes them, the fibers' bottoms, and by
-        # row_index.  0,2,1,2 and 1,2,1,1 have witnesses.
+        # block and in blocks of one row and one word, and Tam_B's indices
+        # among the rows both as verify takes them, the fibers' bottoms, and
+        # by row_index.  0,2,1,2 and 1,2,1,1 have witnesses.
         from btamari.tamari import _inversion_words, _meet_mismatch, _weak_covers
 
         alphas = [alpha for n in (2, 3, 4) for alpha in all_small_compositions[n]]
@@ -212,15 +212,19 @@ class TestNotSublattice:
             looked_up = projection.row_index(weak.labels, tam.labels)
             assert np.array_equal(own_bottoms, looked_up), alpha.format()
 
-            def mismatch(into_weak):
-                found = _meet_mismatch(weak.labels, words, below, above, tam, into_weak)
+            def mismatch(into_weak, table):
+                found = _meet_mismatch(weak.labels, table, below, above, tam, into_weak)
                 return found if found is None else tuple(tuple(r.tolist()) for r in found)
 
+            # One inversion per word, 64 words: at BLOCK_BYTES = 1 every word
+            # is a block, so a pair's verdict is ORed over 64 blocks.
+            spread = words & (np.uint64(1) << np.arange(64, dtype=np.uint64))
             for into_weak in (own_bottoms, looked_up):
-                assert mismatch(into_weak) == expected, alpha.format()
-                with monkeypatch.context() as patch:
-                    patch.setattr(lattice, "BLOCK_BYTES", 1)
-                    assert mismatch(into_weak) == expected, alpha.format()
+                for block_bytes in (lattice.BLOCK_BYTES, 1):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+                        for table in (words, spread):
+                            assert mismatch(into_weak, table) == expected, alpha.format()
 
 
 class TestVerifyTheorems:
