@@ -7,14 +7,16 @@ On a 2-core x86-64 host (Python 3.11, numpy 2.4), ``--max-n 5`` takes about
 group's, has 3,840 elements.  ``--max-n 6`` verifies all 126 compositions in
 9 to 11 s and under 60 MB, up to the full group's weak order of 46,080 elements:
 the weak order is kept as inversion words and cover pairs, and only Tam_B
-(at most 924 elements here) meets the table bound.
+(at most 924 elements here) gets m x m tables.
 
-The largest quotient of degree N is the full group, 2^N N! elements, so a
-``--max-n`` whose full group exceeds the enumeration cap (``TAMARI_B_CAP``,
-else the default 2,000,000) is refused before anything is verified, with
-one line on stderr: at the default cap, ``--max-n 8`` (10,321,920 elements)
-and anything above it exit 3 at once.  Below that, a composition above the
-table bound is refused with one line on stderr, and the sweep goes on.
+The enumeration cap (``TAMARI_B_CAP``, else the default 2,000,000) is the
+only size bound.  The largest quotient of degree N is the full group,
+2^N N! elements, so a ``--max-n`` whose full group exceeds the cap is
+refused before anything is verified, with one line on stderr: at the
+default cap, ``--max-n 8`` (10,321,920 elements) and anything above it exit
+3 at once.  Below that, a composition whose rows or tables the cap still
+refuses (Tam_B's m x m tables count m^2 / 64 elements) is refused with one
+line on stderr, and the sweep goes on.
 Exit status: 0 when every check passed, 1 when a check failed, 2 on a usage
 error, 3 when no check failed but a composition or the whole sweep was
 refused.
@@ -27,7 +29,13 @@ import time
 
 from btamari.config import resolve_cap
 from btamari.errors import CapExceededError, CompositionError
-from btamari.parabolic import Composition, all_compositions, check_degree, quotient_size
+from btamari.parabolic import (
+    Composition,
+    all_compositions,
+    check_cap,
+    check_degree,
+    quotient_size,
+)
 from btamari.tamari import verify_theorems
 
 
@@ -43,10 +51,10 @@ def main(argv=None) -> int:
         cap = resolve_cap()
     except (CompositionError, ValueError) as exc:
         parser.error(str(exc))
-    full_group = quotient_size(Composition((1,) * args.max_n, split=True))
-    if full_group > cap:
-        print(f"--max-n {args.max_n}: refused, {CapExceededError(full_group, cap)}",
-              file=sys.stderr)
+    try:
+        check_cap(quotient_size(Composition((1,) * args.max_n, split=True)), cap)
+    except CapExceededError as exc:
+        print(f"--max-n {args.max_n}: refused, {exc}", file=sys.stderr)
         return 3
 
     failures = refused = 0

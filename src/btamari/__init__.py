@@ -25,7 +25,6 @@ from .errors import (
     NotACongruenceError,
     NotALatticeError,
     NotAPermutationError,
-    TableBoundError,
 )
 from .parabolic import (
     Composition,

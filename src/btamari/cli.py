@@ -26,7 +26,14 @@ from .errors import (
     NotALatticeError,
     NotAPermutationError,
 )
-from .parabolic import Composition, is_member, lex_sorted, quotient_rows, quotient_size
+from .parabolic import (
+    Composition,
+    check_cap,
+    is_member,
+    lex_sorted,
+    quotient_rows,
+    quotient_size,
+)
 from .projection import iter_theta_classes, project_down, project_up
 from .signed_perm import SignedPermutation, format_long, format_right
 from .tamari import CHECKS, build_tamari, verify_theorems
@@ -108,8 +115,8 @@ def _cmd_lattice(args) -> int:
     for alpha in alphas:
         built = None
         # --check refuses a quotient above the cap before anything is built.
-        if args.check and (size := quotient_size(alpha)) > args.cap:
-            raise CapExceededError(size, args.cap)
+        if args.check:
+            check_cap(quotient_size(alpha), args.cap)
         if args.export:
             built = build_tamari(alpha, cap=args.cap)
             label = lambda row: format_long(row.tolist())

@@ -64,10 +64,13 @@ def conjectured_polynomial(t: int, n: int) -> Polynomial:
 def t_sequence(max_n: int, cap: int | None = None) -> list[int]:
     """Totals of aligned elements over all type-B compositions, for each degree
     up to max_n, read off one walk of degree max_n's composition prefixes (one
-    ``count_aligned_subtree`` per split flag and first part, in turn).
+    ``count_aligned_subtree`` per split flag and first part, in turn).  A
+    max_n above ``MAX_DEGREE`` raises CompositionError before anything is
+    allocated.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    check_degree(max_n)
     cap = resolve_cap(cap)
     counts = [
         count_aligned_subtree(max_n, split, first, cap)

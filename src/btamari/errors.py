@@ -15,21 +15,9 @@ class CapExceededError(RuntimeError):
     """An enumeration would produce more elements than the configured cap."""
 
     def __init__(self, required: int, cap: int):
-        super().__init__(self._message(required, cap))
+        super().__init__(f"enumeration needs {_count(required)} elements, cap is {cap}")
         self.required = required
         self.cap = cap
-
-    @staticmethod
-    def _message(required: int, cap: int) -> str:
-        return f"enumeration needs {_count(required)} elements, cap is {cap}"
-
-
-class TableBoundError(CapExceededError):
-    """Tam_B's dense m x m tables would exceed the table bound, held in ``cap``."""
-
-    @staticmethod
-    def _message(required: int, cap: int) -> str:
-        return f"Tamari table needs {_count(required)} elements, bound is {cap}"
 
 
 def _count(required: int) -> str:

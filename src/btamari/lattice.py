@@ -137,13 +137,21 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
 
 
 def contained(words: np.ndarray) -> np.ndarray:
-    """leq[a, b]: no bit of word row a lies outside word row b, in blocks of rows."""
-    m = len(words)
-    leq = np.empty((m, m), dtype=bool)
-    outside = ~words
-    step = max(1, BLOCK_BYTES // (outside.nbytes + 1))
-    for lo in range(0, m, step):
-        leq[lo:lo + step] = ~(words[lo:lo + step, None, :] & outside).any(axis=2)
+    """leq[a, b]: no bit of word row a lies outside word row b.
+
+    The words are read in blocks of columns near BLOCK_BYTES, and each
+    block in blocks of rows; a pair's verdict is ANDed over the column
+    blocks (rows of a few words, as up to n = 8, are one block).
+    """
+    m, width = words.shape
+    leq = np.ones((m, m), dtype=bool)
+    cols = max(1, BLOCK_BYTES // (words.itemsize * m + 1))
+    for c in range(0, width, cols):
+        block = words[:, c:c + cols]
+        outside = ~block
+        step = max(1, BLOCK_BYTES // (outside.nbytes + 1))
+        for lo in range(0, m, step):
+            leq[lo:lo + step] &= ~(block[lo:lo + step, None, :] & outside).any(axis=2)
     return leq
 
 

@@ -40,8 +40,21 @@ from .signed_perm import (
 # The largest degree whose values and their successors fit the int16 rows.
 MAX_DEGREE = np.iinfo(np.int16).max - 1
 
-# A block step's values count one element per ROW_VALUES against the cap.
+# Values held count one element per ROW_VALUES against the cap.
 ROW_VALUES = 64
+
+
+def check_cap(count: int, cap: int, width: int = 1) -> None:
+    """Raise CapExceededError when ``count`` elements are above ``cap``, or
+    when their ``count * width`` values, counted one element per
+    ``ROW_VALUES``, are.  Every size bound of the package is this one rule,
+    applied before what it bounds is allocated: a block step's columns of
+    width n, a quotient's rows, and an m x m table (count m, width m).
+    """
+    if count > cap:
+        raise CapExceededError(count, cap)
+    if count * width > ROW_VALUES * cap:
+        raise CapExceededError(-(-count * width // ROW_VALUES), cap)
 
 
 @dataclass(frozen=True)
@@ -266,9 +279,7 @@ def _identity_state(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=dtype)[:, None]
 
 
-def _place_block(
-    state: np.ndarray, w: int, p: int, signed: bool, cap: int | None = None
-) -> np.ndarray:
+def _place_block(state: np.ndarray, w: int, p: int, signed: bool, cap: int) -> np.ndarray:
     """Every state column with one more block of p values placed after its w filled ones.
 
     ``state`` is position major (see ``_identity_state``).  One gather by
@@ -277,21 +288,16 @@ def _place_block(
     it copies whole position rows, so new column j * rows + i is old
     column i under way j to place the block.  A signed block's positions
     are multiplied by the signs.  The columns made are the old ones times
-    the block's choices times its signings.  ``cap``, when given, bounds
-    that count: it is raised as the ``required`` count before the gather
-    tables are built.  The cap bounds the columns' width too: the values
-    they hold, columns times n, count one element per ``ROW_VALUES``, so
-    only a degree above ``ROW_VALUES`` can meet this bound first.  The
-    gather table holds at most as many entries and ``_split_slots`` lists
-    at most as many slots, so neither is built for a step it refuses.
+    the block's choices times its signings.  ``cap`` bounds that count
+    and, by ``check_cap`` with width n, the values the columns hold, before
+    the gather tables are built; only a degree above ``ROW_VALUES`` can
+    meet the width bound first.  The gather table holds at most as many
+    entries and ``_split_slots`` lists at most as many slots, so neither is
+    built for a step it refuses.
     """
     n, rows = state.shape
     held = (rows * comb(n - w, p)) << (p * signed)
-    if cap is not None:
-        if held > cap:
-            raise CapExceededError(held, cap)
-        if held * n > ROW_VALUES * cap:
-            raise CapExceededError(-(-held * n // ROW_VALUES), cap)
+    check_cap(held, cap, n)
     pick, signs = _block_gather(n, w, p, signed)
     state = np.take(state, pick, axis=0)
     if signs is not None:
@@ -315,8 +321,7 @@ def _build_rows(alpha: Composition, cap: int | None) -> np.ndarray:
     negates its t-th smallest value.
     """
     cap = resolve_cap(cap)
-    if (size := quotient_size(alpha)) > cap:
-        raise CapExceededError(size, cap)
+    check_cap(quotient_size(alpha), cap)
     state = _identity_state(alpha.n)
     for b, p in enumerate(alpha.parts):
         state = _place_block(state, alpha.prefix[b], p, alpha.split or b > 0, cap)

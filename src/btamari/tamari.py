@@ -28,8 +28,10 @@ order, so they are compared as arrays, and the fibers' bottoms give
 Tam_B's indices among the rows.  The constructor check reads the
 inversion tableau's labels with no cell objects.  Only the subposet lattice gets meet and join tables.  The
 subposet and quotient constructions stay as two independent routes to the
-same lattice, so that each confirms the other.  Tam_B's order and tables
-are dense, so no Tam_B above TABLE_THRESHOLD elements is built.  An extremal
+same lattice, so that each confirms the other.  Tam_B's order and tables,
+and the quotient order on the class minima, are dense m x m arrays, so the
+enumeration cap bounds them as m elements of m values each
+(``parabolic.check_cap``) before they are allocated.  An extremal
 lattice is trim when semidistributive (H. Thomas and N. Williams, 2019), else
 when ``lattice.has_left_modular_chain`` finds a left-modular maximal chain.
 """
@@ -44,9 +46,10 @@ import numpy as np
 from . import lattice as lat
 from .alignment import aligned_rows, cover_counts
 from .config import resolve_cap
-from .errors import CapExceededError, NotACongruenceError, NotALatticeError, TableBoundError
+from .errors import NotACongruenceError, NotALatticeError
 from .parabolic import (
     Composition,
+    check_cap,
     inversion_columns,
     lex_sorted,
     longest_element,
@@ -65,10 +68,6 @@ CHECKS = (
     "extremal", "trim", "length_formula", "irreducible_counts",
     "irreducible_constructor",
 )
-
-# Largest Tam_B for which its dense m x m order matrix and lattice tables
-# are allocated.
-TABLE_THRESHOLD = 20_000
 
 
 def _inversion_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,13 +95,15 @@ def _inversion_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
-def _weak_leq_matrix(rows: np.ndarray) -> np.ndarray:
+def _weak_leq_matrix(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
     """Containment matrix of the inversion sets of right-part rows: the weak order.
 
-    Raises TableBoundError before allocating above TABLE_THRESHOLD rows.
+    The m x m matrix, and the lattice tables built on it, count as m
+    elements of m values each against the cap: ``check_cap`` raises
+    CapExceededError before anything is allocated.  At the default cap that
+    admits up to 11,313 rows.
     """
-    if len(rows) > TABLE_THRESHOLD:
-        raise TableBoundError(len(rows), TABLE_THRESHOLD)
+    check_cap(len(rows), resolve_cap(cap), len(rows))
     return lat.contained(_inversion_words(rows)[0])
 
 
@@ -140,7 +141,7 @@ def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattic
     Its labels are the aligned members' right parts, in right-part order.
     """
     rows = lex_sorted(aligned_rows(alpha, cap))
-    return lat.try_lattice(lat.FinitePoset(rows, _weak_leq_matrix(rows)))
+    return lat.try_lattice(lat.FinitePoset(rows, _weak_leq_matrix(rows, cap)))
 
 
 # -- join-irreducible constructor ---------------------------------------------
@@ -378,10 +379,11 @@ def verify_theorems(
     """Run every structural check for one composition and collect the outcome.
 
     A quotient above the cap is refused first, then the subposet lattice L
-    is built, so that a Tam_B above the table bound is refused before the
-    quotient is enumerated.  If the subposet is not a lattice,
-    ``lattice_subposet`` fails with the pair the table kernel
-    names, and so does every check on L.  The quotient's rows are
+    is built, so that a Tam_B whose tables exceed the cap is refused before
+    the quotient is enumerated; the quotient order on the class minima is
+    counted from the bottoms the same way before it is allocated.  If the
+    subposet is not a lattice, ``lattice_subposet`` fails with the pair the
+    table kernel names, and so does every check on L.  The quotient's rows are
     enumerated once, and its weak order, projection fibers and their
     quotient order are each built once; the covers and the fibers read one
     table of generator images.  Only L gets meet and join tables; the
@@ -391,8 +393,8 @@ def verify_theorems(
     holds ``build_tamari(alpha, cap)`` passes it as ``tam``, and it is not
     built again.
     """
-    if (size := quotient_size(alpha)) > (cap := resolve_cap(cap)):
-        raise CapExceededError(size, cap)
+    cap = resolve_cap(cap)
+    check_cap(quotient_size(alpha), cap)
     checks: dict[str, bool] = {}
     L, tam_failure = tam, None
     if L is None:
@@ -409,6 +411,10 @@ def verify_theorems(
     below, above, images = _weak_covers(rows, length)
     bottoms = fiber_bottoms(alpha, rows, images)
     del images
+    # The rows that are their own bottom, the aligned ones, are one per
+    # class; when they are Tam_B's labels, they are its indices among the rows.
+    into_weak = np.flatnonzero(bottoms == np.arange(len(rows)))
+    check_cap(len(into_weak), cap, len(into_weak))
     quot, failure = None, None
     try:
         quot = lat.quotient_order(rows, words, below, above, bottoms)
@@ -446,9 +452,6 @@ def verify_theorems(
         "length": ln,
         "join_irreducibles": len(irreducibles),
     }
-    # The fibers' bottoms are the rows that are their own bottom; when they
-    # are Tam_B's labels, they are its indices among the rows.
-    into_weak = np.flatnonzero(bottoms == np.arange(len(rows)))
     if not np.array_equal(rows[into_weak], L.labels):
         into_weak = row_index(rows, L.labels)
     witness = _meet_mismatch(rows, words, below, above, L, into_weak)

@@ -99,6 +99,7 @@ class TestDegreeBound:
             ["enumerate", "--aligned", "--alpha", "{n}"],
             ["cover-enum", "--alpha", "{n}"],
             ["lattice", "--check", "all", "--alpha", "{n}"],
+            ["sequence", "--max-n", "{n}"],
             ["conjecture", "--t", "{n}", "--min-n", "{n}", "--max-n", "{n}"],
             ["conjecture", "--t", "1", "--min-n", "{n}", "--max-n", "{n}"],
             ["conjecture", "--type-d", "--min-n", "{n}", "--max-n", "{n}"],
@@ -278,23 +279,43 @@ class TestLattice:
         assert info.value.code == 2
 
     def test_above_table_bound_exit_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 4)
-        code, out, err = run(capsys, "lattice", "--alpha", "0,1,1", "--check", "all")
+        # With one element per value, Tam_B(0,1,1)'s 6 x 6 order counts 36.
+        monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
+        code, out, err = run(
+            capsys, "--cap", "35", "lattice", "--alpha", "0,1,1", "--check", "all"
+        )
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
-
     def test_above_table_bound_refused_before_export(self, capsys, tmp_path, monkeypatch):
         # Tam_B(0,1,1) has 6 elements.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 5)
+        monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
         code, out, err = run(
-            capsys, "lattice", "--alpha", "0,1,1", "--check", "all", "--export", "json"
+            capsys, "--cap", "35", "lattice", "--alpha", "0,1,1", "--check", "all",
+            "--export", "json",
         )
         assert code == 3
         assert out == ""
-        assert err == "error: Tamari table needs 6 elements, bound is 5\n"
+        assert err == "error: enumeration needs 36 elements, cap is 35\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "alpha,required",
+        [("0,1,1,1,1,1,1,1,1", 2588077), ("1,1,1,1,1,1,1,1", 2044900)],
+    )
+    def test_export_tables_above_cap_refused(
+        self, capsys, tmp_path, monkeypatch, alpha, required
+    ):
+        # Tam_B has 12,870 and 11,440 elements: m^2 / 64 is above the default cap.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TAMARI_B_CAP", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lattice", "--export", "json", "--alpha", alpha)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (3, "")
+        assert err == f"error: enumeration needs {required} elements, cap is 2000000\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_quotient_above_cap_refused_before_building(self, capsys, monkeypatch):
@@ -334,13 +355,46 @@ class TestLattice:
             raise AssertionError("quotient_rows called")
 
         monkeypatch.setattr(tamari, "quotient_rows", not_called)
-        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 100)
+        # With one element per value, Tam_B's 252 x 252 order counts 63,504.
+        monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
         code, out, err = run(
-            capsys, "lattice", "--alpha", "0,1,1,1,1,1", "--check", "all"
+            capsys, "--cap", "50000", "lattice", "--alpha", "0,1,1,1,1,1", "--check", "all"
         )
         assert code == 3
         assert out == ""
-        assert err == "error: Tamari table needs 252 elements, bound is 100\n"
+        assert err == "error: enumeration needs 63504 elements, cap is 50000\n"
+
+
+class TestFullGroupEight:
+    """The n = 8 full group (10,321,920 members, Tam_B 12,870) at the default
+    cap, through every command that takes --alpha: each ends at once in its
+    documented exit code with at most one error line."""
+
+    @pytest.mark.parametrize(
+        "command,expected",
+        [
+            (["enumerate"], 3),
+            (["enumerate", "--aligned"], 0),
+            (["project", "--classes"], 3),
+            (["lattice", "--check", "all"], 3),
+            (["lattice", "--export", "json"], 3),
+            (["cover-enum"], 0),
+        ],
+    )
+    def test_each_command_ends_in_its_exit_code(
+        self, capsys, tmp_path, monkeypatch, command, expected
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TAMARI_B_CAP", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, "--alpha", "0,1,1,1,1,1,1,1,1")
+        assert time.perf_counter() - start < 10
+        assert code == expected
+        assert len(err.splitlines()) == (code != 0)
+        assert all(line.startswith("error: ") for line in err.splitlines())
+        if code:
+            assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckFailures:

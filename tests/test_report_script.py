@@ -38,6 +38,16 @@ class TestEnumerativeReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: enumeration needs")
 
+    @pytest.mark.parametrize("max_n", ["40000", "3000000000"])
+    def test_degree_above_the_largest_is_usage_error(self, report, capsys, max_n):
+        # Refused before the walk allocates anything of that degree.
+        assert report(["--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: degree {max_n} is above the largest supported, 32766\n"
+        )
+
     def test_small_report_completes(self, report, capsys):
         assert report(["--max-n", "2", "--max-t", "1"]) == 0
         out = capsys.readouterr().out

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from btamari import tamari
+from btamari import parabolic
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification_sweep.py"
 
@@ -34,12 +34,14 @@ class TestVerificationSweep:
     def test_refused_composition_is_one_line_and_exit_three(
         self, sweep, capsys, monkeypatch
     ):
-        # only the full group of degree 2 (Tam_B has 6 elements) exceeds the bound
-        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 5)
+        # With one element per value, only the full group of degree 2 (8
+        # members, Tam_B 6 elements, so a 6 x 6 order) exceeds a cap of 35.
+        monkeypatch.setenv("TAMARI_B_CAP", "35")
+        monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
         assert sweep(["--max-n", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "0,1,1: refused, Tamari table needs 6 elements, bound is 5"
+            "0,1,1: refused, enumeration needs 36 elements, cap is 35"
         ]
         assert "all checks passed" not in captured.out
         assert len(captured.out.splitlines()) == 5

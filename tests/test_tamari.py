@@ -8,7 +8,8 @@ import pytest
 
 from btamari import lattice, parabolic, projection, tamari
 from btamari.cli import main
-from btamari.errors import CapExceededError, NotALatticeError, TableBoundError
+from btamari.config import resolve_cap
+from btamari.errors import CapExceededError, NotALatticeError
 from btamari.lattice import join_irreducibles
 from btamari.parabolic import (
     Composition,
@@ -658,41 +659,70 @@ class TestWeakOrderLattice:
             for alpha in all_small_compositions[n]
         ]
         inputs.append(full_group(4))
-        # n^2 > 64 inversion columns: two bit words per row
+        # n^2 > 64 inversion columns: two bit words per row, read as two
+        # column blocks at BLOCK_BYTES = 1
         inputs += [enumerate_quotient(Composition.parse(a)) for a in ("8,1", "7,2")]
         for members in inputs:
             expected = np.array(
                 [[weak_leq(a, b) for b in members] for a in members], dtype=bool
             )
             rows = np.array([pi.right for pi in members], dtype=np.int8)
-            assert np.array_equal(tamari._weak_leq_matrix(rows), expected)
+            for block_bytes in (lattice.BLOCK_BYTES, 1):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+                    assert np.array_equal(tamari._weak_leq_matrix(rows), expected)
 
     def test_refused_before_enumerating(self, monkeypatch):
-        # Tam_B is built first, so one above the table bound is refused
-        # before the quotient is enumerated.
+        # Tam_B is built first, so one whose tables exceed the cap is
+        # refused before the quotient is enumerated.  With one element per
+        # value, Tam_B's 252 x 252 order counts 63,504 elements against a
+        # cap that admits the quotient's 3,840 rows.
         def not_called(*args, **kwargs):
             raise AssertionError("quotient_rows called")
 
         monkeypatch.setattr(tamari, "quotient_rows", not_called)
-        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 100)
-        with pytest.raises(TableBoundError) as info:
-            verify_theorems(Composition.parse("0,1,1,1,1,1"))
-        assert str(info.value) == "Tamari table needs 252 elements, bound is 100"
-        assert (info.value.required, info.value.cap) == (252, 100)
+        monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
+        with pytest.raises(CapExceededError) as info:
+            verify_theorems(Composition.parse("0,1,1,1,1,1"), cap=50_000)
+        assert str(info.value) == "enumeration needs 63504 elements, cap is 50000"
+        assert (info.value.required, info.value.cap) == (63504, 50_000)
 
     def test_refused_above_table_bound_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(tamari, "TABLE_THRESHOLD", 4)
+        # Tam_B(0,1,1) has 6 elements: its 6 x 6 order counts 36 against 35.
+        monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
         # any numpy call in tamari would fail with AttributeError instead
         monkeypatch.setattr(tamari, "np", None)
         with pytest.raises(CapExceededError) as info:
-            verify_theorems(Composition.parse("0,1,1"))
-        assert (info.value.required, info.value.cap) == (6, 4)
+            verify_theorems(Composition.parse("0,1,1"), cap=35)
+        assert (info.value.required, info.value.cap) == (36, 35)
+
+    def test_class_minima_order_refused_before_allocating(self, monkeypatch):
+        # A Tam_B passed in is not counted again; the quotient order on its
+        # 6 class minima is, from the bottoms, before quotient_order runs.
+        L = build_tamari(Composition.parse("0,1,1"))
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("quotient_order called")
+
+        monkeypatch.setattr(lattice, "quotient_order", not_called)
+        monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
+        with pytest.raises(CapExceededError) as info:
+            verify_theorems(Composition.parse("0,1,1"), cap=35, tam=L)
+        assert (info.value.required, info.value.cap) == (36, 35)
+
+    def test_table_bound_is_the_cap_on_m_squared_values(self):
+        # 11,313^2 values fit 64 to an element under the default cap; 11,314^2 do not.
+        rows = np.zeros((11_314, 1), dtype=np.int8)
+        with pytest.raises(CapExceededError) as info:
+            tamari._weak_leq_matrix(rows, cap=2_000_000)
+        assert str(info.value) == "enumeration needs 2000104 elements, cap is 2000000"
+        parabolic.check_cap(11_313, 2_000_000, 11_313)
 
     def test_weak_order_above_table_bound_verifies(self):
-        # 23,040 members: the weak side holds no m x m matrix, so only
-        # Tam_B (792 elements) meets the table bound.
+        # 23,040 members: the weak side holds no m x m matrix, whose values
+        # alone would exceed the cap; only Tam_B (792 elements) is tabled.
         alpha = Composition.parse("1,1,1,1,1,1")
-        assert quotient_size(alpha) > tamari.TABLE_THRESHOLD
+        assert quotient_size(alpha) ** 2 > parabolic.ROW_VALUES * resolve_cap()
         report = verify_theorems(alpha)
         assert report.ok
         assert report.stats == {"size": 792, "length": 35, "join_irreducibles": 35}
