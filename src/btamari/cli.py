@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import lattice as lat
 from .alignment import aligned_rows
 from .config import resolve_cap, set_debug_crosschecks
@@ -55,18 +57,25 @@ def _alpha_values(args) -> list[Composition]:
 
 
 def _cmd_enumerate(args) -> int:
-    rows = []
-    for alpha in _alpha_values(args):
-        members = (
-            lex_sorted(aligned_rows(alpha, args.cap))
-            if args.aligned
-            else quotient_rows(alpha, args.cap)
-        )
-        rows.extend(map(format_right, members.tolist()))
+    # Every composition is enumerated before anything is written, so a
+    # refused one writes nothing; rows are then formatted a chunk at a time.
+    tables = [
+        lex_sorted(aligned_rows(alpha, args.cap))
+        if args.aligned
+        else quotient_rows(alpha, args.cap)
+        for alpha in _alpha_values(args)
+    ]
+    chunks = (
+        list(map(format_right, chunk.tolist()))
+        for rows in tables
+        for chunk in np.array_split(rows, max(1, rows.nbytes // lat.BLOCK_BYTES))
+    )
     if args.format == "json":
-        print(json.dumps(rows))
+        _write_json_list(line for lines in chunks for line in lines)
     else:
-        print("\n".join(rows))
+        for k, lines in enumerate(chunks):
+            sys.stdout.write(("\n" if k else "") + "\n".join(lines))
+        print()
     return EXIT_OK
 
 

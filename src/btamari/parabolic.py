@@ -289,15 +289,17 @@ def _place_block(state: np.ndarray, w: int, p: int, signed: bool, cap: int) -> n
     column i under way j to place the block.  A signed block's positions
     are multiplied by the signs.  The columns made are the old ones times
     the block's choices times its signings.  ``cap`` bounds that count
-    and, by ``check_cap`` with width n, the values the columns hold, before
-    the gather tables are built; only a degree above ``ROW_VALUES`` can
-    meet the width bound first.  The gather table holds at most as many
-    entries and ``_split_slots`` lists at most as many slots, so neither is
-    built for a step it refuses.
+    and, by ``check_cap`` with width n, the values the columns hold, then
+    those values with the gather index's (n per way to place the block)
+    and the slot lists' (under n per choice), which stay cached beside
+    them, all before the tables are built.
     """
     n, rows = state.shape
-    held = (rows * comb(n - w, p)) << (p * signed)
+    choices = comb(n - w, p)
+    ways = choices << (p * signed)
+    held = rows * ways
     check_cap(held, cap, n)
+    check_cap(1, cap, (held + ways + choices) * n)
     pick, signs = _block_gather(n, w, p, signed)
     state = np.take(state, pick, axis=0)
     if signs is not None:

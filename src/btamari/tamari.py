@@ -9,31 +9,28 @@ verification report.
 
 Elements travel as right-part rows: the weak order's labels are the
 quotient's (m, n) row array and Tam_B's those of its aligned members, and
-rows are found among each other by ``row_index``.  A ``SignedPermutation``
+rows are found among each other by ``row_lookup``.  A ``SignedPermutation``
 is built only for a report's witnesses and by the join-irreducible
 constructor.
 
 Both orders compare inversion sets packed as bit words, one uint64 per row
 up to n = 8, so x <= y is "no bit of x outside y".
 
-Verification builds each structure once per composition.  The weak order
-on the whole quotient gets no m x m matrix: the congruence test, the
-quotient order and the not-a-sublattice witness read only its inversion
-words and cover pairs.  The covers come from one table of generator
-images, s x for every generator s and row x, computed on the rows' values
-and found among the rows by one lookup over blocks of generators; the
-projection fibers read the same table, so no row is looked up twice.
-Tam_B's labels and the quotient's class minima are both in right-part
-order, so they are compared as arrays, and the fibers' bottoms give
-Tam_B's indices among the rows.  The constructor check reads the
-inversion tableau's labels with no cell objects.  Only the subposet lattice gets meet and join tables.  The
-subposet and quotient constructions stay as two independent routes to the
-same lattice, so that each confirms the other.  Tam_B's order and tables,
-and the quotient order on the class minima, are dense m x m arrays, so the
-enumeration cap bounds them as m elements of m values each
-(``parabolic.check_cap``) before they are allocated.  An extremal
-lattice is trim when semidistributive (H. Thomas and N. Williams, 2019), else
-when ``lattice.has_left_modular_chain`` finds a left-modular maximal chain.
+Verification builds each structure once per composition: one table of
+inversion words, one row lookup and one m x m order, Tam_B's.  The weak
+order on the whole quotient gets no matrix: the congruence test, Tam_B's
+order and the not-a-sublattice witness read its inversion words and cover
+pairs.  Its covers and the projection fibers read one table of generator
+images, s x for every generator s and row x, found by the lookup.  The
+subposet and quotient constructions stay two independent routes to Tam_B:
+the pruned 231 build gives the one's elements, and the pattern-elimination
+bottoms, through N. Reading's congruence test, the other's.  The
+constructor check reads the inversion tableau's labels with no cell
+objects.  Only the subposet lattice gets meet and join tables.  The
+enumeration cap bounds the values of every dense array
+(``parabolic.check_cap``) before it is allocated.  An extremal lattice is
+trim when semidistributive (H. Thomas and N. Williams, 2019), else when
+``lattice.has_left_modular_chain`` finds a left-modular maximal chain.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .parabolic import (
     quotient_size,
     tableau_cells,
 )
-from .projection import fiber_bottoms, left_act, row_index, row_lookup
+from .projection import fiber_bottoms, left_act, row_lookup
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation
 
 # The checks of a verification report, in the order verify_theorems runs them.
@@ -70,17 +67,23 @@ CHECKS = (
 )
 
 
-def _inversion_words(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _inversion_words(
+    rows: np.ndarray, cap: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The inversion sets of right-part rows as bit words, and their sizes.
 
     The n^2 inversion columns of ``inversion_columns`` are packed, eight to
     a byte, into (m, ceil(n^2 / 64)) ``uint64`` words, so a row's set is one
-    word up to n = 8.  Groups of position blocks near BLOCK_BYTES booleans are
-    packed, each carrying its last (< 8) columns to the next, so the bits lie
-    as ``pack_words`` lays out the whole table, never held; sizes are popcounts.
+    word up to n = 8; the words count as values against the cap
+    (``check_cap``) before they are allocated.  Groups of position blocks
+    near BLOCK_BYTES booleans are packed, each carrying its last (< 8)
+    columns to the next, so the bits lie as ``pack_words`` lays out the
+    whole table, never held; sizes are popcounts.
     """
     m, n = rows.shape
-    words = np.zeros((m, -(-n * n // 64)), dtype="<u8")
+    width = -(-n * n // 64)
+    check_cap(m, resolve_cap(cap), width)
+    words = np.zeros((m, width), dtype="<u8")
     packed, group, done = words.view(np.uint8), [], 0
     for i, block in enumerate(inversion_columns(rows)):
         group.append(block)
@@ -104,22 +107,21 @@ def _weak_leq_matrix(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
     admits up to 11,313 rows.
     """
     check_cap(len(rows), resolve_cap(cap), len(rows))
-    return lat.contained(_inversion_words(rows)[0])
+    return lat.contained(_inversion_words(rows, cap)[0])
 
 
-def _weak_covers(rows: np.ndarray, length: np.ndarray):
+def _weak_covers(rows: np.ndarray, length: np.ndarray, find):
     """The weak order's cover pairs (below, above) on a quotient's rows, row-major,
     and the table of generator images.
 
     The quotient is a lower interval of the weak order on the group (A.
     Björner and M. Wachs, Trans. AMS 308, 1988), so y covers x exactly when
     y = s x is one longer for a generator s.  Every generator's images are
-    computed by ``left_act`` and found among the rows by one
+    computed by ``left_act`` and found among the rows by ``find``, their
     ``row_lookup``, in blocks of generators whose moved rows stay near
     BLOCK_BYTES, and kept: ``images`` is an (n, m) int32 table whose entry
     [s, x] is the index of s x, or -1 where s x leaves the quotient.
     """
-    find = row_lookup(rows)
     m, n = rows.shape
     images = np.empty((n, m), dtype=np.int32)
     is_cover = np.empty((n, m), dtype=bool)
@@ -378,63 +380,58 @@ def verify_theorems(
 ) -> VerificationReport:
     """Run every structural check for one composition and collect the outcome.
 
-    A quotient above the cap is refused first, then the subposet lattice L
-    is built, so that a Tam_B whose tables exceed the cap is refused before
-    the quotient is enumerated; the quotient order on the class minima is
-    counted from the bottoms the same way before it is allocated.  If the
-    subposet is not a lattice, ``lattice_subposet`` fails with the pair the
-    table kernel names, and so does every check on L.  The quotient's rows are
-    enumerated once, and its weak order, projection fibers and their
-    quotient order are each built once; the covers and the fibers read one
-    table of generator images.  Only L gets meet and join tables; the
-    quotient's are tried only when its order differs from L's.  L's
-    irreducibles and length are counted once.  The witnesses become
-    ``SignedPermutation``s only here, for the report.  A caller that already
-    holds ``build_tamari(alpha, cap)`` passes it as ``tam``, and it is not
-    built again.
+    A quotient above the cap is refused first, then Tam_B's rows, from the
+    pruned 231 build or from ``tam`` (a ``build_tamari(alpha, cap)`` the
+    caller holds), are counted as an m x m order before the quotient is
+    enumerated.  L, the subposet lattice, is the containment of those rows'
+    inversion words among the quotient's; if it is not a lattice,
+    ``lattice_subposet`` fails with the pair the table kernel names, and so
+    does every check on L.  The quotient order on the class minima is built
+    only when it is not L's, to decide ``lattice_quotient``.  The weak side
+    is dropped before L's covers are found.  The witnesses become
+    ``SignedPermutation``s only here, for the report.
     """
     cap = resolve_cap(cap)
     check_cap(quotient_size(alpha), cap)
-    checks: dict[str, bool] = {}
+    tam_rows = lex_sorted(aligned_rows(alpha, cap)) if tam is None else tam.labels
+    check_cap(len(tam_rows), cap, len(tam_rows))
+    rows = quotient_rows(alpha, cap)
+    words, length = _inversion_words(rows, cap)
+    find = row_lookup(rows)
+    below, above, images = _weak_covers(rows, length, find)
+    bottoms = fiber_bottoms(alpha, rows, images)
+    # Tam_B's rows are quotient members, in right-part order as the rows are.
+    into_weak = find(tam_rows)
+    del images, find
     L, tam_failure = tam, None
     if L is None:
         try:
-            L = build_tamari(alpha, cap)
+            L = lat.try_lattice(lat.FinitePoset(tam_rows, lat.contained(words[into_weak])))
         except NotALatticeError as exc:
             tam_failure = _not_a_lattice(exc)
-    # L's covers, which every check on L reads, are found before the weak
-    # side is held, so that their m x m temporaries do not stack on it.
-    if L is not None:
-        irreducibles = lat.join_irreducibles(L)
-    rows = quotient_rows(alpha, cap)
-    words, length = _inversion_words(rows)
-    below, above, images = _weak_covers(rows, length)
-    bottoms = fiber_bottoms(alpha, rows, images)
-    del images
-    # The rows that are their own bottom, the aligned ones, are one per
-    # class; when they are Tam_B's labels, they are its indices among the rows.
-    into_weak = np.flatnonzero(bottoms == np.arange(len(rows)))
-    check_cap(len(into_weak), cap, len(into_weak))
-    quot, failure = None, None
-    try:
-        quot = lat.quotient_order(rows, words, below, above, bottoms)
-    except NotACongruenceError as exc:
-        failure = str(exc)
-    checks["congruence_valid"] = quot is not None
-
-    checks["lattice_subposet"] = L is not None
-    isomorphic = quot is not None and L is not None and _isomorphic(L, quot)
+    failure, mins = lat._congruence_failure(words, below, above, bottoms)
+    checks = {"congruence_valid": failure is None, "lattice_subposet": L is not None}
+    isomorphic = failure is None and L is not None and _isomorphic(mins, bottoms, into_weak)
     not_a_lattice = None
-    if quot is not None and not isomorphic:
-        not_a_lattice = _lattice_failure(quot)
-    checks["lattice_quotient"] = quot is not None and not_a_lattice is None
+    if failure is None and not isomorphic:
+        check_cap(len(mins), cap, len(mins))
+        try:
+            lat.try_lattice(lat.quotient_order(rows, words, below, above, bottoms))
+        except NotALatticeError as exc:
+            not_a_lattice = _not_a_lattice(exc)
+    checks["lattice_quotient"] = failure is None and not_a_lattice is None
     checks["quotient_isomorphic_subposet"] = isomorphic
     if L is None:
         checks.update((name, False) for name in CHECKS if name not in checks)
         return VerificationReport(
             alpha, checks, {}, None, None, failure, not_a_lattice, tam_failure
         )
+    witness = _meet_mismatch(rows, words, below, above, L, into_weak)
+    if witness is not None:
+        witness = _perms(witness)
+    del rows, words, length, below, above, bottoms
 
+    irreducibles = lat.join_irreducibles(L)
     checks["congruence_uniform"] = lat.is_congruence_uniform(L)
     checks["semidistributive"] = lat.is_semidistributive(L)
     ln = L.length()
@@ -452,11 +449,6 @@ def verify_theorems(
         "length": ln,
         "join_irreducibles": len(irreducibles),
     }
-    if not np.array_equal(rows[into_weak], L.labels):
-        into_weak = row_index(rows, L.labels)
-    witness = _meet_mismatch(rows, words, below, above, L, into_weak)
-    if witness is not None:
-        witness = _perms(witness)
     # The semidistributive check above kept its witness; this reads it.
     sd_witness = lat.semidistributivity_witness(L)
     if sd_witness is not None:
@@ -477,22 +469,17 @@ def _not_a_lattice(exc: NotALatticeError) -> tuple:
     return (exc.reason, *_perms(exc.labels))
 
 
-def _lattice_failure(poset: lat.FinitePoset):
-    """None for a lattice, else (reason, a, b) naming a pair with no bound."""
-    try:
-        lat.try_lattice(poset)
-    except NotALatticeError as exc:
-        return _not_a_lattice(exc)
-    return None
+def _isomorphic(mins: np.ndarray, bottoms: np.ndarray, into_weak: np.ndarray) -> bool:
+    """Whether the quotient by a congruence is Tam_B, element for element.
 
-
-def _isomorphic(a: lat.FinitePoset, b: lat.FinitePoset) -> bool:
-    """Label-preserving isomorphism between two orders on right-part rows.
-
-    Both label arrays are in right-part order, so the two share their labels
-    exactly when the arrays are equal, and then element i is element i.
+    The quotient is its class minima ``mins`` ordered as in the weak order
+    (``lattice.quotient_order``), and Tam_B its rows ``into_weak`` ordered
+    the same way, both indices among the quotient's rows: when the two sets
+    are equal, so are the two orders.  The minima must also be the rows
+    that are their own ``bottoms``, so that each fiber's key is its least.
     """
-    return bool(np.array_equal(a.labels, b.labels) and np.array_equal(a.leq, b.leq))
+    keys = np.flatnonzero(bottoms == np.arange(len(bottoms)))
+    return bool(np.array_equal(np.sort(mins), keys) and np.array_equal(keys, into_weak))
 
 
 def _constructor_matches(

@@ -349,8 +349,8 @@ class TestLattice:
         assert list(tmp_path.iterdir()) == []
 
     def test_table_bound_message_without_enumerating(self, capsys, monkeypatch):
-        # Tam_B is built first: one above the bound is refused before the
-        # quotient is enumerated.
+        # Tam_B's rows are counted first: one above the bound is refused
+        # before the quotient is enumerated.
         def not_called(*args, **kwargs):
             raise AssertionError("quotient_rows called")
 
@@ -394,6 +394,39 @@ class TestFullGroupEight:
         assert all(line.startswith("error: ") for line in err.splitlines())
         if code:
             assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWideBlocks:
+    """A wide first block, then one more value, at the default cap: the
+    first block step of 7,999,1 (16,000 members) holds 8,000 rows of 8,000
+    values, and its gather index and slot lists as many again twice over;
+    the inversion words of 1,999,1 (4,000 members) take 62,500 words a row.
+    Each command ends at once in exit 3 with one error line."""
+
+    @pytest.mark.parametrize(
+        "alpha,command,required",
+        [
+            ("7999,1", ["enumerate"], 3_000_000),
+            ("7999,1", ["enumerate", "--aligned"], 3_000_000),
+            ("7999,1", ["project", "--classes"], 3_000_000),
+            ("7999,1", ["lattice", "--check", "all"], 3_000_000),
+            ("7999,1", ["lattice", "--export", "json"], 3_000_000),
+            ("7999,1", ["cover-enum"], 3_000_000),
+            ("1999,1", ["lattice", "--check", "all"], 3_906_250),
+            ("1999,1", ["lattice", "--export", "json"], 3_906_250),
+        ],
+    )
+    def test_refused_with_one_line(
+        self, capsys, tmp_path, monkeypatch, alpha, command, required
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TAMARI_B_CAP", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, "--alpha", alpha)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (3, "")
+        assert err == f"error: enumeration needs {required} elements, cap is 2000000\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -23,7 +23,7 @@ from btamari.lattice import (
 )
 
 from btamari.parabolic import Composition, all_compositions, quotient_rows
-from btamari.projection import fiber_bottoms
+from btamari.projection import fiber_bottoms, row_lookup
 from btamari.tamari import _inversion_words, _weak_covers, build_tamari
 from conftest import (
     check_congruence,
@@ -730,7 +730,8 @@ class TestCongruences:
             for alpha in all_compositions(n):
                 weak = small_lattices[f"weak {alpha.format()}"]
                 words, length = _inversion_words(weak.labels)
-                below, above, _ = _weak_covers(weak.labels, length)
+                find = row_lookup(weak.labels)
+                below, above, _ = _weak_covers(weak.labels, length, find)
                 for keys in weak_order_partitions(alpha, weak):
                     why, _ = lattice._congruence_failure(words, below, above, keys)
                     expected = loop_check_congruence(weak, Partition(keys.tolist()))

@@ -267,7 +267,8 @@ class TestQuotientRows:
 
 class TestBlockWidth:
     # The cap bounds a block step's values, rows times n, at ROW_VALUES
-    # values per element, checked before its gather table is built.
+    # values per element, and then those values together with the step's
+    # gather index and slot lists, all checked before the tables are built.
     @pytest.fixture
     def no_gather(self, monkeypatch):
         def not_built(*args):
@@ -290,17 +291,33 @@ class TestBlockWidth:
             quotient_rows(alpha)
         assert info.value.required == 16_775_169
 
+    def test_tables_counted_before_they_are_built(self, no_gather):
+        # 8,000 rows of 8,000 values fit the default cap, 64,000,000 values
+        # of 128,000,000; the step's 8,000 x 8,000 gather index and its
+        # 8,000 slot lists of 8,000 bring them to 192,000,000.
+        with pytest.raises(CapExceededError) as info:
+            _place_block(_identity_state(8000), 0, 7999, False, 2_000_000)
+        assert (info.value.required, info.value.cap) == (3_000_000, 2_000_000)
+
     def test_boundary(self):
         # n = 65: C(65, 64) = 65 rows hold 4,225 values, one over 64 * 66.
         with pytest.raises(CapExceededError) as info:
             _place_block(_identity_state(65), 0, 64, False, 66)
         assert (info.value.required, info.value.cap) == (67, 66)
-        assert _place_block(_identity_state(65), 0, 64, False, 67).shape == (65, 65)
+        # The gather index (65 x 65) and the 65 slot lists of 65 bring them
+        # to 12,675 values, one element over 64 * 198.
+        with pytest.raises(CapExceededError) as info:
+            _place_block(_identity_state(65), 0, 64, False, 198)
+        assert (info.value.required, info.value.cap) == (199, 198)
+        assert _place_block(_identity_state(65), 0, 64, False, 199).shape == (65, 65)
         # Up to n = ROW_VALUES the rows alone meet the cap first.
-        assert _place_block(_identity_state(64), 0, 63, False, 64).shape == (64, 64)
         with pytest.raises(CapExceededError) as info:
             _place_block(_identity_state(64), 0, 63, False, 63)
         assert (info.value.required, info.value.cap) == (64, 63)
+        with pytest.raises(CapExceededError) as info:
+            _place_block(_identity_state(64), 0, 63, False, 191)
+        assert (info.value.required, info.value.cap) == (192, 191)
+        assert _place_block(_identity_state(64), 0, 63, False, 192).shape == (64, 64)
 
 
 class TestLongestElement:

@@ -40,6 +40,12 @@ from conftest import (
 A021 = Composition.parse("0,2,1")
 
 
+def weak_covers(rows):
+    """``tamari._weak_covers`` on rows, with their lengths and lookup."""
+    length = tamari._inversion_words(rows)[1]
+    return tamari._weak_covers(rows, length, projection.row_lookup(rows))
+
+
 class TestBuildTamari:
     def test_two_chain(self):
         tam = build_tamari(Composition((1,), split=True))
@@ -53,14 +59,14 @@ class TestBuildTamari:
         assert build_tamari(A021).n == 16
 
     def test_routes_isomorphic(self, all_small_compositions):
-        from btamari.tamari import _isomorphic
-
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
                 weak = weak_order_lattice(alpha)
                 bottoms = fiber_bottoms(alpha, quotient_rows(alpha))
                 quot = lattice.quotient_order(weak.labels, *order_words(weak), bottoms)
-                assert _isomorphic(build_tamari(alpha), quot)
+                tam = build_tamari(alpha)
+                assert np.array_equal(tam.labels, quot.labels), alpha
+                assert np.array_equal(tam.leq, quot.leq), alpha
 
 
 class TestJoinIrreducibles:
@@ -187,9 +193,9 @@ class TestNotSublattice:
         # The weak meets come from the oracle's dense table; _meet_mismatch
         # gets the weak order as inversion words and cover pairs, in one
         # block and in blocks of one row and one word, and Tam_B's indices
-        # among the rows both as verify takes them, the fibers' bottoms, and
-        # by row_index.  0,2,1,2 and 1,2,1,1 have witnesses.
-        from btamari.tamari import _inversion_words, _meet_mismatch, _weak_covers
+        # among the rows both as the fibers' bottoms and as verify takes
+        # them, by row_index.  0,2,1,2 and 1,2,1,1 have witnesses.
+        from btamari.tamari import _inversion_words, _meet_mismatch
 
         alphas = [alpha for n in (2, 3, 4) for alpha in all_small_compositions[n]]
         alphas += map(Composition.parse, ["0,2,1,2", "0,1,1,1,1", "1,2,1,1"])
@@ -207,7 +213,7 @@ class TestNotSublattice:
                     expected = (pb, pa, wm, tm)
                     break
             words, length = _inversion_words(weak.labels)
-            below, above, _ = _weak_covers(weak.labels, length)
+            below, above, _ = weak_covers(weak.labels)
             bottoms = fiber_bottoms(alpha, weak.labels)
             own_bottoms = np.flatnonzero(bottoms == np.arange(weak.n))
             looked_up = projection.row_index(weak.labels, tam.labels)
@@ -303,7 +309,7 @@ class TestWeakCovers:
         # +-s and +-(s + 1) (s_0 negates +-1), applied here without the table.
         rows = quotient_rows(Composition.parse("126,1"))
         assert rows.dtype == np.int16 and rows.shape == (254, 127)
-        _, _, images = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+        _, _, images = weak_covers(rows)
         for s in range(127):
             moved = rows.copy()
             if s == 0:
@@ -318,9 +324,9 @@ class TestWeakCovers:
             for alpha in all_compositions(n):
                 rows = quotient_rows(alpha)
                 length = tamari._inversion_words(rows)[1]
-                whole = tamari._weak_covers(rows, length)
+                whole = weak_covers(rows)
                 monkeypatch.setattr(lattice, "BLOCK_BYTES", 1)
-                blocked = tamari._weak_covers(rows, length)
+                blocked = weak_covers(rows)
                 monkeypatch.undo()
                 for a, b in zip(whole, blocked):
                     assert np.array_equal(a, b), alpha
@@ -352,6 +358,7 @@ class TestVerifyBuildsOnce:
         for module, name in [
             (tamari, "fiber_bottoms"),
             (tamari, "quotient_rows"),
+            (tamari, "_inversion_words"),
             (lattice, "_congruence_failure"),
             (lattice, "try_lattice"),
             (projection, "theta_classes"),
@@ -364,7 +371,6 @@ class TestVerifyBuildsOnce:
             (parabolic, "InversionTableau"),
             (tamari, "tableau_cells"),
             (tamari, "row_lookup"),
-            (tamari, "row_index"),
             (projection, "row_index"),
             (lattice, "join_irreducibles"),
             (lattice, "meet_irreducibles"),
@@ -378,17 +384,18 @@ class TestVerifyBuildsOnce:
 
             monkeypatch.setattr(module, name, counted)
         assert verify_theorems(A021).ok
-        # one quotient enumeration; tables for the subposet lattice only,
-        # none for the weak order or the quotient; fibers read off the
-        # quotient's rows and the generator images, with one row lookup
-        # for those images and none after it; one congruence test, whose
-        # class minima the quotient takes; the tableau's labels once, with
+        # one quotient enumeration and one table of its inversion words;
+        # tables for the subposet lattice only, none for the weak order or
+        # the quotient; fibers read off the quotient's rows and the
+        # generator images, with one row lookup for those images and Tam_B's
+        # rows; one congruence test; the tableau's labels once, with
         # no tableau object and no longest element as a signed permutation;
         # L's irreducibles and length counted once, for extremality,
         # trimness and the stats alike
         assert calls == {
             "fiber_bottoms": 1,
             "quotient_rows": 1,
+            "_inversion_words": 1,
             "_congruence_failure": 1,
             "try_lattice": 1,
             "tableau_cells": 1,
@@ -412,8 +419,9 @@ class TestVerifyBuildsOnce:
         assert quotient_size(alpha) not in sizes
 
     def test_no_weak_order_matrix(self, monkeypatch):
-        # Every m x m containment matrix verify builds is Tam_B's size: the
-        # subposet's order and the quotient's order on the class minima.
+        # Verify builds one containment matrix, Tam_B's, m x m: the
+        # quotient's order on the class minima, the same array when the
+        # element sets agree, is not built.
         alpha = Composition.parse("0,1,1,1")
         m = build_tamari(alpha).n
         sizes = []
@@ -422,7 +430,7 @@ class TestVerifyBuildsOnce:
             lattice, "contained", lambda words: sizes.append(len(words)) or original(words)
         )
         assert verify_theorems(alpha).ok
-        assert sizes == [m, m]
+        assert sizes == [m]
 
     def test_semidistributivity_scanned_once(self, monkeypatch):
         # The report's witness asks again after the semidistributive check;
@@ -450,8 +458,25 @@ class TestVerifyBuildsOnce:
 
 
 class TestQuotientOrder:
-    # The quotient's order is only compared with Tam_B's; an order that
-    # differs is tested for being a lattice, and fails without a traceback.
+    # The quotient's order is built only when its element set differs from
+    # Tam_B's; it is then tested for being a lattice, and fails without a
+    # traceback.
+    @pytest.fixture
+    def rekeyed(self, monkeypatch):
+        """One fiber keyed by a member above its minimum: the partition, so
+        the congruence, is kept, but the rows that are their own bottom are
+        no longer the class minima."""
+        original = tamari.fiber_bottoms
+
+        def bottoms(*args):
+            found = original(*args)
+            key = np.bincount(found).argmax()
+            members = np.flatnonzero(found == key)
+            found[members] = members[members != key][0]
+            return found
+
+        monkeypatch.setattr(tamari, "fiber_bottoms", bottoms)
+
     @staticmethod
     def failed_checks(monkeypatch, replace):
         original = lattice.quotient_order
@@ -463,7 +488,7 @@ class TestQuotientOrder:
         assert all(f"  FAIL  {name}" in report.summary() for name in failed)
         return failed
 
-    def test_not_a_lattice(self, monkeypatch):
+    def test_not_a_lattice(self, monkeypatch, rekeyed):
         def antichain(quot):
             return lattice.FinitePoset(quot.labels[:2], np.eye(2, dtype=bool))
 
@@ -481,11 +506,27 @@ class TestQuotientOrder:
             in report.summary().splitlines()
         )
 
-    def test_lattice_not_isomorphic(self, monkeypatch):
-        def chain(quot):
-            return lattice.FinitePoset(quot.labels, np.triu(np.ones((quot.n,) * 2, bool)))
+    def test_wrong_key_not_isomorphic(self, monkeypatch, rekeyed):
+        # The quotient order on the class minima is Tam_B's, a lattice.
+        assert self.failed_checks(monkeypatch, lambda quot: quot) == [
+            "quotient_isomorphic_subposet"
+        ]
 
-        assert self.failed_checks(monkeypatch, chain) == ["quotient_isomorphic_subposet"]
+    def test_lattice_not_isomorphic(self, monkeypatch):
+        # Tam_B without element 7, one lower and one upper cover and off
+        # every longest chain, is a sublattice of it of the same length:
+        # both routes give lattices, on element sets that differ by that
+        # element.  Its constructor check fails too, for the same element.
+        full = build_tamari(A021)
+        assert full.covers[:, 7].sum() == full.covers[7].sum() == 1
+        kept = np.delete(full.labels, 7, axis=0)
+        monkeypatch.setattr(tamari, "aligned_rows", lambda alpha, cap=None: kept)
+        built = []
+        assert self.failed_checks(monkeypatch, lambda quot: built.append(quot) or quot) == [
+            "quotient_isomorphic_subposet", "irreducible_constructor"
+        ]
+        assert np.array_equal(built[0].labels, full.labels)
+        assert np.array_equal(built[0].leq, full.leq)
 
 
 class TestTamariNotALattice:
@@ -581,7 +622,7 @@ class TestGeneratorImages:
         for n in range(1, 6):
             for alpha in parabolic.all_compositions(n):
                 rows = quotient_rows(alpha)
-                _, _, images = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+                _, _, images = weak_covers(rows)
                 assert images.dtype == np.int32 and images.shape == (n, len(rows))
                 members = [SignedPermutation(r) for r in rows.tolist()]
                 for s in range(n):
@@ -595,7 +636,7 @@ class TestGeneratorImages:
         for n in range(1, 7):
             for alpha in parabolic.all_compositions(n):
                 rows = quotient_rows(alpha)
-                _, _, images = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+                _, _, images = weak_covers(rows)
                 assert np.array_equal(
                     fiber_bottoms(alpha, rows, images), fiber_bottoms(alpha, rows)
                 ), alpha
@@ -604,7 +645,7 @@ class TestGeneratorImages:
         rows = quotient_rows(A021)
         hit, eliminated = eliminate_231(A021, rows)
         kept = rows[~(rows == eliminated[0]).all(axis=1)]
-        _, _, images = tamari._weak_covers(kept, tamari._inversion_words(kept)[1])
+        _, _, images = weak_covers(kept)
         with pytest.raises(ValueError) as looked_up:
             fiber_bottoms(A021, kept)
         with pytest.raises(ValueError) as from_table:
@@ -636,7 +677,7 @@ class TestWeakOrderLattice:
         for alpha in alphas:
             rows = quotient_rows(alpha)
             covers = lattice.FinitePoset(rows, tamari._weak_leq_matrix(rows)).covers
-            below, above, _ = tamari._weak_covers(rows, tamari._inversion_words(rows)[1])
+            below, above, _ = weak_covers(rows)
             assert np.array_equal(np.stack(np.nonzero(covers)), [below, above]), alpha
 
     def test_generator_covers_match_graded_covers(self):
@@ -649,7 +690,7 @@ class TestWeakOrderLattice:
             rows = quotient_rows(alpha)
             length = tamari._inversion_words(rows)[1]
             graded = (length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows)
-            below, above, _ = tamari._weak_covers(rows, length)
+            below, above, _ = weak_covers(rows)
             assert np.array_equal(np.stack(np.nonzero(graded)), [below, above]), alpha
 
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
@@ -673,8 +714,8 @@ class TestWeakOrderLattice:
                     assert np.array_equal(tamari._weak_leq_matrix(rows), expected)
 
     def test_refused_before_enumerating(self, monkeypatch):
-        # Tam_B is built first, so one whose tables exceed the cap is
-        # refused before the quotient is enumerated.  With one element per
+        # Tam_B's rows are counted first, so one whose tables exceed the cap
+        # is refused before the quotient is enumerated.  With one element per
         # value, Tam_B's 252 x 252 order counts 63,504 elements against a
         # cap that admits the quotient's 3,840 rows.
         def not_called(*args, **kwargs):
@@ -697,14 +738,30 @@ class TestWeakOrderLattice:
         assert (info.value.required, info.value.cap) == (36, 35)
 
     def test_class_minima_order_refused_before_allocating(self, monkeypatch):
-        # A Tam_B passed in is not counted again; the quotient order on its
-        # 6 class minima is, from the bottoms, before quotient_order runs.
-        L = build_tamari(Composition.parse("0,1,1"))
+        # Tam_B(0,1,1) without its first row: its 5 x 5 order fits 35
+        # values, and the element sets differ, so the quotient order on the
+        # 6 class minima is counted, 36 values, before quotient_order runs.
+        kept = build_tamari(Composition.parse("0,1,1")).labels[1:]
+        monkeypatch.setattr(tamari, "aligned_rows", lambda alpha, cap=None: kept)
 
         def not_called(*args, **kwargs):
             raise AssertionError("quotient_order called")
 
         monkeypatch.setattr(lattice, "quotient_order", not_called)
+        monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
+        with pytest.raises(CapExceededError) as info:
+            verify_theorems(Composition.parse("0,1,1"), cap=35)
+        assert (info.value.required, info.value.cap) == (36, 35)
+
+    def test_tamari_passed_in_is_counted(self, monkeypatch):
+        # A Tam_B passed in gives the rows; its 6 x 6 order counts 36
+        # values against 35 before the quotient is enumerated.
+        L = build_tamari(Composition.parse("0,1,1"))
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("quotient_rows called")
+
+        monkeypatch.setattr(tamari, "quotient_rows", not_called)
         monkeypatch.setattr(parabolic, "ROW_VALUES", 1)
         with pytest.raises(CapExceededError) as info:
             verify_theorems(Composition.parse("0,1,1"), cap=35, tam=L)
