@@ -5,8 +5,8 @@ Prints the aligned-count totals t_1..t_max, the Narayana cover enumerators of
 the full-group lattices, the (t,1,...,1) closed-form comparison, and the
 type-D count comparison.  Mismatches are reported, never asserted.  Exit
 status: 0 when the report is complete, 2 on a usage error (such as
-``--max-n 0``), 3 when a composition exceeds the enumeration cap; the last
-two print one ``error:`` line on stderr.
+``--max-n 0``), 3 when a composition exceeds the enumeration cap or runs
+out of memory within it; the last two print one ``error:`` line on stderr.
 """
 
 import argparse
@@ -20,7 +20,8 @@ from btamari.enumeration import (
     narayana_polynomial,
     t_sequence,
 )
-from btamari.errors import CapExceededError
+from btamari.config import resolve_cap
+from btamari.errors import CapExceededError, out_of_memory
 from btamari.parabolic import Composition
 
 
@@ -35,6 +36,9 @@ def main(argv=None) -> int:
         report(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: {out_of_memory(resolve_cap())}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@
 On a 2-core x86-64 host (Python 3.11, numpy 2.4), ``--max-n 5`` takes about
 1 s of wall time and 35 MB peak RSS; its largest weak order, the full
 group's, has 3,840 elements.  ``--max-n 6`` verifies all 126 compositions in
-9 to 11 s and under 60 MB, up to the full group's weak order of 46,080 elements:
+4 to 5 s and 53 MB, up to the full group's weak order of 46,080 elements:
 the weak order is kept as inversion words and cover pairs, and only Tam_B
 (at most 924 elements here) gets m x m tables.
 
@@ -19,7 +19,8 @@ refuses (Tam_B's m x m tables count m^2 / 64 elements) is refused with one
 line on stderr, and the sweep goes on.
 Exit status: 0 when every check passed, 1 when a check failed, 2 on a usage
 error, 3 when no check failed but a composition or the whole sweep was
-refused.
+refused, or at once, with one ``error:`` line, when a composition the cap
+admits runs out of memory.
 """
 
 import argparse
@@ -28,7 +29,7 @@ import sys
 import time
 
 from btamari.config import resolve_cap
-from btamari.errors import CapExceededError, CompositionError
+from btamari.errors import CapExceededError, CompositionError, out_of_memory
 from btamari.parabolic import (
     Composition,
     all_compositions,
@@ -67,6 +68,9 @@ def main(argv=None) -> int:
                 print(f"{alpha.format()}: refused, {exc}", file=sys.stderr)
                 refused += 1
                 continue
+            except MemoryError:
+                print(f"error: {alpha.format()}: {out_of_memory(cap)}", file=sys.stderr)
+                return 3
             elapsed = time.time() - start
             if args.json:
                 print(json.dumps(report.to_json()))

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage or parse error,
-3 enumeration cap exceeded.
+3 enumeration cap exceeded, or out of memory within it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     NotACongruenceError,
     NotALatticeError,
     NotAPermutationError,
+    out_of_memory,
 )
 from .parabolic import (
     Composition,
@@ -305,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print(f"error: {out_of_memory(args.cap)}", file=sys.stderr)
         return EXIT_CAP
     except (NotALatticeError, NotACongruenceError, AssertionError) as exc:
         # Both lattice errors subclass ValueError, so they must come first.

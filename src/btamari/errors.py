@@ -20,6 +20,11 @@ class CapExceededError(RuntimeError):
         self.cap = cap
 
 
+def out_of_memory(cap: int) -> str:
+    """The one line a command prints when the arrays the cap admits do not fit."""
+    return f"out of memory: the enumeration cap {cap} admits more than memory holds"
+
+
 def _count(required: int) -> str:
     """Exact below 10^18, else "at least 10^k" from the bit length and log10(2)
     rounded down: Python will not write out an int of over 4,300 digits."""

@@ -5,18 +5,18 @@ entry per element (for the type-B orders, a right-part row); lattices add
 meet and join tables, both built by one bit-packed join kernel.  It holds
 the up-sets word major over a linear extension, finds each pair's first
 common bit word by word, and accepts that candidate as the join when its
-up-set is as large as the common one.  A poset's
-covers come from one float32 product of its strict order with itself.  A
-lattice keeps one dual, whose covers are the transpose, and finds its
-join-irreducibles and their lower covers once; the meet-irreducibles are
-the dual's.  The dual holds no reference back, so no cycle outlives the
-lattice.  On top of that sit the structural checks used by the
-verification harness: irreducibles, length, semidistributivity, congruence
-uniformity (by Day's join-dependency criterion, from bit words of the
-irreducibles below each element), congruence verification and quotient
-orders on bit words and cover pairs (so that the weak order needs no
-matrix), left modularity in one pass over the covers, plus JSON and DOT
-exports.
+up-set is as large as the common one.  Covers have one format: index pairs
+(lower, upper), row-major, which a poset reads off one product of its
+strict order with itself, the only m x m product here.  A lattice keeps
+one dual, whose pairs are its own swapped, and finds its join-irreducibles
+and their lower covers once; the meet-irreducibles are the dual's.  The
+dual holds no reference back, so no cycle outlives the lattice.  On top of
+that sit the structural checks used by the verification harness:
+irreducibles, length, semidistributivity, congruence uniformity (by Day's
+join-dependency criterion, from bit words of the irreducibles below each
+element), congruence verification and quotient orders on bit words and
+cover pairs (so that the weak order needs no matrix), left modularity in
+one pass over the covers, plus JSON and DOT exports.
 """
 
 from __future__ import annotations
@@ -41,20 +41,17 @@ class FinitePoset:
         return len(self.labels)
 
     @cached_property
-    def covers(self) -> np.ndarray:
-        """covers[a, b] is True when b covers a."""
+    def covers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cover pairs: ``upper[k]`` covers ``lower[k]``, row-major."""
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         # float32 counts paths exactly (below 2**24 elements) and runs on BLAS.
         paths = lt.astype(np.float32)
-        return lt & ~((paths @ paths) > 0)
-
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        return [tuple(map(int, ab)) for ab in np.argwhere(self.covers)]
+        return np.nonzero(lt & ~((paths @ paths) > 0))
 
     @cached_property
     def heights(self) -> np.ndarray:
         """Length of the longest chain ending at each element."""
-        return self._chain_heights(*np.nonzero(self.covers))
+        return self._chain_heights(*self.covers)
 
     def _chain_heights(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """Length of the longest chain of the given cover pairs ending at each element.
@@ -103,7 +100,7 @@ class FiniteLattice(FinitePoset):
     @cached_property
     def _dual(self) -> "FiniteLattice":
         dual = FiniteLattice(self.labels, self.leq.T, self._join, self._meet)
-        dual.covers = self.covers.T
+        dual.covers = self.covers[::-1]
         return dual
 
     @cached_property
@@ -112,9 +109,11 @@ class FiniteLattice(FinitePoset):
 
         Found once per lattice; the meet-irreducibles are the dual's.
         """
-        covers = self.covers
-        irr = np.flatnonzero(covers.sum(axis=0) == 1)
-        return irr, covers[:, irr].argmax(axis=0)
+        lower, upper = self.covers
+        irr = np.flatnonzero(np.bincount(upper, minlength=self.n) == 1)
+        below = np.empty(self.n, dtype=np.intp)
+        below[upper] = lower
+        return irr, below[irr]
 
     @cached_property
     def _semidistributivity_witness(self):
@@ -153,6 +152,27 @@ def contained(words: np.ndarray) -> np.ndarray:
         for lo in range(0, m, step):
             leq[lo:lo + step] &= ~(block[lo:lo + step, None, :] & outside).any(axis=2)
     return leq
+
+
+def _not_within(words: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per k, whether word row ``a[k]`` has a bit outside word row ``b[k]``.
+
+    The pairs are read in blocks of pairs and of word columns whose gathered
+    rows stay near BLOCK_BYTES, and a pair's verdict is ORed over the column
+    blocks; pairs whose rows fit one block are one expression.
+    """
+    width = words.shape[1]
+    if len(a) * width * words.itemsize <= BLOCK_BYTES:
+        return (words[a] & ~words[b]).any(axis=1)
+    cols = min(width, max(1, BLOCK_BYTES // words.itemsize))
+    step = max(1, BLOCK_BYTES // (cols * words.itemsize))
+    outside = np.zeros(len(a), dtype=bool)
+    for lo in range(0, len(a), step):
+        rows_a, rows_b = a[lo:lo + step], b[lo:lo + step]
+        for c in range(0, width, cols):
+            block = words[rows_a, c:c + cols] & ~words[rows_b, c:c + cols]
+            outside[lo:lo + step] |= block.any(axis=1)
+    return outside
 
 
 def _join_kernel(leq: np.ndarray, order: np.ndarray):
@@ -271,11 +291,11 @@ def _kappa_witness(lat: FiniteLattice, name: str):
     set, and j ^ (x v y) = j.  ``name`` labels the law; the join law is this
     test on the dual.
     """
-    irr, lows = lat.irreducibles
-    inside = lat.meet_table()[irr] == lows[:, None]
-    # above[t, x]: upper covers of x inside the set of the t-th irreducible.
-    above = inside.astype(np.float32) @ lat.covers.T.astype(np.float32)
-    maximal = inside & (above == 0)
+    (irr, lows), (lower, upper) = lat.irreducibles, lat.covers
+    maximal = lat.meet_table()[irr] == lows[:, None]
+    # Drop from the t-th set each member with an upper cover inside it.
+    t, k = np.nonzero(maximal[:, upper])
+    maximal[t, lower[k]] = False
     several = np.flatnonzero(maximal.sum(axis=1) > 1)
     if not several.size:
         return None
@@ -291,13 +311,13 @@ def is_semidistributive(lat: FiniteLattice) -> bool:
 # -- congruences ---------------------------------------------------------------
 
 
-def _congruence_failure(words, below, above, block_of):
+def _congruence_failure(words, covers, block_of):
     """Why the classes are not a congruence (None when they are), and their minima.
 
-    x <= y when the word of x lies inside that of y; ``above[k]`` covers
-    ``below[k]``, row-major.  A congruence is a partition into intervals
-    whose class-minimum and class-maximum maps preserve order (N. Reading,
-    Order 21, 2004), as they do if they do on covers.  With lo and hi a
+    x <= y when the word of x lies inside that of y; ``covers`` = (below,
+    above) are the cover pairs, row-major.  A congruence is a partition into
+    intervals whose class-minimum and class-maximum maps preserve order (N.
+    Reading, Order 21, 2004), as they do if they do on covers.  With lo and hi a
     shortest and a longest member, class C is an interval exactly when every
     member lies in [lo, hi] and no cover x < y leaves C with y <= hi.  If
     C = [b, t], then lo = b and hi = t (words grow strictly), and such a y
@@ -306,6 +326,7 @@ def _congruence_failure(words, below, above, block_of):
     """
     if len(block_of) != len(words):
         return "partition size does not match the lattice", None
+    below, above = covers
     # Number the classes by their first element, as ``why`` reports them.
     _, first, classes = np.unique(block_of, return_index=True, return_inverse=True)
     classes = np.argsort(np.argsort(first))[classes]
@@ -314,18 +335,17 @@ def _congruence_failure(words, below, above, block_of):
     starts = np.searchsorted(classes[by_size], np.arange(len(first)))
     mins = by_size[starts]
     maxs = by_size[np.append(starts[1:], len(words)) - 1]
-    outside, top = ~words, maxs[classes]
-    stray = (words[mins[classes]] & outside).any(axis=1)
-    stray |= (words & outside[top]).any(axis=1)
-    below_top = ~(words[above] & outside[top[below]]).any(axis=1)
+    every, top = np.arange(len(words)), maxs[classes]
+    stray = _not_within(words, mins[classes], every) | _not_within(words, every, top)
+    below_top = ~_not_within(words, above, top[below])
     leaves = below_top & (classes[below] != classes[above])
     bad_class = np.concatenate([classes[stray], classes[below[leaves]]])
     if bad_class.size:
         return f"class {int(bad_class.min())} is not an interval", mins
     below, above = classes[below], classes[above]
     # The first cover pair, row-major, that breaks either map names the failure.
-    bad_min = (words[mins[below]] & outside[mins[above]]).any(axis=1)
-    bad = bad_min | (words[maxs[below]] & outside[maxs[above]]).any(axis=1)
+    bad_min = _not_within(words, mins[below], mins[above])
+    bad = bad_min | _not_within(words, maxs[below], maxs[above])
     if bad.any():
         if bad_min[bad.argmax()]:
             return "class-minimum map is not order preserving", mins
@@ -333,19 +353,19 @@ def _congruence_failure(words, below, above, block_of):
     return None, mins
 
 
-def quotient_order(labels, words, below, above, block_of) -> FinitePoset:
+def quotient_order(labels, words, covers, block_of) -> FinitePoset:
     """The congruence-class minima, ordered as in the original.
 
     The order is given by its elements' ``labels``, their down-sets (or any
     sets that grow strictly with the order, such as inversion sets) as
-    ``words`` and its cover pairs, and ``block_of[x]`` is any key naming
+    ``words`` and its ``covers`` pairs, and ``block_of[x]`` is any key naming
     the class of element x, such as the bottoms ``fiber_bottoms`` returns.
     The quotient of a lattice by a congruence is a lattice on the class
     minima; this returns its order only, and ``try_lattice`` builds its
     tables.  Raises NotACongruenceError with ``_congruence_failure``'s
     reason, which numbers the classes by their first element.
     """
-    why, mins = _congruence_failure(words, below, above, block_of)
+    why, mins = _congruence_failure(words, covers, block_of)
     if why is not None:
         raise NotACongruenceError(why)
     mins = np.sort(mins)
@@ -402,7 +422,7 @@ def _left_modular(lat: FiniteLattice) -> np.ndarray:
     each element's meet and join rows are compared at the two ends of every
     cover, O(m covers) in all, in blocks of elements near BLOCK_BYTES.
     """
-    lower, upper = np.nonzero(lat.covers)
+    lower, upper = lat.covers
     meet, join = lat.meet_table(), lat.join_table()
     modular = np.empty(lat.n, dtype=bool)
     step = max(1, BLOCK_BYTES // (meet.itemsize * len(lower) + 1))
@@ -421,7 +441,7 @@ def has_left_modular_chain(lat: FiniteLattice) -> bool:
     a chain of length(L) covers cannot be extended, so it is maximal.
     """
     modular = _left_modular(lat)
-    lower, upper = np.nonzero(lat.covers)
+    lower, upper = lat.covers
     both = modular[lower] & modular[upper]
     return bool(lat._chain_heights(lower[both], upper[both]).max() == lat.length())
 
@@ -432,7 +452,7 @@ def has_left_modular_chain(lat: FiniteLattice) -> bool:
 def lattice_to_json(lat: FiniteLattice, label_fn: Callable = str) -> dict:
     return {
         "elements": [label_fn(x) for x in lat.labels],
-        "covers": [list(pair) for pair in sorted(lat.cover_pairs())],
+        "covers": np.column_stack(lat.covers).tolist(),
     }
 
 
@@ -442,8 +462,7 @@ def lattice_to_dot(lat: FiniteLattice, label_fn: Callable = str) -> str:
     for idx, label in enumerate(lat.labels):
         text = label_fn(label).replace('"', '\\"')
         lines.append(f'  n{idx} [label="{text}"];')
-    for a, b in sorted(lat.cover_pairs()):
-        lines.append(f"  n{a} -> n{b};")
+    lines += map("  n{} -> n{};".format, *lat.covers)
     heights = lat.heights
     for level in range(lat.length() + 1):
         group = " ".join(f"n{int(x)};" for x in np.flatnonzero(heights == level))

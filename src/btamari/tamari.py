@@ -112,7 +112,7 @@ def _weak_leq_matrix(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
 
 def _weak_covers(rows: np.ndarray, length: np.ndarray, find):
     """The weak order's cover pairs (below, above) on a quotient's rows, row-major,
-    and the table of generator images.
+    as one tuple, and the table of generator images.
 
     The quotient is a lower interval of the weak order on the group (A.
     Björner and M. Wachs, Trans. AMS 308, 1988), so y covers x exactly when
@@ -134,7 +134,7 @@ def _weak_covers(rows: np.ndarray, length: np.ndarray, find):
     gens, below = np.nonzero(is_cover)
     above = images[gens, below]
     order = np.lexsort((above, below))
-    return below[order], above[order], images
+    return (below[order], above[order]), images
 
 
 def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
@@ -248,7 +248,7 @@ def _fill_positions(n: int, spots: list[int]) -> tuple[int, ...]:
 # -- structural verification -----------------------------------------------------
 
 
-def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice, into_weak):
+def _meet_mismatch(rows, words, covers, tam: lat.FiniteLattice, into_weak):
     """First pair a < b, row-major over Tamari indices, whose two meets differ.
 
     Returns the rows (label b, label a, weak-order meet, Tamari meet), or
@@ -259,12 +259,12 @@ def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice, into_weak)
     inversions t's upper covers add, t < w exactly when added[t] & words[a]
     & words[b] is not empty: one word AND per pair.  Climbing through such
     covers from t ends at w, which lies above every common lower bound.
-    ``into_weak`` holds Tam_B's indices among the rows.  The words are read
-    in blocks of columns whose temporaries stay near BLOCK_BYTES (rows of
-    one word are one block); a pair's verdict is ORed over the blocks and
-    is final in the last.
+    ``covers`` holds the weak order's cover pairs and ``into_weak`` Tam_B's
+    indices among the rows.  The words are read in blocks of columns whose
+    temporaries stay near BLOCK_BYTES (rows of one word are one block); a
+    pair's verdict is ORed over the blocks and is final in the last.
     """
-    meet, width = tam.meet_table(), words.shape[1]
+    (below, above), meet, width = covers, tam.meet_table(), words.shape[1]
     cols = max(1, lat.BLOCK_BYTES // (words.itemsize * (len(words) + len(below)) + 1))
     starts = range(0, width, cols)
     # Verdicts carried between blocks; one block needs none.
@@ -284,16 +284,15 @@ def _meet_mismatch(rows, words, below, above, tam: lat.FiniteLattice, into_weak)
                 hits[lo:lo + step] |= differs
                 differs = hits[lo:lo + step]
             if c == starts[-1] and (differs := np.triu(differs, k=lo + 1)).any():
-                a, b = map(int, np.argwhere(differs)[0])
+                a, b = divmod(int(differs.argmax()), tam.n)
                 a += lo
                 break
     if a is None:
         return None
     # The rows below both a and b; climbing through them from t ends at w.
-    both = words[into_weak[a]] & words[into_weak[b]]
-    under = np.ones(len(rows), dtype=bool)
-    for c in starts:
-        under &= ~(words[:, c:c + cols] & ~both[c:c + cols]).any(axis=1)
+    every = np.arange(len(rows))
+    under = ~lat._not_within(words, every, np.full_like(every, into_weak[a]))
+    under &= ~lat._not_within(words, every, np.full_like(every, into_weak[b]))
     x = into_weak[meet[a, b]]
     while under[ups := above[below == x]].any():
         x = ups[under[ups]][0]
@@ -398,7 +397,7 @@ def verify_theorems(
     rows = quotient_rows(alpha, cap)
     words, length = _inversion_words(rows, cap)
     find = row_lookup(rows)
-    below, above, images = _weak_covers(rows, length, find)
+    covers, images = _weak_covers(rows, length, find)
     bottoms = fiber_bottoms(alpha, rows, images)
     # Tam_B's rows are quotient members, in right-part order as the rows are.
     into_weak = find(tam_rows)
@@ -409,14 +408,14 @@ def verify_theorems(
             L = lat.try_lattice(lat.FinitePoset(tam_rows, lat.contained(words[into_weak])))
         except NotALatticeError as exc:
             tam_failure = _not_a_lattice(exc)
-    failure, mins = lat._congruence_failure(words, below, above, bottoms)
+    failure, mins = lat._congruence_failure(words, covers, bottoms)
     checks = {"congruence_valid": failure is None, "lattice_subposet": L is not None}
     isomorphic = failure is None and L is not None and _isomorphic(mins, bottoms, into_weak)
     not_a_lattice = None
     if failure is None and not isomorphic:
         check_cap(len(mins), cap, len(mins))
         try:
-            lat.try_lattice(lat.quotient_order(rows, words, below, above, bottoms))
+            lat.try_lattice(lat.quotient_order(rows, words, covers, bottoms))
         except NotALatticeError as exc:
             not_a_lattice = _not_a_lattice(exc)
     checks["lattice_quotient"] = failure is None and not_a_lattice is None
@@ -426,10 +425,10 @@ def verify_theorems(
         return VerificationReport(
             alpha, checks, {}, None, None, failure, not_a_lattice, tam_failure
         )
-    witness = _meet_mismatch(rows, words, below, above, L, into_weak)
+    witness = _meet_mismatch(rows, words, covers, L, into_weak)
     if witness is not None:
         witness = _perms(witness)
-    del rows, words, length, below, above, bottoms
+    del rows, words, length, covers, bottoms
 
     irreducibles = lat.join_irreducibles(L)
     checks["congruence_uniform"] = lat.is_congruence_uniform(L)

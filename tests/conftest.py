@@ -114,16 +114,17 @@ def inversion_words_whole(rows):
 def lower_bounded_by_gather(lat: FiniteLattice, block_bytes: int = BLOCK_BYTES) -> bool:
     """The oracle for ``lattice._lower_bounded``: D by gathering join-table rows.
 
-    j D k when j != k, j <= k v x and j !<= k_* v x for some x.  Each k's
-    lower cover comes from an ``argmax`` over its column of ``covers``, and
-    D is one gather of the join table's rows for k and k_* into the
+    j D k when j != k, j <= k v x and j !<= k_* v x for some x.  The cover
+    pairs whose upper end is in no other pair give each k and k_*, sorted by
+    k, and D is one gather of the join table's rows for k and k_* into the
     irreducibles' up-sets, O(|J|^2 m) booleans, over blocks of k of about
     ``block_bytes``; the library packs the irreducibles below each element
     into bit words instead.  Sinks are peeled off as in the library.
     """
-    covers = lat.covers
-    irr = np.flatnonzero(covers.sum(axis=0) == 1)
-    lows = covers[:, irr].argmax(axis=0)
+    lower, upper = lat.covers
+    single = np.bincount(upper, minlength=lat.n)[upper] == 1
+    order = np.argsort(upper[single])
+    irr, lows = upper[single][order], lower[single][order]
     join, below = lat.join_table(), lat.leq[irr]
     dep = np.empty((len(irr), len(irr)), dtype=bool)
     step = max(1, block_bytes // (below.size + 1))
@@ -145,7 +146,9 @@ def heights_by_rounds(poset: FinitePoset) -> np.ndarray:
     heights stop changing after the longest chain's r steps.  The library
     takes the cover pairs once, in the order of a linear extension.
     """
-    upper, lower = np.nonzero(poset.covers.T)  # pairs grouped by upper
+    lower, upper = poset.covers
+    grouped = np.argsort(upper, kind="stable")
+    lower, upper = lower[grouped], upper[grouped]
     h = np.zeros(poset.n, dtype=np.int64)
     if not len(upper):
         return h
@@ -168,7 +171,22 @@ def eliminate_231(alpha: Composition, rows):
 
 def order_words(poset: FinitePoset):
     """Down-sets as words and the cover pairs: ``quotient_order``'s inputs."""
-    return pack_words(poset.leq.T), *np.nonzero(poset.covers)
+    return pack_words(poset.leq.T), poset.covers
+
+
+def hasse_by_definition(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle for ``FinitePoset.covers``: the pairs a < b with no c
+    strictly between them, row-major, one row of a at a time."""
+    lt = poset.leq & ~np.eye(poset.n, dtype=bool)
+    hasse = np.zeros_like(lt)
+    for a in range(poset.n):
+        hasse[a] = lt[a] & ~(lt[a][:, None] & lt).any(axis=0)
+    return np.nonzero(hasse)
+
+
+def cover_list(poset: FinitePoset) -> list[tuple[int, int]]:
+    """The cover pairs of ``poset`` as a list of (lower, upper) int tuples."""
+    return list(zip(*(ends.tolist() for ends in poset.covers)))
 
 
 def check_congruence(poset: FinitePoset, block_of):
@@ -186,10 +204,11 @@ def left_modular_chain_by_search(lat: FiniteLattice) -> bool:
     )
     best = np.full(lat.n, -1, dtype=np.int64)
     best[np.flatnonzero(lat.leq.all(axis=1))[0]] = 0
+    lower, upper = lat.covers
     for x in np.argsort(lat.leq.sum(axis=0), kind="stable"):
         if not modular[x] or best[x] < 0:
             continue
-        for y in np.flatnonzero(lat.covers[x]):
+        for y in upper[lower == x]:
             if modular[y]:
                 best[y] = max(best[y], best[x] + 1)
     return bool(best[lat.leq.all(axis=0).argmax()] == lat.length())

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from btamari import parabolic, tamari
+from btamari import lattice, parabolic, tamari
 from btamari.cli import main
 from btamari.errors import NotACongruenceError, NotALatticeError
 from btamari.parabolic import Composition
@@ -363,6 +363,23 @@ class TestLattice:
         assert code == 3
         assert out == ""
         assert err == "error: enumeration needs 63504 elements, cap is 50000\n"
+
+    @pytest.mark.parametrize("action", [["--check", "all"], ["--export", "json"]])
+    def test_out_of_memory_exit_three(self, capsys, monkeypatch, tmp_path, action):
+        # An array the cap admits but memory does not hold: one line, no file.
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 499. MiB")
+
+        monkeypatch.setattr(lattice, "try_lattice", exhausted)
+        monkeypatch.chdir(tmp_path)
+        argv = ["--cap", "2600000", "lattice", *action, "--alpha", "0,1,1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: out of memory: the enumeration cap 2600000 admits more than"
+            " memory holds\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFullGroupEight:

@@ -27,7 +27,9 @@ from btamari.projection import fiber_bottoms, row_lookup
 from btamari.tamari import _inversion_words, _weak_covers, build_tamari
 from conftest import (
     check_congruence,
+    cover_list,
     full_group,
+    hasse_by_definition,
     heights_by_rounds,
     is_extremal,
     is_left_modular_element,
@@ -161,7 +163,7 @@ def loop_check_congruence(lat, partition):
         mins[b] = lo
         maxs[b] = hi
     block_of = np.asarray(partition.block_of)
-    for a, b in lat.cover_pairs():
+    for a, b in cover_list(lat):
         if not leq[mins[block_of[a]], mins[block_of[b]]]:
             return False, "class-minimum map is not order preserving"
         if not leq[maxs[block_of[a]], maxs[block_of[b]]]:
@@ -246,7 +248,8 @@ def congruence_closure(lat, pairs):
 
 def lower_cover(lat, j):
     """The unique lower cover of a join-irreducible j."""
-    below = np.flatnonzero(lat.covers[:, j])
+    lower, upper = lat.covers
+    below = lower[upper == j]
     if below.size != 1:
         raise ValueError(f"element {j} is not join-irreducible")
     return int(below[0])
@@ -260,7 +263,7 @@ def principal_congruence(lat, a, b):
 def all_congruences(lat):
     """Every congruence, generated by joining principal cover congruences."""
     principals = {
-        congruence_closure(lat, [pair]) for pair in lat.cover_pairs()
+        congruence_closure(lat, [pair]) for pair in cover_list(lat)
     }
     found = {discrete(lat.n)} | principals
     frontier = list(found)
@@ -354,10 +357,11 @@ def weak_order_partitions(alpha, weak):
     bottoms = fiber_bottoms(alpha, weak.labels)
     merged = Partition([max(b - 1, 0) for b in Partition(bottoms.tolist()).block_of])
     keys = [bottoms, largest_member_keys(merged)]
-    joined = np.flatnonzero(weak.covers.sum(axis=0) > 1)
+    lower, upper = weak.covers
+    joined = np.flatnonzero(np.bincount(upper, minlength=weak.n) > 1)
     if joined.size:
         y = int(joined[0])
-        x = int(np.flatnonzero(weak.covers[:, y])[0])
+        x = int(lower[upper == y][0])
         cover = Partition([x if v == y else v for v in range(weak.n)])
         keys.append(largest_member_keys(cover))
     return keys
@@ -406,17 +410,17 @@ def weak_order_lattice_raw(n):
 class TestPosets:
     def test_chain_covers(self):
         poset = poset_from([0, 1, 2], lambda a, b: a <= b)
-        assert poset.cover_pairs() == [(0, 1), (1, 2)]
+        assert cover_list(poset) == [(0, 1), (1, 2)]
 
     def test_antichain(self):
         poset = poset_from([0, 1], lambda a, b: a == b)
-        assert poset.cover_pairs() == []
+        assert cover_list(poset) == []
 
     def test_weak_order_octagon(self):
         group = full_group(2)
         poset = poset_from(group, weak_leq)
         assert poset.n == 8
-        assert len(poset.cover_pairs()) == 8
+        assert len(cover_list(poset)) == 8
 
     def test_interval_with_256_inner_elements(self):
         # 0 < each of 256 atoms < top: counting the atoms in uint8 wrapped to 0
@@ -424,16 +428,42 @@ class TestPosets:
         leq = np.eye(m, dtype=bool)
         leq[0, :] = leq[:, m - 1] = True
         poset = FinitePoset(list(range(m)), leq)
-        assert (0, m - 1) not in poset.cover_pairs()
-        assert len(poset.cover_pairs()) == 2 * 256
+        assert (0, m - 1) not in cover_list(poset)
+        assert len(cover_list(poset)) == 2 * 256
 
-    def test_dual_covers_are_the_transpose(self):
+    def test_covers_match_definition(self, small_lattices):
+        # Row-major pairs, on every weak order and Tam_B with n <= 4 and on
+        # 300 random posets, whose indices are not a linear extension.
+        rng = np.random.default_rng(25)
+        posets = list(small_lattices.values())
+        posets += [random_poset(rng, int(rng.integers(1, 20))) for _ in range(300)]
+        for poset in posets:
+            lower, upper = poset.covers
+            assert lower.dtype == upper.dtype == np.intp
+            assert np.array_equal(poset.covers, hasse_by_definition(poset)), poset.n
+
+    def test_dual_covers_are_the_swapped_pairs(self, small_lattices):
+        # The dual's pairs are the lattice's own arrays, swapped, so they are
+        # grouped by the dual's upper end rather than row-major; its heights,
+        # meet-irreducibles and left-modular chain agree with the oracles.
+        for name, lat in small_lattices.items():
+            dual = lat.dual()
+            lower, upper = lat.covers
+            assert dual.covers[0] is upper and dual.covers[1] is lower, name
+            flipped = FinitePoset(lat.labels, lat.leq.T)
+            row_major = np.lexsort(dual.covers[::-1])
+            assert np.array_equal(np.stack(dual.covers)[:, row_major],
+                                  hasse_by_definition(flipped)), name
+            assert np.array_equal(dual.heights, heights_by_rounds(flipped)), name
+            hasse_lower = hasse_by_definition(lat)[0]
+            one_upper = np.bincount(hasse_lower, minlength=lat.n) == 1
+            assert meet_irreducibles(lat) == np.flatnonzero(one_upper).tolist(), name
+            chain_found = has_left_modular_chain(dual)
+            assert chain_found == left_modular_chain_by_search(dual), name
+
+    def test_one_order_object(self):
         alpha = Composition.parse("0,1,2")
         weak = weak_order_lattice(alpha)
-        dual = weak.dual()
-        assert np.shares_memory(dual.covers, weak.covers)
-        assert np.array_equal(dual.covers, weak.covers.T)
-        assert np.array_equal(dual.covers, FinitePoset(weak.labels, weak.leq.T).covers)
         # Every construction is one order object: a poset with meet and join tables.
         bottoms = fiber_bottoms(alpha, weak.labels)
         quot = try_lattice(quotient_order(weak.labels, *order_words(weak), bottoms))
@@ -731,11 +761,40 @@ class TestCongruences:
                 weak = small_lattices[f"weak {alpha.format()}"]
                 words, length = _inversion_words(weak.labels)
                 find = row_lookup(weak.labels)
-                below, above, _ = _weak_covers(weak.labels, length, find)
+                covers, _ = _weak_covers(weak.labels, length, find)
                 for keys in weak_order_partitions(alpha, weak):
-                    why, _ = lattice._congruence_failure(words, below, above, keys)
+                    why, _ = lattice._congruence_failure(words, covers, keys)
                     expected = loop_check_congruence(weak, Partition(keys.tolist()))
                     assert why == expected[1], alpha
+
+    def test_blocked_test_matches_one_block(self, small_lattices, monkeypatch):
+        # Every weak order with n <= 4, with its fiber bottoms and the two
+        # broken partitions, on its inversion words and on the same bits
+        # spread over three words by their position mod 3: at BLOCK_BYTES = 1
+        # each pair and each word is a block of its own.
+        thirds = np.uint64([sum(1 << i for i in range(r, 64, 3)) for r in range(3)])
+        seen = set()
+        for n in (1, 2, 3, 4):
+            for alpha in all_compositions(n):
+                weak = small_lattices[f"weak {alpha.format()}"]
+                words, length = _inversion_words(weak.labels)
+                covers, _ = _weak_covers(weak.labels, length, row_lookup(weak.labels))
+                spread = words & thirds
+                for keys in weak_order_partitions(alpha, weak):
+                    for table in (words, spread):
+                        why, mins = lattice._congruence_failure(table, covers, keys)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(lattice, "BLOCK_BYTES", 1)
+                            blocked = lattice._congruence_failure(table, covers, keys)
+                        assert blocked[0] == why, alpha
+                        assert np.array_equal(blocked[1], mins), alpha
+                        seen.add("not an interval" if why and "interval" in why else why)
+        assert seen == {
+            None,
+            "not an interval",
+            "class-minimum map is not order preserving",
+            "class-maximum map is not order preserving",
+        }
 
     def test_raw_keys_match_first_appearance_numbering(self, small_lattices):
         # Keys with gaps and in any order, such as fiber bottoms, give what the
@@ -768,7 +827,7 @@ class TestCongruences:
     def test_principal_is_minimal_congruence(self):
         for lat in (chain(4), m3(), n5(), weak_order_lattice_raw(2)):
             congruences = all_congruences(lat)
-            for a, b in lat.cover_pairs():
+            for a, b in cover_list(lat):
                 finest = None
                 for theta in congruences:
                     if theta.block_of[a] == theta.block_of[b]:
@@ -823,7 +882,7 @@ class TestQuotient:
         theta = principal_congruence(lat, 0, 1)
         quot = quotient_order(lat.labels, *order_words(lat), theta.block_of)
         assert quot.n == 3
-        assert quot.cover_pairs() == [(0, 1), (1, 2)]
+        assert cover_list(quot) == [(0, 1), (1, 2)]
 
 
 class TestCongruenceUniformity:

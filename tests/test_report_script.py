@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from btamari import enumeration
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "enumerative_report.py"
 
 
@@ -37,6 +39,20 @@ class TestEnumerativeReport:
         assert report(["--max-n", "3"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: enumeration needs")
+
+    def test_out_of_memory_is_one_line_and_exit_three(self, report, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.delenv("TAMARI_B_CAP", raising=False)
+        monkeypatch.setattr(enumeration, "count_aligned_subtree", exhausted)
+        assert report(["--max-n", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: out of memory: the enumeration cap 2000000 admits more than"
+            " memory holds\n"
+        )
 
     @pytest.mark.parametrize("max_n", ["40000", "3000000000"])
     def test_degree_above_the_largest_is_usage_error(self, report, capsys, max_n):

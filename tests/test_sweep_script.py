@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from btamari import parabolic
+from btamari import lattice, parabolic
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification_sweep.py"
 
@@ -45,6 +45,26 @@ class TestVerificationSweep:
         ]
         assert "all checks passed" not in captured.out
         assert len(captured.out.splitlines()) == 5
+
+    def test_out_of_memory_is_one_line_and_exit_three(self, sweep, capsys, monkeypatch):
+        # Tam_B of 0,1,1 (6 elements) is the first too large for memory: the
+        # five reports before it are written and nothing after.
+        monkeypatch.delenv("TAMARI_B_CAP", raising=False)
+        original = lattice.try_lattice
+
+        def exhausted(poset):
+            if poset.n >= 6:
+                raise MemoryError
+            return original(poset)
+
+        monkeypatch.setattr(lattice, "try_lattice", exhausted)
+        assert sweep(["--max-n", "3", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 5
+        assert captured.err == (
+            "error: 0,1,1: out of memory: the enumeration cap 2000000 admits more"
+            " than memory holds\n"
+        )
 
     @pytest.mark.parametrize(
         "max_n,line",
