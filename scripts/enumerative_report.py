@@ -20,9 +20,8 @@ from btamari.enumeration import (
     narayana_polynomial,
     t_sequence,
 )
-from btamari.config import resolve_cap
 from btamari.errors import CapExceededError, out_of_memory
-from btamari.parabolic import Composition
+from btamari.parabolic import Composition, resolve_cap
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,6 @@ import json
 import sys
 import time
 
-from btamari.config import resolve_cap
 from btamari.errors import CapExceededError, CompositionError, out_of_memory
 from btamari.parabolic import (
     Composition,
@@ -36,6 +35,7 @@ from btamari.parabolic import (
     check_cap,
     check_degree,
     quotient_size,
+    resolve_cap,
 )
 from btamari.tamari import verify_theorems
 

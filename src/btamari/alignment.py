@@ -16,8 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import resolve_cap
-from .parabolic import Composition, _identity_state, _place_block, is_member, lex_sorted
+from .parabolic import (
+    Composition,
+    _identity_state,
+    _place_block,
+    is_member,
+    lex_sorted,
+    resolve_cap,
+)
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation, predecessor
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import lattice as lat
 from .alignment import aligned_rows
-from .config import resolve_cap, set_debug_crosschecks
 from .enumeration import (
     check_conjecture_t,
     check_type_d_count,
@@ -36,6 +35,7 @@ from .parabolic import (
     lex_sorted,
     quotient_rows,
     quotient_size,
+    resolve_cap,
 )
 from .projection import iter_theta_classes, project_down, project_up
 from .signed_perm import SignedPermutation, format_long, format_right
@@ -224,14 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, options in (
         ("--cap", dict(type=int, default=None, help="enumeration cap")),
         ("--format", dict(choices=FORMATS, default="text")),
-        (
-            "--debug-crosschecks",
-            dict(
-                action="store_true",
-                default=False,
-                help="recompute key objects a second way and assert agreement",
-            ),
-        ),
     ):
         parser.add_argument(flag, **options)
         late.add_argument(flag, **{**options, "default": argparse.SUPPRESS})
@@ -301,7 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "lattice" and not (args.check or args.export):
         parser.error("lattice needs --check or --export")
     try:
-        set_debug_crosschecks(args.debug_crosschecks)
         args.cap = resolve_cap(args.cap)
         return args.func(args)
     except CapExceededError as exc:

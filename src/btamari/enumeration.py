@@ -13,9 +13,8 @@ from math import comb
 import numpy as np
 
 from .alignment import aligned_rows, count_aligned_subtree, cover_counts
-from .config import resolve_cap
 from .errors import CompositionError
-from .parabolic import Composition, check_degree
+from .parabolic import Composition, check_degree, resolve_cap
 
 
 @dataclass(frozen=True)

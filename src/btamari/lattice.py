@@ -286,13 +286,16 @@ def _kappa_witness(lat: FiniteLattice, name: str):
     Freese, Ježek, Nation, Free Lattices, Thm 2.56: a finite lattice is meet
     semidistributive exactly when, for every join-irreducible j with lower
     cover j_*, the set {x : j ^ x = j_*} has a greatest element kappa(j).
-    Its maximal elements are the members with no upper cover inside it.  Two
-    of them, x and y, violate the law: x v y lies above both, so outside the
-    set, and j ^ (x v y) = j.  ``name`` labels the law; the join law is this
-    test on the dual.
+    The set is read off the order, with no meet table: it is
+    {x : j_* <= x, not j <= x}, since j ^ x is j when j <= x, and otherwise
+    lies strictly below j, so below its only lower cover j_*, and equals
+    j_* exactly when j_* <= x.  Its maximal elements are the members with
+    no upper cover inside it.  Two of them, x and y, violate the law: x v y
+    lies above both, so outside the set, and j ^ (x v y) = j.  ``name``
+    labels the law; the join law is this test on the dual.
     """
     (irr, lows), (lower, upper) = lat.irreducibles, lat.covers
-    maximal = lat.meet_table()[irr] == lows[:, None]
+    maximal = lat.leq[lows] & ~lat.leq[irr]
     # Drop from the t-th set each member with an upper cover inside it.
     t, k = np.nonzero(maximal[:, upper])
     maximal[t, lower[k]] = False

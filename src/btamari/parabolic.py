@@ -16,6 +16,7 @@ the inversion order of that word.
 from __future__ import annotations
 
 import itertools
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -23,8 +24,6 @@ from math import comb
 
 import numpy as np
 
-from . import config
-from .config import resolve_cap
 from .errors import CapExceededError, CompositionError
 from .signed_perm import (
     NEG,
@@ -40,8 +39,26 @@ from .signed_perm import (
 # The largest degree whose values and their successors fit the int16 rows.
 MAX_DEGREE = np.iinfo(np.int16).max - 1
 
+DEFAULT_CAP = 2_000_000
+CAP_ENV_VAR = "TAMARI_B_CAP"
+
 # Values held count one element per ROW_VALUES against the cap.
 ROW_VALUES = 64
+
+
+def resolve_cap(cap: int | None = None) -> int:
+    """Explicit cap if given, else the environment override, else the default."""
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
+    if cap < 1:
+        raise ValueError(f"enumeration cap must be at least 1, got {cap}")
+    return cap
 
 
 def check_cap(count: int, cap: int, width: int = 1) -> None:
@@ -495,13 +512,16 @@ def sorting_word_longest(alpha: Composition) -> tuple[int, ...]:
 
 
 def inversion_order(alpha: Composition) -> list[Reflection]:
-    """The inversion order of the longest element's sorting word."""
+    """The inversion order of the longest element's sorting word.
+
+    The skew-shape reading is checked against the word's conjugated suffixes
+    (``inversion_order_from_word``), an independent route kept as an oracle,
+    and a mismatch raises AssertionError.
+    """
     tableau = InversionTableau(alpha)
     order = tableau.reading()
-    if config.debug_crosschecks:
-        oracle = inversion_order_from_word(tableau.generator_word(), alpha.n)
-        if order != oracle:
-            raise AssertionError(f"inversion-order cross-check failed for {alpha}")
+    if order != inversion_order_from_word(tableau.generator_word(), alpha.n):
+        raise AssertionError(f"inversion-order cross-check failed for {alpha}")
     return order
 
 

@@ -25,7 +25,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import config
 from .alignment import (
     PatternWitness,
     _require_member,
@@ -75,6 +74,8 @@ def iota(alpha: Composition, pi: SignedPermutation) -> SignedPermutation:
 
     Positions in the join region of a join composition are left untouched;
     every other region is negated and reversed, which keeps blocks increasing.
+    The image is checked against the product itself, an independent route
+    kept as an oracle, and a mismatch raises AssertionError.
     """
     _require_member(alpha, pi)
     right = []
@@ -86,9 +87,8 @@ def iota(alpha: Composition, pi: SignedPermutation) -> SignedPermutation:
         else:
             right.extend(-v for v in reversed(block))
     image = SignedPermutation(tuple(right))
-    if config.debug_crosschecks:
-        if image != pi.compose(longest_element(alpha)):
-            raise AssertionError(f"iota cross-check failed for {alpha}, {pi}")
+    if image != pi.compose(longest_element(alpha)):
+        raise AssertionError(f"iota cross-check failed for {alpha}, {pi}")
     return image
 
 

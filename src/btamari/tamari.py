@@ -42,7 +42,6 @@ import numpy as np
 
 from . import lattice as lat
 from .alignment import aligned_rows, cover_counts
-from .config import resolve_cap
 from .errors import NotACongruenceError, NotALatticeError
 from .parabolic import (
     Composition,
@@ -53,6 +52,7 @@ from .parabolic import (
     parabolic_length,
     quotient_rows,
     quotient_size,
+    resolve_cap,
     tableau_cells,
 )
 from .projection import fiber_bottoms, left_act, row_lookup

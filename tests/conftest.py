@@ -5,7 +5,6 @@ import pytest
 from hypothesis import strategies as st
 
 from btamari import alignment, projection
-from btamari.config import resolve_cap
 from btamari.errors import CapExceededError
 from btamari.lattice import (
     BLOCK_BYTES,
@@ -28,6 +27,7 @@ from btamari.parabolic import (
     longest_element,
     quotient_rows,
     quotient_size,
+    resolve_cap,
 )
 from btamari.signed_perm import POS, SIGN, Reflection, SignedPermutation
 from btamari.tamari import _weak_leq_matrix
@@ -167,6 +167,90 @@ def eliminate_231(alpha: Composition, rows):
     right = np.asarray(rows)
     hit, gens = projection._pattern_generators(alpha, right)
     return hit, projection.left_act(right[hit], gens[:, None])
+
+
+def _window(rows: np.ndarray) -> np.ndarray:
+    """Each row x embedded in S_2n as [-x(n) .. -x(1), x(1) .. x(n)]."""
+    return np.concatenate([-rows[:, ::-1], rows], axis=1)
+
+
+def _patterns_231(alpha: Composition):
+    """Every position triple i < j < k of a 231 pattern, read off the
+    definition: j > 0, the three in pairwise distinct blocks, and whether j
+    lies in the join region (then pi(j) < pi(k), else pi(j) > pi(i)).  The
+    positions are returned as window columns."""
+    n, c = alpha.n, alpha.first_part if alpha.join else 0
+    signed = [*range(-n, 0), *range(1, n + 1)]
+    column = {p: q for q, p in enumerate(signed)}
+    return [
+        (column[i], column[j], column[k], j <= c)
+        for i, j, k in itertools.combinations(signed, 3)
+        if j > 0 and len({alpha.block_id(p) for p in (i, j, k)}) == 3
+    ]
+
+
+def pi_down_by_definition(alpha: Composition, rows) -> np.ndarray:
+    """pi_down of each row (of degree below 128), by its own 231 scan and
+    elimination, sharing no code with ``projection``.
+
+    Each row holding a pattern takes its first one in (i, j, k) order, with
+    pi(k) = u and pi(i) = succ(u), and trades the values u and succ(u), and
+    their negatives, until no row holds one.  Any order reaches the same
+    bottom.
+    """
+    rows = np.array(rows, dtype=np.int8)
+    triples = _patterns_231(alpha)
+    if not triples:
+        return rows
+    i, j, k, low = map(np.array, zip(*triples))
+    while True:
+        window = _window(rows)
+        wi, wj, wk = window[:, i], window[:, j], window[:, k]
+        succ = np.where(wk == -1, 1, wk + 1)
+        held = (wi == succ) & np.where(low, wj < wk, wj > wi)
+        hit = np.flatnonzero(held.any(axis=1))
+        if not hit.size:
+            return rows
+        first = held[hit].argmax(axis=1)
+        u, s = wk[hit, first][:, None], succ[hit, first][:, None]
+        r = rows[hit]
+        rows[hit] = np.select([r == u, r == s, r == -u, r == -s], [s, u, -s, -u], r)
+
+
+def _weak_join(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The weak join of rows x[p] and y[p], in S_2n and so in B_n."""
+    n = x.shape[1]
+    inv = np.zeros((len(x), 2 * n, 2 * n), dtype=bool)
+    for w in (_window(x), _window(y)):
+        inv |= np.triu(w[:, :, None] > w[:, None, :], 1)
+    for c in range(2 * n):
+        inv |= inv[:, :, c, None] & inv[:, None, c, :]
+    # Position i's rank: the later positions it inverts, the earlier it does not.
+    rank = inv.sum(axis=2) + np.triu(~inv, 1).sum(axis=1)
+    return (rank - n + (rank >= n))[:, n:].astype(np.int8)
+
+
+def tamari_meet_join_by_closure(alpha: Composition, x, y):
+    """P9, an oracle for Tam_B's meet and join tables: the rows of x[p] ^ y[p]
+    and x[p] v y[p] from the two rows alone, with no table and no code shared
+    with the table kernel.  It rests on three facts:
+
+    - B_n's weak order is the sublattice of S_2n's fixed by x -> w0 x w0
+      (A. Björner and F. Brenti, Combinatorics of Coxeter Groups, GTM 231,
+      2005, §3.2 and ch. 8), with x embedded as its ``_window``;
+    - in S_2n, the join's position-inversion set is the transitive closure of
+      the union of the two sets, and w0 negates the values, so the meet is
+      -join(-x, -y);
+    - the quotient is the interval [e, w0^J], so closed under both, and a
+      lattice quotient has [x] v [y] = [x v y] and [x] ^ [y] = [x ^ y] (N.
+      Reading, Order 21, 2004): with Tam_B's elements the bottoms of the
+      fibers, its meet and join are pi_down of the weak ones.
+    """
+    x, y = np.asarray(x, dtype=np.int8), np.asarray(y, dtype=np.int8)
+    return (
+        pi_down_by_definition(alpha, -_weak_join(-x, -y)),
+        pi_down_by_definition(alpha, _weak_join(x, y)),
+    )
 
 
 def order_words(poset: FinitePoset):

@@ -25,10 +25,10 @@ from btamari.alignment import (
     is_aligned_forcing,
     is_aligned_root,
 )
-from btamari.config import DEFAULT_CAP
 from btamari.enumeration import cover_enumerator, t_sequence
 from btamari.errors import CapExceededError
 from btamari.parabolic import (
+    DEFAULT_CAP,
     Composition,
     _build_rows,
     all_compositions,

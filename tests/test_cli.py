@@ -3,11 +3,12 @@ import time
 
 import pytest
 
-from btamari import lattice, parabolic, tamari
+from btamari import enumeration, lattice, parabolic, tamari
 from btamari.cli import main
 from btamari.errors import NotACongruenceError, NotALatticeError
 from btamari.parabolic import Composition
 from btamari.projection import theta_classes
+from btamari.signed_perm import SignedPermutation
 
 
 def run(capsys, *argv):
@@ -133,6 +134,14 @@ class TestProject:
         assert code == 0
         assert out.strip() == "1,2"
 
+    def test_up_json(self, capsys):
+        code, out, _ = run(
+            capsys, "project", "--alpha", "0,2,1", "--perm", " -3,2,1", "--dir", "up",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == '{"alpha": "0,2,1", "result": "-3,1,-2"}\n'
+
     def test_classes_listing(self, capsys):
         code, out, _ = run(capsys, "project", "--alpha", "0,1,1", "--classes")
         assert code == 0
@@ -152,15 +161,6 @@ class TestProject:
         code, out, err = run(capsys, "--cap", "10", "project", "--alpha", "0,2,1", "--classes")
         assert (code, out) == (3, "")
         assert err == "error: enumeration needs 24 elements, cap is 10\n"
-
-    def test_debug_crosschecks_flag(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "--debug-crosschecks",
-            "project", "--alpha", "0,2,1", "--perm", " -3,1,-2", "--dir", "down",
-        )
-        assert code == 0
-        assert out.strip() == "-3,2,1"
 
     def test_non_member_exit_two(self, capsys):
         code, _, err = run(
@@ -465,6 +465,20 @@ class TestCheckFailures:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_iota_cross_check_always_runs(self, capsys, monkeypatch):
+        # ι is compared with the product by the longest element on every call.
+        monkeypatch.setattr(
+            "btamari.projection.longest_element",
+            lambda alpha: SignedPermutation.identity(alpha.n),
+        )
+        code, out, err = run(
+            capsys, "project", "--alpha", "0,2,1", "--perm", " -3,1,-2", "--dir", "up"
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: iota cross-check failed for ")
+        assert "Traceback" not in err
+
 
 class TestTables:
     def test_sequence(self, capsys):
@@ -522,6 +536,29 @@ class TestTables:
         assert code == 0
         assert out.count("match") == 3
 
+    def test_conjecture_json(self, capsys):
+        code, out, _ = run(capsys, "conjecture", "--t", "1", "--max-n", "3", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)
+        assert [r["alpha"] for r in reports] == ["1", "1,1", "1,1,1"]
+        assert reports[2]["observed"] == reports[2]["predicted"] == [1, 8, 6]
+        assert all(r["polynomial_matches"] and r["size_matches"] for r in reports)
+
+    def test_conjecture_skips_degrees_below_t(self, capsys):
+        code, out, _ = run(capsys, "conjecture", "--t", "3", "--min-n", "1", "--max-n", "4")
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == ["alpha=3", "alpha=3,1"]
+
+    def test_conjecture_mismatch_reported_with_exit_zero(self, capsys, monkeypatch):
+        # A mismatch is a finding to report, not a failed check of the code.
+        monkeypatch.setattr(
+            enumeration, "conjectured_polynomial", lambda t, n: enumeration.Polynomial((1,))
+        )
+        code, out, err = run(capsys, "conjecture", "--t", "1", "--max-n", "2")
+        assert code == 0
+        assert out.splitlines()[1].startswith("alpha=1,1: MISMATCH;")
+        assert err == "MISMATCH for alpha=1,1\n"
+
     def test_conjecture_requires_mode(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["conjecture", "--max-n", "3"])
@@ -540,6 +577,12 @@ class TestEnvironment:
         assert code == 2
         assert "cap must be at least 1" in err
 
+    def test_non_integer_cap_env_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("TAMARI_B_CAP", "ten")
+        code, out, err = run(capsys, "enumerate", "--alpha", "0,1")
+        assert (code, out) == (2, "")
+        assert err == "error: TAMARI_B_CAP must be an integer, got 'ten'\n"
+
     def test_nonpositive_cap_env_exit_two(self, capsys, monkeypatch):
         monkeypatch.setenv("TAMARI_B_CAP", "-1")
         code, _, err = run(capsys, "enumerate", "--alpha", "0,1")
@@ -552,11 +595,6 @@ class TestEnvironment:
             (["--cap", "10"], ["sequence", "--max-n", "2"], (0, "3,15\n")),
             (["--cap", "10"], ["enumerate", "--alpha", "0,1,1,1"], (3, "")),
             (["--format", "csv"], ["cover-enum", "--alpha", "0,1"], (0, "0,1,2,1,1\n")),
-            (
-                ["--debug-crosschecks"],
-                ["project", "--alpha", "0,2,1", "--perm", " -3,1,-2", "--dir", "down"],
-                (0, "-3,2,1\n"),
-            ),
         ],
     )
     def test_global_flags_before_or_after_subcommand(
@@ -581,11 +619,22 @@ class TestEnvironment:
                 ["sequence", "--max-n", "2", "--threads", "2"],
                 "unrecognized arguments: --threads 2",
             ),
+            (
+                ["--debug-crosschecks", "project", "--alpha", "0,2,1", "--perm", "1,2,3",
+                 "--dir", "up"],
+                "unrecognized arguments: --debug-crosschecks",
+            ),
+            (
+                ["project", "--alpha", "0,2,1", "--perm", "1,2,3", "--dir", "up",
+                 "--debug-crosschecks"],
+                "unrecognized arguments: --debug-crosschecks",
+            ),
         ],
-        ids=["before", "after"],
+        ids=["before", "after", "crosschecks-before", "crosschecks-after"],
     )
     def test_threads_is_an_unknown_flag(self, capsys, argv, error):
-        # The walk is serial; there is no worker count to set.
+        # The walk is serial, so there is no worker count to set; the ι and
+        # inversion-order cross-checks always run, so there is no switch.
         with pytest.raises(SystemExit) as info:
             main(argv)
         captured = capsys.readouterr()

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btamari import cli, config
+from btamari import cli, parabolic
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 HUGE = 10**30
@@ -70,7 +70,7 @@ def command_lines(draw):
         ["enumerate", "project", "lattice", "sequence", "cover-enum", "conjecture"]
     ))
     if command not in ("sequence", "conjecture") and draw(st.integers(0, 3)) == 0:
-        alpha, cap = FULL_GROUP_8, str(config.DEFAULT_CAP)
+        alpha, cap = FULL_GROUP_8, str(parabolic.DEFAULT_CAP)
     flags = _maybe(draw, "--alpha", alpha)
     if command == "enumerate":
         flags += _maybe(draw, "--aligned") + _maybe(draw, "--batch", "missing.txt")
@@ -90,7 +90,6 @@ def command_lines(draw):
             flags += _maybe(draw, "--t", draw(parts)) + _maybe(draw, "--type-d")
             flags += _maybe(draw, "--min-n", str(draw(st.integers(-1, 60))))
     common = _maybe(draw, "--format", draw(st.sampled_from(["text", "json", "csv"])))
-    common += _maybe(draw, "--debug-crosschecks")
     if cap is not None:
         common += ["--cap", cap]
     if draw(st.booleans()):
@@ -112,8 +111,7 @@ def test_every_command_line_exits_documented(workdir, line):
     start = time.monotonic()
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(workdir)
-        patch.setenv(config.CAP_ENV_VAR, env_cap)
-        patch.setattr(config, "debug_crosschecks", False)
+        patch.setenv(parabolic.CAP_ENV_VAR, env_cap)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = MAINS[program](argv)

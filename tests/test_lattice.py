@@ -422,6 +422,10 @@ class TestPosets:
         assert poset.n == 8
         assert len(cover_list(poset)) == 8
 
+    def test_order_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="order matrix shape"):
+            FinitePoset([0, 1, 2], np.eye(2, dtype=bool))
+
     def test_interval_with_256_inner_elements(self):
         # 0 < each of 256 atoms < top: counting the atoms in uint8 wrapped to 0
         m = 258
@@ -861,6 +865,11 @@ class TestQuotient:
         lat = chain(4)
         with pytest.raises(NotACongruenceError):
             quotient_order(lat.labels, *order_words(lat), [0, 1, 0, 2])
+
+    def test_rejects_partition_of_the_wrong_length(self):
+        lat = chain(3)
+        with pytest.raises(NotACongruenceError, match="partition size does not match"):
+            quotient_order(lat.labels, *order_words(lat), [0, 0])
 
     def test_class_bounds_found_once(self, monkeypatch):
         # The class bounds are found by the congruence test, and the

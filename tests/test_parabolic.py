@@ -455,6 +455,12 @@ class TestInversionOrder:
                 by_word = inversion_order_from_word(sorting_word_longest(alpha), n)
                 assert by_tableau == by_word
 
+    def test_cross_check_always_runs(self, monkeypatch):
+        # The word-conjugation oracle is compared on every call.
+        monkeypatch.setattr(parabolic, "inversion_order_from_word", lambda word, n: [])
+        with pytest.raises(AssertionError, match="inversion-order cross-check failed"):
+            inversion_order(A422)
+
     def test_is_inversion_set_without_repeats(self, all_small_compositions):
         for n in (1, 2, 3, 4):
             for alpha in all_small_compositions[n]:

@@ -40,6 +40,13 @@ class TestEnumerativeReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: enumeration needs")
 
+    def test_non_integer_cap_env_exit_two(self, report, capsys, monkeypatch):
+        monkeypatch.setenv("TAMARI_B_CAP", "ten")
+        assert report(["--max-n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: TAMARI_B_CAP must be an integer, got 'ten'\n"
+
     def test_out_of_memory_is_one_line_and_exit_three(self, report, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError

@@ -24,6 +24,19 @@ class TestVerificationSweep:
         assert info.value.code == 2
         assert "all checks passed" not in capsys.readouterr().out
 
+    def test_non_integer_cap_env_is_usage_error(self, sweep, capsys, monkeypatch):
+        # Read before anything is swept, and reported as argparse reports it.
+        monkeypatch.setenv("TAMARI_B_CAP", "ten")
+        with pytest.raises(SystemExit) as info:
+            sweep(["--max-n", "2"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].endswith(": error: TAMARI_B_CAP must be an integer, got 'ten'")
+        assert "Traceback" not in captured.err
+
     def test_sweeps_exactly_up_to_max_n(self, sweep, capsys):
         assert sweep(["--max-n", "2", "--json"]) == 0
         lines = capsys.readouterr().out.splitlines()

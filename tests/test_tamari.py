@@ -8,7 +8,6 @@ import pytest
 
 from btamari import lattice, parabolic, projection, tamari
 from btamari.cli import main
-from btamari.config import resolve_cap
 from btamari.errors import CapExceededError, NotALatticeError
 from btamari.lattice import join_irreducibles
 from btamari.parabolic import (
@@ -18,6 +17,7 @@ from btamari.parabolic import (
     parabolic_length,
     quotient_rows,
     quotient_size,
+    resolve_cap,
     sorting_word_longest,
 )
 from btamari.alignment import is_aligned
@@ -33,6 +33,7 @@ from conftest import (
     order_words,
     perm,
     suffix_chain,
+    tamari_meet_join_by_closure,
     weak_leq,
     weak_order_lattice,
 )
@@ -96,6 +97,17 @@ class TestJoinIrreducibles:
             alpha, (-6, 2)
         )
 
+    @pytest.mark.parametrize("alpha", ["0,3,1,2,1", "4,2,2"])
+    def test_negated_pair_accepted(self, alpha):
+        # (-j, -i) names the same transposition as (i, j).
+        alpha = Composition.parse(alpha)
+        assert join_irreducible_for(alpha, (-6, -2)) == join_irreducible_for(alpha, (2, 6))
+
+    @pytest.mark.parametrize("pair", [(1, 1), (-3, -3), (0, 2)])
+    def test_rejects_bad_pairs(self, pair):
+        with pytest.raises(ValueError, match="bad inversion pair"):
+            join_irreducible_for(Composition.parse("0,3,1,2,1"), pair)
+
     def test_rejects_non_inversions(self):
         with pytest.raises(ValueError):
             join_irreducible_for(Composition.parse("4,2,2"), (-2, 2))
@@ -155,6 +167,33 @@ class TestJoinIrreducibles:
         assert [name for name, ok in report.checks.items() if not ok] == [
             "irreducible_constructor"
         ]
+
+
+class TestRowLocalMeetJoin:
+    """Tam_B's tables against P9, which reads each pair's meet and join off
+    the two rows alone, on every pair."""
+
+    @staticmethod
+    def assert_tables_match(alpha):
+        tam = build_tamari(alpha)
+        rows, m = tam.labels, tam.n
+        a, b = np.divmod(np.arange(m * m), m)
+        index = {row: q for q, row in enumerate(map(tuple, rows.tolist()))}
+        for got, table in zip(
+            tamari_meet_join_by_closure(alpha, rows[a], rows[b]),
+            (tam.meet_table(), tam.join_table()),
+        ):
+            got = np.array([index[row] for row in map(tuple, got.tolist())])
+            assert np.array_equal(got.reshape(m, m), table), alpha
+
+    def test_every_pair_to_degree_four(self, all_small_compositions):
+        for n in (1, 2, 3, 4):
+            for alpha in all_small_compositions[n]:
+                self.assert_tables_match(alpha)
+
+    def test_every_pair_of_the_full_group_five(self):
+        # 252 elements, 63,504 pairs.
+        self.assert_tables_match(Composition((1,) * 5, split=True))
 
 
 class TestMaximalChain:
