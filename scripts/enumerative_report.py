@@ -3,16 +3,19 @@
 
 Prints the aligned-count totals t_1..t_max, the Narayana cover enumerators of
 the full-group lattices, the (t,1,...,1) closed-form comparison, and the
-type-D count comparison.  Mismatches are reported, never asserted.  Exit
-status: 0 when the report is complete, 2 on a usage error (such as
-``--max-n 0``), 3 when a composition exceeds the enumeration cap or runs
-out of memory within it; the last two print one ``error:`` line on stderr.
+type-D count comparison.  Mismatches are reported, never asserted.  Errors
+end as they do in ``btamari`` (``btamari.cli.run``).  Exit status: 0 when
+the report is complete, 2 on a usage error (such as ``--max-n 0``, a bad
+``TAMARI_B_CAP`` or a failed write to stdout), 3 when a composition exceeds
+the enumeration cap or runs out of memory within it; all but argparse's own
+errors print one ``error:`` line on stderr.
 """
 
 import argparse
 import sys
 import time
 
+from btamari.cli import EXIT_OK, run
 from btamari.enumeration import (
     check_conjecture_t,
     check_type_d_count,
@@ -20,8 +23,7 @@ from btamari.enumeration import (
     narayana_polynomial,
     t_sequence,
 )
-from btamari.errors import CapExceededError, out_of_memory
-from btamari.parabolic import Composition, resolve_cap
+from btamari.parabolic import Composition
 
 
 def main(argv=None) -> int:
@@ -31,21 +33,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
-    try:
-        report(args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError:
-        print(f"error: {out_of_memory(resolve_cap())}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return run(lambda cap: report(args))
 
 
-def report(args):
+def report(args) -> int:
     start = time.time()
     seq = t_sequence(args.max_n)
     print(f"totals over all compositions: {','.join(map(str, seq))}"
@@ -65,6 +56,7 @@ def report(args):
     print("\n(0,1,...,1,2) against the type-D count (3n-2)/n C(2n-2,n-1):")
     for n in range(2, args.max_n + 1):
         print(" ", check_type_d_count(n).summary())
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 
 ``--max-n N`` sweeps all 2^n compositions of each degree n = 1..N (default 4).
 On a 2-core x86-64 host (Python 3.11, numpy 2.4), ``--max-n 5`` takes about
-1 s of wall time and 35 MB peak RSS; its largest weak order, the full
+0.5 s of wall time and 34 MB peak RSS; its largest weak order, the full
 group's, has 3,840 elements.  ``--max-n 6`` verifies all 126 compositions in
-4 to 5 s and 53 MB, up to the full group's weak order of 46,080 elements:
+3 to 5 s and 53 MB, up to the full group's weak order of 46,080 elements:
 the weak order is kept as inversion words and cover pairs, and only Tam_B
 (at most 924 elements here) gets m x m tables.
 
@@ -20,7 +20,8 @@ line on stderr, and the sweep goes on.
 Exit status: 0 when every check passed, 1 when a check failed, 2 on a usage
 error, 3 when no check failed but a composition or the whole sweep was
 refused, or at once, with one ``error:`` line, when a composition the cap
-admits runs out of memory.
+admits runs out of memory.  Any other error ends as in ``btamari``
+(``btamari.cli.run``), with one ``error:`` line.
 """
 
 import argparse
@@ -28,15 +29,9 @@ import json
 import sys
 import time
 
-from btamari.errors import CapExceededError, CompositionError, out_of_memory
-from btamari.parabolic import (
-    Composition,
-    all_compositions,
-    check_cap,
-    check_degree,
-    quotient_size,
-    resolve_cap,
-)
+from btamari.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, run
+from btamari.errors import CapExceededError, out_of_memory
+from btamari.parabolic import Composition, all_compositions, check_degree, quotient_size
 from btamari.tamari import verify_theorems
 
 
@@ -47,30 +42,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
-    try:
-        check_degree(args.max_n)
-        cap = resolve_cap()
-    except (CompositionError, ValueError) as exc:
-        parser.error(str(exc))
-    try:
-        check_cap(quotient_size(Composition((1,) * args.max_n, split=True)), cap)
-    except CapExceededError as exc:
-        print(f"--max-n {args.max_n}: refused, {exc}", file=sys.stderr)
-        return 3
+    return run(lambda cap: sweep(args, cap))
+
+
+def sweep(args, cap: int) -> int:
+    check_degree(args.max_n)
+    full_group = quotient_size(Composition((1,) * args.max_n, split=True))
+    if full_group > cap:
+        refusal = CapExceededError(full_group, cap)
+        print(f"--max-n {args.max_n}: refused, {refusal}", file=sys.stderr)
+        return EXIT_CAP
 
     failures = refused = 0
     for n in range(1, args.max_n + 1):
         for alpha in all_compositions(n):
             start = time.time()
             try:
-                report = verify_theorems(alpha)
+                report = verify_theorems(alpha, cap)
             except CapExceededError as exc:
                 print(f"{alpha.format()}: refused, {exc}", file=sys.stderr)
                 refused += 1
                 continue
             except MemoryError:
                 print(f"error: {alpha.format()}: {out_of_memory(cap)}", file=sys.stderr)
-                return 3
+                return EXIT_CAP
             elapsed = time.time() - start
             if args.json:
                 print(json.dumps(report.to_json()))
@@ -85,11 +80,11 @@ def main(argv=None) -> int:
             failures += 0 if report.ok else 1
     if failures:
         print(f"{failures} compositions FAILED", file=sys.stderr)
-        return 1
+        return EXIT_CHECK_FAILED
     if refused:
-        return 3
+        return EXIT_CAP
     print("all checks passed")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage or parse error,
-3 enumeration cap exceeded, or out of memory within it.
+3 enumeration cap exceeded, or out of memory within it; ``run`` sets them
+for ``btamari`` and both experiment scripts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,13 +27,11 @@ from .errors import (
     CompositionError,
     NotACongruenceError,
     NotALatticeError,
-    NotAPermutationError,
     out_of_memory,
 )
 from .parabolic import (
     Composition,
     check_cap,
-    is_member,
     lex_sorted,
     quotient_rows,
     quotient_size,
@@ -97,9 +97,6 @@ def _cmd_project(args) -> int:
         _write_json_list(c.to_json() for c in iter_theta_classes(alpha, args.cap))
         return EXIT_OK
     pi = SignedPermutation.parse(args.perm)
-    if not is_member(alpha, pi):
-        print(f"error: {pi} is not a member of the quotient for {alpha}", file=sys.stderr)
-        return EXIT_USAGE
     image = (project_down if args.dir == "down" else project_up)(alpha, pi)
     if args.format == "json":
         print(json.dumps({"alpha": alpha.format(), "result": image.format()}))
@@ -112,15 +109,10 @@ def _cmd_lattice(args) -> int:
     names = CHECKS if args.check in (None, "all") else args.check.split(",")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        print(f"error: unknown checks {unknown}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown checks {unknown}")
     alphas = _alpha_values(args)
     if args.export and args.out and len(alphas) > 1:
-        print(
-            f"error: --out names one file but there are {len(alphas)} compositions",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"--out names one file but there are {len(alphas)} compositions")
     status = EXIT_OK
     for alpha in alphas:
         built = None
@@ -292,22 +284,53 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("project needs --perm and --dir (or --classes)")
     if args.command == "lattice" and not (args.check or args.export):
         parser.error("lattice needs --check or --export")
-    try:
-        args.cap = resolve_cap(args.cap)
+
+    def command(cap: int) -> int:
+        args.cap = cap
         return args.func(args)
+
+    return run(command, args.cap)
+
+
+def run(command, cap: int | None = None) -> int:
+    """Run ``command(cap)`` with the resolved cap and flush stdout.
+
+    Returns the command's exit status, or prints one ``error:`` line for
+    what it or the flush raised and returns 3 for the cap or memory, 1 for
+    a failed check, 2 for a bad value or a failed read or write.
+    """
+    if sys.stdout is None:  # the process started with stdout closed
+        sys.stdout = open(os.devnull, "w")
+    try:
+        try:
+            cap = resolve_cap(cap)
+            return command(cap)
+        finally:
+            _flush_stdout()
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        message, status = exc, EXIT_CAP
     except MemoryError:
-        print(f"error: {out_of_memory(args.cap)}", file=sys.stderr)
-        return EXIT_CAP
+        message, status = out_of_memory(cap), EXIT_CAP
     except (NotALatticeError, NotACongruenceError, AssertionError) as exc:
         # Both lattice errors subclass ValueError, so they must come first.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (CompositionError, NotAPermutationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message, status = exc, EXIT_CHECK_FAILED
+    except (ValueError, OSError) as exc:  # the package's value errors too
+        message, status = exc, EXIT_USAGE
+    print(f"error: {message}", file=sys.stderr)
+    return status
+
+
+def _flush_stdout() -> None:
+    """Flush stdout; if that fails, point it at os.devnull and re-raise.
+
+    What stays buffered then goes nowhere, so the interpreter's own flush
+    at exit cannot fail a second time.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 if __name__ == "__main__":

@@ -216,40 +216,28 @@ def quotient_size(alpha: Composition) -> int:
     return size << (alpha.n - (alpha.first_part if alpha.join else 0))
 
 
-@lru_cache(maxsize=None)
 def _split_slots(free: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every way to take p of ``free`` sorted slots: taken and left slots, by row.
-
-    Built once per (free, p), with p <= free <= n, and shared, so the arrays
-    are read-only.
-    """
+    """Every way to take p of ``free`` sorted slots: taken and left slots, by row."""
     taken = np.array(
         list(itertools.combinations(range(free), p)), dtype=np.intp
     ).reshape(-1, p)
     keep = np.ones((len(taken), free), dtype=bool)
     keep[np.arange(len(taken))[:, None], taken] = False
     left = np.nonzero(keep)[1].reshape(len(taken), free - p)
-    taken.setflags(write=False)
-    left.setflags(write=False)
     return taken, left
 
 
-@lru_cache(maxsize=None)
 def _sign_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots and signs that sort each signing of an ascending positive block.
 
     Row ``mask`` negates the slots whose bit is set: the negated values come
     first by decreasing absolute value, then the others in increasing order.
-    Built once per p and shared, so the arrays are read-only.
     """
     slot = np.arange(p)
     negated = (np.arange(1 << p)[:, None] >> slot & 1).astype(bool)
     slots = np.argsort(np.where(negated, -1 - slot, slot), axis=1)
     signs = np.where(np.take_along_axis(negated, slots, axis=1), -1, 1)
-    signs = signs.astype(np.int8)
-    slots.setflags(write=False)
-    signs.setflags(write=False)
-    return slots, signs
+    return slots, signs.astype(np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +296,8 @@ def _place_block(state: np.ndarray, w: int, p: int, signed: bool, cap: int) -> n
     the block's choices times its signings.  ``cap`` bounds that count
     and, by ``check_cap`` with width n, the values the columns hold, then
     those values with the gather index's (n per way to place the block)
-    and the slot lists' (under n per choice), which stay cached beside
-    them, all before the tables are built.
+    and the slot lists' (under n per choice), built beside it, all before
+    the tables are built.
     """
     n, rows = state.shape
     choices = comb(n - w, p)

@@ -9,7 +9,7 @@ per aligned element.
 
 The single-element projections take and return ``SignedPermutation``s.  The
 bulk routines work on the quotient as an (m, n) array of right-part rows and
-find rows by ``row_index``: ``fiber_bottoms`` eliminates one of each row's 231
+find rows by ``row_lookup``: ``fiber_bottoms`` eliminates one of each row's 231
 patterns, named by the scan it shares with ``aligned_mask``, and
 ``theta_classes`` groups the rows by bottom and takes each fiber's longest
 member as its top.  An elimination is the left action of one generator,
@@ -155,7 +155,12 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def row_lookup(rows):
-    """``row_index`` against fixed rows, their keys sorted once for every lookup."""
+    """Find wanted rows among the distinct (m, n) ``rows``, keys sorted once.
+
+    ``find(wanted)`` casts an array or sequence of right parts to the dtype
+    of ``rows``, so equal rows have equal bytes, and returns each one's
+    index among ``rows``, or -1 where it is absent.
+    """
     right = np.asarray(rows)
     keys = _row_keys(right)
     order = np.argsort(keys, kind="stable")
@@ -167,16 +172,6 @@ def row_lookup(rows):
         return np.where(ranked[at] == want, order[at], -1)
 
     return find
-
-
-def row_index(rows, wanted) -> np.ndarray:
-    """The index of each wanted row among ``rows``, or -1 where it is absent.
-
-    ``rows`` is a (m, n) integer array of distinct rows; ``wanted`` is an
-    array or a sequence of right parts, cast to the dtype of ``rows`` so
-    that equal rows have equal bytes.
-    """
-    return row_lookup(rows)(wanted)
 
 
 def fiber_bottoms(alpha: Composition, rows, images=None) -> np.ndarray:
@@ -199,7 +194,7 @@ def fiber_bottoms(alpha: Composition, rows, images=None) -> np.ndarray:
     right = np.asarray(rows)
     hit, gens = _pattern_generators(alpha, right)
     if images is None:
-        found = row_index(right, left_act(right[hit], gens[:, None]))
+        found = row_lookup(right)(left_act(right[hit], gens[:, None]))
     else:
         found = images[gens, hit]
     missing = np.flatnonzero(found < 0)[:1]

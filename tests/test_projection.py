@@ -26,7 +26,6 @@ from btamari.projection import (
     project_down,
     project_onto_312,
     project_up,
-    row_index,
     row_lookup,
     theta_classes,
 )
@@ -296,19 +295,19 @@ class TestRowIndex:
     def test_absent_rows_get_minus_one(self):
         rows = quotient_rows(A021)
         absent = [(2, 1, 3), (3, -1, -2)]  # not in 0,2,1: its first block ascends
-        assert row_index(rows, absent).tolist() == [-1, -1]
-        found = row_index(rows, [rows[5], (9, 9, 9), rows[0]])
+        assert row_lookup(rows)(absent).tolist() == [-1, -1]
+        found = row_lookup(rows)([rows[5], (9, 9, 9), rows[0]])
         assert found.tolist() == [5, -1, 0]
-        assert row_index(rows, np.empty((0, 3), dtype=np.int8)).tolist() == []
+        assert row_lookup(rows)(np.empty((0, 3), dtype=np.int8)).tolist() == []
 
     def test_same_answer_for_any_integer_input(self):
         rows = quotient_rows(A021)
         wanted = rows[np.random.default_rng(5).permutation(len(rows))]
-        expected = row_index(rows, wanted)
+        expected = row_lookup(rows)(wanted)
         assert np.array_equal(rows[expected], wanted)
-        assert np.array_equal(row_index(rows, wanted.astype(np.int64)), expected)
-        assert np.array_equal(row_index(rows, list(map(tuple, wanted.tolist()))), expected)
-        assert np.array_equal(row_index(rows.astype(np.int64), wanted), expected)
+        assert np.array_equal(row_lookup(rows)(wanted.astype(np.int64)), expected)
+        assert np.array_equal(row_lookup(rows)(list(map(tuple, wanted.tolist()))), expected)
+        assert np.array_equal(row_lookup(rows.astype(np.int64))(wanted), expected)
 
     def test_degree_fourteen(self):
         # (2n + 1)^n overflows int64 from n = 14 on; byte keys do not care.
@@ -344,7 +343,7 @@ class TestRowLayout:
                         hit,
                         eliminated,
                         row_lookup(rows)(eliminated),
-                        row_index(rows, np.asfortranarray(rows[::-1])),
+                        row_lookup(rows)(np.asfortranarray(rows[::-1])),
                         lex_sorted(rows),
                     ))
                 for c_answer, f_answer in zip(*answers):

@@ -25,17 +25,22 @@ class TestVerificationSweep:
         assert "all checks passed" not in capsys.readouterr().out
 
     def test_non_integer_cap_env_is_usage_error(self, sweep, capsys, monkeypatch):
-        # Read before anything is swept, and reported as argparse reports it.
+        # Read before anything is swept, and reported as the report and
+        # btamari report it: one line.
         monkeypatch.setenv("TAMARI_B_CAP", "ten")
-        with pytest.raises(SystemExit) as info:
-            sweep(["--max-n", "2"])
+        assert sweep(["--max-n", "2"]) == 2
         captured = capsys.readouterr()
-        assert info.value.code == 2
         assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert len(errors) == 1
-        assert errors[0].endswith(": error: TAMARI_B_CAP must be an integer, got 'ten'")
-        assert "Traceback" not in captured.err
+        assert captured.err == "error: TAMARI_B_CAP must be an integer, got 'ten'\n"
+
+    @pytest.mark.parametrize("max_n", ["40000", "3000000000"])
+    def test_degree_above_the_largest_is_usage_error(self, sweep, capsys, max_n):
+        assert sweep(["--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: degree {max_n} is above the largest supported, 32766\n"
+        )
 
     def test_sweeps_exactly_up_to_max_n(self, sweep, capsys):
         assert sweep(["--max-n", "2", "--json"]) == 0

@@ -233,7 +233,7 @@ class TestNotSublattice:
         # gets the weak order as inversion words and cover pairs, in one
         # block and in blocks of one row and one word, and Tam_B's indices
         # among the rows both as the fibers' bottoms and as verify takes
-        # them, by row_index.  0,2,1,2 and 1,2,1,1 have witnesses.
+        # them, by row_lookup.  0,2,1,2 and 1,2,1,1 have witnesses.
         from btamari.tamari import _inversion_words, _meet_mismatch
 
         alphas = [alpha for n in (2, 3, 4) for alpha in all_small_compositions[n]]
@@ -255,7 +255,7 @@ class TestNotSublattice:
             covers, _ = weak_covers(weak.labels)
             bottoms = fiber_bottoms(alpha, weak.labels)
             own_bottoms = np.flatnonzero(bottoms == np.arange(weak.n))
-            looked_up = projection.row_index(weak.labels, tam.labels)
+            looked_up = projection.row_lookup(weak.labels)(tam.labels)
             assert np.array_equal(own_bottoms, looked_up), alpha.format()
 
             def mismatch(into_weak, table):
@@ -356,7 +356,7 @@ class TestWeakCovers:
             else:
                 moved += np.sign(rows) * ((np.abs(rows) == s).astype(np.int16)
                                           - (np.abs(rows) == s + 1))
-            assert np.array_equal(images[s], projection.row_index(rows, moved)), s
+            assert np.array_equal(images[s], projection.row_lookup(rows)(moved)), s
 
     def test_one_generator_per_block_gives_the_same_covers(self, monkeypatch):
         for n in range(1, 6):
@@ -410,7 +410,6 @@ class TestVerifyBuildsOnce:
             (parabolic, "InversionTableau"),
             (tamari, "tableau_cells"),
             (tamari, "row_lookup"),
-            (projection, "row_index"),
             (lattice, "join_irreducibles"),
             (lattice, "meet_irreducibles"),
             (lattice.FinitePoset, "length"),
@@ -667,7 +666,7 @@ class TestGeneratorImages:
                 members = [SignedPermutation(r) for r in rows.tolist()]
                 for s in range(n):
                     moved = [pi.mul_gen_left(s).right for pi in members]
-                    assert np.array_equal(images[s], projection.row_index(rows, moved)), (
+                    assert np.array_equal(images[s], projection.row_lookup(rows)(moved)), (
                         alpha, s
                     )
 
