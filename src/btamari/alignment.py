@@ -183,9 +183,6 @@ class PatternWitness:
     k: int
     flavor: str
 
-    def to_json(self) -> dict:
-        return {"i": self.i, "j": self.j, "k": self.k, "flavor": self.flavor}
-
 
 def _require_member(alpha: Composition, pi: SignedPermutation):
     if not is_member(alpha, pi):

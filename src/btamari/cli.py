@@ -316,7 +316,10 @@ def run(command, cap: int | None = None) -> int:
         message, status = exc, EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:  # the package's value errors too
         message, status = exc, EXIT_USAGE
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # stderr unwritable: discard it as _flush_stdout does stdout
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     return status
 
 

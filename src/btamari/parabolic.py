@@ -217,14 +217,19 @@ def quotient_size(alpha: Composition) -> int:
 
 
 def _split_slots(free: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every way to take p of ``free`` sorted slots: taken and left slots, by row."""
-    taken = np.array(
-        list(itertools.combinations(range(free), p)), dtype=np.intp
-    ).reshape(-1, p)
-    keep = np.ones((len(taken), free), dtype=bool)
-    keep[np.arange(len(taken))[:, None], taken] = False
-    left = np.nonzero(keep)[1].reshape(len(taken), free - p)
-    return taken, left
+    """Every way to take p of ``free`` sorted slots: taken and left slots, by row.
+
+    Taken slots run in lexicographic order.  Only the shorter side is listed:
+    the complements of that order run in reverse lexicographic order.
+    """
+    short = min(p, free - p)
+    chosen = np.array(list(itertools.combinations(range(free), short)), dtype=np.intp)
+    if short < p:
+        chosen = chosen[::-1]
+    keep = np.ones((len(chosen), free), dtype=bool)
+    keep[np.arange(len(chosen))[:, None], chosen] = False
+    rest = np.nonzero(keep)[1].reshape(len(chosen), free - short)
+    return (chosen, rest) if short == p else (rest, chosen)
 
 
 def _sign_table(p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,7 @@ find rows by ``row_lookup``: ``fiber_bottoms`` eliminates one of each row's 231
 patterns, named by the scan it shares with ``aligned_mask``, and
 ``theta_classes`` groups the rows by bottom and takes each fiber's longest
 member as its top.  An elimination is the left action of one generator,
-which ``left_act`` computes on the rows' values, so a caller that already
-holds every generator's images among the rows (as verification does)
-passes them and nothing is looked up again.
+which ``left_act`` computes on the rows' values.
 """
 
 from __future__ import annotations
@@ -174,7 +172,7 @@ def row_lookup(rows):
     return find
 
 
-def fiber_bottoms(alpha: Composition, rows, images=None) -> np.ndarray:
+def fiber_bottoms(alpha: Composition, rows, find=None) -> np.ndarray:
     """Index of each row's downward projection among ``rows``.
 
     ``rows`` is a (m, n) integer array or a sequence of right parts, and
@@ -183,20 +181,14 @@ def fiber_bottoms(alpha: Composition, rows, images=None) -> np.ndarray:
     generator ``_pattern_generators`` names, which must be among ``rows``
     (else ValueError).  Every elimination stays in the fiber, so this is
     the recursion of ``project_down``, resolved for all rows at once by
-    pointer jumping.
-
-    The eliminated rows are looked up among ``rows``, unless ``images``
-    already holds every generator's images: an (n, m) table whose entry
-    [s, x] is the index of s x among the rows, or -1.  Then row x's step is
-    ``images[s, x]`` for the generator s of its pattern, and no row is
-    built.
+    pointer jumping.  The eliminated rows are found by ``find``, a
+    ``row_lookup`` of ``rows`` that a caller holding one passes; else one
+    is built.
     """
     right = np.asarray(rows)
     hit, gens = _pattern_generators(alpha, right)
-    if images is None:
-        found = row_lookup(right)(left_act(right[hit], gens[:, None]))
-    else:
-        found = images[gens, hit]
+    find = row_lookup(right) if find is None else find
+    found = find(left_act(right[hit], gens[:, None]))
     missing = np.flatnonzero(found < 0)[:1]
     if missing.size:
         row = right[hit[missing]]

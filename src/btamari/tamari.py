@@ -20,8 +20,8 @@ Verification builds each structure once per composition: one table of
 inversion words, one row lookup and one m x m order, Tam_B's.  The weak
 order on the whole quotient gets no matrix: the congruence test, Tam_B's
 order and the not-a-sublattice witness read its inversion words and cover
-pairs.  Its covers and the projection fibers read one table of generator
-images, s x for every generator s and row x, found by the lookup.  The
+pairs.  Its covers and the projection fibers' steps are generator images,
+s x for a generator s and row x, found among the rows by the lookup.  The
 subposet and quotient constructions stay two independent routes to Tam_B:
 the pruned 231 build gives the one's elements, and the pattern-elimination
 bottoms, through N. Reading's congruence test, the other's.  The
@@ -111,30 +111,27 @@ def _weak_leq_matrix(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
 
 
 def _weak_covers(rows: np.ndarray, length: np.ndarray, find):
-    """The weak order's cover pairs (below, above) on a quotient's rows, row-major,
-    as one tuple, and the table of generator images.
+    """The weak order's cover pairs (below, above) on a quotient's rows, row-major.
 
     The quotient is a lower interval of the weak order on the group (A.
     Björner and M. Wachs, Trans. AMS 308, 1988), so y covers x exactly when
     y = s x is one longer for a generator s.  Every generator's images are
     computed by ``left_act`` and found among the rows by ``find``, their
     ``row_lookup``, in blocks of generators whose moved rows stay near
-    BLOCK_BYTES, and kept: ``images`` is an (n, m) int32 table whose entry
-    [s, x] is the index of s x, or -1 where s x leaves the quotient.
+    BLOCK_BYTES; a block keeps only its cover pairs.
     """
     m, n = rows.shape
-    images = np.empty((n, m), dtype=np.int32)
-    is_cover = np.empty((n, m), dtype=bool)
+    below, above = [], []
     step = max(1, lat.BLOCK_BYTES // (rows.nbytes + 1))
     for lo in range(0, n, step):
-        found = images[lo:lo + step]
-        gens = np.arange(lo, lo + len(found))[:, None, None]
-        found[:] = find(left_act(rows, gens)).reshape(len(found), m)
-        is_cover[lo:lo + step] = (found >= 0) & (length[found] == length + 1)
-    gens, below = np.nonzero(is_cover)
-    above = images[gens, below]
+        gens = np.arange(lo, min(lo + step, n))[:, None, None]
+        found = find(left_act(rows, gens)).reshape(-1, m)
+        is_cover = (found >= 0) & (length[found] == length + 1)
+        below.append(np.nonzero(is_cover)[1])
+        above.append(found[is_cover])
+    below, above = np.concatenate(below), np.concatenate(above)
     order = np.lexsort((above, below))
-    return (below[order], above[order]), images
+    return below[order], above[order]
 
 
 def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
@@ -397,11 +394,11 @@ def verify_theorems(
     rows = quotient_rows(alpha, cap)
     words, length = _inversion_words(rows, cap)
     find = row_lookup(rows)
-    covers, images = _weak_covers(rows, length, find)
-    bottoms = fiber_bottoms(alpha, rows, images)
+    covers = _weak_covers(rows, length, find)
+    bottoms = fiber_bottoms(alpha, rows, find)
     # Tam_B's rows are quotient members, in right-part order as the rows are.
     into_weak = find(tam_rows)
-    del images, find
+    del find
     L, tam_failure = tam, None
     if L is None:
         try:

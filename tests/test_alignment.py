@@ -126,10 +126,6 @@ class TestPatternWitnesses:
         assert A422.region_of(w2.j) == 1
         assert (w2.i, w2.j, w2.k) == (-5, 1, 8)
 
-    def test_witness_json(self):
-        w = find_231_pattern(FULL5, perm("4,1,-5,3,-2"))
-        assert w.to_json() == {"i": -1, "j": 1, "k": 3, "flavor": "split-231"}
-
     def test_312_examples(self):
         assert find_312_pattern(FULL5, SignedPermutation.identity(5)) is None
         assert find_312_pattern(Composition((1, 1), split=True), perm("2,-1")) is None

@@ -765,7 +765,7 @@ class TestCongruences:
                 weak = small_lattices[f"weak {alpha.format()}"]
                 words, length = _inversion_words(weak.labels)
                 find = row_lookup(weak.labels)
-                covers, _ = _weak_covers(weak.labels, length, find)
+                covers = _weak_covers(weak.labels, length, find)
                 for keys in weak_order_partitions(alpha, weak):
                     why, _ = lattice._congruence_failure(words, covers, keys)
                     expected = loop_check_congruence(weak, Partition(keys.tolist()))
@@ -782,7 +782,7 @@ class TestCongruences:
             for alpha in all_compositions(n):
                 weak = small_lattices[f"weak {alpha.format()}"]
                 words, length = _inversion_words(weak.labels)
-                covers, _ = _weak_covers(weak.labels, length, row_lookup(weak.labels))
+                covers = _weak_covers(weak.labels, length, row_lookup(weak.labels))
                 spread = words & thirds
                 for keys in weak_order_partitions(alpha, weak):
                     for table in (words, spread):

@@ -5,7 +5,8 @@ descriptors: stdout is a pipe whose read end is closed before the child
 starts, or ``/dev/full``.  Python buffers stdout unless PYTHONUNBUFFERED
 is set, so the children run both ways: buffered, the error comes from the
 final flush; unbuffered, from the first write.  A stdout closed from the
-start is no error: what is written to it is discarded.
+start is no error: what is written to it is discarded.  With stderr
+unwritable, the ``error:`` line is lost but its exit code is not.
 """
 
 import os
@@ -35,13 +36,13 @@ def _dev_full():
     return os.open("/dev/full", os.O_WRONLY)
 
 
-def _run(argv, stdout, unbuffered=False):
+def _run(argv, stdout, unbuffered=False, stderr=subprocess.PIPE):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        argv, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60
+        argv, stdout=stdout, stderr=stderr, env=env, text=True, timeout=60
     )
 
 
@@ -67,3 +68,23 @@ def test_closed_stdout_discards_output():
     argv = [sys.executable, "-m", "btamari.cli", "enumerate", "--alpha", "0,1"]
     child = _run(["sh", "-c", 'exec "$0" "$@" >&-', *argv], None)
     assert (child.returncode, child.stderr) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["-m", "btamari.cli", "sequence", "--max-n", "9"], 3),
+        (["-m", "btamari.cli", "--cap", "0", "sequence", "--max-n", "2"], 2),
+        ([str(ROOT / "scripts" / "enumerative_report.py"), "--max-n", "9"], 3),
+    ],
+    ids=["btamari-cap", "btamari-usage", "report-cap"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, unbuffered):
+    fd = _dev_full()
+    try:
+        child = _run([sys.executable, *argv], subprocess.PIPE, unbuffered, stderr=fd)
+    finally:
+        os.close(fd)
+    assert child.returncode == code
+    assert "Traceback" not in child.stdout

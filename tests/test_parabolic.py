@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -318,6 +319,20 @@ class TestBlockWidth:
             _place_block(_identity_state(64), 0, 63, False, 191)
         assert (info.value.required, info.value.cap) == (192, 191)
         assert _place_block(_identity_state(64), 0, 63, False, 192).shape == (64, 64)
+
+
+class TestSplitSlots:
+    def test_both_sides_match_combinations(self):
+        # Taken slots in lexicographic order, left slots their complements,
+        # whichever side is listed: every free <= 10 and p >= 1.
+        for free in range(1, 11):
+            for p in range(1, free + 1):
+                taken, left = parabolic._split_slots(free, p)
+                want = list(combinations(range(free), p))
+                assert taken.shape == (len(want), p) and left.shape == (len(want), free - p)
+                assert taken.tolist() == [list(c) for c in want], (free, p)
+                rest = [[x for x in range(free) if x not in c] for c in want]
+                assert left.tolist() == rest, (free, p)
 
 
 class TestLongestElement:

@@ -277,7 +277,7 @@ class TestBatchedFibers:
 
 
 class TestGeneratorTable:
-    """``left_act``, which fills verify's table of generator images."""
+    """``left_act``, which gives the generator images for covers and fiber steps."""
 
     def test_rows_act_as_mul_gen_left(self):
         for n in range(1, 5):

@@ -21,7 +21,7 @@ from btamari.parabolic import (
     sorting_word_longest,
 )
 from btamari.alignment import is_aligned
-from btamari.projection import fiber_bottoms
+from btamari.projection import fiber_bottoms, project_down
 from btamari.signed_perm import POS, SIGN, SignedPermutation, format_right
 from btamari.tamari import CHECKS, build_tamari, join_irreducible_for, verify_theorems
 
@@ -42,7 +42,7 @@ A021 = Composition.parse("0,2,1")
 
 
 def weak_covers(rows):
-    """``tamari._weak_covers`` on rows, with their lengths and lookup."""
+    """``tamari._weak_covers``' cover pairs on rows, with their lengths and lookup."""
     length = tamari._inversion_words(rows)[1]
     return tamari._weak_covers(rows, length, projection.row_lookup(rows))
 
@@ -252,7 +252,7 @@ class TestNotSublattice:
                     expected = (pb, pa, wm, tm)
                     break
             words, length = _inversion_words(weak.labels)
-            covers, _ = weak_covers(weak.labels)
+            covers = weak_covers(weak.labels)
             bottoms = fiber_bottoms(alpha, weak.labels)
             own_bottoms = np.flatnonzero(bottoms == np.arange(weak.n))
             looked_up = projection.row_lookup(weak.labels)(tam.labels)
@@ -344,30 +344,29 @@ class TestVerifyTheorems:
 
 class TestWeakCovers:
     def test_int16_images_match_row_index(self):
-        # Degree 127 takes int16 rows; each generator s swaps the values
-        # +-s and +-(s + 1) (s_0 negates +-1), applied here without the table.
-        rows = quotient_rows(Composition.parse("126,1"))
+        # Degree 127 takes int16 rows.  The generator images that the row
+        # lookup finds give the graded covers, b covers a when a <= b and b
+        # is one longer, and the fiber steps give project_down's bottoms.
+        alpha = Composition.parse("126,1")
+        rows = quotient_rows(alpha)
         assert rows.dtype == np.int16 and rows.shape == (254, 127)
-        _, images = weak_covers(rows)
-        for s in range(127):
-            moved = rows.copy()
-            if s == 0:
-                moved[np.abs(rows) == 1] *= -1
-            else:
-                moved += np.sign(rows) * ((np.abs(rows) == s).astype(np.int16)
-                                          - (np.abs(rows) == s + 1))
-            assert np.array_equal(images[s], projection.row_lookup(rows)(moved)), s
+        length = tamari._inversion_words(rows)[1]
+        graded = (length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows)
+        assert np.array_equal(np.nonzero(graded), weak_covers(rows))
+        bottoms = fiber_bottoms(alpha, rows, projection.row_lookup(rows))
+        for x in range(0, len(rows), 23):
+            bottom = project_down(alpha, SignedPermutation(rows[x].tolist()))
+            assert rows[bottoms[x]].tolist() == list(bottom.right), x
 
     def test_one_generator_per_block_gives_the_same_covers(self, monkeypatch):
         for n in range(1, 6):
             for alpha in all_compositions(n):
                 rows = quotient_rows(alpha)
-                length = tamari._inversion_words(rows)[1]
                 whole = weak_covers(rows)
                 monkeypatch.setattr(lattice, "BLOCK_BYTES", 1)
                 blocked = weak_covers(rows)
                 monkeypatch.undo()
-                for a, b in zip((*whole[0], whole[1]), (*blocked[0], blocked[1])):
+                for a, b in zip(whole, blocked):
                     assert np.array_equal(a, b), alpha
 
 
@@ -424,9 +423,9 @@ class TestVerifyBuildsOnce:
         assert verify_theorems(A021).ok
         # one quotient enumeration and one table of its inversion words;
         # tables for the subposet lattice only, none for the weak order or
-        # the quotient; fibers read off the quotient's rows and the
-        # generator images, with one row lookup for those images and Tam_B's
-        # rows; one congruence test; the tableau's labels once, with
+        # the quotient; covers and fibers read off the quotient's rows, with
+        # one row lookup for their generator images and Tam_B's rows; one
+        # congruence test; the tableau's labels once, with
         # no tableau object and no longest element as a signed permutation;
         # L's irreducibles and length counted once, for extremality,
         # trimness and the stats alike
@@ -629,9 +628,9 @@ class TestRowsNotObjects:
 
 class TestCongruenceFailure:
     @staticmethod
-    def merge_first_and_last(alpha, rows, images=None):
+    def merge_first_and_last(alpha, rows, find=None):
         # The bottom's and the top's fibers: their union is no interval.
-        bottoms = fiber_bottoms(alpha, rows, images)
+        bottoms = fiber_bottoms(alpha, rows, find)
         first, last = np.unique(bottoms)[[0, -1]]
         return np.where(bottoms == last, first, bottoms)
 
@@ -655,42 +654,12 @@ class TestCongruenceFailure:
 
 
 class TestGeneratorImages:
-    def test_table_is_row_index_of_each_generator_image(self):
-        # Row s of the table against the rows s x, made one signed
-        # permutation at a time and looked up: every quotient with n <= 5.
-        for n in range(1, 6):
-            for alpha in parabolic.all_compositions(n):
-                rows = quotient_rows(alpha)
-                _, images = weak_covers(rows)
-                assert images.dtype == np.int32 and images.shape == (n, len(rows))
-                members = [SignedPermutation(r) for r in rows.tolist()]
-                for s in range(n):
-                    moved = [pi.mul_gen_left(s).right for pi in members]
-                    assert np.array_equal(images[s], projection.row_lookup(rows)(moved)), (
-                        alpha, s
-                    )
-
-    def test_fiber_step_from_table_matches_lookup(self):
-        # verify's route against project's, on every quotient with n <= 6.
-        for n in range(1, 7):
-            for alpha in parabolic.all_compositions(n):
-                rows = quotient_rows(alpha)
-                _, images = weak_covers(rows)
-                assert np.array_equal(
-                    fiber_bottoms(alpha, rows, images), fiber_bottoms(alpha, rows)
-                ), alpha
-
     def test_missing_image_raises_as_the_lookup_does(self):
         rows = quotient_rows(A021)
         hit, eliminated = eliminate_231(A021, rows)
         kept = rows[~(rows == eliminated[0]).all(axis=1)]
-        _, images = weak_covers(kept)
-        with pytest.raises(ValueError) as looked_up:
+        with pytest.raises(ValueError, match="not among the rows"):
             fiber_bottoms(A021, kept)
-        with pytest.raises(ValueError) as from_table:
-            fiber_bottoms(A021, kept, images)
-        assert "not among the rows" in str(looked_up.value)
-        assert str(from_table.value) == str(looked_up.value)
 
 
 class TestWeakOrderLattice:
@@ -716,7 +685,7 @@ class TestWeakOrderLattice:
         for alpha in alphas:
             rows = quotient_rows(alpha)
             covers = lattice.FinitePoset(rows, tamari._weak_leq_matrix(rows)).covers
-            assert np.array_equal(covers, weak_covers(rows)[0]), alpha
+            assert np.array_equal(covers, weak_covers(rows)), alpha
 
     def test_generator_covers_match_graded_covers(self):
         # The quotient is graded by length: b covers a exactly when a <= b
@@ -728,7 +697,7 @@ class TestWeakOrderLattice:
             rows = quotient_rows(alpha)
             length = tamari._inversion_words(rows)[1]
             graded = (length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows)
-            assert np.array_equal(np.nonzero(graded), weak_covers(rows)[0]), alpha
+            assert np.array_equal(np.nonzero(graded), weak_covers(rows)), alpha
 
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
         inputs = [
