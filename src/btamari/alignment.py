@@ -456,11 +456,13 @@ def count_aligned_subtree(
     return counts
 
 
-def cover_counts(rows) -> np.ndarray:
-    """Number of cover inversions for each right-part row.
+def left_descents(rows) -> np.ndarray:
+    """The left descents of right-part rows, as an (n, m) boolean mask.
 
-    These are the values v in {-1, 1, ..., n - 1} whose successor (1 after -1,
-    v + 1 otherwise) sits left of v in long one-line notation.
+    Entry [s, x] says that s x is one shorter than row x: for s_0, -1 sits
+    at a positive position; for s_k, k + 1 sits left of k in long one-line
+    notation.  These are the right descents of the inverse (A. Björner and
+    F. Brenti, Combinatorics of Coxeter Groups, GTM 231, §8.1).
     """
     right = np.asarray(rows)
     m, n = right.shape
@@ -471,9 +473,13 @@ def cover_counts(rows) -> np.ndarray:
     for j in range(n):
         col = right[:, j]
         pos[np.abs(col) - 1, cols] = np.sign(col) * (j + 1)
-    counts = (pos[0] < 0).astype(np.int64)
-    counts += (pos[1:] < pos[:-1]).sum(axis=0)
-    return counts
+    return np.vstack((pos[:1] < 0, pos[1:] < pos[:-1]))
+
+
+def cover_counts(rows) -> np.ndarray:
+    """Number of cover inversions for each right-part row: x covers s x for
+    each of its ``left_descents`` s."""
+    return left_descents(rows).sum(axis=0)
 
 
 def count_aligned(alpha: Composition, cap: int | None = None) -> int:

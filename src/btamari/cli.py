@@ -74,9 +74,8 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         _write_json_list(line for lines in chunks for line in lines)
     else:
-        for k, lines in enumerate(chunks):
-            sys.stdout.write(("\n" if k else "") + "\n".join(lines))
-        print()
+        for lines in chunks:
+            sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -115,10 +115,6 @@ class FiniteLattice(FinitePoset):
         below[upper] = lower
         return irr, below[irr]
 
-    @cached_property
-    def _semidistributivity_witness(self):
-        return _kappa_witness(self.dual(), "join") or _kappa_witness(self, "meet")
-
 
 # Each block of a blocked table pass keeps its temporaries near this many bytes.
 BLOCK_BYTES = 2**18
@@ -274,10 +270,9 @@ def meet_irreducibles(lat: FiniteLattice) -> list[int]:
 def semidistributivity_witness(lat: FiniteLattice):
     """A triple violating one of the semidistributive laws, or None.
 
-    Join semidistributivity is tested first, then meet.  The test runs once
-    per lattice; later calls read the kept result.
+    Join semidistributivity is tested first, then meet.
     """
-    return lat._semidistributivity_witness
+    return _kappa_witness(lat.dual(), "join") or _kappa_witness(lat, "meet")
 
 
 def _kappa_witness(lat: FiniteLattice, name: str):
@@ -305,10 +300,6 @@ def _kappa_witness(lat: FiniteLattice, name: str):
     t = int(several[0])
     x, y = np.flatnonzero(maximal[t])[:2]
     return (name, int(irr[t]), int(x), int(y))
-
-
-def is_semidistributive(lat: FiniteLattice) -> bool:
-    return semidistributivity_witness(lat) is None
 
 
 # -- congruences ---------------------------------------------------------------

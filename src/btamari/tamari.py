@@ -20,13 +20,13 @@ Verification builds each structure once per composition: one table of
 inversion words, one row lookup and one m x m order, Tam_B's.  The weak
 order on the whole quotient gets no matrix: the congruence test, Tam_B's
 order and the not-a-sublattice witness read its inversion words and cover
-pairs.  Its covers and the projection fibers' steps are generator images,
-s x for a generator s and row x, found among the rows by the lookup.  The
-subposet and quotient constructions stay two independent routes to Tam_B:
-the pruned 231 build gives the one's elements, and the pattern-elimination
-bottoms, through N. Reading's congruence test, the other's.  The
-constructor check reads the inversion tableau's labels with no cell
-objects.  Only the subposet lattice gets meet and join tables.  The
+pairs.  Its covers are s x for each left descent s of a row x, and the
+projection fibers' steps eliminate a pattern; the lookup finds both among
+the rows.  The subposet and quotient constructions stay two independent
+routes to Tam_B: the pruned 231 build gives the one's elements, and the
+pattern-elimination bottoms, through N. Reading's congruence test, the
+other's.  The constructor check reads the inversion tableau's labels with
+no cell objects.  Only the subposet lattice gets meet and join tables.  The
 enumeration cap bounds the values of every dense array
 (``parabolic.check_cap``) before it is allocated.  An extremal lattice is
 trim when semidistributive (H. Thomas and N. Williams, 2019), else when
@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import lattice as lat
-from .alignment import aligned_rows, cover_counts
+from .alignment import aligned_rows, cover_counts, left_descents
 from .errors import NotACongruenceError, NotALatticeError
 from .parabolic import (
     Composition,
@@ -56,7 +56,7 @@ from .parabolic import (
     tableau_cells,
 )
 from .projection import fiber_bottoms, left_act, row_lookup
-from .signed_perm import POS, SIGN, Reflection, SignedPermutation
+from .signed_perm import POS, SIGN, Reflection, SignedPermutation, format_right
 
 # The checks of a verification report, in the order verify_theorems runs them.
 CHECKS = (
@@ -67,10 +67,8 @@ CHECKS = (
 )
 
 
-def _inversion_words(
-    rows: np.ndarray, cap: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The inversion sets of right-part rows as bit words, and their sizes.
+def _inversion_words(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """The inversion sets of right-part rows as bit words.
 
     The n^2 inversion columns of ``inversion_columns`` are packed, eight to
     a byte, into (m, ceil(n^2 / 64)) ``uint64`` words, so a row's set is one
@@ -78,7 +76,7 @@ def _inversion_words(
     (``check_cap``) before they are allocated.  Groups of position blocks
     near BLOCK_BYTES booleans are packed, each carrying its last (< 8)
     columns to the next, so the bits lie as ``pack_words`` lays out the
-    whole table, never held; sizes are popcounts.
+    whole table, never held.
     """
     m, n = rows.shape
     width = -(-n * n // 64)
@@ -95,7 +93,7 @@ def _inversion_words(
         packed[:, done:done + out.shape[1]] = out
         done += out.shape[1]
         group = [table[:, whole:]]
-    return words, np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    return words
 
 
 def _weak_leq_matrix(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
@@ -107,29 +105,30 @@ def _weak_leq_matrix(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
     admits up to 11,313 rows.
     """
     check_cap(len(rows), resolve_cap(cap), len(rows))
-    return lat.contained(_inversion_words(rows, cap)[0])
+    return lat.contained(_inversion_words(rows, cap))
 
 
-def _weak_covers(rows: np.ndarray, length: np.ndarray, find):
+def _weak_covers(rows: np.ndarray, find):
     """The weak order's cover pairs (below, above) on a quotient's rows, row-major.
 
-    The quotient is a lower interval of the weak order on the group (A.
-    Björner and M. Wachs, Trans. AMS 308, 1988), so y covers x exactly when
-    y = s x is one longer for a generator s.  Every generator's images are
-    computed by ``left_act`` and found among the rows by ``find``, their
-    ``row_lookup``, in blocks of generators whose moved rows stay near
-    BLOCK_BYTES; a block keeps only its cover pairs.
+    Row x covers s x exactly when s is a left descent of x
+    (``left_descents``).  The quotient is a lower interval of the weak
+    order on the group (A. Björner and M. Wachs, Trans. AMS 308, 1988), so
+    every such s x is a row.  The images are computed by ``left_act`` and
+    found by ``find``, the rows' ``row_lookup``, in blocks of pairs whose
+    moved rows stay near BLOCK_BYTES; one that is not found raises
+    ValueError.
     """
-    m, n = rows.shape
-    below, above = [], []
-    step = max(1, lat.BLOCK_BYTES // (rows.nbytes + 1))
-    for lo in range(0, n, step):
-        gens = np.arange(lo, min(lo + step, n))[:, None, None]
-        found = find(left_act(rows, gens)).reshape(-1, m)
-        is_cover = (found >= 0) & (length[found] == length + 1)
-        below.append(np.nonzero(is_cover)[1])
-        above.append(found[is_cover])
-    below, above = np.concatenate(below), np.concatenate(above)
+    gens, above = np.nonzero(left_descents(rows))
+    below = np.empty_like(above)
+    step = max(1, lat.BLOCK_BYTES // (rows.itemsize * rows.shape[1] + 1))
+    for lo in range(0, len(above), step):
+        at = slice(lo, lo + step)
+        below[at] = find(left_act(rows[above[at]], gens[at, None]))
+    if (missing := below < 0).any():
+        k = missing.argmax()
+        image = format_right(left_act(row := rows[above[k]], gens[k]))
+        raise ValueError(f"{format_right(row)} covers {image}, which is not among the rows")
     order = np.lexsort((above, below))
     return below[order], above[order]
 
@@ -392,9 +391,9 @@ def verify_theorems(
     tam_rows = lex_sorted(aligned_rows(alpha, cap)) if tam is None else tam.labels
     check_cap(len(tam_rows), cap, len(tam_rows))
     rows = quotient_rows(alpha, cap)
-    words, length = _inversion_words(rows, cap)
+    words = _inversion_words(rows, cap)
     find = row_lookup(rows)
-    covers = _weak_covers(rows, length, find)
+    covers = _weak_covers(rows, find)
     bottoms = fiber_bottoms(alpha, rows, find)
     # Tam_B's rows are quotient members, in right-part order as the rows are.
     into_weak = find(tam_rows)
@@ -425,11 +424,12 @@ def verify_theorems(
     witness = _meet_mismatch(rows, words, covers, L, into_weak)
     if witness is not None:
         witness = _perms(witness)
-    del rows, words, length, covers, bottoms
+    del rows, words, covers, bottoms
 
     irreducibles = lat.join_irreducibles(L)
     checks["congruence_uniform"] = lat.is_congruence_uniform(L)
-    checks["semidistributive"] = lat.is_semidistributive(L)
+    sd_witness = lat.semidistributivity_witness(L)
+    checks["semidistributive"] = sd_witness is None
     ln = L.length()
     checks["extremal"] = len(irreducibles) == len(lat.meet_irreducibles(L)) == ln
     checks["trim"] = checks["extremal"] and (
@@ -445,8 +445,6 @@ def verify_theorems(
         "length": ln,
         "join_irreducibles": len(irreducibles),
     }
-    # The semidistributive check above kept its witness; this reads it.
-    sd_witness = lat.semidistributivity_witness(L)
     if sd_witness is not None:
         law, *triple = sd_witness
         sd_witness = (law, *_perms(L.labels[triple]))

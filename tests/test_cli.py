@@ -73,6 +73,14 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "argv", [["enumerate"], ["cover-enum"], ["lattice", "--check", "all"]]
+    )
+    def test_empty_batch_prints_nothing(self, capsys, tmp_path, argv):
+        batch = tmp_path / "empty.txt"
+        batch.write_text("", encoding="utf-8")
+        assert run(capsys, *argv, "--batch", str(batch)) == (0, "", "")
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--alpha", "0,2,1", "--aligned")
         _, second, _ = run(capsys, "enumerate", "--alpha", "0,2,1", "--aligned")

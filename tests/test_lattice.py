@@ -12,7 +12,6 @@ from btamari.lattice import (
     _left_modular,
     _lower_bounded,
     is_congruence_uniform,
-    is_semidistributive,
     join_irreducibles,
     lattice_to_dot,
     lattice_to_json,
@@ -676,15 +675,13 @@ class TestLength:
 
 class TestSemidistributivity:
     def test_chain(self):
-        assert is_semidistributive(chain(4))
+        assert semidistributivity_witness(chain(4)) is None
 
     def test_m3_with_witness(self):
-        lat = m3()
-        assert not is_semidistributive(lat)
-        assert semidistributivity_witness(lat) is not None
+        assert semidistributivity_witness(m3()) is not None
 
     def test_n5(self):
-        assert is_semidistributive(n5())
+        assert semidistributivity_witness(n5()) is None
 
     def test_kappa_agrees_with_scan(self, small_lattices):
         named = dict(small_lattices)
@@ -763,9 +760,8 @@ class TestCongruences:
         for n in (1, 2, 3, 4):
             for alpha in all_compositions(n):
                 weak = small_lattices[f"weak {alpha.format()}"]
-                words, length = _inversion_words(weak.labels)
-                find = row_lookup(weak.labels)
-                covers = _weak_covers(weak.labels, length, find)
+                words = _inversion_words(weak.labels)
+                covers = _weak_covers(weak.labels, row_lookup(weak.labels))
                 for keys in weak_order_partitions(alpha, weak):
                     why, _ = lattice._congruence_failure(words, covers, keys)
                     expected = loop_check_congruence(weak, Partition(keys.tolist()))
@@ -781,8 +777,8 @@ class TestCongruences:
         for n in (1, 2, 3, 4):
             for alpha in all_compositions(n):
                 weak = small_lattices[f"weak {alpha.format()}"]
-                words, length = _inversion_words(weak.labels)
-                covers = _weak_covers(weak.labels, length, row_lookup(weak.labels))
+                words = _inversion_words(weak.labels)
+                covers = _weak_covers(weak.labels, row_lookup(weak.labels))
                 spread = words & thirds
                 for keys in weak_order_partitions(alpha, weak):
                     for table in (words, spread):
@@ -980,7 +976,7 @@ class TestCongruenceUniformity:
     def test_uniform_implies_semidistributive_crosscheck(self):
         for lat in (chain(4), n5(), weak_order_lattice_raw(2), m3(), boolean(2)):
             if is_congruence_uniform(lat):
-                assert is_semidistributive(lat)
+                assert semidistributivity_witness(lat) is None
                 assert len(join_irreducibles(lat)) == len(meet_irreducibles(lat))
 
 
@@ -1010,7 +1006,7 @@ class TestTrimness:
         # verify_theorems takes an extremal semidistributive lattice as trim
         # without the chain search; every Tam_B with n <= 6 and its dual is one.
         for lat in (chain(4), n5(), boolean(2), boolean(3), weak_order_lattice_raw(2)):
-            if is_semidistributive(lat) and is_extremal(lat):
+            if semidistributivity_witness(lat) is None and is_extremal(lat):
                 assert has_left_modular_chain(lat)
         tams = [build_tamari(alpha) for n in range(1, 7) for alpha in all_compositions(n)]
         assert len(tams) == 126
@@ -1023,7 +1019,7 @@ class TestTrimness:
         # so a fails for r = c <= q = d.
         covers = [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)]
         lat = try_lattice(from_covers(list("0abcd1"), covers))
-        assert is_semidistributive(lat)
+        assert semidistributivity_witness(lat) is None
         counts = len(join_irreducibles(lat)), len(meet_irreducibles(lat)), lat.length()
         assert counts == (4, 4, 3)
         assert [p for p in range(lat.n) if is_left_modular_element(lat, p)] == [0, 5]

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from functools import cached_property
 from itertools import combinations
@@ -20,7 +21,7 @@ from btamari.parabolic import (
     resolve_cap,
     sorting_word_longest,
 )
-from btamari.alignment import is_aligned
+from btamari.alignment import cover_counts, is_aligned, left_descents
 from btamari.projection import fiber_bottoms, project_down
 from btamari.signed_perm import POS, SIGN, SignedPermutation, format_right
 from btamari.tamari import CHECKS, build_tamari, join_irreducible_for, verify_theorems
@@ -42,9 +43,15 @@ A021 = Composition.parse("0,2,1")
 
 
 def weak_covers(rows):
-    """``tamari._weak_covers``' cover pairs on rows, with their lengths and lookup."""
-    length = tamari._inversion_words(rows)[1]
-    return tamari._weak_covers(rows, length, projection.row_lookup(rows))
+    """``tamari._weak_covers``' cover pairs on rows, with their lookup."""
+    return tamari._weak_covers(rows, projection.row_lookup(rows))
+
+
+def graded_covers(rows):
+    """The weak order's covers by definition: b covers a when a <= b and b
+    is one longer, lengths being the inversion counts."""
+    length = inversion_words_whole(rows)[1]
+    return np.nonzero((length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows))
 
 
 class TestBuildTamari:
@@ -251,7 +258,7 @@ class TestNotSublattice:
                 if wm != tm:
                     expected = (pb, pa, wm, tm)
                     break
-            words, length = _inversion_words(weak.labels)
+            words = _inversion_words(weak.labels)
             covers = weak_covers(weak.labels)
             bottoms = fiber_bottoms(alpha, weak.labels)
             own_bottoms = np.flatnonzero(bottoms == np.arange(weak.n))
@@ -344,15 +351,13 @@ class TestVerifyTheorems:
 
 class TestWeakCovers:
     def test_int16_images_match_row_index(self):
-        # Degree 127 takes int16 rows.  The generator images that the row
-        # lookup finds give the graded covers, b covers a when a <= b and b
-        # is one longer, and the fiber steps give project_down's bottoms.
+        # Degree 127 takes int16 rows.  The left descents' images that the
+        # row lookup finds give the graded covers, and the fiber steps give
+        # project_down's bottoms.
         alpha = Composition.parse("126,1")
         rows = quotient_rows(alpha)
         assert rows.dtype == np.int16 and rows.shape == (254, 127)
-        length = tamari._inversion_words(rows)[1]
-        graded = (length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows)
-        assert np.array_equal(np.nonzero(graded), weak_covers(rows))
+        assert np.array_equal(graded_covers(rows), weak_covers(rows))
         bottoms = fiber_bottoms(alpha, rows, projection.row_lookup(rows))
         for x in range(0, len(rows), 23):
             bottom = project_down(alpha, SignedPermutation(rows[x].tolist()))
@@ -369,6 +374,45 @@ class TestWeakCovers:
                 for a, b in zip(whole, blocked):
                     assert np.array_equal(a, b), alpha
 
+    def test_left_descents_match_definition(self):
+        # s is a left descent of x when s x is one shorter, on every member
+        # of every quotient with n <= 4.
+        for n in range(1, 5):
+            for alpha in all_compositions(n):
+                members = enumerate_quotient(alpha)
+                mask = left_descents([pi.right for pi in members])
+                expected = [
+                    [
+                        len(pi.mul_gen_left(s).inversion_set())
+                        == len(pi.inversion_set()) - 1
+                        for pi in members
+                    ]
+                    for s in range(n)
+                ]
+                assert mask.tolist() == expected, alpha
+
+    def test_full_groups_have_one_cover_per_descent(self):
+        # The full group of degree n has n 2^n n! / 2 left descents in all,
+        # half of n per element, and as many covers.
+        for n in range(1, 7):
+            rows = quotient_rows(Composition.parse(",".join(["0"] + ["1"] * n)))
+            below = weak_covers(rows)[0]
+            assert len(below) == cover_counts(rows).sum()
+            assert len(below) == n * 2**n * math.factorial(n) // 2, n
+
+    def test_missing_image_raises(self):
+        # Every row of 0,2,1 but the longest is s x for some row x and left
+        # descent s of it; with that row deleted, the lookup cannot find it.
+        rows = quotient_rows(A021)
+        top = int(np.argmax(inversion_words_whole(rows)[1]))
+        for k in range(len(rows)):
+            if k == top:
+                continue
+            kept = np.delete(rows, k, axis=0)
+            with pytest.raises(ValueError) as info:
+                weak_covers(kept)
+            assert f" covers {format_right(rows[k])}, which is not among" in str(info.value)
+
 
 class TestInversionWords:
     def test_blocks_pack_as_the_whole_table(self, monkeypatch):
@@ -380,14 +424,13 @@ class TestInversionWords:
         alphas += [Composition.parse("0,1,1,1,1,1,1,1"), Composition.parse("300")]
         for alpha in alphas:
             rows = quotient_rows(alpha)
-            words, sizes = inversion_words_whole(rows)
+            words = inversion_words_whole(rows)[0]
             for block_bytes in (lattice.BLOCK_BYTES, 64, 1):
                 with monkeypatch.context() as patch:
                     patch.setattr(lattice, "BLOCK_BYTES", block_bytes)
                     got = tamari._inversion_words(rows)
-                assert got[0].dtype == words.dtype, alpha
-                assert np.array_equal(got[0], words), (alpha, block_bytes)
-                assert np.array_equal(got[1], sizes), (alpha, block_bytes)
+                assert got.dtype == words.dtype, alpha
+                assert np.array_equal(got, words), (alpha, block_bytes)
 
 
 class TestVerifyBuildsOnce:
@@ -695,9 +738,7 @@ class TestWeakOrderLattice:
         assert len(alphas) == 62
         for alpha in alphas:
             rows = quotient_rows(alpha)
-            length = tamari._inversion_words(rows)[1]
-            graded = (length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows)
-            assert np.array_equal(np.nonzero(graded), weak_covers(rows)), alpha
+            assert np.array_equal(graded_covers(rows), weak_covers(rows)), alpha
 
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
         inputs = [
