@@ -309,7 +309,7 @@ def _congruence_failure(words, covers, block_of):
     """Why the classes are not a congruence (None when they are), and their minima.
 
     x <= y when the word of x lies inside that of y; ``covers`` = (below,
-    above) are the cover pairs, row-major.  A congruence is a partition into
+    above) are the cover pairs, in any order.  A congruence is a partition into
     intervals whose class-minimum and class-maximum maps preserve order (N.
     Reading, Order 21, 2004), as they do if they do on covers.  With lo and hi a
     shortest and a longest member, class C is an interval exactly when every
@@ -336,12 +336,12 @@ def _congruence_failure(words, covers, block_of):
     bad_class = np.concatenate([classes[stray], classes[below[leaves]]])
     if bad_class.size:
         return f"class {int(bad_class.min())} is not an interval", mins
-    below, above = classes[below], classes[above]
-    # The first cover pair, row-major, that breaks either map names the failure.
-    bad_min = _not_within(words, mins[below], mins[above])
-    bad = bad_min | _not_within(words, maxs[below], maxs[above])
-    if bad.any():
-        if bad_min[bad.argmax()]:
+    lo, hi = classes[below], classes[above]
+    bad_min = _not_within(words, mins[lo], mins[hi])
+    bad = np.flatnonzero(bad_min | _not_within(words, maxs[lo], maxs[hi]))
+    if bad.size:
+        # The first cover pair, row-major, that breaks either map names the failure.
+        if bad_min[bad[np.lexsort((above[bad], below[bad]))[0]]]:
             return "class-minimum map is not order preserving", mins
         return "class-maximum map is not order preserving", mins
     return None, mins

@@ -155,9 +155,10 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def row_lookup(rows):
     """Find wanted rows among the distinct (m, n) ``rows``, keys sorted once.
 
-    ``find(wanted)`` casts an array or sequence of right parts to the dtype
-    of ``rows``, so equal rows have equal bytes, and returns each one's
-    index among ``rows``, or -1 where it is absent.
+    ``find(wanted)`` casts one right part, or an array or sequence of them,
+    to the dtype of ``rows``, so equal rows have equal bytes, and returns
+    each one's index among ``rows``.  A wanted row that is absent, or not
+    of the rows' width, raises ValueError naming it.
     """
     right = np.asarray(rows)
     keys = _row_keys(right)
@@ -165,9 +166,15 @@ def row_lookup(rows):
     ranked = keys[order]
 
     def find(wanted) -> np.ndarray:
-        want = _row_keys(np.asarray(wanted, dtype=right.dtype).reshape(-1, right.shape[1]))
-        at = np.searchsorted(ranked, want).clip(max=len(ranked) - 1)
-        return np.where(ranked[at] == want, order[at], -1)
+        want = np.atleast_2d(np.asarray(wanted, dtype=right.dtype))
+        if want.shape[1:] != right.shape[1:]:
+            row = format_right(want[:1].ravel())
+            raise ValueError(f"{row} is not a row of width {right.shape[1]}")
+        want_keys = _row_keys(want)
+        at = np.searchsorted(ranked, want_keys).clip(max=len(ranked) - 1)
+        if (missing := ranked[at] != want_keys).any():
+            raise ValueError(f"{format_right(want[missing.argmax()])} is not among the rows")
+        return order[at]
 
     return find
 
@@ -178,27 +185,17 @@ def fiber_bottoms(alpha: Composition, rows, find=None) -> np.ndarray:
     ``rows`` is a (m, n) integer array or a sequence of right parts, and
     rows with equal bottoms share a fiber.  An aligned row is its own
     bottom; any other row has the bottom of the row it reaches by the
-    generator ``_pattern_generators`` names, which must be among ``rows``
-    (else ValueError).  Every elimination stays in the fiber, so this is
-    the recursion of ``project_down``, resolved for all rows at once by
-    pointer jumping.  The eliminated rows are found by ``find``, a
-    ``row_lookup`` of ``rows`` that a caller holding one passes; else one
-    is built.
+    generator ``_pattern_generators`` names.  Every elimination stays in
+    the fiber, so this is the recursion of ``project_down``, resolved for
+    all rows at once by pointer jumping.  The eliminated rows are found by
+    ``find``, a ``row_lookup`` of ``rows`` that a caller holding one passes,
+    else one built here; one that is not among ``rows`` raises ValueError.
     """
     right = np.asarray(rows)
     hit, gens = _pattern_generators(alpha, right)
     find = row_lookup(right) if find is None else find
-    found = find(left_act(right[hit], gens[:, None]))
-    missing = np.flatnonzero(found < 0)[:1]
-    if missing.size:
-        row = right[hit[missing]]
-        raise ValueError(
-            f"a 231 pattern of {format_right(row[0])} eliminates"
-            f" to {format_right(left_act(row, gens[missing, None])[0])},"
-            " which is not among the rows"
-        )
     bottoms = np.arange(len(right))
-    bottoms[hit] = found
+    bottoms[hit] = find(left_act(right[hit], gens[:, None]))
     while not np.array_equal(jumped := bottoms[bottoms], bottoms):
         bottoms = jumped
     return bottoms

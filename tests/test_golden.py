@@ -4,9 +4,9 @@
 ``to_json()`` (one line each) and ``summary()`` for all 30 compositions with
 n <= 4; ``theta_classes_n3.jsonl`` and ``theta_classes_n4.jsonl`` hold the
 ``theta_classes`` JSON for n <= 3 and n <= 4.
-``verify_n5.jsonl`` is the standard output of
-``scripts/run_verification_sweep.py --max-n 5 --json``; CI diffs a fresh
-sweep against it.
+``verify_n5.jsonl`` and ``verify_n6.jsonl`` are the standard output of
+``scripts/run_verification_sweep.py --max-n 5 --json`` and ``--max-n 6
+--json``; CI diffs a fresh sweep against each.
 A refactor must leave them as they are.  When a report is meant to change,
 rewrite them with ``PYTHONPATH=src python tests/test_golden.py``.
 """

@@ -796,6 +796,36 @@ class TestCongruences:
             "class-maximum map is not order preserving",
         }
 
+    def test_reason_does_not_depend_on_pair_order(self, small_lattices, monkeypatch):
+        # The failing cover pair that names the reason is the first
+        # row-major, whatever order the pairs come in: shuffled and reversed
+        # pairs give the same reason and minima on every partition of every
+        # weak order with n <= 4, in one block and at BLOCK_BYTES = 1.
+        rng = np.random.default_rng(7)
+        seen = set()
+        for n in (1, 2, 3, 4):
+            for alpha in all_compositions(n):
+                weak = small_lattices[f"weak {alpha.format()}"]
+                words = _inversion_words(weak.labels)
+                below, above = _weak_covers(weak.labels, row_lookup(weak.labels))
+                orders = [rng.permutation(len(below)) for _ in range(3)]
+                orders.append(np.arange(len(below))[::-1])
+                for keys in weak_order_partitions(alpha, weak):
+                    why, mins = lattice._congruence_failure(words, (below, above), keys)
+                    seen.add(why)
+                    for block_bytes in (lattice.BLOCK_BYTES, 1):
+                        with monkeypatch.context() as patch:
+                            patch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+                            for order in orders:
+                                covers = below[order], above[order]
+                                got = lattice._congruence_failure(words, covers, keys)
+                                assert got[0] == why, alpha
+                                assert np.array_equal(got[1], mins), alpha
+        assert {
+            "class-minimum map is not order preserving",
+            "class-maximum map is not order preserving",
+        } <= seen
+
     def test_raw_keys_match_first_appearance_numbering(self, small_lattices):
         # Keys with gaps and in any order, such as fiber bottoms, give what the
         # oracle Partition's first-appearance numbering of them gives.

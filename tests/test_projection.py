@@ -292,13 +292,28 @@ class TestGeneratorTable:
 
 
 class TestRowIndex:
-    def test_absent_rows_get_minus_one(self):
+    def test_absent_rows_raise(self):
         rows = quotient_rows(A021)
+        find = row_lookup(rows)
         absent = [(2, 1, 3), (3, -1, -2)]  # not in 0,2,1: its first block ascends
-        assert row_lookup(rows)(absent).tolist() == [-1, -1]
-        found = row_lookup(rows)([rows[5], (9, 9, 9), rows[0]])
-        assert found.tolist() == [5, -1, 0]
-        assert row_lookup(rows)(np.empty((0, 3), dtype=np.int8)).tolist() == []
+        with pytest.raises(ValueError, match=r"^2,1,3 is not among the rows$"):
+            find(absent)
+        with pytest.raises(ValueError, match=r"^9,9,9 is not among the rows$"):
+            find([rows[5], (9, 9, 9), rows[0]])
+        assert find([rows[5], rows[0]]).tolist() == [5, 0]
+        assert find(rows[5]).tolist() == [5]
+        assert find(np.empty((0, 3), dtype=np.int8)).tolist() == []
+
+    def test_rows_of_another_width_raise(self):
+        # Three rows of width 2 side by side are one row of width 6, not three.
+        rows = quotient_rows(Composition.parse("0,1,1"))
+        find = row_lookup(rows)
+        glued = rows[[2, 5, 7]].reshape(1, 6)
+        named = ",".join(map(str, glued[0].tolist()))
+        with pytest.raises(ValueError, match=f"^{named} is not a row of width 2$"):
+            find(glued)
+        with pytest.raises(ValueError, match=r"^1 is not a row of width 2$"):
+            find([(1,), (2,)])
 
     def test_same_answer_for_any_integer_input(self):
         rows = quotient_rows(A021)

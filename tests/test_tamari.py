@@ -47,6 +47,13 @@ def weak_covers(rows):
     return tamari._weak_covers(rows, projection.row_lookup(rows))
 
 
+def row_major(pairs):
+    """Cover pairs (below, above) sorted by below, then by above."""
+    below, above = pairs
+    order = np.lexsort((above, below))
+    return below[order], above[order]
+
+
 def graded_covers(rows):
     """The weak order's covers by definition: b covers a when a <= b and b
     is one longer, lengths being the inversion counts."""
@@ -343,6 +350,56 @@ class TestVerifyTheorems:
             f" but meet({p}, join({q}, {r})) differs"
         )
 
+    def test_every_witness_listed_once_in_one_order(self):
+        # A report holding all five witnesses lists each once in to_json()
+        # and once in summary(), in one order: congruence, Tam_B, quotient,
+        # sublattice, semidistributivity.
+        p, q, r, t = map(perm, ("-2,1,-3", "-3,-1,-2", "-3,1,-2", "-3,2,1"))
+        report = tamari.VerificationReport(
+            A021, {"congruence_valid": False}, {},
+            witness=(p, q, r, t),
+            semidistributivity_witness=("join", p, q, r),
+            congruence_failure="class 1 is not an interval",
+            quotient_lattice_failure=("no-glb", q, r),
+            tamari_lattice_failure=("no-lub", p, t),
+        )
+        data = report.to_json()
+        assert json.loads(json.dumps(data)) == data
+        assert list(data.items())[3:] == [
+            ("congruence_failure", "class 1 is not an interval"),
+            ("tamari_not_a_lattice", {"reason": "no-lub", "pair": ["-2,1,-3", "-3,2,1"]}),
+            ("quotient_not_a_lattice", {"reason": "no-glb", "pair": ["-3,-1,-2", "-3,1,-2"]}),
+            ("not_a_sublattice_witness", ["-2,1,-3", "-3,-1,-2", "-3,1,-2", "-3,2,1"]),
+            ("semidistributivity_witness", {
+                "law": "join", "triple": ["-2,1,-3", "-3,-1,-2", "-3,1,-2"]
+            }),
+        ]
+        assert report.summary().splitlines() == [
+            "alpha = 0,2,1",
+            "  FAIL  congruence_valid",
+            "  not a congruence: class 1 is not an interval",
+            "  Tam_B not a lattice: no-lub for (-2,1,-3, -3,2,1)",
+            "  quotient not a lattice: no-glb for (-3,-1,-2, -3,1,-2)",
+            "  not a sublattice: meet(-2,1,-3, -3,-1,-2) is -3,1,-2 in the weak order"
+            " but -3,2,1 in the Tamari lattice",
+            "  not semidistributive: join(-2,1,-3, -3,-1,-2) = join(-2,1,-3, -3,1,-2)"
+            " but join(-2,1,-3, meet(-3,-1,-2, -3,1,-2)) differs",
+        ]
+
+    def test_tam_of_another_composition_raises(self):
+        # A Tam_B of another composition, of the same degree or not, has a
+        # row that is no member of 0,2,1's quotient; the lookup names it.
+        members = {format_right(r) for r in quotient_rows(A021).tolist()}
+        for other, why in (
+            ("0,1,2", "is not among the rows"), ("0,1,1", "is not a row of width 3")
+        ):
+            tam = build_tamari(Composition.parse(other))
+            with pytest.raises(ValueError) as info:
+                verify_theorems(A021, tam=tam)
+            row, _, rest = str(info.value).partition(" ")
+            assert rest == why, other
+            assert row in {format_right(r) for r in tam.labels.tolist()} - members, other
+
     def test_sweep_n3(self, all_small_compositions):
         for alpha in all_small_compositions[3]:
             report = verify_theorems(alpha)
@@ -357,7 +414,7 @@ class TestWeakCovers:
         alpha = Composition.parse("126,1")
         rows = quotient_rows(alpha)
         assert rows.dtype == np.int16 and rows.shape == (254, 127)
-        assert np.array_equal(graded_covers(rows), weak_covers(rows))
+        assert np.array_equal(graded_covers(rows), row_major(weak_covers(rows)))
         bottoms = fiber_bottoms(alpha, rows, projection.row_lookup(rows))
         for x in range(0, len(rows), 23):
             bottom = project_down(alpha, SignedPermutation(rows[x].tolist()))
@@ -400,6 +457,12 @@ class TestWeakCovers:
             assert len(below) == cover_counts(rows).sum()
             assert len(below) == n * 2**n * math.factorial(n) // 2, n
 
+    def test_pairs_own_their_memory(self):
+        # Neither end is a view of a larger array, such as the (pairs, 2)
+        # index array np.nonzero returns, which would double what they hold.
+        below, above = weak_covers(quotient_rows(A021))
+        assert below.base is None and above.base is None
+
     def test_missing_image_raises(self):
         # Every row of 0,2,1 but the longest is s x for some row x and left
         # descent s of it; with that row deleted, the lookup cannot find it.
@@ -411,7 +474,7 @@ class TestWeakCovers:
             kept = np.delete(rows, k, axis=0)
             with pytest.raises(ValueError) as info:
                 weak_covers(kept)
-            assert f" covers {format_right(rows[k])}, which is not among" in str(info.value)
+            assert str(info.value) == f"{format_right(rows[k])} is not among the rows"
 
 
 class TestInversionWords:
@@ -728,17 +791,17 @@ class TestWeakOrderLattice:
         for alpha in alphas:
             rows = quotient_rows(alpha)
             covers = lattice.FinitePoset(rows, tamari._weak_leq_matrix(rows)).covers
-            assert np.array_equal(covers, weak_covers(rows)), alpha
+            assert np.array_equal(covers, row_major(weak_covers(rows))), alpha
 
     def test_generator_covers_match_graded_covers(self):
         # The quotient is graded by length: b covers a exactly when a <= b
         # and b is one longer.  For every composition with n <= 5, the
-        # generators' cover pairs are the graded dense covers, row-major.
+        # generators' cover pairs, sorted, are the graded dense covers.
         alphas = [alpha for n in range(1, 6) for alpha in parabolic.all_compositions(n)]
         assert len(alphas) == 62
         for alpha in alphas:
             rows = quotient_rows(alpha)
-            assert np.array_equal(graded_covers(rows), weak_covers(rows)), alpha
+            assert np.array_equal(graded_covers(rows), row_major(weak_covers(rows))), alpha
 
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
         inputs = [
