@@ -4,10 +4,8 @@ from .alignment import (
     Decomposition,
     PatternWitness,
     decompositions,
-    enumerate_aligned,
     find_231_pattern,
     find_312_pattern,
-    is_aligned,
     is_aligned_forcing,
     is_aligned_root,
 )
@@ -31,7 +29,6 @@ from .parabolic import (
     InversionTableau,
     all_compositions,
     c_sorting_word,
-    enumerate_quotient,
     inversion_order,
     is_member,
     longest_element,

@@ -21,7 +21,6 @@ from .parabolic import (
     _identity_state,
     _place_block,
     is_member,
-    lex_sorted,
     resolve_cap,
 )
 from .signed_perm import POS, SIGN, Reflection, SignedPermutation, predecessor
@@ -248,11 +247,6 @@ def find_312_pattern(
     return next(_find_pattern(alpha, pi, "312"), None)
 
 
-def is_aligned(alpha: Composition, pi: SignedPermutation) -> bool:
-    """Pattern-based alignment test; the fastest of the three characterizations."""
-    return find_231_pattern(alpha, pi) is None
-
-
 # -- batch evaluation ---------------------------------------------------------
 
 
@@ -439,7 +433,7 @@ def count_aligned_subtree(
     with each other or with succ of one of them, and succ(w) = w + 1 sits at
     no position <= w in either degree.  Every step of a composition of n is
     a node, and a lower degree's step holds no more rows than its node, so
-    the cap refuses exactly when ``count_aligned`` refuses one of them,
+    the cap refuses exactly when ``aligned_rows`` refuses one of them,
     raising the first count above it in walk order.
     """
     cap, counts = resolve_cap(cap), [0] * n
@@ -480,14 +474,3 @@ def cover_counts(rows) -> np.ndarray:
     """Number of cover inversions for each right-part row: x covers s x for
     each of its ``left_descents`` s."""
     return left_descents(rows).sum(axis=0)
-
-
-def count_aligned(alpha: Composition, cap: int | None = None) -> int:
-    return len(aligned_rows(alpha, cap))
-
-
-def enumerate_aligned(
-    alpha: Composition, cap: int | None = None
-) -> list[SignedPermutation]:
-    """Members of the quotient avoiding 231 patterns, in right-part order."""
-    return [SignedPermutation(r) for r in lex_sorted(aligned_rows(alpha, cap)).tolist()]

@@ -37,7 +37,7 @@ from .parabolic import (
     quotient_size,
     resolve_cap,
 )
-from .projection import iter_theta_classes, project_down, project_up
+from .projection import project_down, project_up, theta_classes
 from .signed_perm import SignedPermutation, format_long, format_right
 from .tamari import CHECKS, build_tamari, verify_theorems
 
@@ -93,7 +93,7 @@ def _write_json_list(items) -> None:
 def _cmd_project(args) -> int:
     alpha = Composition.parse(args.alpha)
     if args.classes:
-        _write_json_list(c.to_json() for c in iter_theta_classes(alpha, args.cap))
+        _write_json_list(c.to_json() for c in theta_classes(alpha, args.cap))
         return EXIT_OK
     pi = SignedPermutation.parse(args.perm)
     image = (project_down if args.dir == "down" else project_up)(alpha, pi)

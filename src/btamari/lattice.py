@@ -5,18 +5,21 @@ entry per element (for the type-B orders, a right-part row); lattices add
 meet and join tables, both built by one bit-packed join kernel.  It holds
 the up-sets word major over a linear extension, finds each pair's first
 common bit word by word, and accepts that candidate as the join when its
-up-set is as large as the common one.  Covers have one format: index pairs
-(lower, upper), row-major, which a poset reads off one product of its
-strict order with itself, the only m x m product here.  A lattice keeps
-one dual, whose pairs are its own swapped, and finds its join-irreducibles
-and their lower covers once; the meet-irreducibles are the dual's.  The
-dual holds no reference back, so no cycle outlives the lattice.  On top of
-that sit the structural checks used by the verification harness:
-irreducibles, length, semidistributivity, congruence uniformity (by Day's
-join-dependency criterion, from bit words of the irreducibles below each
-element), congruence verification and quotient orders on bit words and
-cover pairs (so that the weak order needs no matrix), left modularity in
-one pass over the covers, plus JSON and DOT exports.
+up-set is as large as the common one.  Covers are index pairs (lower,
+upper).  A poset reads its own off one product of its strict order with
+itself, row-major, the only m x m product here; the cover pairs that the
+congruence checks take, such as the weak order's, may come in any order.
+A lattice's ``meet`` and ``join`` tables are plain attributes.  Its
+``dual`` is built once, on the same arrays with the pairs swapped, and
+holds no reference back, so no cycle outlives the lattice; its
+``irreducibles``, the join-irreducibles and their lower covers, are found
+once, and the meet-irreducibles are the dual's.  On top of that sit the
+structural checks used by the verification harness: length,
+semidistributivity, congruence uniformity (by Day's join-dependency
+criterion, from bit words of the irreducibles below each element),
+congruence verification and quotient orders on bit words and cover pairs
+(so that the weak order needs no matrix), left modularity in one pass over
+the covers, plus JSON and DOT exports.
 """
 
 from __future__ import annotations
@@ -79,15 +82,10 @@ class FiniteLattice(FinitePoset):
         self, labels: Sequence, leq: np.ndarray, meet: np.ndarray, join: np.ndarray
     ):
         super().__init__(labels, leq)
-        self._meet = meet
-        self._join = join
+        self.meet = meet
+        self.join = join
 
-    def meet_table(self) -> np.ndarray:
-        return self._meet
-
-    def join_table(self) -> np.ndarray:
-        return self._join
-
+    @cached_property
     def dual(self) -> "FiniteLattice":
         """The dual lattice, built once and kept.
 
@@ -95,11 +93,7 @@ class FiniteLattice(FinitePoset):
         reference back to it, so a lattice is freed as soon as its last
         reference goes, with no cycle left for the collector.
         """
-        return self._dual
-
-    @cached_property
-    def _dual(self) -> "FiniteLattice":
-        dual = FiniteLattice(self.labels, self.leq.T, self._join, self._meet)
+        dual = FiniteLattice(self.labels, self.leq.T, self.join, self.meet)
         dual.covers = self.covers[::-1]
         return dual
 
@@ -251,19 +245,6 @@ def try_lattice(poset: FinitePoset) -> FiniteLattice:
     raise NotALatticeError(pair, reason, poset.labels[list(pair)])
 
 
-# -- irreducibles and basic statistics ----------------------------------------
-
-
-def join_irreducibles(lat: FiniteLattice) -> list[int]:
-    """Indices of elements with exactly one lower cover."""
-    return lat.irreducibles[0].tolist()
-
-
-def meet_irreducibles(lat: FiniteLattice) -> list[int]:
-    """Indices of elements with exactly one upper cover: the dual's join-irreducibles."""
-    return lat.dual().irreducibles[0].tolist()
-
-
 # -- semidistributivity --------------------------------------------------------
 
 
@@ -272,7 +253,7 @@ def semidistributivity_witness(lat: FiniteLattice):
 
     Join semidistributivity is tested first, then meet.
     """
-    return _kappa_witness(lat.dual(), "join") or _kappa_witness(lat, "meet")
+    return _kappa_witness(lat.dual, "join") or _kappa_witness(lat, "meet")
 
 
 def _kappa_witness(lat: FiniteLattice, name: str):
@@ -378,7 +359,7 @@ def _lower_bounded(lat: FiniteLattice) -> bool:
     left (lower bounded) or a cycle is.
     """
     irr, lows = lat.irreducibles
-    join = lat.join_table()
+    join = lat.join
     mask = pack_words(lat.leq[irr].T)
     dep = np.empty((len(irr), len(irr)), dtype=bool)
     step = max(1, BLOCK_BYTES // (mask.nbytes + 1))
@@ -400,7 +381,7 @@ def is_congruence_uniform(lat: FiniteLattice) -> bool:
 
     A. Day, Canad. J. Math. 31 (1979); Freese, Ježek, Nation, Free Lattices, ch. II.
     """
-    return _lower_bounded(lat) and _lower_bounded(lat.dual())
+    return _lower_bounded(lat) and _lower_bounded(lat.dual)
 
 
 # -- left modularity -------------------------------------------------------------
@@ -417,7 +398,7 @@ def _left_modular(lat: FiniteLattice) -> np.ndarray:
     cover, O(m covers) in all, in blocks of elements near BLOCK_BYTES.
     """
     lower, upper = lat.covers
-    meet, join = lat.meet_table(), lat.join_table()
+    meet, join = lat.meet, lat.join
     modular = np.empty(lat.n, dtype=bool)
     step = max(1, BLOCK_BYTES // (meet.itemsize * len(lower) + 1))
     for lo in range(0, lat.n, step):

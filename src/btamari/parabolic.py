@@ -373,12 +373,6 @@ def inversion_columns(rows):
         yield np.concatenate([r_i < 0, r_i > later, r_i < -later], axis=1)
 
 
-def enumerate_quotient(
-    alpha: Composition, cap: int | None = None
-) -> list[SignedPermutation]:
-    return [SignedPermutation(r) for r in quotient_rows(alpha, cap).tolist()]
-
-
 # -- longest element and its skew-shape model ---------------------------------
 
 

@@ -11,9 +11,10 @@ The single-element projections take and return ``SignedPermutation``s.  The
 bulk routines work on the quotient as an (m, n) array of right-part rows and
 find rows by ``row_lookup``: ``fiber_bottoms`` eliminates one of each row's 231
 patterns, named by the scan it shares with ``aligned_mask``, and
-``theta_classes`` groups the rows by bottom and takes each fiber's longest
-member as its top.  An elimination is the left action of one generator,
-which ``left_act`` computes on the rows' values.
+``theta_classes`` groups the rows by bottom, takes each fiber's longest
+member as its top and yields the fibers one at a time.  An elimination is
+the left action of one generator, which ``left_act`` computes on the rows'
+values.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ def row_lookup(rows):
 
     ``find(wanted)`` casts one right part, or an array or sequence of them,
     to the dtype of ``rows``, so equal rows have equal bytes, and returns
-    each one's index among ``rows``.  A wanted row that is absent, or not
-    of the rows' width, raises ValueError naming it.
+    each one's index among ``rows``.  A wanted row that is absent, not of
+    the rows' width, or holding a value that dtype cannot hold raises
+    ValueError naming it.
     """
     right = np.asarray(rows)
     keys = _row_keys(right)
@@ -166,13 +168,26 @@ def row_lookup(rows):
     ranked = keys[order]
 
     def find(wanted) -> np.ndarray:
-        want = np.atleast_2d(np.asarray(wanted, dtype=right.dtype))
+        want = np.atleast_2d(np.asarray(wanted))
         if want.shape[1:] != right.shape[1:]:
             row = format_right(want[:1].ravel())
             raise ValueError(f"{row} is not a row of width {right.shape[1]}")
+        if want.dtype != right.dtype:
+            # Values out of range are set to 0 before the cast, so none wraps
+            # (or overflows, for Python ints past int64); the comparison
+            # then flags them, and any fraction the cast dropped.
+            info = np.iinfo(right.dtype)
+            cast = np.where((want >= info.min) & (want <= info.max), want, 0)
+            cast = cast.astype(right.dtype)
+            if (lost := (cast != want).any(axis=1)).any():
+                row = format_right(want[lost.argmax()])
+                raise ValueError(f"{row} does not fit the rows' dtype {right.dtype}")
+            want = cast
         want_keys = _row_keys(want)
-        at = np.searchsorted(ranked, want_keys).clip(max=len(ranked) - 1)
-        if (missing := ranked[at] != want_keys).any():
+        at = np.searchsorted(ranked, want_keys)
+        missing = at == len(ranked)
+        missing[~missing] = ranked[at[~missing]] != want_keys[~missing]
+        if missing.any():
             raise ValueError(f"{format_right(want[missing.argmax()])} is not among the rows")
         return order[at]
 
@@ -201,14 +216,16 @@ def fiber_bottoms(alpha: Composition, rows, find=None) -> np.ndarray:
     return bottoms
 
 
-def iter_theta_classes(alpha: Composition, cap: int | None = None) -> Iterator[ThetaClass]:
+def theta_classes(alpha: Composition, cap: int | None = None) -> Iterator[ThetaClass]:
     """The fibers of the downward projection, one at a time, ordered by bottom.
 
     The quotient's rows are grouped by ``fiber_bottoms``.  A fiber is an
     interval of the weak order, which is graded by length, so its top is
     its unique longest member; the lengths are the inversion counts of
-    ``inversion_columns``.  All but the fibers is found on the call, so a
-    refused enumeration raises there; O(m n) is held however many are taken.
+    ``inversion_columns``.  The rows, their bottoms and every fiber's
+    bounds are found on the call, so a refused enumeration raises there;
+    each ``ThetaClass`` is built only when it is taken, and O(m n) is held
+    however many are taken.
     """
     rows = quotient_rows(alpha, cap)
     bottoms = fiber_bottoms(alpha, rows)
@@ -220,11 +237,3 @@ def iter_theta_classes(alpha: Composition, cap: int | None = None) -> Iterator[T
     ends = np.append(starts[1:], len(rows))
     spans = zip(bottoms[grouped[starts]], tops, starts, ends)
     return (ThetaClass(rows[b], rows[t], rows[grouped[lo:hi]]) for b, t, lo, hi in spans)
-
-
-def theta_classes(alpha: Composition, cap: int | None = None) -> list[ThetaClass]:
-    """The fibers of the downward projection as rows, ordered by their bottom element.
-
-    Each top is its fiber's longest member; see ``iter_theta_classes``.
-    """
-    return list(iter_theta_classes(alpha, cap))

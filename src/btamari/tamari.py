@@ -42,7 +42,7 @@ import numpy as np
 
 from . import lattice as lat
 from .alignment import aligned_rows, cover_counts, left_descents
-from .errors import NotACongruenceError, NotALatticeError
+from .errors import NotALatticeError
 from .parabolic import (
     Composition,
     check_cap,
@@ -258,7 +258,7 @@ def _meet_mismatch(rows, words, covers, tam: lat.FiniteLattice, into_weak):
     temporaries stay near BLOCK_BYTES (rows of one word are one block); a
     pair's verdict is ORed over the blocks and is final in the last.
     """
-    (below, above), meet, width = covers, tam.meet_table(), words.shape[1]
+    (below, above), meet, width = covers, tam.meet, words.shape[1]
     cols = max(1, lat.BLOCK_BYTES // (words.itemsize * (len(words) + len(below)) + 1))
     starts = range(0, width, cols)
     # Verdicts carried between blocks; one block needs none.
@@ -423,12 +423,12 @@ def verify_theorems(
         witness = _perms(witness)
     del rows, words, covers, bottoms
 
-    irreducibles = lat.join_irreducibles(L)
+    irreducibles = L.irreducibles[0]
     checks["congruence_uniform"] = lat.is_congruence_uniform(L)
     sd_witness = lat.semidistributivity_witness(L)
     checks["semidistributive"] = sd_witness is None
     ln = L.length()
-    checks["extremal"] = len(irreducibles) == len(lat.meet_irreducibles(L)) == ln
+    checks["extremal"] = len(irreducibles) == len(L.dual.irreducibles[0]) == ln
     checks["trim"] = checks["extremal"] and (
         checks["semidistributive"] or lat.has_left_modular_chain(L)
     )
@@ -474,7 +474,7 @@ def _isomorphic(mins: np.ndarray, bottoms: np.ndarray, into_weak: np.ndarray) ->
 
 
 def _constructor_matches(
-    alpha: Composition, L: lat.FiniteLattice, irreducibles: list[int]
+    alpha: Composition, L: lat.FiniteLattice, irreducibles: np.ndarray
 ) -> bool:
     """The constructor's elements are exactly L's join-irreducibles, one per cell.
 

@@ -12,8 +12,6 @@ from btamari.lattice import (
     FinitePoset,
     _congruence_failure,
     has_left_modular_chain,
-    join_irreducibles,
-    meet_irreducibles,
     pack_words,
     try_lattice,
 )
@@ -35,6 +33,16 @@ from btamari.tamari import _weak_leq_matrix
 
 def perm(text: str) -> SignedPermutation:
     return SignedPermutation.parse(text)
+
+
+def perms(rows) -> list[SignedPermutation]:
+    """The signed permutations with the given right-part rows, in row order.
+
+    ``perms(quotient_rows(alpha))`` lists the quotient's members and
+    ``perms(lex_sorted(aligned_rows(alpha)))`` its aligned ones, each in
+    right-part order.
+    """
+    return [SignedPermutation(r) for r in np.asarray(rows).tolist()]
 
 
 def weak_leq(u: SignedPermutation, v: SignedPermutation) -> bool:
@@ -79,7 +87,7 @@ def is_extremal(lat: FiniteLattice) -> bool:
     The oracle for the extremality count ``verify_theorems`` makes inline.
     """
     ln = lat.length()
-    return len(join_irreducibles(lat)) == ln == len(meet_irreducibles(lat))
+    return len(lat.irreducibles[0]) == ln == len(lat.dual.irreducibles[0])
 
 
 def is_trim(lat: FiniteLattice) -> bool:
@@ -97,8 +105,8 @@ def is_left_modular_element(lat: FiniteLattice, p: int) -> bool:
     O(m^2) per element; the oracle for ``lattice._left_modular``, which
     tests the cover pairs instead.
     """
-    meet = lat.meet_table()
-    join = lat.join_table()
+    meet = lat.meet
+    join = lat.join
     lhs = meet[join[:, p]]
     rhs = join[:, meet[p]]
     return bool(((lhs == rhs) | ~lat.leq).all())
@@ -125,7 +133,7 @@ def lower_bounded_by_gather(lat: FiniteLattice, block_bytes: int = BLOCK_BYTES) 
     single = np.bincount(upper, minlength=lat.n)[upper] == 1
     order = np.argsort(upper[single])
     irr, lows = upper[single][order], lower[single][order]
-    join, below = lat.join_table(), lat.leq[irr]
+    join, below = lat.join, lat.leq[irr]
     dep = np.empty((len(irr), len(irr)), dtype=bool)
     step = max(1, block_bytes // (below.size + 1))
     for lo in range(0, len(irr), step):

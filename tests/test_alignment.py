@@ -14,14 +14,11 @@ from btamari.alignment import (
     _violations,
     aligned_mask,
     aligned_rows,
-    count_aligned,
     count_aligned_subtree,
     cover_counts,
     decompositions,
-    enumerate_aligned,
     find_231_pattern,
     find_312_pattern,
-    is_aligned,
     is_aligned_forcing,
     is_aligned_root,
 )
@@ -32,8 +29,8 @@ from btamari.parabolic import (
     Composition,
     _build_rows,
     all_compositions,
-    enumerate_quotient,
     inversion_order,
+    lex_sorted,
     quotient_rows,
     quotient_size,
 )
@@ -47,6 +44,7 @@ from conftest import (
     compositions,
     find_all_231_patterns,
     perm,
+    perms,
     root_vector,
     scan_plan_by_rows,
     violations_by_gather,
@@ -144,42 +142,42 @@ class TestCharacterizationEquivalence:
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
                 order = inversion_order(alpha)
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 mask = aligned_mask(alpha, [m.right for m in members])
                 for pi, batched in zip(members, mask):
                     root = is_aligned_root(pi, order)
                     forcing = is_aligned_forcing(alpha, pi)
-                    pattern = is_aligned(alpha, pi)
+                    pattern = find_231_pattern(alpha, pi) is None
                     assert root == forcing == pattern == bool(batched)
 
     @given(compositions(max_n=5), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_random_members_agree(self, alpha, rng):
-        members = enumerate_quotient(alpha)
+        members = perms(quotient_rows(alpha))
         pi = members[rng.randrange(len(members))]
         order = inversion_order(alpha)
         assert (
             is_aligned_root(pi, order)
             == is_aligned_forcing(alpha, pi)
-            == is_aligned(alpha, pi)
+            == (find_231_pattern(alpha, pi) is None)
         )
 
 
 class TestEnumerateAligned:
     def test_counts(self):
-        assert len(enumerate_aligned(Composition((1, 1, 1), split=True))) == 20
-        assert len(enumerate_aligned(Composition((1,), split=True))) == 2
-        assert len(enumerate_aligned(Composition((1,)))) == 1
+        assert len(aligned_rows(Composition((1, 1, 1), split=True))) == 20
+        assert len(aligned_rows(Composition((1,), split=True))) == 2
+        assert len(aligned_rows(Composition((1,)))) == 1
 
     def test_catalan_counts(self):
         from math import comb
 
         for n in (1, 2, 3, 4, 5):
             full = Composition((1,) * n, split=True)
-            assert count_aligned(full) == comb(2 * n, n)
+            assert len(aligned_rows(full)) == comb(2 * n, n)
 
     def test_sorted_output(self):
-        aligned = enumerate_aligned(Composition.parse("0,2,1"))
+        aligned = perms(lex_sorted(aligned_rows(Composition.parse("0,2,1"))))
         rights = [pi.right for pi in aligned]
         assert rights == sorted(rights)
         assert len(rights) == 16
@@ -187,11 +185,11 @@ class TestEnumerateAligned:
     def test_matches_scalar_filter(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                by_mask = [pi.right for pi in enumerate_aligned(alpha)]
+                by_mask = [pi.right for pi in perms(lex_sorted(aligned_rows(alpha)))]
                 by_scalar = [
                     pi.right
-                    for pi in enumerate_quotient(alpha)
-                    if is_aligned(alpha, pi)
+                    for pi in perms(quotient_rows(alpha))
+                    if find_231_pattern(alpha, pi) is None
                 ]
                 assert by_mask == by_scalar
 
@@ -213,17 +211,18 @@ class TestBatchInputs:
         # no successor or index arithmetic may wrap.
         alpha = Composition(parts)
         rows = quotient_rows(alpha)
-        members = enumerate_quotient(alpha)
+        members = perms(rows)
         counts = cover_counts(rows)
         mask = aligned_mask(alpha, rows)
         assert [len(pi.cover_inversions()) for pi in members] == counts.tolist()
         for pi, keep in list(zip(members, mask))[::25]:
-            assert is_aligned(alpha, pi) == bool(keep)
+            assert (find_231_pattern(alpha, pi) is None) == bool(keep)
         assert np.array_equal(_sorted(aligned_rows(alpha)), rows[mask])
 
     def test_members_hold_python_ints(self):
         for alpha in (Composition.parse("0,2,1"), Composition.parse("2,1,1")):
-            for members in (enumerate_quotient(alpha), enumerate_aligned(alpha)):
+            for rows in (quotient_rows(alpha), lex_sorted(aligned_rows(alpha))):
+                members = perms(rows)
                 assert members
                 assert all(type(v) is int for pi in members for v in pi.right)
 
@@ -255,7 +254,11 @@ class TestAlignedRows:
     def test_matches_filter_at_degree_seven(self, text):
         self.assert_matches_filter(Composition.parse(text))
 
-    @pytest.mark.parametrize("count", [count_aligned, cover_enumerator])
+    @pytest.mark.parametrize(
+        "count",
+        [lambda alpha, cap=None: len(aligned_rows(alpha, cap)), cover_enumerator],
+        ids=["aligned_rows", "cover_enumerator"],
+    )
     def test_cap_one_below_largest_expansion(self, count):
         # The cap bounds the rows held before a block's prune, not the
         # quotient size; the two-array oracle reports each expansion to keep.
@@ -276,10 +279,10 @@ class TestAlignedRows:
         alpha = Composition.parse("0,1,1,1,1,1,2,1")
         assert quotient_size(alpha) > DEFAULT_CAP
         with pytest.raises(CapExceededError) as info:
-            count_aligned(alpha, cap=716_639)
+            aligned_rows(alpha, cap=716_639)
         assert info.value.required == 716_640
-        assert count_aligned(alpha, cap=DEFAULT_CAP) == count_aligned(
-            alpha, cap=716_640
+        assert np.array_equal(
+            aligned_rows(alpha, cap=DEFAULT_CAP), aligned_rows(alpha, cap=716_640)
         )
 
     def test_cap_checked_before_the_block_tables(self, monkeypatch):
@@ -289,7 +292,7 @@ class TestAlignedRows:
 
         monkeypatch.setattr(parabolic, "_block_gather", not_called)
         with pytest.raises(CapExceededError) as info:
-            count_aligned(Composition((30,), split=True), cap=DEFAULT_CAP)
+            aligned_rows(Composition((30,), split=True), cap=DEFAULT_CAP)
         assert (info.value.required, info.value.cap) == (2**30, DEFAULT_CAP)
 
 
@@ -456,7 +459,7 @@ class TestPositionMajorPrune:
 
 class TestPrefixWalk:
     """``t_sequence``'s walk of composition prefixes against the sum of
-    ``count_aligned`` over the compositions, its oracle."""
+    ``aligned_rows`` counted over the compositions, its oracle."""
 
     @staticmethod
     def per_subtree(count, max_n):
@@ -478,10 +481,10 @@ class TestPrefixWalk:
                     assert count_aligned_subtree(n, split, first) == expected
 
     def test_subtrees_match_per_composition_counts(self):
-        self.assert_every_degree(count_aligned, 7)
+        self.assert_every_degree(lambda alpha: len(aligned_rows(alpha)), 7)
 
     def test_subtrees_match_filter_counts(self):
-        # ``count_aligned`` shares the walk's block step; the filter over
+        # ``aligned_rows`` shares the walk's block step; the filter over
         # the whole quotient does not.
         self.assert_every_degree(
             lambda alpha: int(aligned_mask(alpha, quotient_rows(alpha)).sum()), 6
@@ -533,7 +536,7 @@ class TestCoverCounts:
     def test_against_scalar(self, all_small_compositions):
         for n in (2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 batched = cover_counts([m.right for m in members])
                 for pi, c in zip(members, batched):
                     assert len(pi.cover_inversions()) == int(c)

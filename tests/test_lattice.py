@@ -12,10 +12,8 @@ from btamari.lattice import (
     _left_modular,
     _lower_bounded,
     is_congruence_uniform,
-    join_irreducibles,
     lattice_to_dot,
     lattice_to_json,
-    meet_irreducibles,
     quotient_order,
     semidistributivity_witness,
     try_lattice,
@@ -119,8 +117,8 @@ def semidistributivity_scan(lat):
     p * q = p * r != p * (q + r), where * is the law's operation and + the
     other one.
     """
-    meet = lat.meet_table()
-    join = lat.join_table()
+    meet = lat.meet
+    join = lat.join
     for table, other, name in ((join, meet, "join"), (meet, join, "meet")):
         for p in range(lat.n):
             row = table[p]
@@ -136,8 +134,8 @@ def semidistributivity_scan(lat):
 def violates_its_law(lat, witness):
     name, p, q, r = witness
     table, other = (
-        (lat.join_table(), lat.meet_table()) if name == "join"
-        else (lat.meet_table(), lat.join_table())
+        (lat.join, lat.meet) if name == "join"
+        else (lat.meet, lat.join)
     )
     return table[p, q] == table[p, r] != table[p, other[q, r]]
 
@@ -147,7 +145,7 @@ def loop_check_congruence(lat, partition):
     if len(partition.block_of) != lat.n:
         return False, "partition size does not match the lattice"
     leq = lat.leq
-    meet, join = lat.meet_table(), lat.join_table()
+    meet, join = lat.meet, lat.join
     mins = np.empty(len(partition.blocks), dtype=np.int64)
     maxs = np.empty(len(partition.blocks), dtype=np.int64)
     for b, members in enumerate(partition.blocks):
@@ -218,8 +216,8 @@ def refines(finer, coarser):
 
 def congruence_closure(lat, pairs):
     """Finest congruence identifying all the given pairs, by closure."""
-    meet = lat.meet_table()
-    join = lat.join_table()
+    meet = lat.meet
+    join = lat.join
     parent = list(range(lat.n))
 
     def find(x):
@@ -286,7 +284,7 @@ def closure_cg_map_injective(lat):
     Each join-irreducible j must generate its own congruence con(j_*, j).
     """
     seen = set()
-    for j in join_irreducibles(lat):
+    for j in lat.irreducibles[0].tolist():
         theta = principal_congruence(lat, lower_cover(lat, j), j)
         if theta in seen:
             return False
@@ -450,7 +448,7 @@ class TestPosets:
         # grouped by the dual's upper end rather than row-major; its heights,
         # meet-irreducibles and left-modular chain agree with the oracles.
         for name, lat in small_lattices.items():
-            dual = lat.dual()
+            dual = lat.dual
             lower, upper = lat.covers
             assert dual.covers[0] is upper and dual.covers[1] is lower, name
             flipped = FinitePoset(lat.labels, lat.leq.T)
@@ -460,7 +458,7 @@ class TestPosets:
             assert np.array_equal(dual.heights, heights_by_rounds(flipped)), name
             hasse_lower = hasse_by_definition(lat)[0]
             one_upper = np.bincount(hasse_lower, minlength=lat.n) == 1
-            assert meet_irreducibles(lat) == np.flatnonzero(one_upper).tolist(), name
+            assert np.array_equal(dual.irreducibles[0], np.flatnonzero(one_upper)), name
             chain_found = has_left_modular_chain(dual)
             assert chain_found == left_modular_chain_by_search(dual), name
 
@@ -472,10 +470,10 @@ class TestPosets:
         quot = try_lattice(quotient_order(weak.labels, *order_words(weak), bottoms))
         for lat in (weak, build_tamari(alpha), quot):
             assert isinstance(lat, FinitePoset)
-            twice = lat.dual().dual()
+            twice = lat.dual.dual
             assert np.array_equal(twice.leq, lat.leq)
-            assert np.array_equal(twice.meet_table(), lat.meet_table())
-            assert np.array_equal(twice.join_table(), lat.join_table())
+            assert np.array_equal(twice.meet, lat.meet)
+            assert np.array_equal(twice.join, lat.join)
 
 
     def test_lattice_and_dual_freed_without_the_collector(self):
@@ -486,9 +484,9 @@ class TestPosets:
         alpha = Composition.parse("0,2,1")
         tam = build_tamari(alpha)
         assert verify_theorems(alpha, tam=tam).ok
-        assert tam.dual() is tam.dual()
-        assert meet_irreducibles(tam) == join_irreducibles(tam.dual())
-        refs = weakref.ref(tam), weakref.ref(tam.dual())
+        assert tam.dual is tam.dual
+        assert len(tam.dual.irreducibles[0]) == len(tam.irreducibles[0])
+        refs = weakref.ref(tam), weakref.ref(tam.dual)
         gc.disable()
         try:
             del tam
@@ -500,7 +498,7 @@ class TestPosets:
 class TestTryLattice:
     def test_chain(self):
         lat = chain(3)
-        assert lat.meet_table()[0, 2] == 0 and lat.join_table()[0, 2] == 2
+        assert lat.meet[0, 2] == 0 and lat.join[0, 2] == 2
 
     def test_antichain_fails(self):
         poset = poset_from([0, 1], lambda a, b: a == b)
@@ -514,10 +512,10 @@ class TestTryLattice:
         # absorption plus order compatibility on every pair
         for a in range(0, 48, 7):
             for b in range(0, 48, 5):
-                m, j = lat.meet_table()[a, b], lat.join_table()[a, b]
+                m, j = lat.meet[a, b], lat.join[a, b]
                 assert lat.leq[m, a] and lat.leq[m, b]
                 assert lat.leq[a, j] and lat.leq[b, j]
-                assert (lat.meet_table()[a, j], lat.join_table()[a, m]) == (a, a)
+                assert (lat.meet[a, j], lat.join[a, m]) == (a, a)
                 assert lat.leq[a, b] == (m == a) == (j == b)
 
     def test_tables_match_dense_oracle(self, small_lattices):
@@ -525,9 +523,9 @@ class TestTryLattice:
         for name, lat in small_lattices.items():
             rebuilt = try_lattice(lat)
             meet, join = dense_try_lattice(lat)
-            assert rebuilt.meet_table().dtype == rebuilt.join_table().dtype == np.int32
-            assert np.array_equal(rebuilt.meet_table(), meet), name
-            assert np.array_equal(rebuilt.join_table(), join), name
+            assert rebuilt.meet.dtype == rebuilt.join.dtype == np.int32
+            assert np.array_equal(rebuilt.meet, meet), name
+            assert np.array_equal(rebuilt.join, join), name
 
     def test_witness_matches_dense_oracle(self):
         rng = np.random.default_rng(4)
@@ -546,8 +544,8 @@ class TestTryLattice:
                 assert (info.value.pair, info.value.reason) == (exc.pair, exc.reason)
             else:
                 lat = try_lattice(poset)
-                assert np.array_equal(lat.meet_table(), expected[0])
-                assert np.array_equal(lat.join_table(), expected[1])
+                assert np.array_equal(lat.meet, expected[0])
+                assert np.array_equal(lat.join, expected[1])
         assert failures > 100
 
     @pytest.mark.parametrize("block_bytes", [lattice.BLOCK_BYTES, 1])
@@ -587,8 +585,8 @@ class TestTryLattice:
                 outcomes.append("no bound" if not bounds.any() else "no least bound")
             else:
                 lat = try_lattice(poset)
-                assert np.array_equal(lat.meet_table(), expected[0])
-                assert np.array_equal(lat.join_table(), expected[1])
+                assert np.array_equal(lat.meet, expected[0])
+                assert np.array_equal(lat.join, expected[1])
                 outcomes.append("lattice")
         assert outcomes.count("lattice") > 8
         assert set(outcomes) == {"lattice", "no bound", "no least bound"}
@@ -605,17 +603,17 @@ class TestTryLattice:
 class TestIrreducibles:
     def test_chain(self):
         lat = chain(4)
-        assert join_irreducibles(lat) == [1, 2, 3]
-        assert meet_irreducibles(lat) == [0, 1, 2]
+        assert lat.irreducibles[0].tolist() == [1, 2, 3]
+        assert lat.dual.irreducibles[0].tolist() == [0, 1, 2]
 
     def test_boolean_rank_two(self):
         lat = boolean(2)
-        assert len(join_irreducibles(lat)) == 2
+        assert len(lat.irreducibles[0]) == 2
 
     def test_m3(self):
         lat = m3()
-        assert len(join_irreducibles(lat)) == 3
-        assert len(meet_irreducibles(lat)) == 3
+        assert len(lat.irreducibles[0]) == 3
+        assert len(lat.dual.irreducibles[0]) == 3
 
     def test_lower_cover(self):
         lat = chain(3)
@@ -636,7 +634,7 @@ class TestLength:
         for n in range(1, 6):
             for alpha in all_compositions(n):
                 tam = build_tamari(alpha)
-                for lat in (tam, tam.dual()):
+                for lat in (tam, tam.dual):
                     expected = heights_by_rounds(lat)
                     assert np.array_equal(lat.heights, expected), alpha
                     assert lat.length() == expected.max()
@@ -669,7 +667,7 @@ class TestLength:
         # The full group of degree 6, and an int16 degree whose Tam_B is a chain.
         tam = build_tamari(Composition.parse(text))
         assert (tam.n, tam.length()) == (size, length)
-        for lat in (tam, tam.dual()):
+        for lat in (tam, tam.dual):
             assert np.array_equal(lat.heights, heights_by_rounds(lat))
 
 
@@ -942,7 +940,7 @@ class TestCongruenceUniformity:
         named = dict(small_lattices)
         named.update(chain=chain(4), m3=m3(), n5=n5(), boolean=boolean(2))
         for name, lat in named.items():
-            for side, half in (("", lat), ("dual ", lat.dual())):
+            for side, half in (("", lat), ("dual ", lat.dual)):
                 expected = closure_cg_map_injective(half)
                 for block_bytes in self.BLOCK_BYTES:
                     monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
@@ -955,9 +953,9 @@ class TestCongruenceUniformity:
             seen = set()
             for _ in range(200):
                 lat = intersection_closed_lattice(rng)
-                halves = (_lower_bounded(lat), _lower_bounded(lat.dual()))
+                halves = (_lower_bounded(lat), _lower_bounded(lat.dual))
                 expected = (
-                    closure_cg_map_injective(lat), closure_cg_map_injective(lat.dual())
+                    closure_cg_map_injective(lat), closure_cg_map_injective(lat.dual)
                 )
                 assert halves == expected
                 assert is_congruence_uniform(lat) == all(expected)
@@ -977,7 +975,7 @@ class TestCongruenceUniformity:
         assert len(named) == 62 + 30
         seen = set()
         for name, lat in named.items():
-            for side, half in (("", lat), ("dual ", lat.dual())):
+            for side, half in (("", lat), ("dual ", lat.dual)):
                 expected = lower_bounded_by_gather(half)
                 seen.add(expected)
                 for block_bytes in self.BLOCK_BYTES:
@@ -994,8 +992,8 @@ class TestCongruenceUniformity:
         lattices += [tree_lattice(rng, int(rng.integers(67, 200))) for _ in range(6)]
         seen = set()
         for lat in lattices:
-            assert 65 <= lat.n <= 200 and len(join_irreducibles(lat)) > 64
-            for half in (lat, lat.dual()):
+            assert 65 <= lat.n <= 200 and len(lat.irreducibles[0]) > 64
+            for half in (lat, lat.dual):
                 expected = lower_bounded_by_gather(half)
                 seen.add(expected)
                 for block_bytes in self.BLOCK_BYTES:
@@ -1007,7 +1005,7 @@ class TestCongruenceUniformity:
         for lat in (chain(4), n5(), weak_order_lattice_raw(2), m3(), boolean(2)):
             if is_congruence_uniform(lat):
                 assert semidistributivity_witness(lat) is None
-                assert len(join_irreducibles(lat)) == len(meet_irreducibles(lat))
+                assert len(lat.irreducibles[0]) == len(lat.dual.irreducibles[0])
 
 
 class TestTrimness:
@@ -1041,7 +1039,7 @@ class TestTrimness:
         tams = [build_tamari(alpha) for n in range(1, 7) for alpha in all_compositions(n)]
         assert len(tams) == 126
         for lat in tams:
-            assert has_left_modular_chain(lat) and has_left_modular_chain(lat.dual())
+            assert has_left_modular_chain(lat) and has_left_modular_chain(lat.dual)
 
     def test_hexagon_has_no_left_modular_chain(self):
         # Two 3-chains sharing only the bounds, 0 < a < b < 1 and 0 < c < d
@@ -1050,7 +1048,7 @@ class TestTrimness:
         covers = [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)]
         lat = try_lattice(from_covers(list("0abcd1"), covers))
         assert semidistributivity_witness(lat) is None
-        counts = len(join_irreducibles(lat)), len(meet_irreducibles(lat)), lat.length()
+        counts = len(lat.irreducibles[0]), len(lat.dual.irreducibles[0]), lat.length()
         assert counts == (4, 4, 3)
         assert [p for p in range(lat.n) if is_left_modular_element(lat, p)] == [0, 5]
         assert not left_modular_chain_by_search(lat)
@@ -1062,7 +1060,7 @@ class TestTrimness:
         # families and the hexagon, in blocks of the default size and of
         # one element.
         lattices = [build_tamari(alpha) for n in range(1, 6) for alpha in all_compositions(n)]
-        lattices += [lat.dual() for lat in lattices]
+        lattices += [lat.dual for lat in lattices]
         rng = np.random.default_rng(24)
         for _ in range(300):
             try:
@@ -1086,7 +1084,7 @@ class TestTrimness:
         # random posets, whose indices are not a linear extension, and 100
         # intersection-closed families, some of them with no such chain.
         lattices = [build_tamari(alpha) for n in range(1, 5) for alpha in all_compositions(n)]
-        lattices += [lat.dual() for lat in lattices]
+        lattices += [lat.dual for lat in lattices]
         rng = np.random.default_rng(24)
         for _ in range(300):
             try:

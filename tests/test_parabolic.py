@@ -18,7 +18,6 @@ from btamari.parabolic import (
     _place_block,
     all_compositions,
     c_sorting_word,
-    enumerate_quotient,
     inversion_order,
     inversion_order_from_word,
     is_member,
@@ -37,6 +36,7 @@ from conftest import (
     compositions,
     full_group,
     perm,
+    perms,
     suffix_chain,
     tableau_reflections_by_loop,
     weak_leq,
@@ -119,29 +119,29 @@ class TestMembership:
 
 class TestEnumeration:
     def test_sizes(self):
-        assert len(enumerate_quotient(Composition.parse("0,1,2"))) == 24
-        assert len(enumerate_quotient(Composition.parse("1,2"))) == 12
+        assert len(perms(quotient_rows(Composition.parse("0,1,2")))) == 24
+        assert len(perms(quotient_rows(Composition.parse("1,2")))) == 12
         for n in (2, 3):
             full = staircase(n)
             assert quotient_size(full) == (1 << n) * factorial(n)
-            assert len(enumerate_quotient(full)) == quotient_size(full)
+            assert len(perms(quotient_rows(full))) == quotient_size(full)
 
     def test_sorted_and_distinct(self):
-        members = enumerate_quotient(Composition.parse("0,2,1"))
+        members = perms(quotient_rows(Composition.parse("0,2,1")))
         rights = [m.right for m in members]
         assert rights == sorted(rights)
         assert len(set(rights)) == len(rights)
 
     def test_cap(self):
         with pytest.raises(CapExceededError) as info:
-            enumerate_quotient(staircase(4), cap=100)
+            quotient_rows(staircase(4), cap=100)
         assert info.value.required == 384
 
     def test_filter_oracle_agreement(self, all_small_compositions):
         for n in (1, 2, 3, 4):
             group = full_group(n)
             for alpha in all_small_compositions[n]:
-                direct = [m.right for m in enumerate_quotient(alpha)]
+                direct = [m.right for m in perms(quotient_rows(alpha))]
                 filtered = sorted(pi.right for pi in group if is_member(alpha, pi))
                 assert direct == filtered
 
@@ -252,7 +252,7 @@ class TestQuotientRows:
     def test_large_index_tables(self, text):
         # 512 sign masks, and C(12, 7) = 792 slot choices.
         alpha = Composition.parse(text)
-        members = enumerate_quotient(alpha)
+        members = perms(quotient_rows(alpha))
         rights = [pi.right for pi in members]
         assert len(set(rights)) == len(rights) == quotient_size(alpha)
         assert rights == sorted(rights)
@@ -346,7 +346,7 @@ class TestLongestElement:
             for alpha in all_small_compositions[n]:
                 omega = longest_element(alpha)
                 assert is_member(alpha, omega)
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 assert all(weak_leq(pi, omega) for pi in members)
                 assert all(
                     pi == omega or not weak_leq(omega, pi) for pi in members
@@ -371,7 +371,7 @@ class TestLongestElement:
             for alpha in all_small_compositions[n]:
                 omega = longest_element(alpha)
                 interval = {pi.right for pi in group if weak_leq(pi, omega)}
-                quotient = {pi.right for pi in enumerate_quotient(alpha)}
+                quotient = {pi.right for pi in perms(quotient_rows(alpha))}
                 assert interval == quotient
 
 
@@ -487,7 +487,7 @@ class TestInversionOrder:
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
                 top = longest_element(alpha).inversion_set()
-                for pi in enumerate_quotient(alpha):
+                for pi in perms(quotient_rows(alpha)):
                     assert pi.inversion_set() <= top
 
     def test_suffix_chain_is_graded(self):

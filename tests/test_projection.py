@@ -13,7 +13,6 @@ from btamari.parabolic import (
     Composition,
     _build_rows,
     all_compositions,
-    enumerate_quotient,
     lex_sorted,
     longest_element,
     quotient_rows,
@@ -37,6 +36,7 @@ from conftest import (
     full_group,
     mul_reflection_right,
     perm,
+    perms,
     weak_leq,
 )
 
@@ -86,14 +86,14 @@ class TestProjectDown:
     def test_fixpoint_iff_avoiding(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                for pi in enumerate_quotient(alpha):
+                for pi in perms(quotient_rows(alpha)):
                     fixed = project_down(alpha, pi) == pi
                     assert fixed == (find_231_pattern(alpha, pi) is None)
 
     def test_result_is_maximal_avoider_below(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 avoiders = [p for p in members if find_231_pattern(alpha, p) is None]
                 for pi in members:
                     down = project_down(alpha, pi)
@@ -110,7 +110,7 @@ class TestConfluence:
     def test_randomized_elimination_orders(self, all_small_compositions):
         rng = random.Random(991)
         for alpha in all_small_compositions[3]:
-            members = enumerate_quotient(alpha)
+            members = perms(quotient_rows(alpha))
             expected = {pi.right: project_down(alpha, pi).right for pi in members}
             witness_cache: dict = {}
 
@@ -137,7 +137,7 @@ class TestConfluence:
         count = 0
         for n in (1, 2, 3, 4):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 rights = [pi.right for pi in members]
                 bottoms = dict(zip(rights, recursive_fiber_bottoms(alpha, members)))
                 for pi in members:
@@ -161,13 +161,13 @@ class TestIota:
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
                 omega = longest_element(alpha)
-                for pi in enumerate_quotient(alpha):
+                for pi in perms(quotient_rows(alpha)):
                     assert iota(alpha, pi) == pi.compose(omega)
 
     def test_involution_and_order_reversal(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 for pi in members:
                     assert iota(alpha, iota(alpha, pi)) == pi
                 for u in members:
@@ -179,7 +179,7 @@ class TestIota:
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
                 top = longest_element(alpha).inversion_set()
-                for pi in enumerate_quotient(alpha):
+                for pi in perms(quotient_rows(alpha)):
                     image = iota(alpha, pi)
                     assert len(pi.inversion_set()) + len(image.inversion_set()) == len(top)
 
@@ -194,7 +194,7 @@ class TestProjectUp:
     def test_up_is_class_maximum(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 fibers: dict = {}
                 for pi in members:
                     fibers.setdefault(project_down(alpha, pi).right, []).append(pi)
@@ -207,14 +207,14 @@ class TestProjectUp:
     def test_312_projection_fixpoints(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                for pi in enumerate_quotient(alpha):
+                for pi in perms(quotient_rows(alpha)):
                     fixed = project_onto_312(alpha, pi) == pi
                     assert fixed == (find_312_pattern(alpha, pi) is None)
 
     def test_312_count_matches_231_count(self, all_small_compositions):
         for n in (1, 2, 3, 4):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 n231 = sum(find_231_pattern(alpha, p) is None for p in members)
                 n312 = sum(find_312_pattern(alpha, p) is None for p in members)
                 assert n231 == n312
@@ -222,7 +222,7 @@ class TestProjectUp:
     def test_iota_sends_312_avoiders_to_fiber_tops(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 tops = {project_up(alpha, pi).right for pi in members}
                 avoiders = {
                     iota(alpha, p).right
@@ -315,6 +315,28 @@ class TestRowIndex:
         with pytest.raises(ValueError, match=r"^1 is not a row of width 2$"):
             find([(1,), (2,)])
 
+    def test_values_the_dtype_cannot_hold_raise(self):
+        # In int8, 253 wraps to -3, and -3,-2,-1 is row 0 of 0,2,1.
+        rows = quotient_rows(A021)
+        find = row_lookup(rows)
+        assert rows.dtype == np.int8 and rows[0].tolist() == [-3, -2, -1]
+        message = r"^253,-2,-1 does not fit the rows' dtype int8$"
+        with pytest.raises(ValueError, match=message):
+            find(np.array([(253, -2, -1)], dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            find([253, -2, -1])
+        with pytest.raises(ValueError, match=r"^-1\.0,1\.0,-2\.5 does not fit"):
+            find([(-3, -2, -1), (-1.0, 1.0, -2.5)])
+        with pytest.raises(ValueError, match=f"^{2**70},-2,-1 does not fit"):
+            find([(2**70, -2, -1)])
+        assert find(np.array([(-3, -2, -1)], dtype=np.int64)).tolist() == [0]
+
+    def test_empty_table(self):
+        find = row_lookup(np.empty((0, 3), dtype=np.int8))
+        with pytest.raises(ValueError, match=r"^1,2,3 is not among the rows$"):
+            find([(1, 2, 3)])
+        assert find(np.empty((0, 3), dtype=np.int8)).tolist() == []
+
     def test_same_answer_for_any_integer_input(self):
         rows = quotient_rows(A021)
         wanted = rows[np.random.default_rng(5).permutation(len(rows))]
@@ -331,7 +353,7 @@ class TestRowIndex:
         members = [SignedPermutation(r) for r in rows.tolist()]
         bottoms = fiber_bottoms(alpha, rows)
         assert [members[b] for b in bottoms] == [project_down(alpha, pi) for pi in members]
-        classes = theta_classes(alpha)
+        classes = list(theta_classes(alpha))
         assert (len(rows), len(classes)) == (728, 378)
         assert max(len(c.members) for c in classes) == 27
         for cls in classes:
@@ -367,17 +389,17 @@ class TestRowLayout:
 
 class TestThetaClasses:
     def test_tiny(self):
-        classes = theta_classes(Composition((1,), split=True))
+        classes = list(theta_classes(Composition((1,), split=True)))
         assert len(classes) == 2
         assert all(len(c.members) == 1 for c in classes)
 
     def test_staircase_three(self):
-        classes = theta_classes(Composition((1, 1, 1), split=True))
+        classes = list(theta_classes(Composition((1, 1, 1), split=True)))
         assert len(classes) == 20
         assert sum(len(c.members) for c in classes) == 48
 
     def test_021_classes(self):
-        classes = theta_classes(A021)
+        classes = list(theta_classes(A021))
         assert len(classes) == 16
         assert sum(len(c.members) for c in classes) == 24
         sizes = sorted(len(c.members) for c in classes)
@@ -386,8 +408,8 @@ class TestThetaClasses:
     def test_classes_are_intervals(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
-                classes = theta_classes(alpha)
+                members = perms(quotient_rows(alpha))
+                classes = list(theta_classes(alpha))
                 assert sum(len(c.members) for c in classes) == len(members)
                 for cls in classes:
                     bottom = SignedPermutation(cls.bottom.tolist())
@@ -406,7 +428,7 @@ class TestThetaClasses:
     def test_projection_order_preserving_on_covers(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 for u in members:
                     for v in members:
                         if weak_leq(u, v):
@@ -416,7 +438,7 @@ class TestThetaClasses:
     def test_two_ends_meet(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 down = {p.right: project_down(alpha, p).right for p in members}
                 up = {p.right: project_up(alpha, p).right for p in members}
                 for u in members:
@@ -428,7 +450,7 @@ class TestThetaClasses:
     def test_order_convexity(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 down = {p.right: project_down(alpha, p).right for p in members}
                 for u in members:
                     for w in members:
@@ -441,7 +463,7 @@ class TestThetaClasses:
     def test_cover_trichotomy(self, all_small_compositions):
         for n in (1, 2, 3):
             for alpha in all_small_compositions[n]:
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 down = {p.right: project_down(alpha, p).right for p in members}
                 up = {p.right: project_up(alpha, p).right for p in members}
                 for pi in members:

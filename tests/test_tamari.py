@@ -10,18 +10,16 @@ import pytest
 from btamari import lattice, parabolic, projection, tamari
 from btamari.cli import main
 from btamari.errors import CapExceededError, NotALatticeError
-from btamari.lattice import join_irreducibles
 from btamari.parabolic import (
     Composition,
     all_compositions,
-    enumerate_quotient,
     parabolic_length,
     quotient_rows,
     quotient_size,
     resolve_cap,
     sorting_word_longest,
 )
-from btamari.alignment import cover_counts, is_aligned, left_descents
+from btamari.alignment import cover_counts, find_231_pattern, left_descents
 from btamari.projection import fiber_bottoms, project_down
 from btamari.signed_perm import POS, SIGN, SignedPermutation, format_right
 from btamari.tamari import CHECKS, build_tamari, join_irreducible_for, verify_theorems
@@ -33,6 +31,7 @@ from conftest import (
     inversion_words_whole,
     order_words,
     perm,
+    perms,
     suffix_chain,
     tamari_meet_join_by_closure,
     weak_leq,
@@ -102,7 +101,7 @@ class TestJoinIrreducibles:
         built = join_irreducible_for(alpha, pair)
         assert built == perm(expected)
         # aligned, and the input inversion is the unique cover inversion
-        assert is_aligned(alpha, built)
+        assert find_231_pattern(alpha, built) is None
         assert len(built.cover_inversions()) == 1
 
     def test_mirror_realization_accepted(self):
@@ -141,7 +140,7 @@ class TestJoinIrreducibles:
                 built = {join_irreducible_for(alpha, pair).right for pair in pairs}
                 assert len(built) == len(pairs)
                 lat = build_tamari(alpha)
-                brute = set(map(tuple, lat.labels[join_irreducibles(lat)].tolist()))
+                brute = set(map(tuple, lat.labels[lat.irreducibles[0]].tolist()))
                 assert built == brute
 
     def test_array_cover_check_matches_cover_inversions(self):
@@ -195,7 +194,7 @@ class TestRowLocalMeetJoin:
         index = {row: q for q, row in enumerate(map(tuple, rows.tolist()))}
         for got, table in zip(
             tamari_meet_join_by_closure(alpha, rows[a], rows[b]),
-            (tam.meet_table(), tam.join_table()),
+            (tam.meet, tam.join),
         ):
             got = np.array([index[row] for row in map(tuple, got.tolist())])
             assert np.array_equal(got.reshape(m, m), table), alpha
@@ -217,7 +216,7 @@ class TestMaximalChain:
                 chain = suffix_chain(sorting_word_longest(alpha), n)
                 assert len(chain) == parabolic_length(alpha) + 1
                 for pi in chain:
-                    assert is_aligned(alpha, pi)
+                    assert find_231_pattern(alpha, pi) is None
                 for lower, upper in zip(chain, chain[1:]):
                     assert weak_leq(lower, upper)
 
@@ -260,8 +259,8 @@ class TestNotSublattice:
             expected = None
             for a, b in combinations(range(tam.n), 2):
                 pa, pb = tam_rows[a], tam_rows[b]
-                wm = tuple(weak.labels[weak.meet_table()[index[pa], index[pb]]].tolist())
-                tm = tam_rows[tam.meet_table()[a, b]]
+                wm = tuple(weak.labels[weak.meet[index[pa], index[pb]]].tolist())
+                tm = tam_rows[tam.meet[a, b]]
                 if wm != tm:
                     expected = (pb, pa, wm, tm)
                     break
@@ -436,7 +435,7 @@ class TestWeakCovers:
         # of every quotient with n <= 4.
         for n in range(1, 5):
             for alpha in all_compositions(n):
-                members = enumerate_quotient(alpha)
+                members = perms(quotient_rows(alpha))
                 mask = left_descents([pi.right for pi in members])
                 expected = [
                     [
@@ -515,8 +514,6 @@ class TestVerifyBuildsOnce:
             (parabolic, "InversionTableau"),
             (tamari, "tableau_cells"),
             (tamari, "row_lookup"),
-            (lattice, "join_irreducibles"),
-            (lattice, "meet_irreducibles"),
             (lattice.FinitePoset, "length"),
         ]:
             original = getattr(module, name)
@@ -526,6 +523,12 @@ class TestVerifyBuildsOnce:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+        found = lattice.FiniteLattice.irreducibles.func
+        irreducibles = cached_property(
+            lambda self: calls.update(["irreducibles"]) or found(self)
+        )
+        irreducibles.__set_name__(lattice.FiniteLattice, "irreducibles")
+        monkeypatch.setattr(lattice.FiniteLattice, "irreducibles", irreducibles)
         assert verify_theorems(A021).ok
         # one quotient enumeration and one table of its inversion words;
         # tables for the subposet lattice only, none for the weak order or
@@ -533,8 +536,8 @@ class TestVerifyBuildsOnce:
         # one row lookup for their generator images and Tam_B's rows; one
         # congruence test; the tableau's labels once, with
         # no tableau object and no longest element as a signed permutation;
-        # L's irreducibles and length counted once, for extremality,
-        # trimness and the stats alike
+        # the irreducibles found once each for L and its dual, and L's
+        # length once, for extremality, trimness and the stats alike
         assert calls == {
             "fiber_bottoms": 1,
             "quotient_rows": 1,
@@ -543,8 +546,7 @@ class TestVerifyBuildsOnce:
             "try_lattice": 1,
             "tableau_cells": 1,
             "row_lookup": 1,
-            "join_irreducibles": 1,
-            "meet_irreducibles": 1,
+            "irreducibles": 2,
             "length": 1,
         }
 
@@ -576,8 +578,9 @@ class TestVerifyBuildsOnce:
         assert sizes == [m]
 
     def test_semidistributivity_scanned_once(self, monkeypatch):
-        # The report's witness asks again after the semidistributive check;
-        # both read one test, which runs the kappa criterion once per law.
+        # verify_theorems calls semidistributivity_witness once, for both
+        # the check and the report's witness; it runs the kappa criterion
+        # once per law, join first.
         laws = []
         original = lattice._kappa_witness
         monkeypatch.setattr(
@@ -805,14 +808,14 @@ class TestWeakOrderLattice:
 
     def test_matrix_matches_pairwise_weak_leq(self, all_small_compositions):
         inputs = [
-            enumerate_quotient(alpha)
+            perms(quotient_rows(alpha))
             for n in (1, 2, 3)
             for alpha in all_small_compositions[n]
         ]
         inputs.append(full_group(4))
         # n^2 > 64 inversion columns: two bit words per row, read as two
         # column blocks at BLOCK_BYTES = 1
-        inputs += [enumerate_quotient(Composition.parse(a)) for a in ("8,1", "7,2")]
+        inputs += [perms(quotient_rows(Composition.parse(a))) for a in ("8,1", "7,2")]
         for members in inputs:
             expected = np.array(
                 [[weak_leq(a, b) for b in members] for a in members], dtype=bool
