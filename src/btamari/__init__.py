@@ -26,7 +26,6 @@ from .errors import (
 )
 from .parabolic import (
     Composition,
-    InversionTableau,
     all_compositions,
     c_sorting_word,
     inversion_order,

@@ -308,7 +308,7 @@ def _scan_plan(alpha: Composition):
 
 
 def _held(cols: np.ndarray, plan):
-    """Per outer pair (i, k), in plan order, the mask of the elements holding its 231 pattern.
+    """Per outer pair (i, k) of the plan, k ascending: k, and the mask of its holders.
 
     ``cols`` is position major: one array row per position and one column
     per element's right part, or its first w positions when the plan reads
@@ -343,32 +343,29 @@ def _held(cols: np.ndarray, plan):
         if outer.start < 0:
             target = -target
         for i in outer:
-            yield cols[abs(i) - 1] == target
+            yield k, cols[abs(i) - 1] == target
 
 
 def _violations(rows: np.ndarray, plan) -> np.ndarray:
-    """Per row, the index of the last outer pair it holds (see ``_held``), or -1.
+    """Per row, the largest position k of an outer pair (i, k) it holds
+    (see ``_held``), or 0 when it holds none.
 
     ``rows`` is row major, one right part per row; it is transposed once
-    for ``_held``.  Pairs are counted in plan order, each entry's range in
-    turn.  A running maximum of the codes t + 1, in the narrowest unsigned
-    dtype, keeps the last pair held.
+    for ``_held``, and the positions keep the rows' dtype, which holds n.
+    Pairs come k ascending, so each one held overwrites the k before it.
     """
     cols = np.ascontiguousarray(rows.T)
-    code = np.min_scalar_type(sum(len(e[3]) for e in plan)).type
-    last = np.zeros(cols.shape[1], dtype=code)
-    for t, held in enumerate(_held(cols, plan)):
-        np.maximum(last, held.view(np.uint8) * code(t + 1), out=last)
-    found = last.astype(np.intp)
-    found -= 1
-    return found
+    largest = np.zeros(cols.shape[1], dtype=cols.dtype)
+    for k, held in _held(cols, plan):
+        np.copyto(largest, k, where=held)
+    return largest
 
 
 def _avoids(cols: np.ndarray, plan) -> np.ndarray:
     """True for the elements, columns of the position-major ``cols``, that
     hold no outer pair of the plan (see ``_held``)."""
     bad = np.zeros(cols.shape[1], dtype=bool)
-    for held in _held(cols, plan):
+    for _, held in _held(cols, plan):
         bad |= held
     return ~bad
 

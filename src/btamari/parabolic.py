@@ -228,7 +228,10 @@ def _split_slots(free: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         chosen = chosen[::-1]
     keep = np.ones((len(chosen), free), dtype=bool)
     keep[np.arange(len(chosen))[:, None], chosen] = False
-    rest = np.nonzero(keep)[1].reshape(len(chosen), free - short)
+    # Slot numbers masked from a broadcast row: np.nonzero would also list
+    # the row index of every kept slot.
+    slots = np.broadcast_to(np.arange(free), keep.shape)
+    rest = slots[keep].reshape(len(chosen), free - short)
     return (chosen, rest) if short == p else (rest, chosen)
 
 
@@ -264,8 +267,8 @@ def _block_gather(n: int, w: int, p: int, signed: bool):
     taken, left = _split_slots(n - w, p)
     pick = np.empty((n, len(taken)), dtype=np.intp)
     pick[:w] = np.arange(w)[:, None]
-    pick[w:w + p] = w + taken.T
-    pick[w + p:] = w + left.T
+    np.add(taken.T, w, out=pick[w:w + p])
+    np.add(left.T, w, out=pick[w + p:])
     signs = None
     if signed:
         slots, block_signs = _sign_table(p)
@@ -403,16 +406,6 @@ def parabolic_length(alpha: Composition) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class TableauCell:
-    row: int
-    col: int
-    row_label: int
-    col_label: int
-    generator: int
-    reflection: Reflection
-
-
 def tableau_cells(alpha: Composition):
     """The skew shape's mu and lam, and its cells' labels, row by row.
 
@@ -421,9 +414,7 @@ def tableau_cells(alpha: Composition):
     The row label is a1 + 1 - k in a join composition's first block and -k
     otherwise; column c's label is the longest element's value at position
     n + 1 - c up to c = n, and 2n + 1 - c past it; the cell's reflection
-    reads both labels (``_cell_reflection``).  ``InversionTableau`` wraps
-    the cells as ``TableauCell``s; a caller that needs only the labels
-    builds no objects but the reflections.
+    reads both labels (``_cell_reflection``).
     """
     n = alpha.n
     a1 = alpha.first_part
@@ -467,47 +458,25 @@ def _cell_reflection(r: int, c: int) -> Reflection:
     return Reflection(POS, -c, -r)
 
 
-class InversionTableau:
-    """The skew shape of a composition, filled with generators and reflections.
-
-    Row k occupies columns mu_k + 1 .. lam_k.  Reading the generator filling
-    bottom-to-top, left-to-right gives the sorting word of the longest
-    element; reading the reflection filling top-to-bottom, right-to-left gives
-    its inversion order.  The labels come from ``tableau_cells``.
-    """
-
-    def __init__(self, alpha: Composition):
-        self.alpha = alpha
-        self.mu, self.lam, rows = tableau_cells(alpha)
-        self.rows = tuple(
-            tuple(TableauCell(k, *cell) for cell in row)
-            for k, row in enumerate(rows, start=1)
-        )
-
-    def reading(self) -> list[Reflection]:
-        """Reflections top-to-bottom, right-to-left: the inversion order."""
-        return [cell.reflection for row in self.rows for cell in reversed(row)]
-
-    def generator_word(self) -> tuple[int, ...]:
-        """Generator indices bottom-to-top, left-to-right: the sorting word."""
-        return tuple(cell.generator for row in reversed(self.rows) for cell in row)
-
-
 def sorting_word_longest(alpha: Composition) -> tuple[int, ...]:
-    """The sorting word of the quotient's longest element, off the skew shape."""
-    return InversionTableau(alpha).generator_word()
+    """The sorting word of the quotient's longest element, off the skew shape:
+    the cells' generators read bottom-to-top, left-to-right."""
+    return tuple(cell[3] for row in reversed(tableau_cells(alpha)[2]) for cell in row)
 
 
 def inversion_order(alpha: Composition) -> list[Reflection]:
-    """The inversion order of the longest element's sorting word.
+    """The inversion order of the longest element's sorting word: the skew
+    shape's cells' reflections read top-to-bottom, right-to-left.
 
-    The skew-shape reading is checked against the word's conjugated suffixes
-    (``inversion_order_from_word``), an independent route kept as an oracle,
-    and a mismatch raises AssertionError.
+    The reading is checked against the conjugated suffixes
+    (``inversion_order_from_word``) of the sorting word, read off the same
+    cells as in ``sorting_word_longest``; that route is independent, kept as
+    an oracle, and a mismatch raises AssertionError.
     """
-    tableau = InversionTableau(alpha)
-    order = tableau.reading()
-    if order != inversion_order_from_word(tableau.generator_word(), alpha.n):
+    rows = tableau_cells(alpha)[2]
+    order = [cell[4] for row in rows for cell in reversed(row)]
+    word = tuple(cell[3] for row in reversed(rows) for cell in row)
+    if order != inversion_order_from_word(word, alpha.n):
         raise AssertionError(f"inversion-order cross-check failed for {alpha}")
     return order
 

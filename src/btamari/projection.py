@@ -10,11 +10,11 @@ per aligned element.
 The single-element projections take and return ``SignedPermutation``s.  The
 bulk routines work on the quotient as an (m, n) array of right-part rows and
 find rows by ``row_lookup``: ``fiber_bottoms`` eliminates one of each row's 231
-patterns, named by the scan it shares with ``aligned_mask``, and
-``theta_classes`` groups the rows by bottom, takes each fiber's longest
-member as its top and yields the fibers one at a time.  An elimination is
-the left action of one generator, which ``left_act`` computes on the rows'
-values.
+patterns, one whose outer pair (i, k) has the largest k, a position that the
+scan it shares with ``aligned_mask`` returns, and ``theta_classes`` groups
+the rows by bottom, takes each fiber's longest member as its top and yields
+the fibers one at a time.  An elimination is the left action of one
+generator, which ``left_act`` computes on the rows' values.
 """
 
 from __future__ import annotations
@@ -134,16 +134,15 @@ def left_act(rows: np.ndarray, gens) -> np.ndarray:
 def _pattern_generators(alpha: Composition, right: np.ndarray):
     """Rows holding a 231 pattern, and the generator that eliminates one of each.
 
-    The scan behind ``aligned_mask`` names an outer pair (i, k) of the plan
-    for each such row.  Its values, pi(i) = succ(u) and pi(k) = u, trade
-    places under the generator s that ``eliminate_pattern`` picks: s_0 for
-    u = -1, s_u for u > 0 and s_{-u-1} for u < -1.
+    The scan behind ``aligned_mask`` gives each such row the largest
+    position k of a pattern's outer pair (i, k).  Its values, pi(i) =
+    succ(u) and pi(k) = u, trade places under the generator s that
+    ``eliminate_pattern`` picks: s_0 for u = -1, s_u for u > 0 and
+    s_{-u-1} for u < -1.
     """
-    plan = _scan_plan(alpha)
-    pair = _violations(right, plan)
-    hit = np.flatnonzero(pair >= 0)
-    outer_k = np.array([k for k, _, _, group in plan for _ in group], dtype=np.intp)
-    u = right[hit, outer_k[pair[hit]] - 1].astype(np.intp)
+    k = _violations(right, _scan_plan(alpha))
+    hit = np.flatnonzero(k)
+    u = right[hit, k[hit] - 1].astype(np.intp)
     return hit, np.where(u == -1, 0, np.where(u > 0, u, -u - 1))
 
 

@@ -336,8 +336,7 @@ def find_all_231_patterns(alpha: Composition, pi: SignedPermutation):
 def tableau_reflections_by_loop(alpha: Composition):
     """The oracle for ``parabolic.tableau_cells``' reflections, row by row.
 
-    The labelling loop as ``InversionTableau`` ran it before it read
-    ``tableau_cells``: mu and lam per row, the longest element as a signed
+    A labelling loop: mu and lam per row, the longest element as a signed
     permutation, called at each column's position.
     """
     n, a1, p = alpha.n, alpha.first_part, alpha.prefix
@@ -412,7 +411,8 @@ def violations_by_gather(long: np.ndarray, plan) -> np.ndarray:
 
     Per outer pair, the cover test runs on every column; the middle max/min
     then runs only on the covered columns, gathered into a smaller array.
-    A later entry overwrites an earlier one, as in the library.
+    Each column gets the index of the last entry it holds, or -1; entries
+    come k by k, so that entry's k is the largest the library returns.
     """
     succ = long + 1
     succ[long == -1] = 1

@@ -328,6 +328,13 @@ def span_rows(span):
     return () if span is None else tuple(_long_row(c + 1) for c in range(*span))
 
 
+def oracle_positions(long, entries):
+    """Per column of ``long``, the k of the last of the ``oracle_plan``
+    entries the gather oracle finds held, or 0 when it finds none (-1)."""
+    ks = np.array([kk // 2 + 1 for _, kk, _, _ in entries] + [0])
+    return ks[violations_by_gather(long, entries)]
+
+
 class TestDenseScan:
     """The group plan and the dense scan against the row-by-row plan and the
     per-hit gather scan they replaced (``tests/conftest.py``)."""
@@ -365,15 +372,27 @@ class TestDenseScan:
 
     @staticmethod
     def assert_scans_match_oracle(rows, plan):
-        """Entry codes as the gather oracle's, and the prune, on the rows
-        read position major, as codes < 0."""
-        entries = _violations(rows, plan)
+        """Positions as the k of the gather oracle's last entry, and the
+        prune, on the rows read position major, as positions 0."""
+        largest = _violations(rows, plan)
         assert np.array_equal(
-            entries, violations_by_gather(_long_array(rows), oracle_plan(plan))
+            largest, oracle_positions(_long_array(rows), oracle_plan(plan))
         )
         kept = _avoids(rows.T, plan)
-        assert np.array_equal(kept, entries < 0)
-        return entries, kept
+        assert np.array_equal(kept, largest == 0)
+        return largest, kept
+
+    def test_positions_are_the_largest_pattern_k(self):
+        # Every member of every quotient with n <= 5, against the patterns
+        # the scalar scan lists.
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                rows = quotient_rows(alpha)
+                expected = [
+                    max((w.k for w in find_all_231_patterns(alpha, pi)), default=0)
+                    for pi in perms(rows)
+                ]
+                assert _violations(rows, _scan_plan(alpha)).tolist() == expected, alpha
 
     def test_entries_match_gather_oracle(self):
         for n in range(1, 7):
@@ -387,17 +406,21 @@ class TestDenseScan:
         self.assert_scans_match_oracle(quotient_rows(alpha), _scan_plan(alpha))
 
     def test_entries_match_gather_oracle_past_255_entries(self):
-        # 260 entries take uint16 entry codes; random signed permutations
-        # hold many patterns each, so the last one held must win.
+        # Random signed permutations hold many patterns each: every row here
+        # holds them at two positions k or more, so the largest position
+        # held must win over the smallest, which the gather oracle finds on
+        # the reversed plan.
         n = 14
         alpha = Composition((1,) * n, split=True)
         plan = _scan_plan(alpha)
-        assert len(oracle_plan(plan)) > 255
+        entries = oracle_plan(plan)
+        assert len(entries) > 255
         rng = np.random.default_rng(0)
         rows = np.array([rng.permutation(n) + 1 for _ in range(2000)], dtype=np.int8)
         rows *= rng.choice(np.array([-1, 1], dtype=np.int8), size=rows.shape)
-        entries, _ = self.assert_scans_match_oracle(rows, plan)
-        assert (entries > 255).any()
+        largest, _ = self.assert_scans_match_oracle(rows, plan)
+        smallest = oracle_positions(_long_array(rows), entries[::-1])
+        assert (largest > smallest).all()
 
     def test_entries_match_gather_oracle_at_every_block(self):
         # Each block step of ``aligned_rows`` prunes the filled positions

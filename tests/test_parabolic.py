@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import factorial
@@ -12,7 +13,6 @@ from btamari import parabolic
 from btamari.parabolic import (
     ROW_VALUES,
     Composition,
-    InversionTableau,
     _build_rows,
     _identity_state,
     _place_block,
@@ -334,6 +334,17 @@ class TestSplitSlots:
                 rest = [[x for x in range(free) if x not in c] for c in want]
                 assert left.tolist() == rest, (free, p)
 
+    def test_peak_near_the_slots_returned(self):
+        # The 2,001 complements of 2,000 slots are 32 MB of intp; listing
+        # them holds a bool mask beside them, and no index array as large.
+        tracemalloc.start()
+        try:
+            taken, left = parabolic._split_slots(2001, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (taken.nbytes + left.nbytes)
+
 
 class TestLongestElement:
     def test_examples(self):
@@ -377,29 +388,29 @@ class TestLongestElement:
 
 class TestSkewShape:
     def test_shapes(self):
-        t = InversionTableau(A3121)
-        assert t.mu == (7, 7, 7, 4, 3, 3, 1)
-        assert t.lam == (14, 13, 12, 11, 10, 9, 8)
-        t2 = InversionTableau(A422)
-        assert t2.mu == (8, 8, 8, 8, 4, 4, 2, 2)
-        assert t2.lam == (12, 12, 12, 12, 12, 11, 10, 9)
-        assert sum(map(len, InversionTableau(staircase(4)).rows)) == 16
+        mu, lam, _ = tableau_cells(A3121)
+        assert mu == (7, 7, 7, 4, 3, 3, 1)
+        assert lam == (14, 13, 12, 11, 10, 9, 8)
+        mu, lam, _ = tableau_cells(A422)
+        assert mu == (8, 8, 8, 8, 4, 4, 2, 2)
+        assert lam == (12, 12, 12, 12, 12, 11, 10, 9)
+        assert sum(map(len, tableau_cells(staircase(4))[2])) == 16
 
     def test_cell_labels_match_loop_oracle(self):
-        # The labels verify reads, with no tableau object, are the tableau's.
+        # Row k's cells fill columns mu_k + 1 .. lam_k, left to right, and
+        # their reflections are the labelling loop's.
         for n in range(1, 8):
             for alpha in all_compositions(n):
                 mu, lam, rows = tableau_cells(alpha)
                 found = [cell[-1] for row in rows for cell in row]
-                tableau = InversionTableau(alpha)
                 assert found == tableau_reflections_by_loop(alpha), alpha
-                assert found == [c.reflection for row in tableau.rows for c in row], alpha
-                assert (mu, lam) == (tableau.mu, tableau.lam)
+                for row, low, high in zip(rows, mu, lam):
+                    assert [cell[0] for cell in row] == list(range(low + 1, high + 1))
 
     def test_cell_count_is_length(self, all_small_compositions):
         for n in (1, 2, 3, 4):
             for alpha in all_small_compositions[n]:
-                assert sum(map(len, InversionTableau(alpha).rows)) == parabolic_length(alpha)
+                assert sum(map(len, tableau_cells(alpha)[2])) == parabolic_length(alpha)
 
 
 class TestSortingWords:

@@ -134,7 +134,7 @@ class TestJoinIrreducibles:
                     (t.i, t.j) if t.kind == POS
                     else (-t.i, t.i) if t.kind == SIGN
                     else (-t.i, t.j)
-                    for t in parabolic.InversionTableau(alpha).reading()
+                    for t in parabolic.inversion_order(alpha)
                 ]
                 assert len(pairs) == parabolic_length(alpha)
                 built = {join_irreducible_for(alpha, pair).right for pair in pairs}
@@ -511,7 +511,6 @@ class TestVerifyBuildsOnce:
             (parabolic, "longest_element"),
             (projection, "longest_element"),
             (tamari, "longest_element"),
-            (parabolic, "InversionTableau"),
             (tamari, "tableau_cells"),
             (tamari, "row_lookup"),
             (lattice.FinitePoset, "length"),
@@ -535,7 +534,7 @@ class TestVerifyBuildsOnce:
         # the quotient; covers and fibers read off the quotient's rows, with
         # one row lookup for their generator images and Tam_B's rows; one
         # congruence test; the tableau's labels once, with
-        # no tableau object and no longest element as a signed permutation;
+        # no longest element as a signed permutation;
         # the irreducibles found once each for L and its dual, and L's
         # length once, for extremality, trimness and the stats alike
         assert calls == {
