@@ -20,7 +20,6 @@ from .enumeration import (
 from .errors import (
     CapExceededError,
     CompositionError,
-    NotACongruenceError,
     NotALatticeError,
     NotAPermutationError,
 )

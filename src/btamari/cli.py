@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import lattice as lat
 from .alignment import aligned_rows
 from .enumeration import (
@@ -25,7 +23,6 @@ from .enumeration import (
 from .errors import (
     CapExceededError,
     CompositionError,
-    NotACongruenceError,
     NotALatticeError,
     out_of_memory,
 )
@@ -67,9 +64,9 @@ def _cmd_enumerate(args) -> int:
         for alpha in _alpha_values(args)
     ]
     chunks = (
-        list(map(format_right, chunk.tolist()))
+        list(map(format_right, rows[block].tolist()))
         for rows in tables
-        for chunk in np.array_split(rows, max(1, rows.nbytes // lat.BLOCK_BYTES))
+        for block in lat.blocks(len(rows), rows.itemsize * rows.shape[1])
     )
     if args.format == "json":
         _write_json_list(line for lines in chunks for line in lines)
@@ -105,7 +102,9 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    names = CHECKS if args.check in (None, "all") else args.check.split(",")
+    names = CHECKS if args.check in (None, "all") else [
+        name.strip() for name in args.check.split(",")
+    ]
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}")
@@ -310,8 +309,8 @@ def run(command, cap: int | None = None) -> int:
         message, status = exc, EXIT_CAP
     except MemoryError:
         message, status = out_of_memory(cap), EXIT_CAP
-    except (NotALatticeError, NotACongruenceError, AssertionError) as exc:
-        # Both lattice errors subclass ValueError, so they must come first.
+    except (NotALatticeError, AssertionError) as exc:
+        # NotALatticeError subclasses ValueError, so it must come first.
         message, status = exc, EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:  # the package's value errors too
         message, status = exc, EXIT_USAGE

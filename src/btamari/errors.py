@@ -41,7 +41,3 @@ class NotALatticeError(ValueError):
         self.pair = pair
         self.reason = reason
         self.labels = labels
-
-
-class NotACongruenceError(ValueError):
-    """A partition fails one of the lattice congruence conditions."""

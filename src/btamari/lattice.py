@@ -16,10 +16,12 @@ holds no reference back, so no cycle outlives the lattice; its
 once, and the meet-irreducibles are the dual's.  On top of that sit the
 structural checks used by the verification harness: length,
 semidistributivity, congruence uniformity (by Day's join-dependency
-criterion, from bit words of the irreducibles below each element),
-congruence verification and quotient orders on bit words and cover pairs
-(so that the weak order needs no matrix), left modularity in one pass over
-the covers, plus JSON and DOT exports.
+criterion, from bit words of the irreducibles below each element), the
+congruence test on bit words and cover pairs (so that the weak order needs
+no matrix) and the quotient order on the class minima it finds, left
+modularity in one pass over the covers, plus JSON and DOT exports.  Every
+blocked pass, here and in the callers, sizes its blocks by one rule,
+``blocks``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotACongruenceError, NotALatticeError
+from .errors import NotALatticeError
 
 
 class FinitePoset:
@@ -114,6 +116,15 @@ class FiniteLattice(FinitePoset):
 BLOCK_BYTES = 2**18
 
 
+def blocks(count: int, item_bytes: int) -> list[slice]:
+    """The one block rule: slices of ``range(count)``, in order, each of
+    ``max(1, BLOCK_BYTES // (item_bytes + 1))`` items, so that a block of
+    items of ``item_bytes`` bytes stays within BLOCK_BYTES unless one item
+    alone is larger."""
+    step = max(1, BLOCK_BYTES // (item_bytes + 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def pack_words(bits: np.ndarray) -> np.ndarray:
     """Boolean rows packed into (m, ceil(k / 64)) little-endian ``uint64`` words.
 
@@ -128,40 +139,35 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
 def contained(words: np.ndarray) -> np.ndarray:
     """leq[a, b]: no bit of word row a lies outside word row b.
 
-    The words are read in blocks of columns near BLOCK_BYTES, and each
-    block in blocks of rows; a pair's verdict is ANDed over the column
-    blocks (rows of a few words, as up to n = 8, are one block).
+    The words are read in ``blocks`` of columns, and each block in blocks
+    of rows; a pair's verdict is ANDed over the column blocks (rows of a
+    few words, as up to n = 8, are one block).
     """
     m, width = words.shape
     leq = np.ones((m, m), dtype=bool)
-    cols = max(1, BLOCK_BYTES // (words.itemsize * m + 1))
-    for c in range(0, width, cols):
-        block = words[:, c:c + cols]
+    for c in blocks(width, words.itemsize * m):
+        block = words[:, c]
         outside = ~block
-        step = max(1, BLOCK_BYTES // (outside.nbytes + 1))
-        for lo in range(0, m, step):
-            leq[lo:lo + step] &= ~(block[lo:lo + step, None, :] & outside).any(axis=2)
+        for r in blocks(m, outside.nbytes):
+            leq[r] &= ~(block[r, None, :] & outside).any(axis=2)
     return leq
 
 
 def _not_within(words: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per k, whether word row ``a[k]`` has a bit outside word row ``b[k]``.
 
-    The pairs are read in blocks of pairs and of word columns whose gathered
-    rows stay near BLOCK_BYTES, and a pair's verdict is ORed over the column
-    blocks; pairs whose rows fit one block are one expression.
+    The pairs are read in ``blocks`` of word columns, and each in blocks of
+    pairs, and a pair's verdict is ORed over the column blocks.  Pairs whose
+    rows fit one block are one expression: the blocked loop was measurably
+    slower on the many small calls of a verification.
     """
-    width = words.shape[1]
-    if len(a) * width * words.itemsize <= BLOCK_BYTES:
+    if len(a) * words.shape[1] * words.itemsize <= BLOCK_BYTES:
         return (words[a] & ~words[b]).any(axis=1)
-    cols = min(width, max(1, BLOCK_BYTES // words.itemsize))
-    step = max(1, BLOCK_BYTES // (cols * words.itemsize))
     outside = np.zeros(len(a), dtype=bool)
-    for lo in range(0, len(a), step):
-        rows_a, rows_b = a[lo:lo + step], b[lo:lo + step]
-        for c in range(0, width, cols):
-            block = words[rows_a, c:c + cols] & ~words[rows_b, c:c + cols]
-            outside[lo:lo + step] |= block.any(axis=1)
+    for c in blocks(words.shape[1], words.itemsize):
+        block = words[:, c]
+        for p in blocks(len(a), block.itemsize * block.shape[1]):
+            outside[p] |= (block[a[p]] & ~block[b[p]]).any(axis=1)
     return outside
 
 
@@ -175,7 +181,7 @@ def _join_kernel(leq: np.ndarray, order: np.ndarray):
     so its own up-set lies inside it, and it is the join exactly when the
     two sets have the same size.
 
-    Rows are taken by rank, a block at a time, and each word is one flat
+    Rows are taken by rank, in ``blocks``, and each word is one flat
     (rows x m) pass, in ascending order: it ANDs the two up-sets, adds the
     popcount of the common word, and keeps the first nonzero one.  Up-sets
     rank their members no lower than their element, so a block's passes
@@ -194,9 +200,9 @@ def _join_kernel(leq: np.ndarray, order: np.ndarray):
     rank = np.argsort(order)
     table = np.empty((m, m), dtype=np.int32)
     failed = []
-    step = max(1, BLOCK_BYTES // (8 * m + 1))
-    for lo in range(0, m, step):
-        rows = up[:, lo:lo + step, None]
+    for r in blocks(m, 8 * m):
+        lo = r.start
+        rows = up[:, r, None]
         count = np.zeros((rows.shape[1], m), dtype=count_t)
         first = np.zeros(count.shape, dtype=np.uint64)
         # Words read while the common set was still empty, the last of them
@@ -218,7 +224,7 @@ def _join_kernel(leq: np.ndarray, order: np.ndarray):
             a, b = np.nonzero(bad)
             failed.append(int((order[lo + a] * m + order[b]).min()))
         elif not failed:
-            table[order[lo:lo + step]] = order[cand][:, rank]
+            table[order[r]] = order[cand][:, rank]
     if failed:
         return None, divmod(min(failed), m)
     return table, None
@@ -328,21 +334,16 @@ def _congruence_failure(words, covers, block_of):
     return None, mins
 
 
-def quotient_order(labels, words, covers, block_of) -> FinitePoset:
-    """The congruence-class minima, ordered as in the original.
+def quotient_order(labels, words, mins) -> FinitePoset:
+    """The class minima ``mins`` of a congruence, ordered as in the original.
 
-    The order is given by its elements' ``labels``, their down-sets (or any
-    sets that grow strictly with the order, such as inversion sets) as
-    ``words`` and its ``covers`` pairs, and ``block_of[x]`` is any key naming
-    the class of element x, such as the bottoms ``fiber_bottoms`` returns.
-    The quotient of a lattice by a congruence is a lattice on the class
-    minima; this returns its order only, and ``try_lattice`` builds its
-    tables.  Raises NotACongruenceError with ``_congruence_failure``'s
-    reason, which numbers the classes by their first element.
+    The order is given by its elements' ``labels`` and their down-sets (or
+    any sets that grow strictly with the order, such as inversion sets) as
+    ``words``; ``mins`` are the minima ``_congruence_failure`` returns with
+    no failure, so the congruence is tested once, by the caller.  The
+    quotient of a lattice by a congruence is a lattice on the class minima;
+    this returns its order only, and ``try_lattice`` builds its tables.
     """
-    why, mins = _congruence_failure(words, covers, block_of)
-    if why is not None:
-        raise NotACongruenceError(why)
     mins = np.sort(mins)
     return FinitePoset(labels[mins], contained(words[mins]))
 
@@ -354,19 +355,18 @@ def _lower_bounded(lat: FiniteLattice) -> bool:
     of ``pack_words``, ``mask[e]``: one uint64 word up to 64 irreducibles.
     Column k of D, the set of j with j D k, is then the OR over x of
     mask[k v x] & ~mask[k_* v x], O(|J| m W) words for W words per mask.
-    Columns are taken in blocks of k, so that the block x m x W temporaries
-    stay near BLOCK_BYTES.  Sinks of D are then peeled off until none is
-    left (lower bounded) or a cycle is.
+    Columns are taken in ``blocks`` of k, so that the block x m x W
+    temporaries stay near BLOCK_BYTES.  Sinks of D are then peeled off until
+    none is left (lower bounded) or a cycle is.
     """
     irr, lows = lat.irreducibles
     join = lat.join
     mask = pack_words(lat.leq[irr].T)
     dep = np.empty((len(irr), len(irr)), dtype=bool)
-    step = max(1, BLOCK_BYTES // (mask.nbytes + 1))
-    for lo in range(0, len(irr), step):
-        gained = mask[join[irr[lo:lo + step]]] & ~mask[join[lows[lo:lo + step]]]
+    for k in blocks(len(irr), mask.nbytes):
+        gained = mask[join[irr[k]]] & ~mask[join[lows[k]]]
         column = np.bitwise_or.reduce(gained, axis=1)
-        dep[:, lo:lo + step] = np.unpackbits(
+        dep[:, k] = np.unpackbits(
             column.view(np.uint8), axis=1, count=len(irr), bitorder="little"
         ).T
     np.fill_diagonal(dep, False)
@@ -395,16 +395,15 @@ def _left_modular(lat: FiniteLattice) -> np.ndarray:
     meet p in p ^ q and join it in p v r, and so does every cover y < y1 <= z.
     Conversely, such a pair gives (y v p) ^ z = z but y v (p ^ z) = y.  So
     each element's meet and join rows are compared at the two ends of every
-    cover, O(m covers) in all, in blocks of elements near BLOCK_BYTES.
+    cover, O(m covers) in all, in ``blocks`` of elements.
     """
     lower, upper = lat.covers
     meet, join = lat.meet, lat.join
     modular = np.empty(lat.n, dtype=bool)
-    step = max(1, BLOCK_BYTES // (meet.itemsize * len(lower) + 1))
-    for lo in range(0, lat.n, step):
-        meets, joins = meet[lo:lo + step], join[lo:lo + step]
+    for p in blocks(lat.n, meet.itemsize * len(lower)):
+        meets, joins = meet[p], join[p]
         same = (meets[:, lower] == meets[:, upper]) & (joins[:, lower] == joins[:, upper])
-        modular[lo:lo + step] = ~same.any(axis=1)
+        modular[p] = ~same.any(axis=1)
     return modular
 
 

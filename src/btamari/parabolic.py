@@ -26,9 +26,6 @@ import numpy as np
 
 from .errors import CapExceededError, CompositionError
 from .signed_perm import (
-    NEG,
-    POS,
-    SIGN,
     Reflection,
     SignedPermutation,
     generator_element,
@@ -414,7 +411,7 @@ def tableau_cells(alpha: Composition):
     The row label is a1 + 1 - k in a join composition's first block and -k
     otherwise; column c's label is the longest element's value at position
     n + 1 - c up to c = n, and 2n + 1 - c past it; the cell's reflection
-    reads both labels (``_cell_reflection``).
+    exchanges the two labels (``Reflection.exchanging``).
     """
     n = alpha.n
     a1 = alpha.first_part
@@ -437,25 +434,10 @@ def tableau_cells(alpha: Composition):
         for col in range(mu[k - 1] + 1, lam[k - 1] + 1):
             col_label = omega[n - col] if col <= n else 2 * n + 1 - col
             gen = start + lam[k - 1] - col
-            cells.append(
-                (col, row_label, col_label, gen, _cell_reflection(row_label, col_label))
-            )
+            t = Reflection.exchanging(row_label, col_label)
+            cells.append((col, row_label, col_label, gen, t))
         rows.append(cells)
     return mu, lam, rows
-
-
-def _cell_reflection(r: int, c: int) -> Reflection:
-    if r > 0:
-        if c <= 0 or r >= c:
-            raise ValueError(f"impossible cell labels ({r}, {c})")
-        return Reflection(POS, r, c)
-    if c == -r:
-        return Reflection(SIGN, c)
-    if c > -r:
-        return Reflection(NEG, -r, c)
-    if c > 0:
-        return Reflection(NEG, c, -r)
-    return Reflection(POS, -c, -r)
 
 
 def sorting_word_longest(alpha: Composition) -> tuple[int, ...]:

@@ -59,6 +59,21 @@ class Reflection:
             raise ValueError("mixed reflection needs two distinct indices")
         return Reflection(NEG, min(i, j), max(i, j))
 
+    @staticmethod
+    def exchanging(x: int, y: int) -> "Reflection":
+        """The reflection exchanging the signed positions x and y (and -x and -y).
+
+        x = -y gives the sign reflection; a pair that is no such exchange
+        (a zero, or x = y) raises ValueError.
+        """
+        if x == 0 or y == 0 or abs(x) == abs(y) and x != -y:
+            raise ValueError(f"bad inversion pair {(x, y)}")
+        if x == -y:
+            return Reflection.sign(abs(x))
+        if (x > 0) == (y > 0):
+            return Reflection.transposition(abs(x), abs(y))
+        return Reflection.mixed(abs(x), abs(y))
+
     def apply(self, v: int) -> int:
         """Image of the signed value v under this reflection."""
         a, s = abs(v), (1 if v > 0 else -1)

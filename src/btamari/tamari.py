@@ -25,8 +25,10 @@ projection fibers' steps eliminate a pattern; the lookup finds both among
 the rows.  The subposet and quotient constructions stay two independent
 routes to Tam_B: the pruned 231 build gives the one's elements, and the
 pattern-elimination bottoms, through N. Reading's congruence test, the
-other's.  The constructor check reads the inversion tableau's labels with
-no cell objects.  Only the subposet lattice gets meet and join tables.  The
+other's.  That test runs once per composition, and the quotient order,
+when it is built, is ordered on the class minima the test returned.  The
+constructor check reads the inversion tableau's labels with no cell
+objects.  Only the subposet lattice gets meet and join tables.  The
 enumeration cap bounds the values of every dense array
 (``parabolic.check_cap``) before it is allocated.  An extremal lattice is
 trim when semidistributive (H. Thomas and N. Williams, 2019), else when
@@ -76,7 +78,8 @@ def _inversion_words(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
     (``check_cap``) before they are allocated.  Groups of position blocks
     near BLOCK_BYTES booleans are packed, each carrying its last (< 8)
     columns to the next, so the bits lie as ``pack_words`` lays out the
-    whole table, never held.
+    whole table, never held; packing each position block at its own bit
+    offset instead was measurably slower, most of all on small inputs.
     """
     m, n = rows.shape
     width = -(-n * n // 64)
@@ -116,17 +119,14 @@ def _weak_covers(rows: np.ndarray, find):
     the descents are found.  The quotient is a lower interval of the weak
     order on the group (A. Björner and M. Wachs, Trans. AMS 308, 1988), so
     every such s x is a row.  The images are computed by ``left_act`` and
-    found by ``find``, the rows' ``row_lookup``, in blocks of pairs whose
-    moved rows stay near BLOCK_BYTES; one that is not found raises
-    ValueError.
+    found by ``find``, the rows' ``row_lookup``, in ``lattice.blocks`` of
+    pairs; one that is not found raises ValueError.
     """
     gens, above = np.nonzero(left_descents(rows))
     # A compact copy, so the pairs do not hold nonzero's (pairs, 2) array.
     above = above.copy()
     below = np.empty_like(above)
-    step = max(1, lat.BLOCK_BYTES // (rows.itemsize * rows.shape[1] + 1))
-    for lo in range(0, len(above), step):
-        at = slice(lo, lo + step)
+    for at in lat.blocks(len(above), rows.itemsize * rows.shape[1]):
         below[at] = find(left_act(rows[above[at]], gens[at, None]))
     return below, above
 
@@ -143,21 +143,6 @@ def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattic
 # -- join-irreducible constructor ---------------------------------------------
 
 
-def _pair_to_reflection(pair: tuple[int, int]) -> Reflection:
-    x, y = pair
-    if x == 0 or y == 0 or abs(x) == abs(y) and x != -y:
-        raise ValueError(f"bad inversion pair {pair}")
-    if x == -y:
-        return Reflection.sign(abs(y))
-    if x > 0 and y > 0:
-        return Reflection.transposition(x, y)
-    if x < 0 < y:
-        return Reflection.mixed(-x, y)
-    if y < 0 < x:
-        return Reflection.mixed(x, -y)
-    return Reflection.transposition(-x, -y)
-
-
 def join_irreducible_for(
     alpha: Composition, pair: tuple[int, int]
 ) -> SignedPermutation:
@@ -166,7 +151,7 @@ def join_irreducible_for(
     The pair names an inversion of the quotient's longest element by the two
     positions it exchanges; either mirror realization is accepted.
     """
-    t = _pair_to_reflection(pair)
+    t = Reflection.exchanging(*pair)
     if t not in longest_element(alpha).inversion_set():
         raise ValueError(f"{t} is not an inversion of the longest element of {alpha}")
     return SignedPermutation(_join_irreducible(alpha, t))
@@ -254,32 +239,31 @@ def _meet_mismatch(rows, words, covers, tam: lat.FiniteLattice, into_weak):
     & words[b] is not empty: one word AND per pair.  Climbing through such
     covers from t ends at w, which lies above every common lower bound.
     ``covers`` holds the weak order's cover pairs and ``into_weak`` Tam_B's
-    indices among the rows.  The words are read in blocks of columns whose
-    temporaries stay near BLOCK_BYTES (rows of one word are one block); a
-    pair's verdict is ORed over the blocks and is final in the last.
+    indices among the rows.  The words are read in ``lattice.blocks`` of
+    columns (rows of one word are one block); a pair's verdict is ORed over
+    the blocks and is final in the last.  Only several blocks carry an m x m
+    verdict matrix between them: always holding one would cost 128 MB at the
+    largest Tam_B the cap admits.
     """
-    (below, above), meet, width = covers, tam.meet, words.shape[1]
-    cols = max(1, lat.BLOCK_BYTES // (words.itemsize * (len(words) + len(below)) + 1))
-    starts = range(0, width, cols)
-    # Verdicts carried between blocks; one block needs none.
-    hits = np.zeros((tam.n, tam.n), dtype=bool) if len(starts) > 1 else None
+    (below, above), meet = covers, tam.meet
+    columns = lat.blocks(words.shape[1], words.itemsize * (len(words) + len(below)))
+    hits = np.zeros((tam.n, tam.n), dtype=bool) if len(columns) > 1 else None
     a = None
-    for c in starts:
-        block = words[:, c:c + cols]
+    for c in columns:
+        block = words[:, c]
         # Per element, the inversions its upper covers add.
         added = np.zeros_like(block)
         np.bitwise_or.at(added, below, block[above] ^ block[below])
         own, gain = block[into_weak], added[into_weak]
-        step = max(1, lat.BLOCK_BYTES // (own.nbytes + 1))
-        for lo in range(0, tam.n, step):
-            common = own[lo:lo + step, None, :] & own & gain[meet[lo:lo + step]]
+        for r in lat.blocks(tam.n, own.nbytes):
+            common = own[r, None, :] & own & gain[meet[r]]
             differs = common.any(axis=2)
             if hits is not None:
-                hits[lo:lo + step] |= differs
-                differs = hits[lo:lo + step]
-            if c == starts[-1] and (differs := np.triu(differs, k=lo + 1)).any():
+                hits[r] |= differs
+                differs = hits[r]
+            if c == columns[-1] and (differs := np.triu(differs, k=r.start + 1)).any():
                 a, b = divmod(int(differs.argmax()), tam.n)
-                a += lo
+                a += r.start
                 break
     if a is None:
         return None
@@ -378,8 +362,9 @@ def verify_theorems(
     ValueError.  L, the subposet lattice, is the containment of those rows'
     inversion words among the quotient's; if it is not a lattice,
     ``lattice_subposet`` fails with the pair the table kernel names, and so
-    does every check on L.  The quotient order on the class minima is built
-    only when it is not L's, to decide ``lattice_quotient``.  The weak side
+    does every check on L.  The congruence test runs once and returns the
+    class minima; their quotient order is built only when it is not L's, to
+    decide ``lattice_quotient``.  The weak side
     is dropped before L's covers are found.  The witnesses become
     ``SignedPermutation``s only here, for the report.
     """
@@ -408,7 +393,7 @@ def verify_theorems(
     if failure is None and not isomorphic:
         check_cap(len(mins), cap, len(mins))
         try:
-            lat.try_lattice(lat.quotient_order(rows, words, covers, bottoms))
+            lat.try_lattice(lat.quotient_order(rows, words, mins))
         except NotALatticeError as exc:
             not_a_lattice = _not_a_lattice(exc)
     checks["lattice_quotient"] = failure is None and not_a_lattice is None

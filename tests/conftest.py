@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from btamari import alignment, projection
+from btamari import alignment, lattice, projection
 from btamari.errors import CapExceededError
 from btamari.lattice import (
     BLOCK_BYTES,
     FiniteLattice,
     FinitePoset,
-    _congruence_failure,
     has_left_modular_chain,
     pack_words,
     try_lattice,
 )
 from btamari.parabolic import (
     Composition,
-    _cell_reflection,
     _sign_table,
     _split_slots,
     all_compositions,
@@ -262,8 +260,17 @@ def tamari_meet_join_by_closure(alpha: Composition, x, y):
 
 
 def order_words(poset: FinitePoset):
-    """Down-sets as words and the cover pairs: ``quotient_order``'s inputs."""
+    """Down-sets as words and the cover pairs: the congruence test's inputs."""
     return pack_words(poset.leq.T), poset.covers
+
+
+def quotient_by(poset: FinitePoset, block_of) -> FinitePoset:
+    """``lattice.quotient_order`` of ``poset`` by a congruence, on the class
+    minima that ``lattice._congruence_failure`` returns with no failure."""
+    words, covers = order_words(poset)
+    why, mins = lattice._congruence_failure(words, covers, block_of)
+    assert why is None, why
+    return lattice.quotient_order(poset.labels, words, mins)
 
 
 def hasse_by_definition(poset: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +289,8 @@ def cover_list(poset: FinitePoset) -> list[tuple[int, int]]:
 
 
 def check_congruence(poset: FinitePoset, block_of):
-    """(ok, why): the congruence test ``quotient_order`` runs, on a matrix order."""
-    why, _ = _congruence_failure(*order_words(poset), block_of)
+    """(ok, why): the congruence test ``quotient_by`` runs, on a matrix order."""
+    why, _ = lattice._congruence_failure(*order_words(poset), block_of)
     return why is None, why
 
 
@@ -348,7 +355,7 @@ def tableau_reflections_by_loop(alpha: Composition):
         row_label = -k if alpha.split or k > a1 else a1 + 1 - k
         for col in range(mu[k - 1] + 1, lam[k - 1] + 1):
             col_label = omega(n + 1 - col) if col <= n else 2 * n + 1 - col
-            found.append(_cell_reflection(row_label, col_label))
+            found.append(Reflection.exchanging(row_label, col_label))
     return found
 
 

@@ -25,7 +25,6 @@ from btamari.enumeration import (
 )
 from btamari.lattice import (
     is_congruence_uniform,
-    quotient_order,
     semidistributivity_witness,
 )
 from btamari.parabolic import (
@@ -45,9 +44,9 @@ from conftest import (
     find_all_231_patterns,
     full_group,
     is_trim,
-    order_words,
     perm,
     perms,
+    quotient_by,
     weak_order_lattice,
 )
 
@@ -93,8 +92,8 @@ def test_criterion_03_theorem_one():
         for alpha in all_compositions(n):
             weak = weak_order_lattice(alpha)
             bottoms = fiber_bottoms(alpha, weak.labels)
-            # quotient_order raises NotACongruenceError unless the fibers are one.
-            quot = quotient_order(weak.labels, *order_words(weak), bottoms)
+            # quotient_by asserts that the fibers are a congruence.
+            quot = quotient_by(weak, bottoms)
             tam = build_tamari(alpha)
             same_labels = np.array_equal(tam.labels, quot.labels)
             if not (same_labels and np.array_equal(tam.leq, quot.leq)):

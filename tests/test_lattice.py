@@ -4,7 +4,7 @@ import pytest
 import gc
 import weakref
 
-from btamari.errors import NotACongruenceError, NotALatticeError
+from btamari.errors import NotALatticeError
 from btamari import lattice
 from btamari.lattice import (
     FinitePoset,
@@ -14,7 +14,6 @@ from btamari.lattice import (
     is_congruence_uniform,
     lattice_to_dot,
     lattice_to_json,
-    quotient_order,
     semidistributivity_witness,
     try_lattice,
 )
@@ -33,7 +32,7 @@ from conftest import (
     is_trim,
     left_modular_chain_by_search,
     lower_bounded_by_gather,
-    order_words,
+    quotient_by,
     weak_leq,
     weak_order_lattice,
 )
@@ -467,7 +466,7 @@ class TestPosets:
         weak = weak_order_lattice(alpha)
         # Every construction is one order object: a poset with meet and join tables.
         bottoms = fiber_bottoms(alpha, weak.labels)
-        quot = try_lattice(quotient_order(weak.labels, *order_words(weak), bottoms))
+        quot = try_lattice(quotient_by(weak, bottoms))
         for lat in (weak, build_tamari(alpha), quot):
             assert isinstance(lat, FinitePoset)
             twice = lat.dual.dual
@@ -493,6 +492,28 @@ class TestPosets:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestBlocks:
+    def test_slices_cover_the_range_within_the_bound(self, monkeypatch):
+        # Every block but the last holds max(1, BLOCK_BYTES // (item_bytes + 1))
+        # items, so a block stays within BLOCK_BYTES unless it is one item
+        # larger than that on its own.
+        for block_bytes in (lattice.BLOCK_BYTES, 64):
+            monkeypatch.setattr(lattice, "BLOCK_BYTES", block_bytes)
+            for count in (0, 1, 7, 1000):
+                for item_bytes in (0, 1, 8, 100, block_bytes, block_bytes + 1, 10**9):
+                    parts = [range(count)[s] for s in lattice.blocks(count, item_bytes)]
+                    assert [i for part in parts for i in part] == list(range(count))
+                    step = max(1, block_bytes // (item_bytes + 1))
+                    assert all(len(part) == step for part in parts[:-1])
+                    assert 0 < len(parts[-1]) <= step if count else parts == []
+                    for part in parts:
+                        assert len(part) * item_bytes <= block_bytes or len(part) == 1
+
+    def test_zero_item_bytes_fill_a_block(self, monkeypatch):
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", 64)
+        assert lattice.blocks(130, 0) == [slice(0, 64), slice(64, 128), slice(128, 130)]
 
 
 class TestTryLattice:
@@ -838,12 +859,9 @@ class TestCongruences:
                     result = check_congruence(weak, keys)
                     assert result == check_congruence(weak, canon), alpha
                     if not result[0]:
-                        with pytest.raises(NotACongruenceError) as info:
-                            quotient_order(weak.labels, *order_words(weak), keys)
-                        assert str(info.value) == result[1]
                         continue
-                    quot = quotient_order(weak.labels, *order_words(weak), keys)
-                    expected = quotient_order(weak.labels, *order_words(weak), canon)
+                    quot = quotient_by(weak, keys)
+                    expected = quotient_by(weak, canon)
                     assert np.array_equal(quot.labels, expected.labels), alpha
                     assert np.array_equal(quot.leq, expected.leq), alpha
         assert renumbered > 0
@@ -876,28 +894,29 @@ class TestCongruences:
 class TestQuotient:
     def test_discrete_gives_same(self):
         lat = n5()
-        quot = quotient_order(lat.labels, *order_words(lat), discrete(lat.n).block_of)
+        quot = quotient_by(lat, discrete(lat.n).block_of)
         assert quot.n == lat.n
         assert np.array_equal(quot.leq, lat.leq)
 
     def test_single_block(self):
         lat = chain(3)
-        quot = quotient_order(lat.labels, *order_words(lat), [0, 0, 0])
+        quot = quotient_by(lat, [0, 0, 0])
         assert quot.n == 1
 
     def test_rejects_non_congruence(self):
-        lat = chain(4)
-        with pytest.raises(NotACongruenceError):
-            quotient_order(lat.labels, *order_words(lat), [0, 1, 0, 2])
+        assert check_congruence(chain(4), [0, 1, 0, 2]) == (
+            False, "class 0 is not an interval"
+        )
 
     def test_rejects_partition_of_the_wrong_length(self):
-        lat = chain(3)
-        with pytest.raises(NotACongruenceError, match="partition size does not match"):
-            quotient_order(lat.labels, *order_words(lat), [0, 0])
+        assert check_congruence(chain(3), [0, 0]) == (
+            False, "partition size does not match the lattice"
+        )
 
     def test_class_bounds_found_once(self, monkeypatch):
         # The class bounds are found by the congruence test, and the
-        # quotient takes its minima from that one call.
+        # quotient takes its minima from that one call: quotient_order runs
+        # no test of its own.
         calls = []
         original = lattice._congruence_failure
         monkeypatch.setattr(
@@ -907,13 +926,13 @@ class TestQuotient:
         alpha = Composition.parse("0,2,1")
         weak = weak_order_lattice(alpha)
         bottoms = fiber_bottoms(alpha, quotient_rows(alpha))
-        quot = quotient_order(weak.labels, *order_words(weak), bottoms)
+        quot = quotient_by(weak, bottoms)
         assert (quot.n, len(calls)) == (16, 1)
 
     def test_quotient_covers_are_images(self):
         lat = chain(4)
         theta = principal_congruence(lat, 0, 1)
-        quot = quotient_order(lat.labels, *order_words(lat), theta.block_of)
+        quot = quotient_by(lat, theta.block_of)
         assert quot.n == 3
         assert cover_list(quot) == [(0, 1), (1, 2)]
 

@@ -29,9 +29,9 @@ from conftest import (
     eliminate_231,
     full_group,
     inversion_words_whole,
-    order_words,
     perm,
     perms,
+    quotient_by,
     suffix_chain,
     tamari_meet_join_by_closure,
     weak_leq,
@@ -77,7 +77,7 @@ class TestBuildTamari:
             for alpha in all_small_compositions[n]:
                 weak = weak_order_lattice(alpha)
                 bottoms = fiber_bottoms(alpha, quotient_rows(alpha))
-                quot = lattice.quotient_order(weak.labels, *order_words(weak), bottoms)
+                quot = quotient_by(weak, bottoms)
                 tam = build_tamari(alpha)
                 assert np.array_equal(tam.labels, quot.labels), alpha
                 assert np.array_equal(tam.leq, quot.leq), alpha
@@ -187,17 +187,21 @@ class TestRowLocalMeetJoin:
     the two rows alone, on every pair."""
 
     @staticmethod
-    def assert_tables_match(alpha):
+    def assert_tables_match(alpha, rng=None, count=None):
+        """On every pair, or on ``count`` pairs drawn by ``rng``."""
         tam = build_tamari(alpha)
         rows, m = tam.labels, tam.n
-        a, b = np.divmod(np.arange(m * m), m)
+        if count is None:
+            a, b = np.divmod(np.arange(m * m), m)
+        else:
+            a, b = rng.integers(m, size=(2, count))
         index = {row: q for q, row in enumerate(map(tuple, rows.tolist()))}
         for got, table in zip(
             tamari_meet_join_by_closure(alpha, rows[a], rows[b]),
             (tam.meet, tam.join),
         ):
             got = np.array([index[row] for row in map(tuple, got.tolist())])
-            assert np.array_equal(got.reshape(m, m), table), alpha
+            assert np.array_equal(got, table[a, b]), alpha
 
     def test_every_pair_to_degree_four(self, all_small_compositions):
         for n in (1, 2, 3, 4):
@@ -207,6 +211,17 @@ class TestRowLocalMeetJoin:
     def test_every_pair_of_the_full_group_five(self):
         # 252 elements, 63,504 pairs.
         self.assert_tables_match(Composition((1,) * 5, split=True))
+
+    def test_sampled_pairs_where_the_kernel_splits_its_rows(self):
+        # Seed 38: 20,000 pairs of the n = 6 full group's Tam_B, whose 924
+        # rows the join kernel takes in 27 blocks, then 2,000 pairs of each
+        # of 20 compositions of 7 drawn without replacement.
+        rng = np.random.default_rng(38)
+        assert len(lattice.blocks(924, 8 * 924)) == 27
+        self.assert_tables_match(Composition((1,) * 6, split=True), rng, 20_000)
+        sevens = all_compositions(7)
+        for k in rng.choice(len(sevens), 20, replace=False):
+            self.assert_tables_match(sevens[k], rng, 2_000)
 
 
 class TestMaximalChain:
@@ -650,6 +665,20 @@ class TestQuotientOrder:
             f"  quotient not a lattice: no-lub for ({pair[0]}, {pair[1]})"
             in report.summary().splitlines()
         )
+
+    def test_congruence_tested_once(self, monkeypatch, rekeyed):
+        # The quotient order is built on the minima of verify's one
+        # congruence test, which it does not run again.
+        calls, built = [], []
+        original = lattice._congruence_failure
+        monkeypatch.setattr(
+            lattice, "_congruence_failure",
+            lambda *args: calls.append(1) or original(*args),
+        )
+        assert self.failed_checks(monkeypatch, lambda quot: built.append(quot) or quot) == [
+            "quotient_isomorphic_subposet"
+        ]
+        assert (len(built), len(calls)) == (1, 1)
 
     def test_wrong_key_not_isomorphic(self, monkeypatch, rekeyed):
         # The quotient order on the class minima is Tam_B's, a lattice.
