@@ -470,6 +470,7 @@ class TestCheckFailures:
         "exc",
         [
             NotALatticeError((0, 1), "no-lub"),
+            NotALatticeError((1, 2), "no-glb", ["b", "c"]),
             AssertionError("iota cross-check failed"),
         ],
     )
