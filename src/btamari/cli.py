@@ -43,8 +43,7 @@ FORMATS = ["text", "json", "csv"]
 
 
 def _alpha_values(args) -> list[Composition]:
-    specs = []
-    if getattr(args, "batch", None):
+    if args.batch:
         with open(args.batch, encoding="utf-8") as handle:
             specs = [line.strip() for line in handle if line.strip()]
     elif args.alpha is not None:
@@ -109,7 +108,7 @@ def _cmd_lattice(args) -> int:
     if unknown:
         raise ValueError(f"unknown checks {unknown}")
     alphas = _alpha_values(args)
-    if args.export and args.out and len(alphas) > 1:
+    if args.out and len(alphas) > 1:
         raise ValueError(f"--out names one file but there are {len(alphas)} compositions")
     status = EXIT_OK
     for alpha in alphas:
@@ -276,12 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "batch", None) is not None and args.alpha is not None:
+        parser.error(f"{args.command} takes --alpha or --batch, not both")
     if args.command == "conjecture" and not args.type_d and args.t is None:
         parser.error("conjecture needs --t or --type-d")
     if args.command == "project" and not args.classes and not (args.perm and args.dir):
         parser.error("project needs --perm and --dir (or --classes)")
+    if args.command == "project" and args.classes and (args.perm, args.dir) != (None, None):
+        parser.error("project --classes takes no --perm or --dir")
     if args.command == "lattice" and not (args.check or args.export):
         parser.error("lattice needs --check or --export")
+    if args.command == "lattice" and args.out is not None and not args.export:
+        parser.error("lattice --out needs --export")
 
     def command(cap: int) -> int:
         args.cap = cap

@@ -99,18 +99,6 @@ def _inversion_words(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
     return words
 
 
-def _weak_leq_matrix(rows: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """Containment matrix of the inversion sets of right-part rows: the weak order.
-
-    The m x m matrix, and the lattice tables built on it, count as m
-    elements of m values each against the cap: ``check_cap`` raises
-    CapExceededError before anything is allocated.  At the default cap that
-    admits up to 11,313 rows.
-    """
-    check_cap(len(rows), resolve_cap(cap), len(rows))
-    return lat.contained(_inversion_words(rows, cap))
-
-
 def _weak_covers(rows: np.ndarray, find):
     """The weak order's cover pairs (below, above) on a quotient's rows.
 
@@ -134,10 +122,14 @@ def _weak_covers(rows: np.ndarray, find):
 def build_tamari(alpha: Composition, cap: int | None = None) -> lat.FiniteLattice:
     """Tam_B(alpha): the weak order on the aligned members, as a lattice.
 
-    Its labels are the aligned members' right parts, in right-part order.
+    Its labels are the aligned members' right parts, in right-part order,
+    ordered by containment of their inversion words.  The order and its
+    tables count m values per element against the cap before the words are
+    packed, which admits 11,313 rows at the default cap.
     """
     rows = lex_sorted(aligned_rows(alpha, cap))
-    return lat.try_lattice(lat.FinitePoset(rows, _weak_leq_matrix(rows, cap)))
+    check_cap(len(rows), resolve_cap(cap), len(rows))
+    return lat.try_lattice(lat.FinitePoset(rows, lat.contained(_inversion_words(rows, cap))))
 
 
 # -- join-irreducible constructor ---------------------------------------------

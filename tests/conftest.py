@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -26,7 +27,7 @@ from btamari.parabolic import (
     resolve_cap,
 )
 from btamari.signed_perm import POS, SIGN, Reflection, SignedPermutation
-from btamari.tamari import _weak_leq_matrix
+from btamari.tamari import _inversion_words
 
 
 def perm(text: str) -> SignedPermutation:
@@ -66,6 +67,12 @@ def suffix_chain(word: tuple[int, ...], n: int) -> list[SignedPermutation]:
     return chain
 
 
+def weak_order_matrix(rows) -> np.ndarray:
+    """The weak order on right-part rows as an m x m bool matrix: the
+    containment of their inversion words, as ``build_tamari`` orders Tam_B."""
+    return lattice.contained(_inversion_words(rows))
+
+
 def weak_order_lattice(alpha: Composition) -> FiniteLattice:
     """The weak order on the full parabolic quotient, with dense meet and join tables.
 
@@ -76,7 +83,7 @@ def weak_order_lattice(alpha: Composition) -> FiniteLattice:
     Its labels are the quotient's right-part rows.
     """
     rows = quotient_rows(alpha)
-    return try_lattice(FinitePoset(rows, _weak_leq_matrix(rows)))
+    return try_lattice(FinitePoset(rows, weak_order_matrix(rows)))
 
 
 def is_extremal(lat: FiniteLattice) -> bool:
@@ -499,6 +506,47 @@ def aligned_block_steps(alpha: Composition):
         patch.setattr(alignment, "_avoids", watched)
         rows = alignment.aligned_rows(alpha)
     return rows, steps
+
+
+def c_sortable_rows(n: int) -> list[tuple[int, ...]]:
+    """The right parts of B_n's c-sortable elements, for c = s_0 s_1 ... s_{n-1}.
+
+    The oracle for the full group's aligned set, read off no pattern:
+    Tam_B(0,1,...,1) is the Cambrian lattice of c, and the inverses of
+    these elements are ``aligned_rows``' rows.  N. Reading's recursion
+    (Clusters, Coxeter-sortable elements and noncrossing partitions, Trans.
+    AMS 359, 2007): with s the first letter of c, if s is a left descent of
+    w, then w is c-sortable iff s w is (s c s)-sortable; otherwise w lies in
+    the parabolic subgroup without s and must be (s c)-sortable there.  So
+    the c-sortable elements of length k are the (s c)-sortable ones of the
+    subgroup, and s v for each (s c s)-sortable v of length k - 1 that s
+    lengthens.  A word c is a tuple of generator indices: s c drops its
+    first letter, and s c s moves it to the end.  Lengths count inversions.
+    """
+
+    def length(right):
+        # the signs, then the pairs i < j with r_i > r_j or r_i + r_j < 0
+        pairs = itertools.combinations(right, 2)
+        return sum(r < 0 for r in right) + sum((a > b) + (a + b < 0) for a, b in pairs)
+
+    def times(s, right):
+        # s * right acts on values: s_0 negates +-1, s_k exchanges k and k + 1
+        if s == 0:
+            return tuple(-v if abs(v) == 1 else v for v in right)
+        swap = {s: s + 1, s + 1: s, -s: -s - 1, -s - 1: -s}
+        return tuple(swap.get(v, v) for v in right)
+
+    @functools.lru_cache(maxsize=None)
+    def sortable(c, k):
+        if k == 0:
+            return (tuple(range(1, n + 1)),)
+        if not c:
+            return ()
+        s = c[0]
+        lifted = (times(s, v) for v in sortable(c[1:] + (s,), k - 1))
+        return sortable(c[1:], k) + tuple(w for w in lifted if length(w) == k)
+
+    return [w for k in range(n * n + 1) for w in sortable(tuple(range(n)), k)]
 
 
 def full_group(n: int) -> list[SignedPermutation]:

@@ -1,3 +1,4 @@
+import math
 import time
 from collections import Counter
 
@@ -29,6 +30,7 @@ from btamari.parabolic import (
     Composition,
     _build_rows,
     all_compositions,
+    c_sorting_word,
     inversion_order,
     lex_sorted,
     quotient_rows,
@@ -41,6 +43,7 @@ from conftest import (
     _long_row,
     aligned_block_steps,
     build_rows_two_arrays,
+    c_sortable_rows,
     compositions,
     find_all_231_patterns,
     perm,
@@ -294,6 +297,41 @@ class TestAlignedRows:
         with pytest.raises(CapExceededError) as info:
             aligned_rows(Composition((30,), split=True), cap=DEFAULT_CAP)
         assert (info.value.required, info.value.cap) == (2**30, DEFAULT_CAP)
+
+
+def nested_blocks(word) -> bool:
+    """Whether a word's runs of rising letters, its blocks in c = s_0 s_1 ...
+    s_{n-1}, each hold the letters of the next."""
+    blocks = []
+    for k, s in enumerate(word):
+        if k == 0 or s <= word[k - 1]:
+            blocks.append(set())
+        blocks[-1].add(s)
+    return all(a >= b for a, b in zip(blocks, blocks[1:]))
+
+
+class TestCSortable:
+    """The full group's aligned set by a second route, N. Reading's
+    c-sortable elements for c = s_0 s_1 ... s_{n-1} (``c_sortable_rows``)."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_inverses_are_the_aligned_rows(self, n):
+        sortable = c_sortable_rows(n)
+        assert len(sortable) == len(set(sortable)) == math.comb(2 * n, n)
+        inverses = {SignedPermutation(w).inverse().right for w in sortable}
+        rows = aligned_rows(Composition((1,) * n, split=True))
+        assert inverses == set(map(tuple, rows.tolist()))
+
+    def test_nested_c_sorting_words_are_the_aligned_rows(self):
+        # Read backwards, pi's c_sorting_word is the c-sorting word of pi's
+        # inverse, which is c-sortable when the letter sets of its blocks
+        # are nested.
+        for n in range(1, 6):
+            alpha = Composition((1,) * n, split=True)
+            rows = quotient_rows(alpha)
+            words = [c_sorting_word(SignedPermutation(r))[::-1] for r in rows.tolist()]
+            nested = np.array([nested_blocks(w) for w in words])
+            assert np.array_equal(rows[nested], _sorted(aligned_rows(alpha))), n
 
 
 def largest_expansion(alpha):

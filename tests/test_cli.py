@@ -17,6 +17,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """The one ``error:`` line of an argv that argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    return errors[0]
+
+
 class TestEnumerate:
     def test_counts(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--alpha", "0,1,2")
@@ -80,6 +92,16 @@ class TestEnumerate:
         batch = tmp_path / "empty.txt"
         batch.write_text("", encoding="utf-8")
         assert run(capsys, *argv, "--batch", str(batch)) == (0, "", "")
+
+    @pytest.mark.parametrize(
+        "argv", [["enumerate"], ["cover-enum"], ["lattice", "--check", "all"]]
+    )
+    def test_alpha_with_batch_is_refused(self, capsys, tmp_path, argv):
+        # Each names the compositions; given both, the command would drop --alpha.
+        batch = tmp_path / "alphas.txt"
+        batch.write_text("1\n", encoding="utf-8")
+        line = usage_error(capsys, *argv, "--alpha", "0,1", "--batch", str(batch))
+        assert line == f"btamari: error: {argv[0]} takes --alpha or --batch, not both"
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--alpha", "0,2,1", "--aligned")
@@ -181,6 +203,14 @@ class TestProject:
         with pytest.raises(SystemExit) as info:
             main(["project", "--alpha", "1,2", "--dir", "down"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--perm", "1", "--dir", "up"], ["--perm", "1"], ["--dir", "down"]]
+    )
+    def test_classes_with_perm_or_dir_is_refused(self, capsys, flags):
+        # --classes lists every fiber, so a --perm or --dir would be ignored.
+        line = usage_error(capsys, "project", "--alpha", "0,1", "--classes", *flags)
+        assert line == "btamari: error: project --classes takes no --perm or --dir"
 
 
 class TestLattice:
@@ -295,6 +325,15 @@ class TestLattice:
         with pytest.raises(SystemExit) as info:
             main(["lattice", "--alpha", "0,1"])
         assert info.value.code == 2
+
+    def test_out_without_export_is_refused(self, capsys, tmp_path, monkeypatch):
+        # --out names an export's file; with --check alone it would be ignored.
+        monkeypatch.chdir(tmp_path)
+        line = usage_error(
+            capsys, "lattice", "--alpha", "0,1", "--check", "all", "--out", "foo"
+        )
+        assert line == "btamari: error: lattice --out needs --export"
+        assert list(tmp_path.iterdir()) == []
 
     def test_above_table_bound_exit_three(self, capsys, monkeypatch):
         # With one element per value, Tam_B(0,1,1)'s 6 x 6 order counts 36.
@@ -653,11 +692,4 @@ class TestEnvironment:
     def test_threads_is_an_unknown_flag(self, capsys, argv, error):
         # The walk is serial, so there is no worker count to set; the ι and
         # inversion-order cross-checks always run, so there is no switch.
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        captured = capsys.readouterr()
-        assert info.value.code == 2
-        assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and error in errors[0]
-        assert "Traceback" not in captured.err
+        assert error in usage_error(capsys, *argv)

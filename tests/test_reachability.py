@@ -17,7 +17,8 @@ ALLOWED = {
     "inversion_order": "the longest element's inversion order off the tableau, "
     "cross-checked against its word; the order is_aligned_root reads",
     "c_sorting_word": "the c-sorting word by greedy peeling of right descents; "
-    "oracle for the tableau's sorting word",
+    "oracle for the tableau's sorting word and, by its nested letter sets, for "
+    "the full group's aligned set",
     "join_irreducible_for": "the paper's join-irreducible for one named inversion; "
     "oracle for the join-irreducibles verify_theorems finds on the lattice",
 }

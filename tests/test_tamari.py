@@ -36,6 +36,7 @@ from conftest import (
     tamari_meet_join_by_closure,
     weak_leq,
     weak_order_lattice,
+    weak_order_matrix,
 )
 
 A021 = Composition.parse("0,2,1")
@@ -57,7 +58,7 @@ def graded_covers(rows):
     """The weak order's covers by definition: b covers a when a <= b and b
     is one longer, lengths being the inversion counts."""
     length = inversion_words_whole(rows)[1]
-    return np.nonzero((length[:, None] + 1 == length) & tamari._weak_leq_matrix(rows))
+    return np.nonzero((length[:, None] + 1 == length) & weak_order_matrix(rows))
 
 
 class TestBuildTamari:
@@ -712,7 +713,7 @@ class TestTamariNotALattice:
         full = build_tamari(A021)
         kept = np.delete(full.labels, full.leq.all(axis=0).argmax(), axis=0)
         monkeypatch.setattr(tamari, "aligned_rows", lambda alpha, cap=None: kept)
-        order = lattice.FinitePoset(kept, tamari._weak_leq_matrix(kept))
+        order = lattice.FinitePoset(kept, weak_order_matrix(kept))
         with pytest.raises(NotALatticeError) as info:
             lattice.try_lattice(order)
         return info.value
@@ -821,7 +822,7 @@ class TestWeakOrderLattice:
         alphas += [a for a in parabolic.all_compositions(5) if quotient_size(a) <= 960]
         for alpha in alphas:
             rows = quotient_rows(alpha)
-            covers = lattice.FinitePoset(rows, tamari._weak_leq_matrix(rows)).covers
+            covers = lattice.FinitePoset(rows, weak_order_matrix(rows)).covers
             assert np.array_equal(covers, row_major(weak_covers(rows))), alpha
 
     def test_generator_covers_match_graded_covers(self):
@@ -852,7 +853,7 @@ class TestWeakOrderLattice:
             for block_bytes in (lattice.BLOCK_BYTES, 1):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(lattice, "BLOCK_BYTES", block_bytes)
-                    assert np.array_equal(tamari._weak_leq_matrix(rows), expected)
+                    assert np.array_equal(weak_order_matrix(rows), expected)
 
     def test_refused_before_enumerating(self, monkeypatch):
         # Tam_B's rows are counted first, so one whose tables exceed the cap
@@ -908,13 +909,22 @@ class TestWeakOrderLattice:
             verify_theorems(Composition.parse("0,1,1"), cap=35, tam=L)
         assert (info.value.required, info.value.cap) == (36, 35)
 
-    def test_table_bound_is_the_cap_on_m_squared_values(self):
-        # 11,313^2 values fit 64 to an element under the default cap; 11,314^2 do not.
+    def test_table_bound_is_the_cap_on_m_squared_values(self, monkeypatch):
+        # 11,313^2 values fit 64 to an element under the default cap; 11,314^2
+        # do not, and build_tamari refuses them before packing any word.
+        def not_packed(*args, **kwargs):
+            raise AssertionError("_inversion_words called")
+
         rows = np.zeros((11_314, 1), dtype=np.int8)
+        monkeypatch.setattr(tamari, "_inversion_words", not_packed)
+        monkeypatch.setattr(tamari, "aligned_rows", lambda alpha, cap=None: rows)
         with pytest.raises(CapExceededError) as info:
-            tamari._weak_leq_matrix(rows, cap=2_000_000)
+            build_tamari(Composition.parse("1"), cap=2_000_000)
         assert str(info.value) == "enumeration needs 2000104 elements, cap is 2000000"
-        parabolic.check_cap(11_313, 2_000_000, 11_313)
+        # One row fewer is admitted, and reaches the words.
+        monkeypatch.setattr(tamari, "aligned_rows", lambda alpha, cap=None: rows[1:])
+        with pytest.raises(AssertionError, match="_inversion_words called"):
+            build_tamari(Composition.parse("1"), cap=2_000_000)
 
     def test_weak_order_above_table_bound_verifies(self):
         # 23,040 members: the weak side holds no m x m matrix, whose values
