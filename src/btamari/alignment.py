@@ -18,6 +18,7 @@ import numpy as np
 
 from .parabolic import (
     Composition,
+    _block_gather,
     _identity_state,
     _place_block,
     is_member,
@@ -380,38 +381,199 @@ def aligned_mask(alpha: Composition, rows) -> np.ndarray:
     return _avoids(np.ascontiguousarray(np.asarray(rows).T), _scan_plan(alpha))
 
 
-def _grow(state: np.ndarray, split: bool, parts: tuple[int, ...], cap: int):
+@lru_cache(maxsize=None)
+def _placement_layout(split: bool, prefix: tuple[int, ...]):
+    """The plan entries of any block placed after ``prefix``, grouped for
+    ``_placement_tables``.
+
+    They are read off ``_block_plan(split, prefix + (1,))``: every middle
+    span lies in the prefix whatever the block's width, so a one-wide
+    block's entries name every span and filled position that a wider
+    one's do.  Returns ``(earlier_i, earlier_k, both, lows, highs,
+    count)``: entries ``(low, high, outer)`` for the filled i that pair
+    with a k in the block, one sign each; entries ``(low, high, ks)`` for
+    the filled k that pair with an i in the block's negation, runs of k
+    that share their spans merged; the spans ``(low, high)`` of a pair with
+    both ends in the block; every low and every high span read; and the
+    number of filled i and k.  Spans are as in ``_block_plan``.  Cached per
+    (split, prefix), as ``_block_plan`` is.
+    """
+    w0 = sum(prefix)
+    earlier_i, earlier_k, both = [], [], None
+    for k, low, high, outer in _block_plan(split, prefix + (1,)):
+        if k <= w0:  # its one outer position is -(w0 + 1), in the block
+            last = earlier_k[-1] if earlier_k else None
+            if last and last[:2] == (low, high) and last[2].stop == k:
+                earlier_k[-1] = (low, high, range(last[2].start, k + 1))
+            else:
+                earlier_k.append((low, high, range(k, k + 1)))
+            continue
+        if outer.start == -k:  # i = -k: a negated block position
+            both = (low, high)
+            outer = outer[1:]
+        if outer:
+            earlier_i.append((low, high, outer))
+    entries = earlier_i + earlier_k
+    spans = [tuple(({e[side] for e in entries} | {both[side]}) - {None}) for side in (0, 1)]
+    return tuple(earlier_i), tuple(earlier_k), both, *spans, sum(len(e[2]) for e in entries)
+
+
+def _placement_tables(state: np.ndarray, split: bool, prefix: tuple[int, ...]) -> np.ndarray:
+    """Which placements of the next block each kept parent column forbids.
+
+    ``state`` holds the parent's kept columns, position major, with the
+    blocks of ``prefix`` (w0 positions) filled and its f = n - w0 free
+    values f_0 < ... < f_{f-1} after them.  A block B placed next takes
+    some free values, each with a sign.  Every 231 pattern (i, j, k) that B
+    completes has an end in B, and its middle span, the j > 0 between i and
+    k outside their blocks, lies in 1 .. w0; so the parent column alone
+    decides it, for a block of any width:
+
+    1. k in B, i filled: pi(k) = pred(pi(i)), so the value pred(pi(i)) is
+       forbidden anywhere in B when the middle holds: a value above pi(i)
+       (``high``) or below pred(pi(i)) (``low``).
+    2. k filled, i in -B: pi(-i) = -succ(pi(k)), so -succ(pi(k)) is
+       forbidden anywhere in B when a middle value is above succ(pi(k)) or
+       below pi(k).
+    3. k in B, i in -B, the middle 1 .. w0, with H the largest filled value
+       past the join region and L the smallest inside it.  For i = -k,
+       pi(k) = -1, forbidden when H > 1 or L < -1.  Otherwise the two
+       values are +x and -(x + 1) for some x >= 1, both in B: +x at k and
+       -(x + 1) at -i need H > x + 1 or L < x, the other way round H > -x
+       or L < -(x + 1), so the pair is forbidden when H > -x or L < x.
+
+    Rules 1 and 2 forbid pi(i) - 1 and -pi(k) - 1 here, which are pred and
+    -succ except where pi(i) = 1 or pi(k) = -1: there they give 0, no
+    value, where the rules forbid -1, which no block takes once 1 is
+    filled.
+
+    Returns a (3f, m) bool table, one row per code: row s is slot s placed
+    positive, row f + s slot s negated, row 2f + s the pair +f_s,
+    -f_{s+1} (f_{s+1} = f_s + 1), and the last row False.  Its temporaries
+    are a few times the state: the forbidden values, at most three rows per
+    filled position, and one comparison of them at a time.
+    """
+    earlier_i, earlier_k, both, lows, highs, count = _placement_layout(split, prefix)
+    n, m = state.shape
+    f = n - sum(prefix)
+    lowest = {s: np.minimum.reduce(state[slice(*s)], axis=0) for s in lows}
+    highest = {s: np.maximum.reduce(state[slice(*s)], axis=0) for s in highs}
+
+    def middle(low, high, above, below):
+        """Where a middle value exceeds ``above`` or falls below ``below``."""
+        if low is None:
+            return highest[high] > above
+        if high is None:
+            return lowest[low] < below
+        return (highest[high] > above) | (lowest[low] < below)
+
+    # the forbidden values, 0 (no value) where the middle fails
+    forbidden = np.empty((count, m), dtype=state.dtype)
+    r = 0
+    for low, high, outer in earlier_i:
+        if outer.start > 0:
+            pi_i = state[outer.start - 1:outer.stop - 1]
+        else:
+            pi_i = -state[-outer.stop:-outer.start]
+        value = np.subtract(pi_i, 1, out=forbidden[r:r + len(outer)])
+        value *= middle(low, high, pi_i, value)
+        r += len(outer)
+    for low, high, ks in earlier_k:
+        pi_k = state[ks.start - 1:ks.stop - 1]
+        value = np.subtract(-1, pi_k, out=forbidden[r:r + len(ks)])
+        value *= middle(low, high, pi_k + 1, pi_k)
+        r += len(ks)
+
+    hit = np.empty_like(forbidden, dtype=bool)
+    tables = np.empty((3 * f, m), dtype=bool)
+    free = state[-f:]
+    negated = -free
+    for s in range(f):
+        np.logical_or.reduce(np.equal(forbidden, free[s], out=hit), axis=0, out=tables[s])
+        np.logical_or.reduce(np.equal(forbidden, negated[s], out=hit), axis=0, out=tables[f + s])
+
+    tables[f] |= (free[0] == 1) & middle(*both, 1, -1)
+    pairs = tables[2 * f:-1]
+    np.equal(free[1:] - free[:-1], 1, out=pairs)
+    pairs &= middle(*both, negated[:-1], free[:-1])
+    tables[-1] = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _way_codes(n: int, w: int, p: int) -> np.ndarray:
+    """The ``_placement_tables`` rows each way to place a signed block of p
+    after w filled positions reads, one index row per block position and
+    one per pair slot.
+
+    The codes are ``_block_gather``'s: a way's block position t takes free
+    slot pick[w + t] - w, plus f = n - w where its sign is negative.  A
+    pair +f_s, -f_{s+1} is read through the position that holds +f_s;
+    pairs share no slot, so a way holds at most p / 2 of them, gathered
+    into the first pair rows with the all-False row (3f - 1) after them.
+    Cached per (n, w, p), as ``_block_gather`` is, and read-only.
+    """
+    pick, signs = _block_gather(n, w, p, True)
+    f = n - w
+    codes = pick[w:w + p] - w
+    codes += f * (signs < 0)
+    ways = np.arange(codes.shape[1])
+    present = np.zeros((2 * f + 1, len(ways)), dtype=bool)
+    present[codes, ways] = True
+    partner = np.where(codes < f - 1, codes + f + 1, 2 * f)
+    pairs = np.where(present[partner, ways], codes + 2 * f, 3 * f - 1)
+    pairs.sort(axis=0)
+    held = int((pairs < 3 * f - 1).sum(axis=0).max())
+    rows = np.concatenate((codes, pairs[:held]))
+    rows.setflags(write=False)
+    return rows
+
+
+def _grow(state: np.ndarray, split: bool, parts: tuple[int, ...], cap: int, tables):
     """One block step of the pruned build: the last of ``parts``' blocks placed.
 
     ``state`` holds the kept elements, position major, with the blocks
-    before it placed.  The block is placed by ``_place_block``, whose cap
-    check bounds the columns held; an element whose filled positions hold a
-    pattern of the block's plan is to be dropped, since every completion
-    keeps that pattern.  The prune reads the filled positions' rows in
-    place.  Returns the new state and the mask of the columns to keep.
+    before it placed, and ``tables`` is its ``_placement_tables``, or None
+    before the first block, which completes no pattern.  The block is
+    placed by ``_place_block``, whose cap check bounds the columns held.  A
+    new column whose block takes a forbidden (slot, sign) or a forbidden
+    pair is to be dropped, since every completion keeps that pattern: per
+    ``_way_codes`` row, one row gather of the tables, ORed in.  Returns the
+    new state and the mask of the columns to keep.
     """
     p = parts[-1]
     w = sum(parts)
-    state = _place_block(state, w - p, p, split or len(parts) > 1, cap)
-    return state, _avoids(state[:w], _block_plan(split, parts))
+    placed = _place_block(state, w - p, p, split or len(parts) > 1, cap)
+    if tables is None:
+        return placed, np.ones(placed.shape[1], dtype=bool)
+    rows = _way_codes(state.shape[0], w - p, p)
+    bad = np.take(tables, rows[0], axis=0)
+    held = np.empty_like(bad)
+    for row in rows[1:]:
+        # every code is in range: "clip" only skips take's buffered check
+        np.take(tables, row, axis=0, out=held, mode="clip")
+        bad |= held
+    return placed, np.logical_not(bad, out=bad).reshape(-1)
 
 
 def aligned_rows(alpha: Composition, cap: int | None = None) -> np.ndarray:
     """Right parts of the quotient's 231-avoiding members, in build order.
 
     The rows are built as in ``quotient_rows``, one ``_grow`` step per
-    block, keeping the columns each step keeps.  After the last block every
-    scan-plan entry has run, so the rows left are those ``aligned_mask``
-    keeps.  They are the position-major state transposed, a
-    Fortran-ordered view.  The cap bounds the rows held, not the quotient
-    size: before each block is placed, the rows kept so far times the
-    block's choices and signings (``CapExceededError.required`` when it is
-    exceeded).
+    block, keeping the columns each step keeps, with the placement tables
+    of the rows kept before it.  After the last block every scan-plan entry
+    has run, so the rows left are those ``aligned_mask`` keeps.  They are
+    the position-major state transposed, a Fortran-ordered view.  The cap
+    bounds the rows held, not the quotient size: before each block is
+    placed, the rows kept so far times the block's choices and signings
+    (``CapExceededError.required`` when it is exceeded).
     """
     cap = resolve_cap(cap)
-    state = _identity_state(alpha.n)
+    state, tables = _identity_state(alpha.n), None
     for b in range(alpha.r):
-        state, kept = _grow(state, alpha.split, alpha.parts[:b + 1], cap)
+        if b:
+            tables = _placement_tables(state, alpha.split, alpha.parts[:b])
+        state, kept = _grow(state, alpha.split, alpha.parts[:b + 1], cap, tables)
         state = np.compress(kept, state, axis=1)
     return state.T
 
@@ -424,26 +586,30 @@ def count_aligned_subtree(
 
     The tree of n's composition prefixes is walked depth first, each node
     (parts summing to w) taking the ``_grow`` step of its last block on its
-    parent's kept rows.  Its kept rows holding +-1 .. +-w (w + 1 at position
-    w + 1) are the aligned members of degree w with its parts: each plan
-    entry of those parts reads positions <= w only, comparing values there
-    with each other or with succ of one of them, and succ(w) = w + 1 sits at
-    no position <= w in either degree.  Every step of a composition of n is
-    a node, and a lower degree's step holds no more rows than its node, so
+    parent's kept rows, with the tables its parent built once for all its
+    children.  Its kept rows holding +-1 .. +-w (w + 1 at position w + 1)
+    are the aligned members of degree w with its parts: each plan entry of
+    those parts reads positions <= w only, comparing values there with each
+    other or with succ of one of them, and succ(w) = w + 1 sits at no
+    position <= w in either degree.  Every step of a composition of n is a
+    node, and a lower degree's step holds no more rows than its node, so
     the cap refuses exactly when ``aligned_rows`` refuses one of them,
     raising the first count above it in walk order.
     """
     cap, counts = resolve_cap(cap), [0] * n
-    todo = [(_identity_state(n), (first,))]
+    todo = [(_identity_state(n), None, (first,))]
     while todo:
-        state, parts = todo.pop()
-        state, kept = _grow(state, split, parts, cap)
+        state, tables, parts = todo.pop()
+        state, kept = _grow(state, split, parts, cap, tables)
         w = sum(parts)
         counts[w - 1] += int(np.count_nonzero(kept if w == n else kept & (state[w] == w + 1)))
         if w < n:
             state = np.compress(kept, state, axis=1)
-            todo += [(state, parts + (q,)) for q in range(n - w, 0, -1)]
-        del kept  # a leaf's mask is freed before the next step allocates
+            tables = _placement_tables(state, split, parts)
+            todo += [(state, tables, parts + (q,)) for q in range(n - w, 0, -1)]
+        # a leaf's mask, and the tables of a parent whose last child this
+        # was, are freed before the next step allocates
+        del kept, tables
     return counts
 
 

@@ -279,6 +279,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} takes --alpha or --batch, not both")
     if args.command == "conjecture" and not args.type_d and args.t is None:
         parser.error("conjecture needs --t or --type-d")
+    if args.command == "conjecture" and args.type_d and args.t is not None:
+        parser.error("conjecture takes --t or --type-d, not both")
     if args.command == "project" and not args.classes and not (args.perm and args.dir):
         parser.error("project needs --perm and --dir (or --classes)")
     if args.command == "project" and args.classes and (args.perm, args.dir) != (None, None):

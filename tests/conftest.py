@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 
@@ -488,22 +489,37 @@ def build_rows_two_arrays(alpha: Composition, cap=None, keep=None) -> np.ndarray
     return rows
 
 
-def aligned_block_steps(alpha: Composition):
-    """``aligned_rows(alpha)``, and the state and plan of each block step's prune.
+@contextlib.contextmanager
+def checked_block_steps(states: bool = False):
+    """Check every ``alignment._grow`` step run inside against the dense scan.
 
-    The prune is watched through ``alignment._avoids``, which every step
-    calls once, so each recorded ``(cols, plan)`` is what that step pruned:
-    ``cols`` is position major, one array row per filled position.
+    A step's kept mask must be ``_avoids(placed[:w], _block_plan(split,
+    parts))`` on the state ``_place_block`` returned: the block's plan
+    scanned pair by pair on the placed positions, the prune the placement
+    tables replace.  A mismatch raises AssertionError.  Yields the steps,
+    each ``(split, parts)``, or with ``states`` ``(cols, plan, kept)``,
+    ``cols`` the placed positions, position major.
     """
     steps = []
-    avoids = alignment._avoids
+    grow = alignment._grow
 
-    def watched(cols, plan):
-        steps.append((cols, plan))
-        return avoids(cols, plan)
+    def checked(state, split, parts, cap, tables):
+        placed, kept = grow(state, split, parts, cap, tables)
+        cols, plan = placed[:sum(parts)], alignment._block_plan(split, parts)
+        if not np.array_equal(kept, alignment._avoids(cols, plan)):
+            raise AssertionError(f"block step {parts} (split {split}) keeps other columns than the dense scan")
+        steps.append((cols, plan, kept) if states else (split, parts))
+        return placed, kept
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(alignment, "_avoids", watched)
+        patch.setattr(alignment, "_grow", checked)
+        yield steps
+
+
+def aligned_block_steps(alpha: Composition):
+    """``aligned_rows(alpha)``, and each block step's ``(cols, plan, kept)``
+    as ``checked_block_steps`` checks and records them."""
+    with checked_block_steps(states=True) as steps:
         rows = alignment.aligned_rows(alpha)
     return rows, steps
 

@@ -43,6 +43,7 @@ from conftest import (
     _long_row,
     aligned_block_steps,
     build_rows_two_arrays,
+    checked_block_steps,
     c_sortable_rows,
     compositions,
     find_all_231_patterns,
@@ -461,61 +462,91 @@ class TestDenseScan:
         assert (largest > smallest).all()
 
     def test_entries_match_gather_oracle_at_every_block(self):
-        # Each block step of ``aligned_rows`` prunes the filled positions
-        # with its block's plan, as the gather oracle does, and keeps the
-        # rows the prune keeps.
+        # Each block step of ``aligned_rows`` keeps the columns that its
+        # block's plan, scanned on the positions ``_place_block`` filled,
+        # keeps (``aligned_block_steps`` checks it), as the gather oracle
+        # does; the rows returned are the last step's kept ones.
         for n in range(1, 8):
             for alpha in all_compositions(n):
                 rows, steps = aligned_block_steps(alpha)
                 assert len(steps) == alpha.r
-                for b, (cols, plan) in enumerate(steps):
+                for b, (cols, plan, kept) in enumerate(steps):
                     assert cols.shape[0] == alpha.prefix[b + 1]
                     assert plan == _block_plan(alpha.split, alpha.parts[:b + 1])
-                    kept = self.assert_scans_match_oracle(cols.T, plan)[1]
+                    assert np.array_equal(kept, self.assert_scans_match_oracle(cols.T, plan)[1])
                 assert np.array_equal(rows, cols.T[kept])
 
 
-class TestPositionMajorPrune:
-    """Each block step's prune reads the position-major state that
-    ``_place_block`` returned in place, with no copy between the gather and
-    the 231 scan."""
+class TestParentTables:
+    """Each block step's prune reads its parent's placement tables: built
+    once per parent, on the parent's kept state itself, with no copy, and
+    read by every child placed from that state."""
 
     @staticmethod
     def watch(monkeypatch):
-        """Check every ``_held`` call, and return the shapes it was given."""
-        placed, seen = [], []
-        place, held = alignment._place_block, alignment._held
+        """Check that every step reads the tables of the state it places
+        from, and return the builds, each (split, prefix)."""
+        built, state_of = [], {}
+        build, grow = alignment._placement_tables, alignment._grow
 
-        def placing(*args):
-            placed.append(place(*args))
-            return placed[-1]
+        def building(state, split, prefix):
+            assert state.flags.c_contiguous
+            tables = build(state, split, prefix)
+            built.append((split, prefix))
+            state_of[id(tables)] = (tables, state)  # held, so no id is reused
+            return tables
 
-        def holding(cols, plan):
-            assert cols.flags.c_contiguous
-            assert np.shares_memory(cols, placed[-1])
-            seen.append(cols.shape)
-            return held(cols, plan)
+        def growing(state, split, parts, cap, tables):
+            if tables is None:
+                assert len(parts) == 1
+            else:
+                assert state_of[id(tables)][1] is state
+            return grow(state, split, parts, cap, tables)
 
-        monkeypatch.setattr(alignment, "_place_block", placing)
-        monkeypatch.setattr(alignment, "_held", holding)
-        return seen
+        monkeypatch.setattr(alignment, "_placement_tables", building)
+        monkeypatch.setattr(alignment, "_grow", growing)
+        return built
 
-    def test_aligned_rows_prune_the_placed_state(self, monkeypatch):
-        seen = self.watch(monkeypatch)
+    def test_aligned_rows_build_tables_on_the_kept_state(self, monkeypatch):
+        built = self.watch(monkeypatch)
         for n in range(1, 7):
             for alpha in all_compositions(n):
-                seen.clear()
+                built.clear()
                 aligned_rows(alpha)
-                assert [shape[0] for shape in seen] == list(alpha.prefix[1:])
+                assert [sum(prefix) for _, prefix in built] == list(alpha.prefix[1:-1])
 
-    def test_prefix_walk_prunes_the_placed_state(self, monkeypatch):
-        seen = self.watch(monkeypatch)
+    def test_prefix_walk_builds_tables_on_the_kept_state(self, monkeypatch):
+        # Once per node below degree n: 2^(n - 1 - first) of them, the
+        # first one the root's.
+        built = self.watch(monkeypatch)
         for n in range(1, 6):
             for split in (False, True):
                 for first in range(1, n + 1):
-                    seen.clear()
+                    built.clear()
                     count_aligned_subtree(n, split, first)
-                    assert seen and seen[0][0] == first
+                    nodes = 2 ** (n - 1 - first) if first < n else 0
+                    assert len(built) == len(set(built)) == nodes
+                    assert not built or built[0] == (split, (first,))
+
+    def test_walk_builds_tables_once_per_parent(self, monkeypatch):
+        # The degree-7 walk's 126 parents, the compositions of degree <= 6,
+        # build their tables once each for all their children, and each of
+        # its 254 steps keeps what the dense scan keeps.
+        built = self.watch(monkeypatch)
+        with checked_block_steps() as steps:
+            assert t_sequence(7) == [3, 15, 91, 598, 4109, 29071, 209933]
+        assert len(built) == len(set(built)) == 126
+        assert len(steps) == len(set(steps)) == 254
+
+    @pytest.mark.parametrize("text", ["125,1", "127,1", "124,1,1", "126,1,1"])
+    def test_aligned_rows_at_the_dtype_edges(self, text):
+        # int8 states at n = 126, int16 ones at n = 128, where the tables'
+        # values reach pred(-n) = -n - 1 and -succ(n) = -n - 1.
+        alpha = Composition.parse(text)
+        rows = quotient_rows(alpha)
+        aligned = aligned_rows(alpha)
+        assert aligned.dtype == rows.dtype == (np.int8 if alpha.n == 126 else np.int16)
+        assert np.array_equal(lex_sorted(aligned), rows[aligned_mask(alpha, rows)])
 
 
 class TestPrefixWalk:
@@ -563,9 +594,9 @@ class TestPrefixWalk:
         steps = []
         grow = alignment._grow
 
-        def counting(state, split, parts, cap):
+        def counting(state, split, parts, cap, tables):
             steps.append((split, parts))
-            return grow(state, split, parts, cap)
+            return grow(state, split, parts, cap, tables)
 
         monkeypatch.setattr(alignment, "_grow", counting)
         assert t_sequence(7) == [3, 15, 91, 598, 4109, 29071, 209933]

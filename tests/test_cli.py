@@ -621,6 +621,11 @@ class TestTables:
             main(["conjecture", "--max-n", "3"])
         assert info.value.code == 2
 
+    def test_conjecture_refuses_both_modes(self, capsys):
+        # The type-D check would run alone, dropping --t without a word.
+        line = usage_error(capsys, "conjecture", "--t", "1", "--type-d", "--max-n", "3")
+        assert line == "btamari: error: conjecture takes --t or --type-d, not both"
+
 
 class TestEnvironment:
     def test_cap_env_override(self, capsys, monkeypatch):

@@ -245,7 +245,7 @@ class TestQuotientRows:
             return _avoids(rows.T, _block_plan(alpha.split, alpha.parts[:b + 1]))
 
         pruned, steps = aligned_block_steps(alpha)
-        assert [cols.shape[0] for cols, _ in steps] == list(alpha.prefix[1:])
+        assert [cols.shape[0] for cols, _, _ in steps] == list(alpha.prefix[1:])
         assert np.array_equal(pruned, build_rows_two_arrays(alpha, None, keep))
 
     @pytest.mark.parametrize("text", ["0,9", "7,5"])
